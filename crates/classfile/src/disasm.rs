@@ -7,7 +7,7 @@
 
 use std::fmt::Write as _;
 
-use crate::opcodes::{self as op, INFO, VARIABLE};
+use crate::opcodes::{self as op, INFO};
 use crate::{ClassFile, Code, MethodInfo};
 
 /// Disassemble a whole class to javap-like text.
@@ -72,6 +72,8 @@ pub fn disassemble_method(class: &ClassFile, m: &MethodInfo) -> String {
 }
 
 /// Disassemble the instruction at `pc`; returns `(text, next_pc)`.
+/// A truncated instruction disassembles as its mnemonic plus
+/// `<truncated>` and ends the code.
 pub fn disassemble_at(class: &ClassFile, code: &Code, pc: usize) -> (String, usize) {
     let bytes = &code.bytecode;
     let opcode = bytes[pc];
@@ -79,11 +81,18 @@ pub fn disassemble_at(class: &ClassFile, code: &Code, pc: usize) -> (String, usi
     if info.mnemonic.is_empty() {
         return (format!(".byte {opcode:#04x}"), pc + 1);
     }
+    let Some(len) = op::decode_len(bytes, pc) else {
+        return (format!("{} <truncated>", info.mnemonic), bytes.len());
+    };
     let pool = &class.constant_pool;
     let u16_at = |i: usize| u16::from_be_bytes([bytes[i], bytes[i + 1]]);
     let i16_at = |i: usize| i16::from_be_bytes([bytes[i], bytes[i + 1]]);
-    let i32_at =
-        |i: usize| i32::from_be_bytes([bytes[i], bytes[i + 1], bytes[i + 2], bytes[i + 3]]);
+    let i32_at = |i: usize| op::read_i32(bytes, i).unwrap_or_default();
+    // The branch target, or a switch's default.
+    let target = || match op::branch_targets(bytes, pc).as_deref() {
+        Some([first, ..]) => first.to_string(),
+        _ => "<bad target>".to_string(),
+    };
     let member = |idx: u16| -> String {
         pool.member_ref(idx)
             .map(|(c, n, d)| format!("{c}.{n}:{d}"))
@@ -95,18 +104,12 @@ pub fn disassemble_at(class: &ClassFile, code: &Code, pc: usize) -> (String, usi
             .unwrap_or_else(|_| format!("#{idx}"))
     };
 
-    match opcode {
-        op::BIPUSH => (format!("bipush {}", bytes[pc + 1] as i8), pc + 2),
-        op::SIPUSH => (format!("sipush {}", i16_at(pc + 1)), pc + 3),
-        op::LDC => (
-            format!("ldc {}", ldc_text(class, u16::from(bytes[pc + 1]))),
-            pc + 2,
-        ),
-        op::LDC_W => (format!("ldc_w {}", ldc_text(class, u16_at(pc + 1))), pc + 3),
-        op::LDC2_W => (
-            format!("ldc2_w {}", ldc_text(class, u16_at(pc + 1))),
-            pc + 3,
-        ),
+    let text = match opcode {
+        op::BIPUSH => format!("bipush {}", bytes[pc + 1] as i8),
+        op::SIPUSH => format!("sipush {}", i16_at(pc + 1)),
+        op::LDC => format!("ldc {}", ldc_text(class, u16::from(bytes[pc + 1]))),
+        op::LDC_W => format!("ldc_w {}", ldc_text(class, u16_at(pc + 1))),
+        op::LDC2_W => format!("ldc2_w {}", ldc_text(class, u16_at(pc + 1))),
         op::ILOAD
         | op::LLOAD
         | op::FLOAD
@@ -117,18 +120,10 @@ pub fn disassemble_at(class: &ClassFile, code: &Code, pc: usize) -> (String, usi
         | op::FSTORE
         | op::DSTORE
         | op::ASTORE
-        | op::RET => (format!("{} {}", info.mnemonic, bytes[pc + 1]), pc + 2),
-        op::IINC => (
-            format!("iinc {} {}", bytes[pc + 1], bytes[pc + 2] as i8),
-            pc + 3,
-        ),
-        o if (op::IFEQ..=op::JSR).contains(&o) || o == op::IFNULL || o == op::IFNONNULL => {
-            let target = pc as i64 + i64::from(i16_at(pc + 1));
-            (format!("{} {}", info.mnemonic, target), pc + 3)
-        }
-        op::GOTO_W | op::JSR_W => {
-            let target = pc as i64 + i64::from(i32_at(pc + 1));
-            (format!("{} {}", info.mnemonic, target), pc + 5)
+        | op::RET => format!("{} {}", info.mnemonic, bytes[pc + 1]),
+        op::IINC => format!("iinc {} {}", bytes[pc + 1], bytes[pc + 2] as i8),
+        op::IFEQ..=op::JSR | op::IFNULL | op::IFNONNULL | op::GOTO_W | op::JSR_W => {
+            format!("{} {}", info.mnemonic, target())
         }
         op::GETSTATIC
         | op::PUTSTATIC
@@ -136,17 +131,10 @@ pub fn disassemble_at(class: &ClassFile, code: &Code, pc: usize) -> (String, usi
         | op::PUTFIELD
         | op::INVOKEVIRTUAL
         | op::INVOKESPECIAL
-        | op::INVOKESTATIC => {
-            let idx = u16_at(pc + 1);
-            (format!("{} {}", info.mnemonic, member(idx)), pc + 3)
-        }
-        op::INVOKEINTERFACE => {
-            let idx = u16_at(pc + 1);
-            (format!("invokeinterface {}", member(idx)), pc + 5)
-        }
+        | op::INVOKESTATIC
+        | op::INVOKEINTERFACE => format!("{} {}", info.mnemonic, member(u16_at(pc + 1))),
         op::NEW | op::ANEWARRAY | op::CHECKCAST | op::INSTANCEOF => {
-            let idx = u16_at(pc + 1);
-            (format!("{} {}", info.mnemonic, class_at(idx)), pc + 3)
+            format!("{} {}", info.mnemonic, class_at(u16_at(pc + 1)))
         }
         op::NEWARRAY => {
             let t = match bytes[pc + 1] {
@@ -160,53 +148,32 @@ pub fn disassemble_at(class: &ClassFile, code: &Code, pc: usize) -> (String, usi
                 11 => "long",
                 _ => "?",
             };
-            (format!("newarray {t}"), pc + 2)
+            format!("newarray {t}")
         }
-        op::MULTIANEWARRAY => {
-            let idx = u16_at(pc + 1);
-            (
-                format!("multianewarray {} dims={}", class_at(idx), bytes[pc + 3]),
-                pc + 4,
-            )
-        }
+        op::MULTIANEWARRAY => format!(
+            "multianewarray {} dims={}",
+            class_at(u16_at(pc + 1)),
+            bytes[pc + 3]
+        ),
         op::TABLESWITCH => {
             let base = (pc + 4) & !3;
-            let default = pc as i64 + i64::from(i32_at(base));
-            let low = i32_at(base + 4);
-            let high = i32_at(base + 8);
-            let count = (high - low + 1) as usize;
-            (
-                format!("tableswitch [{low}..{high}] default={default}"),
-                base + 12 + 4 * count,
-            )
+            let (low, high) = (i32_at(base + 4), i32_at(base + 8));
+            format!("tableswitch [{low}..{high}] default={}", target())
         }
         op::LOOKUPSWITCH => {
-            let base = (pc + 4) & !3;
-            let default = pc as i64 + i64::from(i32_at(base));
-            let npairs = i32_at(base + 4) as usize;
-            (
-                format!("lookupswitch npairs={npairs} default={default}"),
-                base + 8 + 8 * npairs,
-            )
+            let npairs = i32_at(((pc + 4) & !3) + 4);
+            format!("lookupswitch npairs={npairs} default={}", target())
+        }
+        op::WIDE if bytes[pc + 1] == op::IINC => {
+            format!("wide iinc {} {}", u16_at(pc + 2), i16_at(pc + 4))
         }
         op::WIDE => {
-            let sub = bytes[pc + 1];
-            if sub == op::IINC {
-                (
-                    format!("wide iinc {} {}", u16_at(pc + 2), i16_at(pc + 4)),
-                    pc + 6,
-                )
-            } else {
-                let name = INFO[sub as usize].mnemonic;
-                (format!("wide {name} {}", u16_at(pc + 2)), pc + 4)
-            }
+            let name = INFO[bytes[pc + 1] as usize].mnemonic;
+            format!("wide {name} {}", u16_at(pc + 2))
         }
-        _ if info.operands == 0 => (info.mnemonic.to_string(), pc + 1),
-        _ if info.operands != VARIABLE => {
-            (info.mnemonic.to_string(), pc + 1 + info.operands as usize)
-        }
-        _ => (info.mnemonic.to_string(), pc + 1),
-    }
+        _ => info.mnemonic.to_string(),
+    };
+    (text, pc + len)
 }
 
 fn ldc_text(class: &ClassFile, idx: u16) -> String {
@@ -233,6 +200,7 @@ mod tests {
     use super::*;
     use crate::access;
     use crate::builder::{ClassBuilder, MethodBuilder};
+    use crate::opcodes::VARIABLE;
 
     #[test]
     fn disassembles_a_loop_readably() {

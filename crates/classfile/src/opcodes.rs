@@ -435,6 +435,68 @@ const fn build_info() -> [OpInfo; 256] {
     t
 }
 
+/// Big-endian `i16` at `at`, if `code` holds it.
+pub fn read_i16(code: &[u8], at: usize) -> Option<i16> {
+    Some(i16::from_be_bytes([*code.get(at)?, *code.get(at + 1)?]))
+}
+
+/// Big-endian `i32` at `at`, if `code` holds it.
+pub fn read_i32(code: &[u8], at: usize) -> Option<i32> {
+    Some(i32::from_be_bytes(code.get(at..at + 4)?.try_into().ok()?))
+}
+
+/// Encoded length of the instruction at `pc`, opcode byte included.
+/// `None` when `pc` or any operand byte lies past the end of `code`, or
+/// a switch declares a negative number of cases. Undefined opcode bytes
+/// count as one-byte instructions.
+pub fn decode_len(code: &[u8], pc: usize) -> Option<usize> {
+    let opcode = *code.get(pc)?;
+    let len = match opcode {
+        WIDE if *code.get(pc + 1)? == IINC => 6,
+        WIDE => 4,
+        TABLESWITCH => {
+            let base = (pc + 4) & !3;
+            let low = i64::from(read_i32(code, base + 4)?);
+            let cases = usize::try_from(i64::from(read_i32(code, base + 8)?) - low + 1).ok()?;
+            base + 12 + 4 * cases - pc
+        }
+        LOOKUPSWITCH => {
+            let base = (pc + 4) & !3;
+            let pairs = usize::try_from(read_i32(code, base + 4)?).ok()?;
+            base + 8 + 8 * pairs - pc
+        }
+        _ => 1 + INFO[opcode as usize].operands as usize,
+    };
+    (pc + len <= code.len()).then_some(len)
+}
+
+/// Jump targets of the instruction at `pc`: the target of a branch,
+/// `goto` or `jsr`, or a switch's default followed by its cases in
+/// encoding order. Empty for instructions that only fall through. `None`
+/// when the instruction is truncated or a target lies before offset 0;
+/// targets past the end of `code` are returned as they are.
+pub fn branch_targets(code: &[u8], pc: usize) -> Option<Vec<usize>> {
+    let target = |offset: i32| usize::try_from(pc as i64 + i64::from(offset)).ok();
+    // A switch's default offset sits at the aligned `base`, its first
+    // case offset 12 bytes further on, and the rest every `stride` bytes.
+    let switch = |stride: usize| -> Option<Vec<usize>> {
+        let base = (pc + 4) & !3;
+        let end = pc + decode_len(code, pc)?;
+        std::iter::once(base)
+            .chain((base + 12..end).step_by(stride))
+            .map(|at| target(read_i32(code, at)?))
+            .collect()
+    };
+    match *code.get(pc)? {
+        IFEQ..=JSR | IFNULL | IFNONNULL => Some(vec![target(read_i16(code, pc + 1)?.into())?]),
+        GOTO_W | JSR_W => Some(vec![target(read_i32(code, pc + 1)?)?]),
+        TABLESWITCH => switch(4),
+        // Lookupswitch pairs are a key, then an offset.
+        LOOKUPSWITCH => switch(8),
+        _ => Some(Vec::new()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,5 +526,43 @@ mod tests {
         assert_eq!(INFO[TABLESWITCH as usize].operands, VARIABLE);
         assert_eq!(INFO[GOTO_W as usize].operands, 4);
         assert_eq!(INFO[MULTIANEWARRAY as usize].operands, 3);
+    }
+
+    #[test]
+    fn decode_len_is_bounds_checked() {
+        assert_eq!(decode_len(&[SIPUSH, 0, 7], 0), Some(3));
+        assert_eq!(decode_len(&[SIPUSH, 0], 0), None);
+        assert_eq!(decode_len(&[NOP], 1), None);
+        assert_eq!(decode_len(&[WIDE, IINC, 0, 1, 0, 2], 0), Some(6));
+        assert_eq!(decode_len(&[WIDE, ILOAD, 0, 1], 0), Some(4));
+        assert_eq!(decode_len(&[WIDE], 0), None);
+        assert_eq!(decode_len(&[0xFE], 0), Some(1));
+        // tableswitch at pc 1: 2 pad bytes, default, low = 0, high = 1.
+        let mut table = vec![NOP, TABLESWITCH, 0, 0];
+        for v in [10, 0, 1, 20, 30] {
+            table.extend_from_slice(&i32::to_be_bytes(v));
+        }
+        assert_eq!(decode_len(&table, 1), Some(23));
+        assert_eq!(branch_targets(&table, 1), Some(vec![11, 21, 31]));
+        assert_eq!(decode_len(&table[..table.len() - 1], 1), None);
+        // high < low - 1 is a negative case count.
+        table[12] = 0xFF;
+        assert_eq!(decode_len(&table, 1), None);
+    }
+
+    #[test]
+    fn branch_targets_follow_the_encoding() {
+        assert_eq!(branch_targets(&[NOP, GOTO, 0xFF, 0xFF], 1), Some(vec![0]));
+        assert_eq!(branch_targets(&[GOTO, 0xFF, 0xFF], 0), None);
+        assert_eq!(branch_targets(&[GOTO, 0], 0), None);
+        assert_eq!(branch_targets(&[JSR_W, 0, 0, 0, 9], 0), Some(vec![9]));
+        assert_eq!(branch_targets(&[IADD], 0), Some(vec![]));
+        // lookupswitch at pc 0: 3 pad bytes, default, one (key, offset).
+        let mut lookup = vec![LOOKUPSWITCH, 0, 0, 0];
+        for v in [16, 1, 7, 20] {
+            lookup.extend_from_slice(&i32::to_be_bytes(v));
+        }
+        assert_eq!(decode_len(&lookup, 0), Some(20));
+        assert_eq!(branch_targets(&lookup, 0), Some(vec![16, 20]));
     }
 }

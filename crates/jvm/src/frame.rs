@@ -130,15 +130,12 @@ mod tests {
             method_index: 0,
             name: "t".into(),
             descriptor: "()V".into(),
-            bytecode: vec![],
             exceptions: vec![],
             max_locals: 6,
             synchronized: false,
             is_static: true,
             line_numbers: vec![],
-            ics: std::cell::RefCell::new(std::collections::HashMap::new()),
-            hotness: std::cell::Cell::new(0),
-            tiered: std::cell::RefCell::new(None),
+            code: crate::decode::decode(&[], &[]),
         })
     }
 

@@ -41,6 +41,7 @@
 //! ```
 
 pub mod class;
+pub(crate) mod decode;
 pub mod frame;
 pub mod fsutil;
 pub mod interp;
@@ -52,7 +53,6 @@ pub mod process;
 pub mod rtlib;
 pub mod state;
 pub mod thread;
-pub mod tiered;
 pub mod value;
 
 pub use jvm::{Jvm, JvmRunResult, JvmStdin, UserNative};
@@ -1127,5 +1127,86 @@ mod opcode_coverage_tests {
             println_top_int(m);
         });
         assert_eq!(out, "42\n3\n4\n");
+    }
+}
+
+/// Code that does not decode raises a guest error instead of panicking
+/// the host.
+#[cfg(test)]
+mod malformed_code_tests {
+    use super::*;
+    use doppio_classfile::access::{ACC_PUBLIC, ACC_STATIC};
+    use doppio_classfile::builder::{ClassBuilder, MethodBuilder};
+    use doppio_classfile::opcodes as op;
+    use doppio_fs::{backends, FileSystem};
+    use doppio_jsengine::{Browser, Engine};
+
+    const PUB_STATIC: u16 = ACC_PUBLIC | ACC_STATIC;
+    const MAIN_DESC: &str = "([Ljava/lang/String;)V";
+
+    /// `Bad.main` invokes `Bad.bad()V`, whose bytecode is replaced by
+    /// `code` after assembly; returns the main thread's uncaught
+    /// exception.
+    fn invoke_malformed(code: Vec<u8>) -> Option<String> {
+        let mut b = ClassBuilder::new("Bad", "java/lang/Object");
+        let mut m = MethodBuilder::new(PUB_STATIC, "main", MAIN_DESC, 1);
+        m.invokestatic("Bad", "bad", "()V");
+        m.return_void();
+        b.add_method(m);
+        let mut bad = MethodBuilder::new(PUB_STATIC, "bad", "()V", 1);
+        bad.return_void();
+        b.add_method(bad);
+        let mut cf = b.finish();
+        let bad = cf.methods.iter_mut().find(|m| m.name == "bad").unwrap();
+        bad.code.as_mut().unwrap().bytecode = code;
+        let engine = Engine::new(Browser::Chrome);
+        let fs = FileSystem::new(&engine, backends::in_memory(&engine));
+        fsutil::mount_classes(&engine, &fs, "/classes", &[cf]);
+        let jvm = Jvm::new(&engine, fs);
+        jvm.launch("Bad", &[]);
+        jvm.run_to_completion().unwrap().uncaught
+    }
+
+    fn internal_error(what: &str) -> Option<String> {
+        Some(format!(
+            "java.lang.InternalError: Bad.bad()V: malformed bytecode: {what}"
+        ))
+    }
+
+    #[test]
+    fn truncated_sipush_throws_internal_error() {
+        assert_eq!(
+            invoke_malformed(vec![op::SIPUSH, 0]),
+            internal_error("truncated instruction at pc 0")
+        );
+    }
+
+    #[test]
+    fn truncated_goto_throws_internal_error() {
+        assert_eq!(
+            invoke_malformed(vec![op::NOP, op::GOTO, 0]),
+            internal_error("truncated instruction at pc 1")
+        );
+    }
+
+    #[test]
+    fn truncated_tableswitch_throws_internal_error() {
+        // default, low = 0, high = 1, then only one of the two offsets.
+        let mut code = vec![op::ICONST_0, op::TABLESWITCH, 0, 0];
+        for v in [20, 0, 1, 20] {
+            code.extend_from_slice(&i32::to_be_bytes(v));
+        }
+        assert_eq!(
+            invoke_malformed(code),
+            internal_error("truncated instruction at pc 1")
+        );
+    }
+
+    #[test]
+    fn branch_past_the_end_throws_internal_error() {
+        assert_eq!(
+            invoke_malformed(vec![op::GOTO, 0, 4, op::RETURN]),
+            internal_error("branch target is not an instruction at pc 0")
+        );
     }
 }

@@ -13,6 +13,7 @@ use doppio_sockets::{DoppioSocket, Network};
 use doppio_trace::Counter;
 
 use crate::class::{ClassId, ClassRegistry, MethodRef};
+use crate::decode::{decode, DecodeError, Decoded};
 use crate::loader::LoaderState;
 use crate::object::Heap;
 use crate::value::ObjRef;
@@ -28,8 +29,8 @@ pub struct Monitor {
     pub wait_set: Vec<(ThreadId, u32)>,
 }
 
-/// One invoke site's cached resolution state, keyed by bytecode offset
-/// within its method (see [`CodeBlob::ics`]).
+/// One invoke site's cached resolution state, held in the resolution
+/// slot of its decoded `invoke*` op.
 ///
 /// The symbolic part (`cname`/`name`/`desc`/`arg_slots`) is decoded
 /// from the constant pool exactly once. `direct` binds sites whose
@@ -71,8 +72,6 @@ pub struct CodeBlob {
     pub name: String,
     /// Method descriptor.
     pub descriptor: String,
-    /// The bytecode.
-    pub bytecode: Vec<u8>,
     /// Exception handlers.
     pub exceptions: Vec<doppio_classfile::ExceptionEntry>,
     /// Local slots.
@@ -83,18 +82,10 @@ pub struct CodeBlob {
     pub is_static: bool,
     /// Line-number table.
     pub line_numbers: Vec<(u16, u16)>,
-    /// Inline caches for the method's invoke sites, keyed by bytecode
-    /// offset, populated lazily by the interpreter.
-    pub ics: RefCell<HashMap<usize, Rc<CallSite>>>,
-    /// Tier-up hotness: bumped on invocation (+8), backward branch
-    /// (+1), and profiler sample (+64); crossing
-    /// [`crate::tiered::TIER_THRESHOLD`] triggers compilation to the
-    /// direct-threaded tier. Host-side bookkeeping only — never
-    /// consulted by anything that charges virtual time.
-    pub hotness: Cell<u32>,
-    /// The method's direct-threaded form, compiled on first tier-up
-    /// (`None` until hot, and forever when tier-up is disabled).
-    pub tiered: RefCell<Option<Rc<crate::tiered::TieredCode>>>,
+    /// The pre-decoded op stream the interpreter runs, or why the
+    /// bytecode does not decode (invoking the method then throws
+    /// `java/lang/InternalError`).
+    pub(crate) code: Result<Decoded, DecodeError>,
 }
 
 /// Counter handles for the resolution caches, resolved once from the
@@ -110,19 +101,6 @@ pub struct PerfCounters {
     pub ic_hit: Counter,
     /// Inline-cache misses (`jvm.icache.miss`).
     pub ic_miss: Counter,
-    /// Methods compiled to the direct-threaded tier
-    /// (`jvm.tier.compiled`). Tier counters are host-side diagnostics:
-    /// [`RunReport`](doppio_core::report::RunReport) excludes the
-    /// `jvm.tier.*` prefix so reports stay byte-identical with tier-up
-    /// on or off.
-    pub tier_compiled: Counter,
-    /// Deoptimizations: guard failures and inline-cache misses that
-    /// sent a tiered frame back through the switch interpreter
-    /// (`jvm.tier.deopt`).
-    pub tier_deopt: Counter,
-    /// Superinstruction executions in tiered code
-    /// (`jvm.tier.super_hit`).
-    pub tier_super: Counter,
 }
 
 impl PerfCounters {
@@ -134,9 +112,6 @@ impl PerfCounters {
             cp_miss: m.counter("jvm.cp_cache.miss"),
             ic_hit: m.counter("jvm.icache.hit"),
             ic_miss: m.counter("jvm.icache.miss"),
-            tier_compiled: m.counter("jvm.tier.compiled"),
-            tier_deopt: m.counter("jvm.tier.deopt"),
-            tier_super: m.counter("jvm.tier.super_hit"),
         }
     }
 }
@@ -210,10 +185,6 @@ pub struct JvmState {
     pub self_rc: Option<Weak<RefCell<JvmState>>>,
     /// Resolution-cache counters (shared with the metrics registry).
     pub perf: PerfCounters,
-    /// Whether hot methods tier up to direct-threaded code (from
-    /// [`Engine::tier_up_enabled`]). Host speed only; results are
-    /// byte-identical either way.
-    pub tier_up: bool,
 }
 
 impl JvmState {
@@ -251,7 +222,6 @@ impl JvmState {
             join_waiters: HashMap::new(),
             self_rc: None,
             perf: PerfCounters::new(engine),
-            tier_up: engine.tier_up_enabled(),
         }
     }
 
@@ -283,7 +253,8 @@ impl JvmState {
         self.stdin.extend(bytes);
     }
 
-    /// The code blob for a method, building it on first use.
+    /// The code blob for a method, building (and decoding) it on first
+    /// use.
     pub fn code_blob(&mut self, class: ClassId, method_index: usize) -> Option<Rc<CodeBlob>> {
         if let Some(b) = self.code_cache.get(&(class, method_index)) {
             return Some(b.clone());
@@ -297,16 +268,13 @@ impl JvmState {
             method_index,
             name: m.name.clone(),
             descriptor: m.descriptor.clone(),
-            bytecode: code.bytecode.clone(),
             exceptions: code.exception_table.clone(),
             max_locals: code.max_locals,
             synchronized: m.access_flags & doppio_classfile::access::ACC_SYNCHRONIZED != 0
                 && m.name != "<clinit>",
             is_static: m.is_static(),
             line_numbers: code.line_numbers.clone(),
-            ics: RefCell::new(HashMap::new()),
-            hotness: Cell::new(0),
-            tiered: RefCell::new(None),
+            code: decode(&code.bytecode, &code.exception_table),
         });
         self.code_cache.insert((class, method_index), blob.clone());
         Some(blob)
