@@ -1,39 +1,51 @@
-//! Byte-identity goldens for the JVM interpreter.
+//! Byte-identity goldens for the JVM interpreter, the kernel and the
+//! scale harness.
 //!
 //! Every virtual observable of a guest run — stdout, virtual wall time,
 //! the instruction count, and the rendered RunReport — is compared
 //! against a committed file under `tests/golden/jvm/`, as are the pick
 //! logs of a seeded schedule exploration. Any change to the interpreter
 //! that moves a charge, a counter, or a scheduling point shows up here
-//! as a diff.
+//! as a diff. `tests/golden/kernel/` holds the same for JVM pipelines
+//! on a [`Kernel`] (built onto a configured engine, or lazily on a
+//! stock one) and for a sharded [`run_tenants`] report, which must
+//! match one golden at every shard thread count.
 //!
 //! On a mismatch the test writes what it got to
-//! `target/tmp/golden/jvm/<name>.txt` and fails; copy that file over
+//! `target/tmp/golden/<dir>/<name>.txt` and fails; copy that file over
 //! the golden only when the change is intended.
 
 use std::path::PathBuf;
+use std::rc::Rc;
 
+use doppio::core::PipeId;
 use doppio::fs::{backends, FileSystem};
 use doppio::jsengine::{Browser, Engine};
-use doppio::jvm::{fsutil, Jvm, JvmRunResult};
+use doppio::jvm::{fsutil, spawn_jvm, Jvm, JvmRunResult};
 use doppio::minijava::compile_to_bytes;
 use doppio::report::RunReport;
+use doppio::scale::{run_tenants, TenantRun, TenantSpec};
 use doppio::schedtest::{explore, ExploreConfig};
+use doppio::trace::RingSink;
 use doppio::workloads::run_workload;
+use doppio::{BuildOnKernel, EngineBuilder, Kernel, Process, SpawnOptions};
 
 const SEED: u64 = 0x71E2_0008;
 
-/// Compare `got` with `tests/golden/jvm/<name>.txt`.
+/// Compare `got` with `tests/golden/<name>.txt` (`name` includes the
+/// subdirectory, e.g. `jvm/disasm`).
 fn check_golden(name: &str, got: &str) {
     let file = format!("{name}.txt");
     let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden/jvm")
+        .join("tests/golden")
         .join(&file);
     let want = std::fs::read_to_string(&golden).unwrap_or_default();
     if want != got {
-        let out_dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("golden/jvm");
-        std::fs::create_dir_all(&out_dir).expect("create golden output dir");
-        let out = out_dir.join(&file);
+        let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
+            .join("golden")
+            .join(&file);
+        let out_dir = out.parent().expect("golden file has a directory");
+        std::fs::create_dir_all(out_dir).expect("create golden output dir");
         std::fs::write(&out, got).expect("write golden output");
         panic!(
             "{name} drifted from {}; the actual run is in {}",
@@ -59,7 +71,7 @@ fn paper_program(id: &str) {
         out.instructions,
         &out.report.to_json_string(),
     );
-    check_golden(id, &got);
+    check_golden(&format!("jvm/{id}"), &got);
 }
 
 #[test]
@@ -140,7 +152,7 @@ fn hot_loop_matches_its_golden() {
     // Σ(i + 3) for i in 0..5000.
     assert_eq!(r.stdout, "sum=12512500\n");
     check_golden(
-        "hot_loop",
+        "jvm/hot_loop",
         &render(&r.stdout, r.wall_ns, r.instructions, &report),
     );
 }
@@ -171,7 +183,7 @@ const SUBCLASS_SWAP: &str = r#"
 fn subclass_swap_matches_its_golden() {
     let (r, _engine, report) = run_guest(SUBCLASS_SWAP, "subclass_swap");
     check_golden(
-        "subclass_swap",
+        "jvm/subclass_swap",
         &render(&r.stdout, r.wall_ns, r.instructions, &report),
     );
 }
@@ -252,5 +264,150 @@ fn threaded_pick_logs_match_their_golden() {
             format!("{}\n", picks.join(" "))
         })
         .collect();
-    check_golden("threaded_hot_picks", &got);
+    check_golden("jvm/threaded_hot_picks", &got);
+}
+
+/// `producer N`: prints `line 0` .. `line N-1`.
+const PRODUCER: &str = r#"
+    class Producer {
+        static void main(String[] args) {
+            int n = Integer.parseInt(args[0]);
+            for (int i = 0; i < n; i++) {
+                System.out.println("line " + i);
+            }
+        }
+    }
+"#;
+
+/// `filter`: forwards stdin lines without a `1` in them, then prints
+/// how many it kept.
+const FILTER: &str = r#"
+    class Filter {
+        static void main(String[] args) {
+            int kept = 0;
+            String line = Console.readLine();
+            while (line != null) {
+                if (line.indexOf("1") < 0) {
+                    System.out.println("got " + line);
+                    kept = kept + 1;
+                }
+                line = Console.readLine();
+            }
+            System.out.println("kept " + kept);
+        }
+    }
+"#;
+
+/// Spawn `producer <lines> | filter` as two JVM processes on `kernel`.
+/// Returns the filter's stdout pipe (still held by the host) and both
+/// processes.
+fn spawn_pipeline(kernel: &Kernel, lines: u64) -> (PipeId, Process, Process) {
+    let engine = kernel.engine();
+    let fs = FileSystem::new(&engine, backends::in_memory(&engine));
+    let mut classes = compile_to_bytes(PRODUCER).unwrap();
+    classes.extend(compile_to_bytes(FILTER).unwrap());
+    fsutil::mount_class_files(&engine, &fs, "/classes", &classes);
+    let (p1, p2) = (kernel.pipe(), kernel.pipe());
+    let (producer, _) = spawn_jvm(
+        kernel,
+        SpawnOptions::new("producer")
+            .arg(lines.to_string())
+            .stdout(p1),
+        fs.clone(),
+        "Producer",
+    );
+    let (filter, _) = spawn_jvm(
+        kernel,
+        SpawnOptions::new("filter").stdin(p1).stdout(p2),
+        fs,
+        "Filter",
+    );
+    (p2, producer, filter)
+}
+
+/// Host-read `pipe` to a string.
+fn drain(kernel: &Kernel, pipe: PipeId) -> String {
+    String::from_utf8(kernel.host_read(pipe).unwrap()).unwrap()
+}
+
+#[test]
+fn traced_kernel_pipeline_matches_its_golden() {
+    let kernel = Kernel::new();
+    let ring = Rc::new(RingSink::default());
+    let engine = EngineBuilder::new(Browser::Chrome)
+        .rng_seed(1)
+        .histograms(true)
+        .trace_sink(ring.clone())
+        .build_on(&kernel);
+    let (out, producer, filter) = spawn_pipeline(&kernel, 12);
+    kernel.run().unwrap();
+    assert!(producer.status().unwrap().success());
+    assert!(filter.status().unwrap().success());
+    let stdout = drain(&kernel, out);
+    assert!(stdout.ends_with("kept 9\n"), "{stdout}");
+    let report = RunReport::collect("traced_pipeline", &engine)
+        .with_runtime(&kernel.runtime())
+        .with_kernel(&kernel)
+        .with_causal(&ring)
+        .to_json_string();
+    check_golden(
+        "kernel/traced_pipeline",
+        &format!("--- stdout\n{stdout}--- report\n{report}\n"),
+    );
+}
+
+#[test]
+fn lazy_kernel_pipeline_matches_its_golden() {
+    // No engine is attached: the first `kernel.engine()` creates a
+    // stock Chrome one, and `Process::wait` drives it.
+    let kernel = Kernel::new();
+    let (out, producer, filter) = spawn_pipeline(&kernel, 12);
+    let status = filter.wait().unwrap();
+    assert!(status.success());
+    assert!(producer.status().unwrap().success());
+    let stdout = drain(&kernel, out);
+    let report = RunReport::collect("lazy_pipeline", &kernel.engine())
+        .with_runtime(&kernel.runtime())
+        .with_kernel(&kernel)
+        .to_json_string();
+    check_golden(
+        "kernel/lazy_pipeline",
+        &format!("--- stdout\n{stdout}--- report\n{report}\n"),
+    );
+}
+
+/// One scale tenant: a traced `producer | filter` pipeline whose
+/// length and engine seed come from the tenant's seed.
+fn pipeline_tenant(spec: TenantSpec) -> TenantRun {
+    let kernel = Kernel::new();
+    let ring = Rc::new(RingSink::default());
+    let engine = EngineBuilder::new(Browser::Chrome)
+        .rng_seed(spec.seed)
+        .histograms(true)
+        .trace_sink(ring.clone())
+        .build_on(&kernel);
+    let (_, _, filter) = spawn_pipeline(&kernel, 3 + spec.seed % 8);
+    let status = match kernel.run() {
+        Ok(()) => filter.status().unwrap(),
+        Err(e) => panic!("tenant {}: {e}", spec.tenant),
+    };
+    TenantRun {
+        ok: status.success(),
+        status: status.to_string(),
+        report: RunReport::collect("tenant", &engine)
+            .with_kernel(&kernel)
+            .with_causal(&ring),
+    }
+}
+
+#[test]
+fn scale_report_matches_its_golden_at_one_and_two_threads() {
+    for threads in [1, 2] {
+        let report = run_tenants("kernel_scale", SEED, 4, threads, pipeline_tenant);
+        assert!(report.all_ok(), "threads={threads}");
+        check_golden(
+            "kernel/scale_report",
+            &format!("{}\n", report.to_json_string()),
+        );
+    }
 }
