@@ -274,8 +274,9 @@ impl Decoded {
     }
 }
 
-/// Decode `code`. Fails on truncated operands and on branch, switch and
-/// handler targets that are not instruction heads.
+/// Decode `code`. Fails on truncated operands, on a `multianewarray` of
+/// zero dimensions, and on branch, switch and handler targets that are
+/// not instruction heads.
 pub(crate) fn decode(code: &[u8], handlers: &[ExceptionEntry]) -> Result<Decoded, DecodeError> {
     let mut pcs = Vec::new();
     let mut ip_of = vec![NOT_A_HEAD; code.len() + 1];
@@ -285,6 +286,12 @@ pub(crate) fn decode(code: &[u8], handlers: &[ExceptionEntry]) -> Result<Decoded
             pc,
             what: "truncated instruction",
         })?;
+        if code[pc] == op::MULTIANEWARRAY && code[pc + 3] == 0 {
+            return Err(DecodeError {
+                pc,
+                what: "zero-dimension multianewarray",
+            });
+        }
         ip_of[pc] = pcs.len() as u32;
         pcs.push(pc as u32);
         pc += len;

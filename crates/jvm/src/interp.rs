@@ -743,6 +743,13 @@ pub fn run(
                 Op::MultiANewArray { idx, dims, class } => {
                     state.engine.charge(Cost::Alloc);
                     let cc = class_const!(class, *idx);
+                    if cc.name.bytes().take_while(|&b| b == b'[').count() < usize::from(*dims) {
+                        let msg = format!(
+                            "multianewarray: {:?} has fewer than {dims} dimensions",
+                            cc.name
+                        );
+                        throw!("java/lang/InternalError", &msg);
+                    }
                     let f = top!();
                     let mut sizes = vec![0i32; usize::from(*dims)];
                     for d in sizes.iter_mut().rev() {

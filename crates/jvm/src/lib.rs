@@ -1138,27 +1138,38 @@ mod malformed_code_tests {
     use doppio_classfile::access::{ACC_PUBLIC, ACC_STATIC};
     use doppio_classfile::builder::{ClassBuilder, MethodBuilder};
     use doppio_classfile::opcodes as op;
+    use doppio_classfile::ClassFile;
     use doppio_fs::{backends, FileSystem};
     use doppio_jsengine::{Browser, Engine};
 
     const PUB_STATIC: u16 = ACC_PUBLIC | ACC_STATIC;
     const MAIN_DESC: &str = "([Ljava/lang/String;)V";
 
-    /// `Bad.main` invokes `Bad.bad()V`, whose bytecode is replaced by
-    /// `code` after assembly; returns the main thread's uncaught
-    /// exception.
-    fn invoke_malformed(code: Vec<u8>) -> Option<String> {
+    /// Class `Bad`, whose `main` invokes `Bad.bad()V`; `body`
+    /// assembles `bad`.
+    fn bad_class(body: impl FnOnce(&mut MethodBuilder)) -> ClassFile {
         let mut b = ClassBuilder::new("Bad", "java/lang/Object");
         let mut m = MethodBuilder::new(PUB_STATIC, "main", MAIN_DESC, 1);
         m.invokestatic("Bad", "bad", "()V");
         m.return_void();
         b.add_method(m);
         let mut bad = MethodBuilder::new(PUB_STATIC, "bad", "()V", 1);
-        bad.return_void();
+        body(&mut bad);
         b.add_method(bad);
-        let mut cf = b.finish();
+        b.finish()
+    }
+
+    /// [`bad_class`] with `bad`'s bytecode replaced by `code` after
+    /// assembly; returns the main thread's uncaught exception.
+    fn invoke_malformed(code: Vec<u8>) -> Option<String> {
+        let mut cf = bad_class(|m| m.return_void());
         let bad = cf.methods.iter_mut().find(|m| m.name == "bad").unwrap();
         bad.code.as_mut().unwrap().bytecode = code;
+        run_bad(cf)
+    }
+
+    /// Run `Bad.main`; return the main thread's uncaught exception.
+    fn run_bad(cf: ClassFile) -> Option<String> {
         let engine = Engine::new(Browser::Chrome);
         let fs = FileSystem::new(&engine, backends::in_memory(&engine));
         fsutil::mount_classes(&engine, &fs, "/classes", &[cf]);
@@ -1208,5 +1219,49 @@ mod malformed_code_tests {
             invoke_malformed(vec![op::GOTO, 0, 4, op::RETURN]),
             internal_error("branch target is not an instruction at pc 0")
         );
+    }
+
+    #[test]
+    fn zero_dimension_multianewarray_throws_internal_error() {
+        let cf = bad_class(|m| {
+            m.multianewarray("[[I", 0);
+            m.simple(op::POP);
+            m.return_void();
+        });
+        assert_eq!(
+            run_bad(cf),
+            internal_error("zero-dimension multianewarray at pc 0")
+        );
+    }
+
+    /// `bad` allocates a `class` array with `dims` dimensions of
+    /// length 2.
+    fn multianewarray_of(class: &'static str, dims: u8) -> Option<String> {
+        run_bad(bad_class(|m| {
+            for _ in 0..dims {
+                m.ldc_int(2);
+            }
+            m.multianewarray(class, dims);
+            m.simple(op::POP);
+            m.return_void();
+        }))
+    }
+
+    #[test]
+    fn multianewarray_of_an_empty_class_name_throws_internal_error() {
+        assert_eq!(
+            multianewarray_of("", 1).as_deref(),
+            Some("java.lang.InternalError: multianewarray: \"\" has fewer than 1 dimensions")
+        );
+    }
+
+    #[test]
+    fn multianewarray_deeper_than_its_class_throws_internal_error() {
+        assert_eq!(
+            multianewarray_of("[", 2).as_deref(),
+            Some("java.lang.InternalError: multianewarray: \"[\" has fewer than 2 dimensions")
+        );
+        // As deep as the class still allocates.
+        assert_eq!(multianewarray_of("[[I", 2), None);
     }
 }
