@@ -107,7 +107,7 @@ fn probe_segmentation() -> bool {
         id.ireturn();
         b.add_method(id);
     });
-    out == "done\n" && suspensions > 0 && engine.stats().watchdog_kills == 0
+    out == "done\n" && suspensions > 0 && engine.metrics().get("engine.watchdog_kills") == 0
 }
 
 fn probe_sync_api() -> bool {

@@ -73,6 +73,7 @@ pub mod results {
     use std::collections::BTreeMap;
     use std::path::PathBuf;
 
+    use doppio_core::report::RunReport;
     use doppio_trace::json::{self, Json};
 
     /// One flat section of numeric measurements.
@@ -150,18 +151,34 @@ pub mod results {
 
     /// The standard measurement section for one workload run.
     pub fn run_section(r: &doppio_workloads::RunOutcome) -> Section {
-        let c = r.caches;
+        let (cp_hit, cp_miss, cp_rate) = cache_counters(&r.report, "jvm.cp_cache");
+        let (ic_hit, ic_miss, ic_rate) = cache_counters(&r.report, "jvm.icache");
         vec![
             ("wall_ns".into(), r.wall_ns as f64),
             ("cpu_ns".into(), r.cpu_ns as f64),
             ("instructions".into(), r.instructions as f64),
-            ("cp_cache_hit".into(), c.cp_hit as f64),
-            ("cp_cache_miss".into(), c.cp_miss as f64),
-            ("cp_cache_hit_rate".into(), c.cp_hit_rate()),
-            ("icache_hit".into(), c.ic_hit as f64),
-            ("icache_miss".into(), c.ic_miss as f64),
-            ("icache_hit_rate".into(), c.ic_hit_rate()),
+            ("cp_cache_hit".into(), cp_hit as f64),
+            ("cp_cache_miss".into(), cp_miss as f64),
+            ("cp_cache_hit_rate".into(), cp_rate),
+            ("icache_hit".into(), ic_hit as f64),
+            ("icache_miss".into(), ic_miss as f64),
+            ("icache_hit_rate".into(), ic_rate),
         ]
+    }
+
+    /// One interpreter resolution cache's `(hits, misses, hit rate)`
+    /// from a run's report: the `<cache>.hit` and `<cache>.miss`
+    /// counters (`cache` is `"jvm.cp_cache"` or `"jvm.icache"`), with a
+    /// rate of 0 when the cache was never exercised.
+    pub fn cache_counters(report: &RunReport, cache: &str) -> (u64, u64, f64) {
+        let hit = report.counter(&format!("{cache}.hit"));
+        let miss = report.counter(&format!("{cache}.miss"));
+        let rate = if hit + miss == 0 {
+            0.0
+        } else {
+            hit as f64 / (hit + miss) as f64
+        };
+        (hit, miss, rate)
     }
 
     #[cfg(test)]

@@ -31,7 +31,7 @@ use std::fmt;
 use std::rc::{Rc, Weak};
 
 use doppio_faults::{FaultPlan, FsFault};
-use doppio_jsengine::{Browser, Engine, EngineBuilder, ObservabilityOptions};
+use doppio_jsengine::{Browser, Engine, EngineBuilder};
 use doppio_trace::{cat, ArgValue, SpanContext};
 
 use crate::runtime::{
@@ -379,7 +379,6 @@ struct Host {
 
 struct KernelInner {
     host: Option<Host>,
-    obs: ObservabilityOptions,
     next_pid: u32,
     next_pipe: u64,
     procs: BTreeMap<u32, Proc>,
@@ -398,7 +397,7 @@ struct KernelInner {
 /// [`EngineBuilder::build_on`](BuildOnKernel::build_on) (full builder
 /// configuration) or [`Kernel::on_engine`] (an engine you already
 /// have). A kernel that is used without either lazily creates a stock
-/// Chrome engine carrying the kernel's [`ObservabilityOptions`].
+/// Chrome engine, `EngineBuilder::new(Browser::Chrome).build()`.
 #[derive(Clone)]
 pub struct Kernel {
     inner: Rc<RefCell<KernelInner>>,
@@ -428,7 +427,6 @@ impl Kernel {
         Kernel {
             inner: Rc::new(RefCell::new(KernelInner {
                 host: None,
-                obs: ObservabilityOptions::default(),
                 next_pid: 1,
                 next_pipe: 1,
                 procs: BTreeMap::new(),
@@ -446,22 +444,6 @@ impl Kernel {
         k
     }
 
-    /// Set the kernel-level [`ObservabilityOptions`]. They apply to
-    /// the lazily-created default engine, and act as fallback defaults
-    /// for [`build_on`](BuildOnKernel::build_on). Must be called
-    /// before the engine attaches.
-    pub fn observability(self, obs: ObservabilityOptions) -> Kernel {
-        {
-            let mut inner = self.inner.borrow_mut();
-            assert!(
-                inner.host.is_none(),
-                "Kernel::observability must be set before the engine attaches"
-            );
-            inner.obs = obs;
-        }
-        self
-    }
-
     fn attach_engine(&self, engine: Engine) {
         let mut inner = self.inner.borrow_mut();
         assert!(inner.host.is_none(), "kernel already has an engine");
@@ -476,15 +458,8 @@ impl Kernel {
     }
 
     fn ensure_host(&self) {
-        let (needs, obs) = {
-            let inner = self.inner.borrow();
-            (inner.host.is_none(), inner.obs.clone())
-        };
-        if needs {
-            let engine = EngineBuilder::new(Browser::Chrome)
-                .observability(obs)
-                .build();
-            self.attach_engine(engine);
+        if self.inner.borrow().host.is_none() {
+            self.attach_engine(EngineBuilder::new(Browser::Chrome).build());
         }
     }
 
@@ -1332,45 +1307,18 @@ impl Kernel {
     /// with per-pid blame if the wait-for graph latches a cycle or the
     /// loop drains with live processes blocked.
     pub fn run(&self) -> Result<(), RuntimeError> {
-        self.ensure_host();
-        let (engine, rt) = (self.engine(), self.runtime());
-        rt.start();
-        loop {
-            if self.all_exited() {
-                return Ok(());
-            }
-            if rt.deadlock_report().is_some() {
-                return Err(rt.deadlock_error());
-            }
-            if !engine.run_one() {
-                if self.all_exited() {
-                    return Ok(());
-                }
-                return Err(rt.deadlock_error());
-            }
-        }
+        self.runtime().run_until(|| self.all_exited())
     }
 
     /// Drive the event loop until `pid` exits (other processes keep
     /// running as their events interleave).
     pub fn run_until_exit(&self, pid: Pid) -> Result<ExitStatus, RuntimeError> {
-        self.ensure_host();
-        let (engine, rt) = (self.engine(), self.runtime());
-        rt.start();
-        loop {
-            if let Some(status) = self.status(pid) {
-                return Ok(status);
-            }
-            if rt.deadlock_report().is_some() {
-                return Err(rt.deadlock_error());
-            }
-            if !engine.run_one() {
-                if let Some(status) = self.status(pid) {
-                    return Ok(status);
-                }
-                return Err(rt.deadlock_error());
-            }
-        }
+        let mut status = None;
+        self.runtime().run_until(|| {
+            status = self.status(pid);
+            status.is_some()
+        })?;
+        Ok(status.expect("run_until is Ok only once the pid has exited"))
     }
 
     // ------------------------------------------------------------
@@ -1761,9 +1709,9 @@ impl Process {
 }
 
 /// Builds an [`Engine`] directly onto a [`Kernel`]: the engine is
-/// constructed with the builder's full configuration (plus the
-/// kernel's [`ObservabilityOptions`] as fallback defaults) and
-/// installed as the kernel's event loop.
+/// constructed with the builder's full configuration, exactly as
+/// [`EngineBuilder::build`] would, and installed as the kernel's event
+/// loop.
 ///
 /// ```
 /// use doppio_core::{BuildOnKernel, Kernel};
@@ -1783,8 +1731,7 @@ pub trait BuildOnKernel {
 
 impl BuildOnKernel for EngineBuilder {
     fn build_on(self, kernel: &Kernel) -> Engine {
-        let obs = kernel.inner.borrow().obs.clone();
-        let engine = self.observability_fallback(&obs).build();
+        let engine = self.build();
         kernel.attach_engine(engine.clone());
         engine
     }
@@ -2224,13 +2171,18 @@ mod tests {
     #[test]
     fn build_on_attaches_builder_configuration() {
         use doppio_jsengine::{Browser, EngineBuilder};
-        let kernel = Kernel::new().observability(ObservabilityOptions::new().histograms(true));
+        let kernel = Kernel::new();
         let engine = EngineBuilder::new(Browser::Firefox)
             .rng_seed(9)
+            .histograms(true)
             .build_on(&kernel);
         assert_eq!(engine.browser(), Browser::Firefox);
-        // The kernel's observability defaults flowed into the engine.
-        assert!(engine.metrics().histograms_enabled());
-        assert_eq!(kernel.engine().browser(), Browser::Firefox);
+        // The kernel hosts exactly the engine the builder configured:
+        // browser, histograms and seed all reached it.
+        let hosted = kernel.engine();
+        assert_eq!(hosted.browser(), Browser::Firefox);
+        assert!(hosted.metrics().histograms_enabled());
+        let same_seed = EngineBuilder::new(Browser::Firefox).rng_seed(9).build();
+        assert_eq!(hosted.random_u64(), same_seed.random_u64());
     }
 }

@@ -48,7 +48,7 @@
 //! let stats = runtime.run_to_completion().unwrap();
 //! assert!(stats.wall_ns() > 0);
 //! // The watchdog never fired: every event stayed finite.
-//! assert_eq!(engine.stats().watchdog_kills, 0);
+//! assert_eq!(engine.metrics().get("engine.watchdog_kills"), 0);
 //! ```
 
 pub mod kernel;
@@ -144,10 +144,10 @@ mod tests {
         );
         let stats = rt.run_to_completion().unwrap();
         assert!(stats.suspensions > 100, "suspended {}", stats.suspensions);
-        let es = engine.stats();
-        assert_eq!(es.watchdog_kills, 0);
+        let m = engine.metrics();
+        assert_eq!(m.get("engine.watchdog_kills"), 0);
         // Every event stayed within ~2 time slices.
-        assert!(es.max_event_ns < 3 * DEFAULT_TIME_SLICE_NS);
+        assert!(m.get("engine.max_event_ns") < 3 * DEFAULT_TIME_SLICE_NS);
     }
 
     #[test]
@@ -159,7 +159,7 @@ mod tests {
             e.charge_n(Cost::Dispatch, 100_000_000);
         });
         engine.run_until_idle();
-        assert_eq!(engine.stats().watchdog_kills, 1);
+        assert_eq!(engine.metrics().get("engine.watchdog_kills"), 1);
     }
 
     #[test]

@@ -726,14 +726,14 @@ mod tests {
 
     #[test]
     fn causal_section_renders_and_merges() {
-        use doppio_trace::{RingSink, Tracer};
+        use doppio_trace::RingSink;
         use std::rc::Rc;
 
         let run = |seed: u64| {
             let sink = Rc::new(RingSink::with_capacity(4096));
             let e = EngineBuilder::new(Browser::Chrome)
                 .rng_seed(seed)
-                .tracer(Tracer::new(sink.clone()))
+                .trace_sink(sink.clone())
                 .build();
             for _ in 0..3 {
                 e.inject_user_input(|eng| eng.advance_ns(25_000));

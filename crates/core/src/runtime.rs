@@ -624,20 +624,30 @@ impl DoppioRuntime {
     /// Returns the final stats, or a deadlock error if all live threads
     /// are blocked with no event left to wake them.
     pub fn run_to_completion(&self) -> Result<RuntimeStats, RuntimeError> {
+        self.run_until(|| self.is_finished())?;
+        Ok(self.stats())
+    }
+
+    /// The one drive loop: [`start`](Self::start), then dispatch events
+    /// until `done()` holds. Every embedding (this runtime, a JVM, a
+    /// kernel waiting on all or one of its processes) drives through
+    /// here.
+    ///
+    /// Fails with [`deadlock_error`](Self::deadlock_error) as soon as
+    /// the wait-for graph latches a cycle (it can never resolve, so
+    /// there is no point spinning until the event loop drains), or when
+    /// the loop drains with `done()` still false.
+    pub fn run_until(&self, mut done: impl FnMut() -> bool) -> Result<(), RuntimeError> {
         self.start();
-        loop {
-            if self.is_finished() {
-                return Ok(self.stats());
-            }
-            // A wait-for cycle can never resolve: stop immediately with
-            // the blame report instead of spinning until the event loop
-            // drains.
-            if self.inner.borrow().deadlock.is_some() {
-                return Err(self.deadlock_error());
-            }
-            if !self.engine.run_one() {
-                return Err(self.deadlock_error());
-            }
+        let mut finished = false;
+        self.engine.run_until(|| {
+            finished = done();
+            finished || self.inner.borrow().deadlock.is_some()
+        });
+        if finished {
+            Ok(())
+        } else {
+            Err(self.deadlock_error())
         }
     }
 

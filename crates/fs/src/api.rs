@@ -28,7 +28,7 @@ use std::rc::Rc;
 
 use doppio_faults::RetryPolicy;
 use doppio_jsengine::{Cost, Engine};
-use doppio_trace::{cat, ArgValue, Counter, MetricsRegistry, Snapshot};
+use doppio_trace::{cat, ArgValue, Counter, MetricsRegistry};
 
 use crate::backend::{deliver, FsCallback, OpenFlags, SharedBackend, Stat};
 use crate::error::{Errno, FsError, FsResult};
@@ -50,52 +50,14 @@ struct OpenFile {
     dirty: bool,
 }
 
-/// Aggregate operation counters (Figure 6 reports these workload
+/// The frontend's operation counters (Figure 6 reports these workload
 /// characteristics: "3185 file system operations, touches 1560 unique
-/// files, reads over 10.5 megabytes...").
-///
-/// Since the `doppio-trace` redesign this is a [`Snapshot`] view over
-/// the engine's shared [`MetricsRegistry`] (the `fs.*` counters), not
-/// independent bookkeeping. All file systems attached to the same
-/// engine aggregate into the same counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FsStats {
-    /// Total frontend operations performed.
-    pub ops: u64,
-    /// Bytes read through descriptors.
-    pub bytes_read: u64,
-    /// Bytes written through descriptors.
-    pub bytes_written: u64,
-    /// Descriptors opened.
-    pub opens: u64,
-    /// Descriptors closed.
-    pub closes: u64,
-    /// Sync-on-close flushes that actually wrote data.
-    pub flushes: u64,
-    /// Backend operations re-issued by the retry policy after a
-    /// transient failure.
-    pub retries: u64,
-}
-
-impl Snapshot for FsStats {
-    fn prefix() -> &'static str {
-        "fs"
-    }
-
-    fn from_registry(reg: &MetricsRegistry) -> FsStats {
-        FsStats {
-            ops: reg.get("fs.ops"),
-            bytes_read: reg.get("fs.bytes_read"),
-            bytes_written: reg.get("fs.bytes_written"),
-            opens: reg.get("fs.opens"),
-            closes: reg.get("fs.closes"),
-            flushes: reg.get("fs.flushes"),
-            retries: reg.get("fs.retries"),
-        }
-    }
-}
-
-/// Counter handles resolved once at construction (see
+/// files, reads over 10.5 megabytes..."), registered on the engine's
+/// shared registry as `fs.ops`, `fs.bytes_read`, `fs.bytes_written`,
+/// `fs.opens`, `fs.closes`, `fs.flushes` (sync-on-close flushes that
+/// wrote data) and `fs.retries` (backend operations re-issued after a
+/// transient failure). Every file system on one engine counts into the
+/// same cells. The handles are resolved once at construction (see
 /// `EngineCounters` in the jsengine for the pattern).
 struct FsCounters {
     ops: Counter,
@@ -263,18 +225,6 @@ impl FileSystem {
     /// `fault`-category `fs_retry` trace instant.
     pub fn set_retry_policy(&self, policy: Option<RetryPolicy>) {
         self.inner.borrow_mut().retry = policy;
-    }
-
-    /// Operation counters — a view over the engine's shared metrics
-    /// registry (`fs.*`), kept for compatibility.
-    pub fn stats(&self) -> FsStats {
-        self.inner.borrow().engine.metrics().snapshot()
-    }
-
-    /// Reset the `fs.*` counters. A view over
-    /// [`MetricsRegistry::reset_prefix`], kept for compatibility.
-    pub fn reset_stats(&self) {
-        self.inner.borrow().engine.metrics().reset_prefix("fs.");
     }
 
     /// The backend serving this file system.

@@ -45,7 +45,7 @@ pub mod error;
 pub mod namespaces;
 pub mod path;
 
-pub use api::{Fd, FileSystem, FsStats};
+pub use api::{Fd, FileSystem};
 pub use backend::{Backend, DirIndex, FileKind, FsCallback, OpenFlags, SharedBackend, Stat};
 pub use error::{Errno, FsError, FsResult};
 pub use namespaces::FsNamespaces;
@@ -126,7 +126,7 @@ mod tests {
         assert_eq!(wait!(engine, |cb| fs.read_file("/f", cb)).unwrap(), b"old");
         wait!(engine, |cb| fs.close(&fd, cb)).unwrap();
         assert_eq!(wait!(engine, |cb| fs.read_file("/f", cb)).unwrap(), b"new");
-        assert_eq!(fs.stats().flushes, 2); // write_file + our close
+        assert_eq!(engine.metrics().get("fs.flushes"), 2); // write_file + our close
     }
 
     #[test]
@@ -369,12 +369,12 @@ mod tests {
         let (engine, fs) = mem_fs();
         wait!(engine, |cb| fs.write_file("/f", vec![0u8; 100], cb)).unwrap();
         wait!(engine, |cb| fs.read_file("/f", cb)).unwrap();
-        let s = fs.stats();
-        assert_eq!(s.bytes_written, 100);
-        assert_eq!(s.bytes_read, 100);
-        assert_eq!(s.opens, 2);
-        assert_eq!(s.closes, 2);
-        assert!(s.ops >= 6);
+        let m = engine.metrics();
+        assert_eq!(m.get("fs.bytes_written"), 100);
+        assert_eq!(m.get("fs.bytes_read"), 100);
+        assert_eq!(m.get("fs.opens"), 2);
+        assert_eq!(m.get("fs.closes"), 2);
+        assert!(m.get("fs.ops") >= 6);
     }
 
     #[test]
@@ -413,7 +413,10 @@ mod tests {
             b"persisted"
         );
         assert_eq!(plan.fs_injected(), 1);
-        assert!(fs.stats().retries >= 1, "a retry absorbed the fault");
+        assert!(
+            engine.metrics().get("fs.retries") >= 1,
+            "a retry absorbed the fault"
+        );
     }
 
     #[test]
@@ -423,7 +426,11 @@ mod tests {
         fs.set_retry_policy(Some(RetryPolicy::default()));
         let err = wait!(engine, |cb| fs.read_file("/nope", cb)).unwrap_err();
         assert_eq!(err.errno, Errno::Enoent);
-        assert_eq!(fs.stats().retries, 0, "ENOENT must not be retried");
+        assert_eq!(
+            engine.metrics().get("fs.retries"),
+            0,
+            "ENOENT must not be retried"
+        );
     }
 
     #[test]

@@ -15,7 +15,6 @@ use crate::error::{EngineError, EngineResult};
 use crate::event_loop::{EventKind, EventQueue, ScheduledEvent};
 use crate::memory::MemoryModel;
 use crate::profile::{Browser, BrowserProfile, Cost, COST_CATEGORIES};
-use crate::stats::EngineStats;
 use crate::storage::StorageSet;
 
 /// A callback scheduled on the event loop. It receives the engine so it
@@ -67,9 +66,8 @@ struct Inner {
 }
 
 /// Counter handles resolved once at construction, so the charge path
-/// costs the same as the direct field increments it replaced. The
-/// registry (`engine.*` names) is the source of truth; see
-/// [`EngineStats`] for the snapshot view.
+/// costs one cell update per counter. Read the values back by name
+/// (`engine.*`) through [`Engine::metrics`].
 struct EngineCounters {
     events_run: Counter,
     watchdog_kills: Counter,
@@ -110,67 +108,13 @@ impl EngineCounters {
     }
 }
 
-/// The observability knobs, gathered in one place.
-///
-/// Historically `.histograms(bool)` (a registry-wide switch) and
-/// `.profiler(Profiler)` (a per-engine attachment) were asymmetric
-/// builder methods; both now live here, accepted uniformly by
-/// [`EngineBuilder::observability`] and by the kernel. Fields left
-/// unset fall back to whatever the accepting side already had.
-///
-/// ```
-/// use doppio_jsengine::{Browser, EngineBuilder, ObservabilityOptions};
-///
-/// let engine = EngineBuilder::new(Browser::Chrome)
-///     .observability(ObservabilityOptions::new().histograms(true))
-///     .build();
-/// assert!(engine.metrics().histograms_enabled());
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ObservabilityOptions {
-    /// Enable latency histograms on the metrics registry. Histograms
-    /// never advance the virtual clock, so this cannot change
-    /// simulated results.
-    pub histograms: Option<bool>,
-    /// Attach a virtual-clock sampling profiler.
-    pub profiler: Option<Profiler>,
-}
-
-impl ObservabilityOptions {
-    /// No opinions: every field falls back to the accepting side.
-    pub fn new() -> ObservabilityOptions {
-        ObservabilityOptions::default()
-    }
-
-    /// Turn latency histograms on (or explicitly off).
-    pub fn histograms(mut self, on: bool) -> ObservabilityOptions {
-        self.histograms = Some(on);
-        self
-    }
-
-    /// Attach a sampling [`Profiler`].
-    pub fn profiler(mut self, profiler: Profiler) -> ObservabilityOptions {
-        self.profiler = Some(profiler);
-        self
-    }
-
-    /// `self`, with unset fields filled from `fallback`.
-    pub fn or(mut self, fallback: &ObservabilityOptions) -> ObservabilityOptions {
-        if self.histograms.is_none() {
-            self.histograms = fallback.histograms;
-        }
-        if self.profiler.is_none() {
-            self.profiler = fallback.profiler.clone();
-        }
-        self
-    }
-}
-
 /// Configures and constructs an [`Engine`].
 ///
 /// Replaces positional construction: profile, trace sink, watchdog
-/// threshold, metrics registry, and RNG seed are all independent knobs,
-/// so adding one no longer ripples a parameter through every call site.
+/// threshold, RNG seed, latency histograms and the sampling profiler
+/// are all independent knobs, so adding one no longer ripples a
+/// parameter through every call site. Every engine gets its own fresh
+/// [`MetricsRegistry`].
 ///
 /// ```
 /// use doppio_jsengine::{Browser, EngineBuilder};
@@ -185,10 +129,10 @@ impl ObservabilityOptions {
 pub struct EngineBuilder {
     profile: BrowserProfile,
     tracer: Tracer,
-    metrics: MetricsRegistry,
     watchdog_override: Option<Option<u64>>,
     rng_seed: u64,
-    obs: ObservabilityOptions,
+    histograms: bool,
+    profiler: Option<Profiler>,
 }
 
 impl EngineBuilder {
@@ -202,30 +146,16 @@ impl EngineBuilder {
         EngineBuilder {
             profile,
             tracer: Tracer::disabled(),
-            metrics: MetricsRegistry::new(),
             watchdog_override: None,
             rng_seed: 0,
-            obs: ObservabilityOptions::default(),
+            histograms: false,
+            profiler: None,
         }
     }
 
-    /// Record trace events into `sink`. Equivalent to
-    /// `tracer(Tracer::new(sink))`.
-    pub fn trace_sink(self, sink: Rc<dyn TraceSink>) -> EngineBuilder {
-        self.tracer(Tracer::new(sink))
-    }
-
-    /// Use an existing tracer handle (e.g. one shared with another
-    /// engine).
-    pub fn tracer(mut self, tracer: Tracer) -> EngineBuilder {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Use an existing metrics registry instead of a fresh one (lets
-    /// several engines aggregate into one set of counters).
-    pub fn metrics(mut self, metrics: MetricsRegistry) -> EngineBuilder {
-        self.metrics = metrics;
+    /// Record trace events into `sink`.
+    pub fn trace_sink(mut self, sink: Rc<dyn TraceSink>) -> EngineBuilder {
+        self.tracer = Tracer::new(sink);
         self
     }
 
@@ -243,43 +173,21 @@ impl EngineBuilder {
         self
     }
 
-    /// Set the observability knobs in one call. Fields `opts` leaves
-    /// unset keep whatever earlier calls established.
-    pub fn observability(mut self, opts: ObservabilityOptions) -> EngineBuilder {
-        self.obs = opts.or(&self.obs);
-        self
-    }
-
-    /// Fill observability fields *not yet set on this builder* from
-    /// `opts` (the kernel's defaults lose to explicit builder calls).
-    pub fn observability_fallback(mut self, opts: &ObservabilityOptions) -> EngineBuilder {
-        self.obs = self.obs.or(opts);
-        self
-    }
-
-    /// Turn latency histograms on (or explicitly off) for the metrics
+    /// Turn latency histograms on (or off) for the engine's metrics
     /// registry. Off by default; when off, every
     /// [`Histogram::record`] site is a single branch. Histograms never
     /// advance the virtual clock, so enabling them cannot change
     /// simulated results.
-    ///
-    /// Delegates to [`ObservabilityOptions`]; prefer
-    /// [`observability`](Self::observability) when setting more than
-    /// one knob.
     pub fn histograms(mut self, on: bool) -> EngineBuilder {
-        self.obs.histograms = Some(on);
+        self.histograms = on;
         self
     }
 
     /// Attach a virtual-clock sampling [`Profiler`]. Suspend/slice
     /// boundaries check it and fold the live stacks; see
     /// `docs/observability.md`.
-    ///
-    /// Delegates to [`ObservabilityOptions`]; prefer
-    /// [`observability`](Self::observability) when setting more than
-    /// one knob.
     pub fn profiler(mut self, profiler: Profiler) -> EngineBuilder {
-        self.obs.profiler = Some(profiler);
+        self.profiler = Some(profiler);
         self
     }
 
@@ -297,10 +205,9 @@ impl EngineBuilder {
         }
         let memory = MemoryModel::new(profile.leaks_typed_arrays, profile.paging_threshold_bytes);
         let storage = StorageSet::for_profile(&profile);
-        if let Some(on) = self.obs.histograms {
-            self.metrics.set_histograms_enabled(on);
-        }
-        let counters = EngineCounters::new(&self.metrics);
+        let metrics = MetricsRegistry::new();
+        metrics.set_histograms_enabled(self.histograms);
+        let counters = EngineCounters::new(&metrics);
         let tracer = self.tracer;
         if tracer.enabled() {
             tracer.name_lane(0, "browser event loop");
@@ -312,7 +219,7 @@ impl EngineBuilder {
                 seq: Cell::new(0),
                 queue: RefCell::new(EventQueue::default()),
                 cancelled: RefCell::new(HashSet::new()),
-                metrics: self.metrics,
+                metrics,
                 counters,
                 causal: Causal::new(self.rng_seed, tracer.clone()),
                 tracer,
@@ -321,7 +228,7 @@ impl EngineBuilder {
                 storage: RefCell::new(storage),
                 event_depth: Cell::new(0),
                 current_event: Cell::new(None),
-                profiler: self.obs.profiler,
+                profiler: self.profiler,
             }),
         }
     }
@@ -689,9 +596,10 @@ impl Engine {
     // ----------------------------------------------------------------
 
     /// The shared metrics registry. Every subsystem attached to this
-    /// engine (fs, sockets, jvm) registers its counters here; snapshot
-    /// views are available via
-    /// [`MetricsRegistry::snapshot`].
+    /// engine (fs, sockets, jvm) registers its counters here: read one
+    /// with [`MetricsRegistry::get`] (`"engine.watchdog_kills"`,
+    /// `"fs.bytes_read"`), zero a subsystem's with
+    /// [`MetricsRegistry::reset_prefix`] (`"engine."`, `"fs."`).
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.inner.metrics
     }
@@ -720,19 +628,6 @@ impl Engine {
         let r = f();
         self.inner.causal.set_current(prev);
         r
-    }
-
-    /// A snapshot of the engine's counters — a view over
-    /// [`Engine::metrics`], kept for compatibility.
-    pub fn stats(&self) -> EngineStats {
-        self.inner.metrics.snapshot()
-    }
-
-    /// Reset the engine's counters (the clock keeps running). A view
-    /// over [`MetricsRegistry::reset_prefix`], kept for compatibility;
-    /// other subsystems' counters are untouched.
-    pub fn reset_stats(&self) {
-        self.inner.metrics.reset_prefix("engine.");
     }
 
     /// Next value of the engine's deterministic RNG (SplitMix64, seeded
@@ -785,8 +680,7 @@ mod tests {
         let t0 = e.now_ns();
         e.charge(Cost::Dispatch);
         assert!(e.now_ns() > t0);
-        let stats = e.stats();
-        assert_eq!(stats.ops[Cost::Dispatch as usize], 1);
+        assert_eq!(e.metrics().get("engine.ops.dispatch"), 1);
     }
 
     #[test]
@@ -861,7 +755,7 @@ mod tests {
             eng.advance_ns(6_000_000_000);
         });
         e.run_until_idle();
-        assert_eq!(e.stats().watchdog_kills, 1);
+        assert_eq!(e.metrics().get("engine.watchdog_kills"), 1);
     }
 
     #[test]
@@ -871,9 +765,8 @@ mod tests {
             e.send_message(|eng| eng.advance_ns(1_000_000));
         }
         e.run_until_idle();
-        let s = e.stats();
-        assert_eq!(s.watchdog_kills, 0);
-        assert_eq!(s.events_run, 100);
+        assert_eq!(e.metrics().get("engine.watchdog_kills"), 0);
+        assert_eq!(e.metrics().get("engine.events_run"), 100);
     }
 
     #[test]
@@ -902,7 +795,11 @@ mod tests {
             .build();
         e.send_message(|eng| eng.advance_ns(600_000_000_000));
         e.run_until_idle();
-        assert_eq!(e.stats().watchdog_kills, 0, "watchdog disabled");
+        assert_eq!(
+            e.metrics().get("engine.watchdog_kills"),
+            0,
+            "watchdog disabled"
+        );
 
         let f = EngineBuilder::new(Browser::Chrome).rng_seed(99).build();
         assert_eq!(e.random_u64(), f.random_u64(), "same seed, same stream");
@@ -911,16 +808,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_are_views_over_the_shared_registry() {
+    fn charges_count_in_the_shared_registry() {
         let e = Engine::new(Browser::Chrome);
+        let unit = e.profile().cost(Cost::IntOp);
         e.charge_n(Cost::IntOp, 5);
         assert_eq!(e.metrics().get("engine.ops.int_op"), 5);
-        assert_eq!(e.stats().ops[Cost::IntOp as usize], 5);
-        // A foreign counter survives an engine reset.
-        e.metrics().counter("fs.opens").add(2);
-        e.reset_stats();
-        assert_eq!(e.stats().total_ops(), 0);
-        assert_eq!(e.metrics().get("fs.opens"), 2);
+        assert_eq!(e.metrics().get("engine.ns.int_op"), 5 * unit);
     }
 
     #[test]

@@ -52,7 +52,8 @@ impl EventKind {
         }
     }
 
-    /// Index into [`EngineStats::events_by_kind`](crate::EngineStats).
+    /// Position in [`EventKind::ALL`] (indexes the engine's per-kind
+    /// counter and histogram handles).
     pub fn index(self) -> usize {
         match self {
             EventKind::Timer => 0,

@@ -35,14 +35,12 @@ pub mod event_loop;
 pub mod jsstring;
 pub mod memory;
 pub mod profile;
-pub mod stats;
 pub mod storage;
 
 mod engine;
 
-pub use engine::{Callback, Engine, EngineBuilder, ObservabilityOptions, TimerId};
+pub use engine::{Callback, Engine, EngineBuilder, TimerId};
 pub use error::{EngineError, EngineResult};
 pub use event_loop::EventKind;
 pub use jsstring::JsString;
 pub use profile::{Browser, BrowserProfile, Cost};
-pub use stats::EngineStats;

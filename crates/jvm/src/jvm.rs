@@ -143,26 +143,12 @@ impl Jvm {
 
     /// Queue bytes on standard input, waking blocked readers.
     pub fn push_stdin(&self, bytes: &[u8]) {
-        let waiters: Vec<ThreadId> = {
-            let mut st = self.state.borrow_mut();
-            st.push_stdin(bytes);
-            st.stdin_waiters.drain(..).collect()
-        };
-        for w in waiters {
-            self.runtime.wake(w);
-        }
+        self.stdin_handle().push(bytes);
     }
 
     /// Close standard input (EOF), waking blocked readers.
     pub fn close_stdin(&self) {
-        let waiters: Vec<ThreadId> = {
-            let mut st = self.state.borrow_mut();
-            st.stdin_closed = true;
-            st.stdin_waiters.drain(..).collect()
-        };
-        for w in waiters {
-            self.runtime.wake(w);
-        }
+        self.stdin_handle().close();
     }
 
     /// Direct access to the shared state (tests, embedders).
@@ -270,26 +256,11 @@ impl Jvm {
         self.runtime.is_finished() || self.state.borrow().exit_code.is_some()
     }
 
-    /// Drive the engine's event loop until the program completes.
+    /// Drive the engine's event loop until the program completes
+    /// (see [`DoppioRuntime::run_until`]).
     pub fn run_to_completion(&self) -> Result<JvmRunResult, RuntimeError> {
         let start_ns = self.engine.now_ns();
-        self.runtime.start();
-        loop {
-            if self.is_finished() {
-                break;
-            }
-            // A detected wait-for cycle can never resolve: fail fast
-            // with the per-thread blame report.
-            if self.runtime.deadlock_report().is_some() {
-                return Err(self.runtime.deadlock_error());
-            }
-            if !self.engine.run_one() {
-                if self.is_finished() {
-                    break;
-                }
-                return Err(self.runtime.deadlock_error());
-            }
-        }
+        self.runtime.run_until(|| self.is_finished())?;
         Ok(self.collect_result(start_ns))
     }
 

@@ -898,7 +898,10 @@ mod backedge_tests {
         jvm.launch("Spin", &[]);
         let r = jvm.run_to_completion().unwrap();
         assert!(r.uncaught.is_none());
-        (engine.stats().watchdog_kills, r.runtime.suspensions)
+        (
+            engine.metrics().get("engine.watchdog_kills"),
+            r.runtime.suspensions,
+        )
     }
 
     #[test]

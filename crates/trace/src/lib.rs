@@ -13,10 +13,10 @@
 //! * [`RingBuffer`] / [`RingSink`] — fixed-capacity storage that keeps
 //!   the *most recent* events and counts what it dropped, so tracing a
 //!   long run cannot exhaust memory.
-//! * [`MetricsRegistry`] / [`Counter`] / [`Snapshot`] — a process-wide
-//!   named-counter registry. `EngineStats` and `FsStats` are views
-//!   (`Snapshot` impls) over these counters rather than parallel
-//!   bookkeeping.
+//! * [`MetricsRegistry`] / [`Counter`] — a process-wide named-counter
+//!   registry, the one place every subsystem's counters are read from
+//!   (`metrics().get("fs.bytes_read")`) and reset
+//!   (`reset_prefix("fs.")`).
 //! * [`Histogram`] — log-bucketed latency/size distributions with
 //!   deterministic percentiles, registered next to the counters and
 //!   gated off by default (see [`hist`]).
@@ -51,7 +51,7 @@ pub mod sink;
 
 pub use causal::{Causal, CausalGraph, CausalReport, SpanContext, TraceQuery};
 pub use hist::{Histogram, HistogramSnapshot};
-pub use metrics::{Counter, MetricsRegistry, Snapshot};
+pub use metrics::{Counter, MetricsRegistry};
 pub use profiler::Profiler;
 pub use ring::RingBuffer;
 pub use sink::{NullSink, RingSink, TraceSink};

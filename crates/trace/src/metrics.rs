@@ -1,14 +1,13 @@
 //! The shared counter registry.
 //!
-//! Before this crate, every subsystem kept its own stats struct
-//! (`EngineStats`, `FsStats`, …) with duplicated `stats()` /
-//! `reset_stats()` plumbing. Here the source of truth is a single
-//! [`MetricsRegistry`] of named [`Counter`]s; the old structs survive as
-//! [`Snapshot`] *views* reconstructed from the registry on demand.
+//! Every subsystem counts into one [`MetricsRegistry`] of named
+//! [`Counter`]s, and that is where callers read them: a value with
+//! [`MetricsRegistry::get`], a subsystem with
+//! [`MetricsRegistry::with_prefix`]. A measurement window starts with
+//! [`MetricsRegistry::reset_prefix`].
 //!
 //! Naming convention: dot-separated, subsystem-prefixed —
 //! `engine.events_run`, `engine.ops.event_dispatch`, `fs.bytes_read`.
-//! A subsystem resets itself with [`MetricsRegistry::reset_prefix`].
 //!
 //! Hot paths never do string lookups: they resolve a [`Counter`] handle
 //! once (at construction) and bump it through an `Rc<Cell<u64>>`, which
@@ -56,20 +55,6 @@ impl Counter {
             self.0.set(v);
         }
     }
-}
-
-/// A view over the registry that a subsystem can materialize on demand.
-///
-/// Implemented by `EngineStats` and `FsStats`: `from_registry` reads the
-/// subsystem's counters back into the familiar struct shape, so legacy
-/// callers keep their field access while the registry stays the single
-/// source of truth.
-pub trait Snapshot: Sized {
-    /// Counter-name prefix this view reads (e.g. `"engine"`).
-    fn prefix() -> &'static str;
-
-    /// Build the view from the registry's current counter values.
-    fn from_registry(reg: &MetricsRegistry) -> Self;
 }
 
 /// Shared registry of named counters. Cloning shares the map; the
@@ -137,11 +122,6 @@ impl MetricsRegistry {
                 h.reset();
             }
         }
-    }
-
-    /// Materialize a subsystem's [`Snapshot`] view.
-    pub fn snapshot<S: Snapshot>(&self) -> S {
-        S::from_registry(self)
     }
 
     // ----------------------------------------------------------------
@@ -265,28 +245,5 @@ mod tests {
                 ("fs.opens".to_string(), 2)
             ]
         );
-    }
-
-    struct FakeView {
-        opens: u64,
-    }
-    impl Snapshot for FakeView {
-        fn prefix() -> &'static str {
-            "fs"
-        }
-        fn from_registry(reg: &MetricsRegistry) -> Self {
-            FakeView {
-                opens: reg.get("fs.opens"),
-            }
-        }
-    }
-
-    #[test]
-    fn snapshot_builds_views() {
-        let reg = MetricsRegistry::new();
-        reg.counter("fs.opens").add(5);
-        let v: FakeView = reg.snapshot();
-        assert_eq!(FakeView::prefix(), "fs");
-        assert_eq!(v.opens, 5);
     }
 }

@@ -220,18 +220,17 @@ pub fn replay(engine: &Engine, fs: &FileSystem, trace: &Trace) -> ReplayStats {
         Rc::new(RefCell::new(trace.ops.iter().cloned().collect()));
     let done = Rc::new(RefCell::new(false));
     let start = engine.now_ns();
-    fs.reset_stats();
+    engine.metrics().reset_prefix("fs.");
 
     issue_next(engine, fs.clone(), queue, done.clone());
     engine.run_until_idle();
     assert!(*done.borrow(), "trace did not complete");
 
-    let stats = fs.stats();
     ReplayStats {
         wall_ns: engine.now_ns() - start,
         ops: trace.ops.len(),
-        bytes_read: stats.bytes_read,
-        bytes_written: stats.bytes_written,
+        bytes_read: engine.metrics().get("fs.bytes_read"),
+        bytes_written: engine.metrics().get("fs.bytes_written"),
     }
 }
 

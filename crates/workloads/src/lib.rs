@@ -16,7 +16,9 @@
 //!
 //! [`run_workload`] executes one workload on one browser profile and
 //! reports virtual wall-clock time, CPU time, suspension time (the
-//! Figure 4/5 split), instruction counts and file-system traffic.
+//! Figure 4/5 split) and instruction counts; every other counter
+//! (file-system traffic, engine events, cache hits) is read from the
+//! run's [`RunReport`] by name.
 //! [`fstrace`] reproduces Figure 6's recorded-trace replay.
 
 pub mod datasets;
@@ -25,8 +27,8 @@ pub mod responsiveness;
 
 use doppio_core::report::RunReport;
 use doppio_core::RuntimeStats;
-use doppio_fs::{backends, FileSystem, FsStats};
-use doppio_jsengine::{Browser, Engine, EngineStats};
+use doppio_fs::{backends, FileSystem};
+use doppio_jsengine::{Browser, Engine};
 use doppio_jvm::{fsutil, Jvm};
 use doppio_minijava::compile_to_bytes;
 
@@ -129,64 +131,13 @@ pub struct RunOutcome {
     pub instructions: u64,
     /// Classes fetched through the file system.
     pub class_fetches: u64,
-    /// File-system traffic.
-    pub fs: FsStats,
-    /// Engine counters (watchdog kills, event stats, per-op charges).
-    pub engine: EngineStats,
-    /// Interpreter fast-path counters (constant-pool quickening and
-    /// inline call caches).
-    pub caches: CacheStats,
     /// Uncaught exception, if the program failed.
     pub uncaught: Option<String>,
-    /// The end-of-run observability report (counters, histogram
-    /// percentiles, profiler top frames, wait-graph verdict).
+    /// The end-of-run observability report: every counter of the run
+    /// by name (`fs.bytes_read`, `engine.watchdog_kills`,
+    /// `jvm.cp_cache.hit`, ...; see [`RunReport::counter`]), histogram
+    /// percentiles, profiler top frames, wait-graph verdict.
     pub report: RunReport,
-}
-
-/// The interpreter's resolution-cache counters for one run, read out
-/// of the engine's [`MetricsRegistry`](doppio_trace::MetricsRegistry)
-/// before the engine is dropped.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct CacheStats {
-    /// `jvm.cp_cache.hit` — constant-pool entries served quickened.
-    pub cp_hit: u64,
-    /// `jvm.cp_cache.miss` — full symbolic resolutions performed.
-    pub cp_miss: u64,
-    /// `jvm.icache.hit` — invoke sites dispatched through the cache.
-    pub ic_hit: u64,
-    /// `jvm.icache.miss` — invoke sites that fell back to full lookup.
-    pub ic_miss: u64,
-}
-
-impl CacheStats {
-    /// Read the cache counters out of an engine's metrics registry.
-    pub fn from_engine(engine: &Engine) -> CacheStats {
-        let m = engine.metrics();
-        CacheStats {
-            cp_hit: m.get("jvm.cp_cache.hit"),
-            cp_miss: m.get("jvm.cp_cache.miss"),
-            ic_hit: m.get("jvm.icache.hit"),
-            ic_miss: m.get("jvm.icache.miss"),
-        }
-    }
-
-    /// Constant-pool cache hit rate in `[0, 1]` (0 if never exercised).
-    pub fn cp_hit_rate(&self) -> f64 {
-        ratio(self.cp_hit, self.cp_miss)
-    }
-
-    /// Inline-cache hit rate in `[0, 1]` (0 if never exercised).
-    pub fn ic_hit_rate(&self) -> f64 {
-        ratio(self.ic_hit, self.ic_miss)
-    }
-}
-
-fn ratio(hit: u64, miss: u64) -> f64 {
-    if hit + miss == 0 {
-        0.0
-    } else {
-        hit as f64 / (hit + miss) as f64
-    }
 }
 
 impl RunOutcome {
@@ -235,8 +186,8 @@ pub fn run_workload_hooked(
     let jvm = Jvm::new(&engine, fs.clone());
     jvm.launch("Main", &[]);
     // Measure from launch: reset counters accumulated during setup.
-    engine.reset_stats();
-    fs.reset_stats();
+    engine.metrics().reset_prefix("engine.");
+    engine.metrics().reset_prefix("fs.");
     before_run(&engine);
     let result = jvm
         .run_to_completion()
@@ -254,9 +205,6 @@ pub fn run_workload_hooked(
         runtime: result.runtime,
         instructions: result.instructions,
         class_fetches: result.class_fetches,
-        fs: fs.stats(),
-        engine: engine.stats(),
-        caches: CacheStats::from_engine(&engine),
         uncaught: result.uncaught,
         report,
     }
@@ -359,7 +307,7 @@ mod tests {
             r.uncaught
         );
         // The files were genuinely pulled through the fs.
-        assert!(r.fs.bytes_read > 100_000);
+        assert!(r.report.counter("fs.bytes_read") > 100_000);
     }
 
     #[test]
@@ -371,7 +319,10 @@ mod tests {
             r.stdout,
             r.uncaught
         );
-        assert!(r.fs.bytes_written > 100, "writes its report back");
+        assert!(
+            r.report.counter("fs.bytes_written") > 100,
+            "writes its report back"
+        );
     }
 
     #[test]
@@ -380,22 +331,15 @@ mod tests {
         // warmup nearly every CP reference and invoke site is cached.
         let r = run_workload("deltablue", Browser::Native);
         assert!(r.uncaught.is_none(), "{:?}", r.uncaught);
-        let c = r.caches;
-        assert!(c.cp_hit + c.cp_miss > 0, "cp cache never exercised");
-        assert!(
-            c.cp_hit_rate() >= 0.90,
-            "cp hit rate {:.3} ({} hit / {} miss)",
-            c.cp_hit_rate(),
-            c.cp_hit,
-            c.cp_miss
-        );
-        assert!(
-            c.ic_hit_rate() >= 0.90,
-            "icache hit rate {:.3} ({} hit / {} miss)",
-            c.ic_hit_rate(),
-            c.ic_hit,
-            c.ic_miss
-        );
+        for cache in ["jvm.cp_cache", "jvm.icache"] {
+            let hit = r.report.counter(&format!("{cache}.hit"));
+            let miss = r.report.counter(&format!("{cache}.miss"));
+            assert!(hit + miss > 0, "{cache} never exercised");
+            assert!(
+                hit * 10 >= (hit + miss) * 9,
+                "{cache} hit rate below 90% ({hit} hit / {miss} miss)"
+            );
+        }
     }
 
     #[test]
@@ -404,7 +348,8 @@ mod tests {
         assert_eq!(r.stdout, "deltablue: ok\n", "uncaught: {:?}", r.uncaught);
         assert!(r.runtime.suspensions > 0);
         assert_eq!(
-            r.engine.watchdog_kills, 0,
+            r.report.counter("engine.watchdog_kills"),
+            0,
             "segmentation kept events finite"
         );
         // Figure 5's bound: suspension stays a small fraction.

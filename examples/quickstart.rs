@@ -59,7 +59,7 @@ fn main() {
     );
     println!(
         "watchdog kills: {} (a monolithic run would have been killed)",
-        engine.stats().watchdog_kills
+        engine.metrics().get("engine.watchdog_kills")
     );
 
     // 4. The one-paragraph run report: every run can summarize itself

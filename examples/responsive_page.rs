@@ -61,7 +61,7 @@ fn main() {
     plain.run_until_idle();
     println!(
         "monolithic event: watchdog kills = {} (the page froze and was killed)",
-        plain.stats().watchdog_kills
+        plain.metrics().get("engine.watchdog_kills")
     );
 
     // --- With Doppio: the same scale of work, segmented. ---
@@ -94,12 +94,12 @@ fn main() {
     let latencies: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
     let mut clicks = 0;
     while !jvm.is_finished() {
-        // Let a few slices run, then click.
-        for _ in 0..10 {
-            if !engine.run_one() {
-                break;
-            }
-        }
+        // Let up to ten events run, then click.
+        let mut events = 0;
+        engine.run_until(|| {
+            events += 1;
+            events > 10
+        });
         if clicks < 20 && !jvm.is_finished() {
             clicks += 1;
             let t0 = engine.now_ns();
@@ -111,7 +111,7 @@ fn main() {
     }
     engine.run_until_idle();
 
-    let result_stats = engine.stats();
+    let kills = engine.metrics().get("engine.watchdog_kills");
     let lat = latencies.borrow();
     let max_ms = lat.iter().max().copied().unwrap_or(0) as f64 / 1e6;
     let avg_ms = if lat.is_empty() {
@@ -119,10 +119,7 @@ fn main() {
     } else {
         lat.iter().sum::<u64>() as f64 / lat.len() as f64 / 1e6
     };
-    println!(
-        "segmented JVM run: watchdog kills = {}",
-        result_stats.watchdog_kills
-    );
+    println!("segmented JVM run: watchdog kills = {kills}");
     println!(
         "serviced {} user clicks during the computation: avg {:.2} ms, worst {:.2} ms",
         lat.len(),
@@ -131,7 +128,7 @@ fn main() {
     );
     println!(
         "longest single event: {:.1} ms (well under the ~5000 ms watchdog)",
-        result_stats.max_event_ns as f64 / 1e6
+        engine.metrics().get("engine.max_event_ns") as f64 / 1e6
     );
     println!("stdout: {}", jvm.with_state(|s| s.stdout_text()).trim());
 
@@ -166,7 +163,7 @@ fn main() {
         println!("\n{}", report.summary());
     }
 
-    assert_eq!(result_stats.watchdog_kills, 0);
-    assert!(plain.stats().watchdog_kills > 0);
+    assert_eq!(kills, 0);
+    assert!(plain.metrics().get("engine.watchdog_kills") > 0);
     assert!(max_ms < 100.0, "clicks must be serviced promptly");
 }

@@ -110,4 +110,4 @@ pub use doppio_workloads as workloads;
 // `EngineBuilder::build_on(&kernel)` (via [`BuildOnKernel`]) is how a
 // configured engine becomes a kernel's event loop.
 pub use doppio_core::{BuildOnKernel, ExitStatus, Kernel, Pid, Process, Signal, SpawnOptions};
-pub use doppio_jsengine::{EngineBuilder, ObservabilityOptions};
+pub use doppio_jsengine::EngineBuilder;

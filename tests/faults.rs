@@ -140,7 +140,7 @@ fn run_faulty_replay(seed: u64) -> String {
 
     format!(
         "{stats:?} retries={} injected={} log={:?}",
-        fs.stats().retries,
+        engine.metrics().get("fs.retries"),
         plan.fs_injected(),
         plan.log(),
     )
@@ -243,7 +243,7 @@ fn fs_retry_recovers_and_traces_the_faults() {
     engine.run_until_idle();
     assert!(*ok.borrow());
     assert_eq!(plan.fs_injected(), 1);
-    assert!(fs.stats().retries >= 1);
+    assert!(engine.metrics().get("fs.retries") >= 1);
 
     let doc = chrome::export_sink(&sink);
     let v = json::parse(&doc).expect("valid trace JSON");

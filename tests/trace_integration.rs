@@ -50,8 +50,8 @@ fn traced_run_exports_consistent_chrome_json() {
         }
     }
     engine.run_until_idle();
-    let stats = engine.stats();
-    assert!(stats.events_run > 0);
+    let events_run = engine.metrics().get("engine.events_run");
+    assert!(events_run > 0);
 
     let doc = chrome::export_sink(&sink);
     let v = json::parse(&doc).expect("exported trace must be valid JSON");
@@ -77,7 +77,7 @@ fn traced_run_exports_consistent_chrome_json() {
                 && e.get("ph").and_then(Json::as_str) == Some("X")
         })
         .count();
-    assert_eq!(engine_spans as u64, stats.events_run);
+    assert_eq!(engine_spans as u64, events_run);
 
     // The run touches the engine, the runtime scheduler, the file
     // system (class loading), and the JVM sampler.
