@@ -26,7 +26,7 @@ use doppio::{Kernel, SpawnOptions};
 
 /// One matrix cell: the full fault-recovery scenario for `seed`,
 /// rendered as a transcript that is byte-comparable across runs.
-fn scenario(seed: u64) -> String {
+pub fn scenario(seed: u64) -> String {
     let kernel = Kernel::new();
     let plan = FaultPlan::new(
         seed,

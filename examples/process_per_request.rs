@@ -33,23 +33,18 @@ const HANDLER: &str = r#"
 
 const REQUESTS: [&str; 4] = ["hello", "doppio", "kernel", "bye"];
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| a.parse().expect("seed must be a number"))
-        .or_else(|| {
-            std::env::var("DOPPIO_FAULT_SEED")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or(1);
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| args[i + 1].clone());
+/// One run's artifacts: everything `--out` writes.
+pub struct Served {
+    /// Each request with its response, plus the process table.
+    pub transcript: String,
+    /// The run report, with the per-process table.
+    pub report: RunReport,
+    /// The Chrome `trace_event` export.
+    pub trace_json: String,
+}
 
+/// Serve `REQUESTS` one process each, on a kernel seeded with `seed`.
+pub fn run(seed: u64) -> Served {
     let kernel = Kernel::new();
     let sink = Rc::new(RingSink::default());
     let engine = EngineBuilder::new(Browser::Chrome)
@@ -151,26 +146,53 @@ fn main() {
         ));
     }
     transcript.push_str(&format!("virtual time: {} ns\n", engine.now_ns()));
-    print!("{transcript}");
 
     let report = RunReport::collect("process_per_request", &engine)
         .with_runtime(&kernel.runtime())
         .with_kernel(&kernel)
         .with_trace(&sink);
-    println!("---\n{}", report.summary());
-
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(&dir).expect("create out dir");
-        let path = |name: &str| format!("{dir}/{name}");
-        std::fs::write(path("transcript.txt"), &transcript).expect("write transcript");
-        std::fs::write(path("report.md"), report.to_markdown()).expect("write report.md");
-        std::fs::write(path("report.json"), report.to_json_string()).expect("write report.json");
-        std::fs::write(path("trace.json"), chrome::export_sink(&sink)).expect("write trace.json");
-        println!("wrote transcript.txt, report.md, report.json, trace.json to {dir}");
-    }
 
     // One process per request, every one reaped.
     assert_eq!(responses.lines().count(), REQUESTS.len());
     assert_eq!(kernel.process_table().len(), 1 + REQUESTS.len());
     assert!(responses.contains("echo[doppio] len=6"), "{responses:?}");
+
+    Served {
+        transcript,
+        report,
+        trace_json: chrome::export_sink(&sink),
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let seed: u64 = args
+        .get(1)
+        .filter(|a| !a.starts_with("--"))
+        .map(|a| a.parse().expect("seed must be a number"))
+        .or_else(|| {
+            std::env::var("DOPPIO_FAULT_SEED")
+                .ok()
+                .and_then(|s| s.parse().ok())
+        })
+        .unwrap_or(1);
+    let out_dir = args
+        .iter()
+        .position(|a| a == "--out")
+        .map(|i| args[i + 1].clone());
+
+    let run = run(seed);
+    print!("{}", run.transcript);
+    println!("---\n{}", run.report.summary());
+
+    if let Some(dir) = out_dir {
+        std::fs::create_dir_all(&dir).expect("create out dir");
+        let path = |name: &str| format!("{dir}/{name}");
+        std::fs::write(path("transcript.txt"), &run.transcript).expect("write transcript");
+        std::fs::write(path("report.md"), run.report.to_markdown()).expect("write report.md");
+        std::fs::write(path("report.json"), run.report.to_json_string())
+            .expect("write report.json");
+        std::fs::write(path("trace.json"), &run.trace_json).expect("write trace.json");
+        println!("wrote transcript.txt, report.md, report.json, trace.json to {dir}");
+    }
 }

@@ -39,18 +39,24 @@ const CRUNCHER: &str = r#"
     }
 "#;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let flag = |name: &str| {
-        args.iter().position(|a| a == name).map(|i| {
-            args.get(i + 1)
-                .unwrap_or_else(|| panic!("{name} needs a file path"))
-                .clone()
-        })
-    };
-    let trace_path = flag("--trace");
-    let profile_path = flag("--profile");
-    let report_path = flag("--report");
+/// One run's results: what `main` prints, and the state each flag
+/// exports.
+pub struct Page {
+    /// The lines `main` prints before writing any artifact.
+    pub log: String,
+    /// The segmented run's engine (its profiler, when observing).
+    pub engine: Engine,
+    /// The trace ring, when tracing.
+    pub sink: Option<Rc<RingSink>>,
+    /// The end-of-run report (with the trace section when tracing).
+    pub report: RunReport,
+}
+
+/// Run the crunch monolithically, then segmented while clicking. With
+/// `trace`, a ring records the segmented run; with `observe`,
+/// histograms and the sampling profiler are on.
+pub fn run(trace: bool, observe: bool) -> Page {
+    let mut log = String::new();
 
     // --- Without Doppio: one monolithic event. ---
     let plain = Engine::new(Browser::Chrome);
@@ -59,19 +65,18 @@ fn main() {
         e.charge_n(Cost::Dispatch, 70_000_000);
     });
     plain.run_until_idle();
-    println!(
-        "monolithic event: watchdog kills = {} (the page froze and was killed)",
+    log += &format!(
+        "monolithic event: watchdog kills = {} (the page froze and was killed)\n",
         plain.metrics().get("engine.watchdog_kills")
     );
 
     // --- With Doppio: the same scale of work, segmented. ---
-    let sink = trace_path.as_ref().map(|_| Rc::new(RingSink::default()));
-    let observing = profile_path.is_some() || report_path.is_some();
+    let sink = trace.then(|| Rc::new(RingSink::default()));
     let mut builder = Engine::builder(Browser::Chrome);
     if let Some(sink) = &sink {
         builder = builder.trace_sink(sink.clone());
     }
-    if observing {
+    if observe {
         // Histograms feed the report's percentile rows; the profiler
         // samples every 1 ms of virtual time at suspend boundaries.
         builder = builder.histograms(true).profiler(Profiler::new(1_000_000));
@@ -119,20 +124,55 @@ fn main() {
     } else {
         lat.iter().sum::<u64>() as f64 / lat.len() as f64 / 1e6
     };
-    println!("segmented JVM run: watchdog kills = {kills}");
-    println!(
-        "serviced {} user clicks during the computation: avg {:.2} ms, worst {:.2} ms",
+    log += &format!("segmented JVM run: watchdog kills = {kills}\n");
+    log += &format!(
+        "serviced {} user clicks during the computation: avg {:.2} ms, worst {:.2} ms\n",
         lat.len(),
         avg_ms,
         max_ms
     );
-    println!(
-        "longest single event: {:.1} ms (well under the ~5000 ms watchdog)",
+    log += &format!(
+        "longest single event: {:.1} ms (well under the ~5000 ms watchdog)\n",
         engine.metrics().get("engine.max_event_ns") as f64 / 1e6
     );
-    println!("stdout: {}", jvm.with_state(|s| s.stdout_text()).trim());
+    log += &format!("stdout: {}\n", jvm.with_state(|s| s.stdout_text()).trim());
 
-    if let (Some(path), Some(sink)) = (&trace_path, &sink) {
+    assert_eq!(kills, 0);
+    assert!(plain.metrics().get("engine.watchdog_kills") > 0);
+    assert!(max_ms < 100.0, "clicks must be serviced promptly");
+
+    let mut report = RunReport::collect("responsive_page", &engine).with_runtime(jvm.runtime());
+    if let Some(sink) = &sink {
+        report = report.with_trace(sink);
+    }
+    Page {
+        log,
+        engine,
+        sink,
+        report,
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let flag = |name: &str| {
+        args.iter().position(|a| a == name).map(|i| {
+            args.get(i + 1)
+                .unwrap_or_else(|| panic!("{name} needs a file path"))
+                .clone()
+        })
+    };
+    let trace_path = flag("--trace");
+    let profile_path = flag("--profile");
+    let report_path = flag("--report");
+
+    let page = run(
+        trace_path.is_some(),
+        profile_path.is_some() || report_path.is_some(),
+    );
+    print!("{}", page.log);
+
+    if let (Some(path), Some(sink)) = (&trace_path, &page.sink) {
         let doc = chrome::export_sink(sink);
         std::fs::write(path, &doc).expect("write trace file");
         println!(
@@ -143,7 +183,7 @@ fn main() {
     }
 
     if let Some(path) = &profile_path {
-        let profiler = engine.profiler().expect("profiler attached");
+        let profiler = page.engine.profiler().expect("profiler attached");
         std::fs::write(path, profiler.folded()).expect("write folded stacks");
         println!(
             "wrote {} profile samples to {path} (folded stacks; feed to flamegraph.pl)",
@@ -152,18 +192,11 @@ fn main() {
     }
 
     if let Some(path) = &report_path {
-        let mut report = RunReport::collect("responsive_page", &engine).with_runtime(jvm.runtime());
-        if let Some(sink) = &sink {
-            report = report.with_trace(sink);
-        }
+        let report = &page.report;
         std::fs::write(path, report.to_markdown()).expect("write report markdown");
         let json_path = std::path::Path::new(path).with_extension("json");
         std::fs::write(&json_path, report.to_json_string()).expect("write report JSON");
         println!("wrote run report to {path} and {}", json_path.display());
         println!("\n{}", report.summary());
     }
-
-    assert_eq!(kills, 0);
-    assert!(plain.metrics().get("engine.watchdog_kills") > 0);
-    assert!(max_ms < 100.0, "clicks must be serviced promptly");
 }

@@ -85,23 +85,18 @@ const WC: &str = r#"
     }
 "#;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let seed: u64 = args
-        .get(1)
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| a.parse().expect("seed must be a number"))
-        .or_else(|| {
-            std::env::var("DOPPIO_FAULT_SEED")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or(1);
-    let out_dir = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| args[i + 1].clone());
+/// One run's artifacts: everything `--out` writes.
+pub struct Pipeline {
+    /// Final-pipe output plus the process table.
+    pub transcript: String,
+    /// The run report, with its causal critical-path section.
+    pub report: RunReport,
+    /// The Chrome `trace_event` export.
+    pub trace_json: String,
+}
 
+/// Run `disasm | grep class | wc` on a kernel seeded with `seed`.
+pub fn run(seed: u64) -> Pipeline {
     // One kernel, one engine: the builder's configuration (seed,
     // histograms, trace sink) becomes the kernel's event loop.
     let kernel = Kernel::new();
@@ -161,9 +156,11 @@ fn main() {
     assert!(grep.status().unwrap().success());
 
     let output = String::from_utf8(kernel.host_read(p3).expect("live pipe")).expect("utf8");
+    // The pipeline really flowed: every stage's class line survived
+    // grep, and wc summed them.
+    assert!(output.contains("lines,"), "wc printed a count: {output:?}");
 
-    // The transcript: final-pipe output plus the process table — the
-    // byte-identity artifact CI diffs across same-seed runs.
+    // The transcript: final-pipe output plus the process table.
     let mut transcript = String::new();
     transcript.push_str(&format!(
         "seed: {seed}\n$ disasm | grep class | wc\n{output}"
@@ -175,14 +172,12 @@ fn main() {
         ));
     }
     transcript.push_str(&format!("virtual time: {} ns\n", engine.now_ns()));
-    print!("{transcript}");
 
     let report = RunReport::collect("shell_pipeline", &engine)
         .with_runtime(&kernel.runtime())
         .with_kernel(&kernel)
         .with_trace(&sink)
         .with_causal(&sink);
-    println!("---\n{}", report.summary());
 
     // Causal tracing followed the pipeline: each spawn rooted a
     // `proc:<name>` request, every request's wall time decomposed into
@@ -203,21 +198,47 @@ fn main() {
         );
     }
 
+    Pipeline {
+        transcript,
+        report,
+        trace_json: chrome::export_sink(&sink),
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().collect();
+    let seed: u64 = args
+        .get(1)
+        .filter(|a| !a.starts_with("--"))
+        .map(|a| a.parse().expect("seed must be a number"))
+        .or_else(|| {
+            std::env::var("DOPPIO_FAULT_SEED")
+                .ok()
+                .and_then(|s| s.parse().ok())
+        })
+        .unwrap_or(1);
+    let out_dir = args
+        .iter()
+        .position(|a| a == "--out")
+        .map(|i| args[i + 1].clone());
+
+    let run = run(seed);
+    print!("{}", run.transcript);
+    println!("---\n{}", run.report.summary());
+
     if let Some(dir) = out_dir {
+        let causal = run.report.causal.as_ref().expect("causal section");
         std::fs::create_dir_all(&dir).expect("create out dir");
         let path = |name: &str| format!("{dir}/{name}");
-        std::fs::write(path("transcript.txt"), &transcript).expect("write transcript");
-        std::fs::write(path("report.md"), report.to_markdown()).expect("write report.md");
-        std::fs::write(path("report.json"), report.to_json_string()).expect("write report.json");
-        std::fs::write(path("trace.json"), chrome::export_sink(&sink)).expect("write trace.json");
+        std::fs::write(path("transcript.txt"), &run.transcript).expect("write transcript");
+        std::fs::write(path("report.md"), run.report.to_markdown()).expect("write report.md");
+        std::fs::write(path("report.json"), run.report.to_json_string())
+            .expect("write report.json");
+        std::fs::write(path("trace.json"), &run.trace_json).expect("write trace.json");
         std::fs::write(path("critical_paths.json"), causal.to_json_string())
             .expect("write critical_paths.json");
         println!(
             "wrote transcript.txt, report.md, report.json, trace.json, critical_paths.json to {dir}"
         );
     }
-
-    // The pipeline really flowed: every stage's class line survived
-    // grep, and wc summed them.
-    assert!(output.contains("lines,"), "wc printed a count: {output:?}");
 }

@@ -32,7 +32,7 @@ use doppio::EngineBuilder;
 
 /// One matrix cell: the chaos workload for `seed`, rendered as a
 /// transcript that is byte-comparable across runs and thread counts.
-fn scenario(seed: u64) -> String {
+pub fn scenario(seed: u64) -> String {
     // Causal tracing is on: every client op roots a `storage:*`
     // request, and the per-class critical-path JSON joins the
     // transcript — so the serial-vs-sharded diff (and CI's double-run

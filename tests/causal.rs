@@ -5,8 +5,11 @@
 //! byte-identical across same-seed reruns and shard counts, and
 //! attaching a tracer never moves the virtual clock.
 
+mod common;
+
 use std::rc::Rc;
 
+use common::check_golden_at;
 use doppio::fs::{backends, FileSystem};
 use doppio::jsengine::Browser;
 use doppio::jvm::{fsutil, spawn_jvm};
@@ -131,6 +134,17 @@ fn critical_path_artifact_is_identical_across_reruns_and_shard_counts() {
         CausalReport::merge(&parallel).to_json_string(),
         "merged artifact diverged across shard counts"
     );
+    check_golden_at("causal/critical_paths", &[1, 4], |threads| {
+        let reports = run_all(threads);
+        let mut out = String::new();
+        for (i, r) in reports.iter().enumerate() {
+            out += &format!("--- seed {}\n{}\n", i + 1, r.to_json_string());
+        }
+        out + &format!(
+            "--- merged\n{}\n",
+            CausalReport::merge(&reports).to_json_string()
+        )
+    });
 }
 
 #[test]

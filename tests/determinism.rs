@@ -1,5 +1,5 @@
-//! Byte-identity goldens for the JVM interpreter, the kernel and the
-//! scale harness.
+//! Byte-identity goldens for the JVM interpreter, the kernel, the
+//! scale harness, and the example scenarios.
 //!
 //! Every virtual observable of a guest run — stdout, virtual wall time,
 //! the instruction count, and the rendered RunReport — is compared
@@ -9,15 +9,29 @@
 //! as a diff. `tests/golden/kernel/` holds the same for JVM pipelines
 //! on a [`Kernel`] (built onto a configured engine, or lazily on a
 //! stock one) and for a sharded [`run_tenants`] report, which must
-//! match one golden at every shard thread count.
+//! match one golden at every shard thread count. `tests/golden/pipeline/`
+//! and `tests/golden/observability/` hold the artifacts the
+//! `shell_pipeline`, `process_per_request` and `responsive_page`
+//! examples write, produced by the examples' own `run`.
 //!
-//! On a mismatch the test writes what it got to
-//! `target/tmp/golden/<dir>/<name>.txt` and fails; copy that file over
-//! the golden only when the change is intended.
+//! The driver in `tests/common/mod.rs` produces every scenario at
+//! least twice; see there for what to do on a mismatch.
 
-use std::path::PathBuf;
+mod common;
+
+#[allow(dead_code)]
+#[path = "../examples/process_per_request.rs"]
+mod process_per_request;
+#[allow(dead_code)]
+#[path = "../examples/responsive_page.rs"]
+mod responsive_page;
+#[allow(dead_code)]
+#[path = "../examples/shell_pipeline.rs"]
+mod shell_pipeline;
+
 use std::rc::Rc;
 
+use common::{check_golden, check_golden_at, check_golden_seeds, digest};
 use doppio::core::PipeId;
 use doppio::fs::{backends, FileSystem};
 use doppio::jsengine::{Browser, Engine};
@@ -26,34 +40,11 @@ use doppio::minijava::compile_to_bytes;
 use doppio::report::RunReport;
 use doppio::scale::{run_tenants, TenantRun, TenantSpec};
 use doppio::schedtest::{explore, ExploreConfig};
-use doppio::trace::RingSink;
+use doppio::trace::{chrome, RingSink};
 use doppio::workloads::run_workload;
 use doppio::{BuildOnKernel, EngineBuilder, Kernel, Process, SpawnOptions};
 
 const SEED: u64 = 0x71E2_0008;
-
-/// Compare `got` with `tests/golden/<name>.txt` (`name` includes the
-/// subdirectory, e.g. `jvm/disasm`).
-fn check_golden(name: &str, got: &str) {
-    let file = format!("{name}.txt");
-    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(&file);
-    let want = std::fs::read_to_string(&golden).unwrap_or_default();
-    if want != got {
-        let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR"))
-            .join("golden")
-            .join(&file);
-        let out_dir = out.parent().expect("golden file has a directory");
-        std::fs::create_dir_all(out_dir).expect("create golden output dir");
-        std::fs::write(&out, got).expect("write golden output");
-        panic!(
-            "{name} drifted from {}; the actual run is in {}",
-            golden.display(),
-            out.display()
-        );
-    }
-}
 
 /// The four observables of one run, in golden-file form.
 fn render(stdout: &str, wall_ns: u64, instructions: u64, report_json: &str) -> String {
@@ -63,15 +54,16 @@ fn render(stdout: &str, wall_ns: u64, instructions: u64, report_json: &str) -> S
 }
 
 fn paper_program(id: &str) {
-    let out = run_workload(id, Browser::Chrome);
-    assert!(out.uncaught.is_none(), "{id}: {:?}", out.uncaught);
-    let got = render(
-        &out.stdout,
-        out.wall_ns,
-        out.instructions,
-        &out.report.to_json_string(),
-    );
-    check_golden(&format!("jvm/{id}"), &got);
+    check_golden(&format!("jvm/{id}"), || {
+        let out = run_workload(id, Browser::Chrome);
+        assert!(out.uncaught.is_none(), "{id}: {:?}", out.uncaught);
+        render(
+            &out.stdout,
+            out.wall_ns,
+            out.instructions,
+            &out.report.to_json_string(),
+        )
+    });
 }
 
 #[test]
@@ -148,13 +140,12 @@ const HOT_LOOP: &str = r#"
 
 #[test]
 fn hot_loop_matches_its_golden() {
-    let (r, _engine, report) = run_guest(HOT_LOOP, "hot_loop");
-    // Σ(i + 3) for i in 0..5000.
-    assert_eq!(r.stdout, "sum=12512500\n");
-    check_golden(
-        "jvm/hot_loop",
-        &render(&r.stdout, r.wall_ns, r.instructions, &report),
-    );
+    check_golden("jvm/hot_loop", || {
+        let (r, _engine, report) = run_guest(HOT_LOOP, "hot_loop");
+        // Σ(i + 3) for i in 0..5000.
+        assert_eq!(r.stdout, "sum=12512500\n");
+        render(&r.stdout, r.wall_ns, r.instructions, &report)
+    });
 }
 
 /// A virtual call site warmed monomorphically on `A`, then handed a `B`
@@ -181,11 +172,10 @@ const SUBCLASS_SWAP: &str = r#"
 
 #[test]
 fn subclass_swap_matches_its_golden() {
-    let (r, _engine, report) = run_guest(SUBCLASS_SWAP, "subclass_swap");
-    check_golden(
-        "jvm/subclass_swap",
-        &render(&r.stdout, r.wall_ns, r.instructions, &report),
-    );
+    check_golden("jvm/subclass_swap", || {
+        let (r, _engine, report) = run_guest(SUBCLASS_SWAP, "subclass_swap");
+        render(&r.stdout, r.wall_ns, r.instructions, &report)
+    });
 }
 
 #[test]
@@ -237,34 +227,35 @@ const THREADED_HOT: &str = r#"
 #[test]
 fn threaded_pick_logs_match_their_golden() {
     let classes = compile_to_bytes(THREADED_HOT).unwrap();
-    let report = explore(&ExploreConfig::new(6, SEED), move |sched| {
-        let engine = Engine::new(Browser::Chrome);
-        let fs = FileSystem::new(&engine, backends::in_memory(&engine));
-        fsutil::mount_class_files(&engine, &fs, "/classes", &classes);
-        let jvm = Jvm::new(&engine, fs);
-        jvm.runtime().set_scheduler(sched);
-        jvm.launch("Main", &[]);
-        match jvm.run_to_completion() {
-            Err(e) => Err(e.to_string()),
-            Ok(r) if r.uncaught.is_some() => Err(format!("uncaught: {:?}", r.uncaught)),
-            Ok(r) if r.stdout != "t=19600\n" => Err(format!("stdout {:?}", r.stdout)),
-            Ok(_) => Ok(()),
-        }
+    check_golden("jvm/threaded_hot_picks", || {
+        let report = explore(&ExploreConfig::new(6, SEED), |sched| {
+            let engine = Engine::new(Browser::Chrome);
+            let fs = FileSystem::new(&engine, backends::in_memory(&engine));
+            fsutil::mount_class_files(&engine, &fs, "/classes", &classes);
+            let jvm = Jvm::new(&engine, fs);
+            jvm.runtime().set_scheduler(sched);
+            jvm.launch("Main", &[]);
+            match jvm.run_to_completion() {
+                Err(e) => Err(e.to_string()),
+                Ok(r) if r.uncaught.is_some() => Err(format!("uncaught: {:?}", r.uncaught)),
+                Ok(r) if r.stdout != "t=19600\n" => Err(format!("stdout {:?}", r.stdout)),
+                Ok(_) => Ok(()),
+            }
+        });
+        assert!(
+            report.all_passed(),
+            "{:?}",
+            report.failure.map(|f| f.message)
+        );
+        report
+            .runs
+            .iter()
+            .map(|r| {
+                let picks: Vec<String> = r.picks.iter().map(u32::to_string).collect();
+                format!("{}\n", picks.join(" "))
+            })
+            .collect()
     });
-    assert!(
-        report.all_passed(),
-        "{:?}",
-        report.failure.map(|f| f.message)
-    );
-    let got: String = report
-        .runs
-        .iter()
-        .map(|r| {
-            let picks: Vec<String> = r.picks.iter().map(u32::to_string).collect();
-            format!("{}\n", picks.join(" "))
-        })
-        .collect();
-    check_golden("jvm/threaded_hot_picks", &got);
 }
 
 /// `producer N`: prints `line 0` .. `line N-1`.
@@ -332,48 +323,46 @@ fn drain(kernel: &Kernel, pipe: PipeId) -> String {
 
 #[test]
 fn traced_kernel_pipeline_matches_its_golden() {
-    let kernel = Kernel::new();
-    let ring = Rc::new(RingSink::default());
-    let engine = EngineBuilder::new(Browser::Chrome)
-        .rng_seed(1)
-        .histograms(true)
-        .trace_sink(ring.clone())
-        .build_on(&kernel);
-    let (out, producer, filter) = spawn_pipeline(&kernel, 12);
-    kernel.run().unwrap();
-    assert!(producer.status().unwrap().success());
-    assert!(filter.status().unwrap().success());
-    let stdout = drain(&kernel, out);
-    assert!(stdout.ends_with("kept 9\n"), "{stdout}");
-    let report = RunReport::collect("traced_pipeline", &engine)
-        .with_runtime(&kernel.runtime())
-        .with_kernel(&kernel)
-        .with_causal(&ring)
-        .to_json_string();
-    check_golden(
-        "kernel/traced_pipeline",
-        &format!("--- stdout\n{stdout}--- report\n{report}\n"),
-    );
+    check_golden("kernel/traced_pipeline", || {
+        let kernel = Kernel::new();
+        let ring = Rc::new(RingSink::default());
+        let engine = EngineBuilder::new(Browser::Chrome)
+            .rng_seed(1)
+            .histograms(true)
+            .trace_sink(ring.clone())
+            .build_on(&kernel);
+        let (out, producer, filter) = spawn_pipeline(&kernel, 12);
+        kernel.run().unwrap();
+        assert!(producer.status().unwrap().success());
+        assert!(filter.status().unwrap().success());
+        let stdout = drain(&kernel, out);
+        assert!(stdout.ends_with("kept 9\n"), "{stdout}");
+        let report = RunReport::collect("traced_pipeline", &engine)
+            .with_runtime(&kernel.runtime())
+            .with_kernel(&kernel)
+            .with_causal(&ring)
+            .to_json_string();
+        format!("--- stdout\n{stdout}--- report\n{report}\n")
+    });
 }
 
 #[test]
 fn lazy_kernel_pipeline_matches_its_golden() {
-    // No engine is attached: the first `kernel.engine()` creates a
-    // stock Chrome one, and `Process::wait` drives it.
-    let kernel = Kernel::new();
-    let (out, producer, filter) = spawn_pipeline(&kernel, 12);
-    let status = filter.wait().unwrap();
-    assert!(status.success());
-    assert!(producer.status().unwrap().success());
-    let stdout = drain(&kernel, out);
-    let report = RunReport::collect("lazy_pipeline", &kernel.engine())
-        .with_runtime(&kernel.runtime())
-        .with_kernel(&kernel)
-        .to_json_string();
-    check_golden(
-        "kernel/lazy_pipeline",
-        &format!("--- stdout\n{stdout}--- report\n{report}\n"),
-    );
+    check_golden("kernel/lazy_pipeline", || {
+        // No engine is attached: the first `kernel.engine()` creates a
+        // stock Chrome one, and `Process::wait` drives it.
+        let kernel = Kernel::new();
+        let (out, producer, filter) = spawn_pipeline(&kernel, 12);
+        let status = filter.wait().unwrap();
+        assert!(status.success());
+        assert!(producer.status().unwrap().success());
+        let stdout = drain(&kernel, out);
+        let report = RunReport::collect("lazy_pipeline", &kernel.engine())
+            .with_runtime(&kernel.runtime())
+            .with_kernel(&kernel)
+            .to_json_string();
+        format!("--- stdout\n{stdout}--- report\n{report}\n")
+    });
 }
 
 /// One scale tenant: a traced `producer | filter` pipeline whose
@@ -402,12 +391,56 @@ fn pipeline_tenant(spec: TenantSpec) -> TenantRun {
 
 #[test]
 fn scale_report_matches_its_golden_at_one_and_two_threads() {
-    for threads in [1, 2] {
+    check_golden_at("kernel/scale_report", &[1, 2], |threads| {
         let report = run_tenants("kernel_scale", SEED, 4, threads, pipeline_tenant);
         assert!(report.all_ok(), "threads={threads}");
-        check_golden(
-            "kernel/scale_report",
-            &format!("{}\n", report.to_json_string()),
-        );
-    }
+        format!("{}\n", report.to_json_string())
+    });
+}
+
+/// Seeds of the example scenarios' goldens.
+const EXAMPLE_SEEDS: [u64; 3] = [1, 2, 3];
+
+#[test]
+fn shell_pipeline_matches_its_goldens() {
+    check_golden_seeds("pipeline/shell_pipeline", &EXAMPLE_SEEDS, 3, |seed| {
+        let run = shell_pipeline::run(seed);
+        let causal = run.report.causal.as_ref().expect("causal section");
+        format!(
+            "--- transcript.txt\n{}--- report.json\n{}\n--- critical_paths.json\n{}\n\
+             --- trace.json\n{}\n",
+            run.transcript,
+            run.report.to_json_string(),
+            causal.to_json_string(),
+            digest(&run.trace_json)
+        )
+    });
+}
+
+#[test]
+fn process_per_request_matches_its_goldens() {
+    check_golden_seeds("pipeline/process_per_request", &EXAMPLE_SEEDS, 3, |seed| {
+        let run = process_per_request::run(seed);
+        format!(
+            "--- transcript.txt\n{}--- report.json\n{}\n",
+            run.transcript,
+            run.report.to_json_string()
+        )
+    });
+}
+
+#[test]
+fn responsive_page_matches_its_golden() {
+    check_golden("observability/responsive_page", || {
+        // `--trace --profile --report`: every observer attached.
+        let page = responsive_page::run(true, true);
+        let sink = page.sink.as_ref().expect("trace ring");
+        let profiler = page.engine.profiler().expect("profiler attached");
+        format!(
+            "--- report.json\n{}\n--- folded\n{}--- trace.json\n{}\n",
+            page.report.to_json_string(),
+            profiler.folded(),
+            digest(&chrome::export_sink(sink))
+        )
+    });
 }

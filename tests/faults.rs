@@ -9,9 +9,12 @@
 //! The CI fault matrix re-runs these tests under several seeds via
 //! `DOPPIO_FAULT_SEED`.
 
+mod common;
+
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use common::{check_golden, digest};
 use doppio::faults::{FaultConfig, FaultPlan, RetryPolicy};
 use doppio::fs::{backends, FileSystem};
 use doppio::jsengine::{Browser, Engine};
@@ -42,8 +45,8 @@ impl TcpServerApp for Echo {
 
 /// Drive an echo workload through Websockify over a faulty fabric and
 /// return a full transcript of what happened: the per-message socket
-/// observations, the plan's fault log, and the exported Chrome trace.
-/// Every byte of it must be a pure function of the seed.
+/// observations, the plan's fault log, and the digest of the exported
+/// Chrome trace. Every byte of it must be a pure function of the seed.
 fn run_faulty_echo(seed: u64) -> (String, usize) {
     let sink = Rc::new(RingSink::default());
     let engine = Engine::builder(Browser::Chrome)
@@ -85,8 +88,11 @@ fn run_faulty_echo(seed: u64) -> (String, usize) {
     for rec in plan.log() {
         transcript.push(format!("fault {rec:?}"));
     }
-    transcript.push(chrome::export_sink(&sink));
-    (transcript.join("\n"), plan.kinds_fired().len())
+    transcript.push(digest(&chrome::export_sink(&sink)));
+    (
+        format!("{}\n", transcript.join("\n")),
+        plan.kinds_fired().len(),
+    )
 }
 
 #[test]
@@ -98,6 +104,7 @@ fn same_seed_same_network_fault_sequence_and_trace() {
         kinds >= 3,
         "the plan should exercise at least 3 fault kinds, fired {kinds}"
     );
+    check_golden("faults/echo_seed1", || run_faulty_echo(1).0);
 }
 
 #[test]
@@ -138,12 +145,15 @@ fn run_faulty_replay(seed: u64) -> String {
     engine.run_until_idle();
     assert!(*ok.borrow());
 
-    format!(
-        "{stats:?} retries={} injected={} log={:?}",
+    let mut out = format!(
+        "{stats:?} retries={} injected={}\n",
         engine.metrics().get("fs.retries"),
         plan.fs_injected(),
-        plan.log(),
-    )
+    );
+    for rec in plan.log() {
+        out += &format!("  {}ns {} {}\n", rec.ts_ns, rec.kind, rec.detail);
+    }
+    out
 }
 
 #[test]
@@ -151,6 +161,7 @@ fn same_seed_same_fs_fault_sequence_and_outcome() {
     let a = run_faulty_replay(seed());
     let b = run_faulty_replay(seed());
     assert_eq!(a, b, "fs fault injection must replay identically");
+    check_golden("faults/fs_replay_seed1", || run_faulty_replay(1));
 }
 
 #[test]

@@ -3,8 +3,11 @@
 //! byte-deterministic, ring-buffer truncation surfaces everywhere it
 //! should, and the Prometheus text exposition matches its golden file.
 
+mod common;
+
 use std::rc::Rc;
 
+use common::{check_golden, digest};
 use doppio::fs::{backends, FileSystem};
 use doppio::jsengine::{Browser, Engine};
 use doppio::jvm::{fsutil, Jvm};
@@ -60,6 +63,13 @@ fn profiler_and_report_are_byte_deterministic() {
     assert!(!folded_a.is_empty(), "profiler collected no samples");
     assert_eq!(folded_a, folded_b, "folded stacks differ across runs");
     assert_eq!(report_a, report_b, "report JSON differs across runs");
+    check_golden("observability/instrumented", || {
+        let (folded, report, chrome_doc) = instrumented_run(1 << 16);
+        format!(
+            "--- report.json\n{report}\n--- folded\n{folded}--- trace.json\n{}\n",
+            digest(&chrome_doc)
+        )
+    });
 
     // Folded stacks carry the expected shape: event kind; thread;
     // Class.method frames, whitespace-separated from the weight.

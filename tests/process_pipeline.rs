@@ -4,9 +4,16 @@
 //! propagation, and schedule exploration finding (then shrinking and
 //! replaying) a cross-process pipe/waitpid deadlock.
 
+mod common;
+
+#[allow(dead_code)]
+#[path = "../examples/fault_matrix.rs"]
+mod fault_matrix;
+
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use common::check_golden_seeds;
 use doppio::core::{KernelError, PipeRead, PipeWrite, Scheduler, ThreadStep, WaitPid};
 use doppio::faults::{FaultConfig, FaultPlan};
 use doppio::fs::{backends, FileSystem};
@@ -487,6 +494,7 @@ fn pipe_faults_are_survivable_and_deterministic() {
     assert_eq!(bytes2, payload);
     assert_eq!(retries2, retries);
     assert_eq!(log2, log, "fault injection must be seed-deterministic");
+    check_golden_seeds("kernel/pipe_faults", &[1, 2, 3], 3, fault_matrix::scenario);
 
     // A fault-free plan is exactly the old kernel.
     let kernel = Kernel::new();

@@ -4,6 +4,9 @@
 //! `docs/scale.md` promises and CI's `scale-smoke` job enforces on
 //! the real workload.
 
+mod common;
+
+use common::check_golden_at;
 use doppio::core::report::RunReport;
 use doppio::core::ThreadStep;
 use doppio::jsengine::Browser;
@@ -70,6 +73,17 @@ fn merged_report_is_byte_identical_across_shard_pool_sizes() {
     // host state (wall clocks, thread ids, allocation order) leaks in.
     let again = run_tenants("scale_harness", MASTER_SEED, TENANTS, 4, tiny_tenant);
     assert_eq!(artifacts(&again), reference_artifacts);
+    check_golden_at(
+        "scale/tiny_tenants",
+        &[1, 4, scale::default_threads()],
+        |threads| {
+            let run = run_tenants("scale_harness", MASTER_SEED, TENANTS, threads, tiny_tenant);
+            let (md, json, prom) = artifacts(&run);
+            format!(
+                "--- scale_report.md\n{md}\n--- scale_report.json\n{json}\n--- scale.prom\n{prom}"
+            )
+        },
+    );
 }
 
 #[test]

@@ -17,6 +17,13 @@
 //!    fault preset over two cached tenant sessions, audited by the
 //!    history oracles, with same-seed byte-identical transcripts.
 
+mod common;
+
+#[allow(dead_code)]
+#[path = "../examples/storage_consistency.rs"]
+mod chaos_matrix;
+
+use common::{check_golden, check_golden_seeds};
 use doppio::core::{Scheduler, ThreadStep};
 use doppio::faults::{FaultConfig, FaultPlan};
 use doppio::jsengine::{Browser, Engine};
@@ -252,6 +259,23 @@ struct ReplayOutcome {
     report_md: String,
 }
 
+impl ReplayOutcome {
+    /// The outcome in golden-file form.
+    fn render(&self) -> String {
+        format!(
+            "first_fault: {:?}\nvalue: {:?}\njournal_lens: {:?}\napplied: {:?}\n\
+             object_counts: {:?}\n--- fault log\n{}--- report\n{}",
+            self.first_fault,
+            self.value.as_deref().map(String::from_utf8_lossy),
+            self.journal_lens,
+            self.applied,
+            self.object_counts,
+            self.fault_log,
+            self.report_md
+        )
+    }
+}
+
 /// One durable write against a correct-mode cluster with one crash
 /// budgeted at 50%, then two cold recoveries off the same journal.
 fn journal_replay_scenario(seed: u64) -> ReplayOutcome {
@@ -333,6 +357,9 @@ fn journal_replay_is_idempotent_and_byte_stable() {
     // run report are deterministic functions of the seed.
     let again = journal_replay_scenario(seed);
     assert_eq!(out, again, "same-seed journal replay must be byte-stable");
+    check_golden("storage/journal_replay", || {
+        format!("seed: {seed}\n{}", journal_replay_scenario(seed).render())
+    });
 }
 
 /// Run the two-tenant chaos workload and return (transcript, ryw
@@ -429,4 +456,5 @@ fn read_your_writes_holds_per_tenant_under_the_chaos_preset() {
         ta.contains("fault.storage"),
         "report should count the faults"
     );
+    check_golden_seeds("storage/chaos", &[1, 2, 3], 3, chaos_matrix::scenario);
 }
