@@ -90,6 +90,14 @@ fn main() {
         assert_eq!(row.p95, snap.percentile(95.0), "p95 disagrees on {b}");
         assert_eq!(row.p99, snap.percentile(99.0), "p99 disagrees on {b}");
         assert_eq!(row.max, snap.max, "max disagrees on {b}");
+        // The bucketed p95 sits within the histogram's 12.5% error
+        // bound of the exact nearest-rank oracle.
+        let exact_p95 = r.exact_percentile(95.0);
+        assert!(
+            exact_p95 <= row.p95 && row.p95 as f64 <= exact_p95 as f64 * 1.125 + 8.0,
+            "p95 {} is outside the 12.5% bound of the exact {exact_p95} on {b}",
+            row.p95
+        );
         print!("{:>10} |{:>10}", b.name(), row.count);
         for v in [row.p50, row.p95, row.p99, row.max] {
             print!("{:>10.3}", v as f64 / 1e6);
@@ -104,7 +112,7 @@ fn main() {
                 ("p95_ns".into(), row.p95 as f64),
                 ("p99_ns".into(), row.p99 as f64),
                 ("max_ns".into(), row.max as f64),
-                ("exact_p95_ns".into(), r.exact_percentile(95.0) as f64),
+                ("exact_p95_ns".into(), exact_p95 as f64),
             ],
         ));
     }

@@ -22,7 +22,7 @@
 //! replication links.
 //!
 //! The crash-consistency harness lives in `tests/storage_consistency.rs`
-//! and `examples/storage_consistency.rs` at the workspace root: a
+//! at the workspace root: a
 //! [`HistoryRecorder`] records every client op with virtual
 //! invoke/complete timestamps, [`check_read_your_writes`]
 //! (per-tenant session guarantee) and [`check_linearizable`]

@@ -6,8 +6,8 @@
 //! The first stage structurally disassembles the pipeline's *own*
 //! class files (mounted into the group namespace), the second filters
 //! the listing, the third counts what survived; the host reads the
-//! final pipe. Same seed → byte-identical transcript (CI diffs two
-//! runs to prove it).
+//! final pipe. Same seed → byte-identical artifacts
+//! (`tests/determinism.rs` checks seeds 1–3 against goldens).
 //!
 //! Run with: `cargo run --example shell_pipeline -- [seed] [--out DIR]`
 //!

@@ -8,7 +8,7 @@
 //! **byte-identical** (markdown, JSON, and Prometheus exposition):
 //! parallelism changes wall-clock time, never the artifact. Host wall
 //! timings appear only on stdout and in `BENCH_scale.json`, never in
-//! the report itself, so CI can diff reports across shard counts.
+//! the report itself.
 //!
 //! Run with: `cargo run --release --example tenant_storm -- [tenants]
 //! [--seed S] [--threads N] [--out DIR]`

@@ -6,16 +6,12 @@
 
 mod common;
 
-#[allow(dead_code)]
-#[path = "../examples/fault_matrix.rs"]
-mod fault_matrix;
-
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use common::check_golden_seeds;
 use doppio::core::{KernelError, PipeRead, PipeWrite, Scheduler, ThreadStep, WaitPid};
-use doppio::faults::{FaultConfig, FaultPlan};
+use doppio::faults::{FaultConfig, FaultPlan, FaultRecord};
 use doppio::fs::{backends, FileSystem};
 use doppio::jvm::{fsutil, spawn_jvm};
 use doppio::minijava::compile_to_bytes;
@@ -399,11 +395,21 @@ fn explore_finds_shrinks_and_replays_the_cross_process_deadlock() {
     assert_eq!(again, failure.message);
 }
 
+/// What one faulty transfer observed.
+struct Transfer {
+    /// The writer's transient-fault retries.
+    retries: u32,
+    /// The plan's injection log.
+    log: Vec<FaultRecord>,
+    /// The run in golden form: bytes, retries, injections, end time,
+    /// and the fault log with virtual timestamps.
+    transcript: String,
+}
+
 /// Run the 64-byte writer/reader pair over a tiny pipe with a seeded
-/// fault plan injected into the kernel's pipe ops. Returns the bytes
-/// the reader saw, the writer's transient-fault retry count, and the
-/// plan's injection log (for determinism checks).
-fn faulty_transfer(seed: u64) -> (Vec<u8>, u32, Vec<doppio::faults::FaultRecord>) {
+/// fault plan injected into the kernel's pipe ops. The payload must
+/// arrive intact.
+fn faulty_transfer(seed: u64) -> Transfer {
     let kernel = Kernel::new();
     let cfg = FaultConfig {
         fs_eio_p: 0.10,
@@ -458,13 +464,32 @@ fn faulty_transfer(seed: u64) -> (Vec<u8>, u32, Vec<doppio::faults::FaultRecord>
 
     kernel.run().unwrap();
     assert!(kernel.all_exited());
+    assert_eq!(
+        *out.borrow(),
+        payload,
+        "seed {seed}: payload corrupted by injected faults"
+    );
     // Injections surfaced through the metrics registry too.
     let engine = kernel.engine();
     let m = engine.metrics();
     let counted = m.get("fault.pipe.transient_eio") + m.get("fault.pipe.slow_completion");
     assert_eq!(counted, plan.fs_injected() as u64);
-    let bytes = out.borrow().clone();
-    (bytes, retries.get(), plan.log())
+
+    let mut transcript = format!(
+        "seed={seed} bytes={} retries={} injected={} end_ns={}\n",
+        out.borrow().len(),
+        retries.get(),
+        plan.fs_injected(),
+        engine.now_ns(),
+    );
+    for rec in plan.log() {
+        transcript += &format!("  {}ns {} {}\n", rec.ts_ns, rec.kind, rec.detail);
+    }
+    Transfer {
+        retries: retries.get(),
+        log: plan.log(),
+        transcript,
+    }
 }
 
 #[test]
@@ -472,9 +497,7 @@ fn pipe_faults_are_survivable_and_deterministic() {
     // Regression for the fault plan wired into kernel pipe ops: a
     // writer/reader pair rides out injected transient EIOs and slow
     // completions without losing, duplicating, or reordering a byte.
-    let payload: Vec<u8> = (0u8..64).collect();
-    let (bytes, retries, log) = faulty_transfer(0xFA_17);
-    assert_eq!(bytes, payload, "payload corrupted by injected faults");
+    let Transfer { retries, log, .. } = faulty_transfer(0xFA_17);
     assert!(
         !log.is_empty(),
         "the plan never fired — the probabilities or seed are too timid"
@@ -489,12 +512,11 @@ fn pipe_faults_are_survivable_and_deterministic() {
     );
     assert!(retries >= 1, "the writer never saw a retryable fault");
 
-    // Same seed, same faults at the same virtual instants, same run.
-    let (bytes2, retries2, log2) = faulty_transfer(0xFA_17);
-    assert_eq!(bytes2, payload);
-    assert_eq!(retries2, retries);
-    assert_eq!(log2, log, "fault injection must be seed-deterministic");
-    check_golden_seeds("kernel/pipe_faults", &[1, 2, 3], 3, fault_matrix::scenario);
+    // Same seed, same faults at the same virtual instants, same run, at
+    // any shard-pool size.
+    check_golden_seeds("kernel/pipe_faults", &[1, 2, 3], 3, |seed| {
+        faulty_transfer(seed).transcript
+    });
 
     // A fault-free plan is exactly the old kernel.
     let kernel = Kernel::new();

@@ -1,8 +1,7 @@
 //! The multi-tenant scale harness, end-to-end: K closure-guest
 //! tenants sharded across OS thread pools of every size must produce
-//! **byte-identical** merged artifacts — the determinism guarantee
-//! `docs/scale.md` promises and CI's `scale-smoke` job enforces on
-//! the real workload.
+//! **byte-identical** merged artifacts, equal to their golden — the
+//! determinism guarantee `docs/scale.md` promises.
 
 mod common;
 
@@ -11,7 +10,7 @@ use doppio::core::report::RunReport;
 use doppio::core::ThreadStep;
 use doppio::jsengine::Browser;
 use doppio::prng::SplitMix64;
-use doppio::scale::{self, run_tenants, ScaleReport, TenantRun, TenantSpec};
+use doppio::scale::{self, run_tenants, TenantRun, TenantSpec};
 use doppio::{BuildOnKernel, EngineBuilder, Kernel, SpawnOptions};
 
 /// A cheap closure-guest tenant: a fresh kernel whose one process
@@ -49,38 +48,21 @@ fn tiny_tenant(spec: TenantSpec) -> TenantRun {
     }
 }
 
-/// Render every artifact the harness guarantees byte-identity for.
-fn artifacts(r: &ScaleReport) -> (String, String, String) {
-    (r.to_markdown(), r.to_json_string(), r.prometheus())
-}
-
 const MASTER_SEED: u64 = 0xC0FF_EE00;
 const TENANTS: usize = 9;
 
 #[test]
 fn merged_report_is_byte_identical_across_shard_pool_sizes() {
-    let reference = run_tenants("scale_harness", MASTER_SEED, TENANTS, 1, tiny_tenant);
-    let reference_artifacts = artifacts(&reference);
-    for threads in [1, 4, scale::default_threads()] {
-        let run = run_tenants("scale_harness", MASTER_SEED, TENANTS, threads, tiny_tenant);
-        assert_eq!(
-            artifacts(&run),
-            reference_artifacts,
-            "threads={threads} diverged from the serial reference"
-        );
-    }
-    // And two consecutive runs at the same pool size agree: no hidden
-    // host state (wall clocks, thread ids, allocation order) leaks in.
-    let again = run_tenants("scale_harness", MASTER_SEED, TENANTS, 4, tiny_tenant);
-    assert_eq!(artifacts(&again), reference_artifacts);
     check_golden_at(
         "scale/tiny_tenants",
         &[1, 4, scale::default_threads()],
         |threads| {
             let run = run_tenants("scale_harness", MASTER_SEED, TENANTS, threads, tiny_tenant);
-            let (md, json, prom) = artifacts(&run);
             format!(
-                "--- scale_report.md\n{md}\n--- scale_report.json\n{json}\n--- scale.prom\n{prom}"
+                "--- scale_report.md\n{}\n--- scale_report.json\n{}\n--- scale.prom\n{}",
+                run.to_markdown(),
+                run.to_json_string(),
+                run.prometheus()
             )
         },
     );
