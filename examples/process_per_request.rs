@@ -169,13 +169,7 @@ fn main() {
     let seed: u64 = args
         .get(1)
         .filter(|a| !a.starts_with("--"))
-        .map(|a| a.parse().expect("seed must be a number"))
-        .or_else(|| {
-            std::env::var("DOPPIO_FAULT_SEED")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or(1);
+        .map_or(1, |a| a.parse().expect("seed must be a number"));
     let out_dir = args
         .iter()
         .position(|a| a == "--out")

@@ -11,7 +11,7 @@
 //!
 //! Run with: `cargo run --example shell_pipeline -- [seed] [--out DIR]`
 //!
-//! * `seed` — RNG seed (default: `$DOPPIO_FAULT_SEED`, then 1).
+//! * `seed` — RNG seed (default 1).
 //! * `--out DIR` — also write `transcript.txt`, `report.md`,
 //!   `report.json`, and `trace.json` (Chrome `trace_event` format)
 //!   under `DIR`.
@@ -210,13 +210,7 @@ fn main() {
     let seed: u64 = args
         .get(1)
         .filter(|a| !a.starts_with("--"))
-        .map(|a| a.parse().expect("seed must be a number"))
-        .or_else(|| {
-            std::env::var("DOPPIO_FAULT_SEED")
-                .ok()
-                .and_then(|s| s.parse().ok())
-        })
-        .unwrap_or(1);
+        .map_or(1, |a| a.parse().expect("seed must be a number"));
     let out_dir = args
         .iter()
         .position(|a| a == "--out")

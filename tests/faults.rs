@@ -4,10 +4,8 @@
 //! event sequence, fault log, and exported Chrome trace — and (b)
 //! recoverable — reconnect-with-backoff and the fs retry policy bring
 //! the workloads to the correct final state, leaving `fault`-category
-//! spans in the trace.
-//!
-//! The CI fault matrix re-runs these tests under several seeds via
-//! `DOPPIO_FAULT_SEED`.
+//! spans in the trace. The same-seed transcripts are checked against
+//! goldens under `tests/golden/faults/`.
 
 mod common;
 
@@ -25,13 +23,8 @@ use doppio::trace::json::{self, Json};
 use doppio::trace::{chrome, RingSink};
 use doppio::workloads::fstrace::{self, javac_trace};
 
-/// The seed under test; the CI matrix sets `DOPPIO_FAULT_SEED`.
-fn seed() -> u64 {
-    std::env::var("DOPPIO_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(1)
-}
+/// The fault seed of the recovery tests.
+const SEED: u64 = 1;
 
 /// An unmodified TCP echo server.
 struct Echo;
@@ -176,7 +169,7 @@ fn reconnect_recovers_the_echo_and_traces_the_faults() {
 
     // Two connection resets, then the fabric heals.
     net.set_faults(FaultPlan::new(
-        seed(),
+        SEED,
         FaultConfig {
             net_reset_p: 1.0,
             max_net_faults: 2,
@@ -227,7 +220,7 @@ fn fs_retry_recovers_and_traces_the_faults() {
         .trace_sink(sink.clone())
         .build();
     let plan = FaultPlan::new(
-        seed(),
+        SEED,
         FaultConfig {
             fs_eio_p: 1.0,
             max_fs_faults: 1,
