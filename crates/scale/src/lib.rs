@@ -32,6 +32,7 @@
 //!
 //! See `docs/scale.md` for the sharding model and merge semantics.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -142,9 +143,11 @@ pub fn tenant_seeds(master_seed: u64, tenants: usize) -> Vec<u64> {
 ///
 /// `tenant` is called once per tenant with its [`TenantSpec`]; it must
 /// build the whole world (engine, kernel, workload) from the spec's
-/// seed, run it, and return a [`TenantRun`]. The merged report is
-/// byte-identical across thread counts — run with `threads = 1` to
-/// get the serial reference.
+/// seed, run it, and return a [`TenantRun`]. A tenant that panics
+/// fails alone: its row reads `ok: false`, status `panic: <message>`,
+/// and an empty report, and the other tenants still run. The merged
+/// report is byte-identical across thread counts — run with
+/// `threads = 1` to get the serial reference.
 pub fn run_tenants(
     title: impl Into<String>,
     master_seed: u64,
@@ -158,7 +161,19 @@ pub fn run_tenants(
             tenant: i,
             seed: seeds[i],
         };
-        (spec, tenant(spec))
+        let run = catch_unwind(AssertUnwindSafe(|| tenant(spec))).unwrap_or_else(|payload| {
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic".to_string());
+            TenantRun {
+                ok: false,
+                status: format!("panic: {msg}"),
+                report: RunReport::default(),
+            }
+        });
+        (spec, run)
     });
     ScaleReport::merge(title, master_seed, &runs)
 }

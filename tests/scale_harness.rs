@@ -101,3 +101,18 @@ fn different_master_seeds_produce_different_reports() {
         "master seed had no effect on the merged report"
     );
 }
+
+#[test]
+fn a_panicking_tenant_fails_alone_at_every_shard_pool_size() {
+    check_golden_at("scale/panicking_tenant", &[1, 2], |threads| {
+        let run = run_tenants("scale_harness", MASTER_SEED, 4, threads, |spec| {
+            if spec.tenant == 2 {
+                panic!("malformed guest");
+            }
+            tiny_tenant(spec)
+        });
+        assert_eq!(run.tenants[2].status, "panic: malformed guest");
+        assert_eq!(run.tenants.iter().filter(|t| t.ok).count(), 3);
+        format!("{}\n", run.to_json_string())
+    });
+}
