@@ -3,10 +3,9 @@
 //! "A backend for the file system API only needs to implement nine
 //! methods that correspond to standard Unix file system commands:
 //! rename, stat, open, unlink, rmdir, mkdir, readdir, close, sync."
-//! Optional methods (chmod, chown, utimes, link, symlink, readlink)
-//! default to `ENOTSUP`. The unified frontend
-//! ([`FileSystem`](crate::FileSystem)) standardizes arguments, raises
-//! the errors, and maps the redundant API surface onto these core
+//! The one optional method, `utimes`, defaults to `ENOTSUP`. The unified
+//! frontend ([`FileSystem`](crate::FileSystem)) standardizes arguments,
+//! raises the errors, and maps the redundant API surface onto these core
 //! operations, so "a file system needs to implement just nine methods"
 //! to get full read/write functionality with NFS-style sync-on-close
 //! semantics.
@@ -102,7 +101,8 @@ impl OpenFlags {
     }
 }
 
-/// A file-system backend: nine required methods, six optional ones.
+/// A file-system backend: nine required methods and one optional one,
+/// `utimes`.
 ///
 /// `open` loads the *entire* file into memory and `sync` writes the
 /// whole contents back — the paper's standard file utility "loads the
@@ -146,35 +146,10 @@ pub trait Backend {
     /// List the names in directory `path`.
     fn readdir(&self, engine: &Engine, path: &str, cb: FsCallback<Vec<String>>);
 
-    // ---- optional operations (default: ENOTSUP) ----
-
-    /// Change permissions (optional).
-    fn chmod(&self, engine: &Engine, path: &str, _mode: u32, cb: FsCallback<()>) {
-        deliver(engine, 1_000, cb, Err(FsError::new(Errno::Enotsup, path)));
-    }
-
-    /// Change ownership (optional).
-    fn chown(&self, engine: &Engine, path: &str, _uid: u32, _gid: u32, cb: FsCallback<()>) {
-        deliver(engine, 1_000, cb, Err(FsError::new(Errno::Enotsup, path)));
-    }
+    // ---- optional operation (default: ENOTSUP) ----
 
     /// Set timestamps (optional).
     fn utimes(&self, engine: &Engine, path: &str, _mtime_ns: u64, cb: FsCallback<()>) {
-        deliver(engine, 1_000, cb, Err(FsError::new(Errno::Enotsup, path)));
-    }
-
-    /// Hard link (optional).
-    fn link(&self, engine: &Engine, _from: &str, to: &str, cb: FsCallback<()>) {
-        deliver(engine, 1_000, cb, Err(FsError::new(Errno::Enotsup, to)));
-    }
-
-    /// Symbolic link (optional).
-    fn symlink(&self, engine: &Engine, _target: &str, link: &str, cb: FsCallback<()>) {
-        deliver(engine, 1_000, cb, Err(FsError::new(Errno::Enotsup, link)));
-    }
-
-    /// Read a symbolic link (optional).
-    fn readlink(&self, engine: &Engine, path: &str, cb: FsCallback<String>) {
         deliver(engine, 1_000, cb, Err(FsError::new(Errno::Enotsup, path)));
     }
 }

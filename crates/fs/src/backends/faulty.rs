@@ -165,6 +165,9 @@ impl Backend for FaultyBackend {
         forward(engine, extra, move |e| inner.readdir(e, &path, cb));
     }
 
+    // `utimes` is optional, but the decorator must override it too: the
+    // trait default would answer ENOTSUP here, silently bypassing both
+    // the fault plan *and* an inner backend that implements it.
     fn utimes(&self, engine: &Engine, path: &str, mtime_ns: u64, cb: FsCallback<()>) {
         let Ok((cb, extra)) = self.gate(engine, "utimes", path, true, cb) else {
             return;
@@ -172,55 +175,6 @@ impl Backend for FaultyBackend {
         let inner = self.inner.clone();
         let path = path.to_string();
         forward(engine, extra, move |e| inner.utimes(e, &path, mtime_ns, cb));
-    }
-
-    // The optional ops must be overridden too: the trait defaults would
-    // answer ENOTSUP here at the decorator, silently bypassing both the
-    // fault plan *and* any inner backend that implements them.
-
-    fn chmod(&self, engine: &Engine, path: &str, mode: u32, cb: FsCallback<()>) {
-        let Ok((cb, extra)) = self.gate(engine, "chmod", path, true, cb) else {
-            return;
-        };
-        let inner = self.inner.clone();
-        let path = path.to_string();
-        forward(engine, extra, move |e| inner.chmod(e, &path, mode, cb));
-    }
-
-    fn chown(&self, engine: &Engine, path: &str, uid: u32, gid: u32, cb: FsCallback<()>) {
-        let Ok((cb, extra)) = self.gate(engine, "chown", path, true, cb) else {
-            return;
-        };
-        let inner = self.inner.clone();
-        let path = path.to_string();
-        forward(engine, extra, move |e| inner.chown(e, &path, uid, gid, cb));
-    }
-
-    fn link(&self, engine: &Engine, from: &str, to: &str, cb: FsCallback<()>) {
-        let Ok((cb, extra)) = self.gate(engine, "link", to, true, cb) else {
-            return;
-        };
-        let inner = self.inner.clone();
-        let (from, to) = (from.to_string(), to.to_string());
-        forward(engine, extra, move |e| inner.link(e, &from, &to, cb));
-    }
-
-    fn symlink(&self, engine: &Engine, target: &str, link: &str, cb: FsCallback<()>) {
-        let Ok((cb, extra)) = self.gate(engine, "symlink", link, true, cb) else {
-            return;
-        };
-        let inner = self.inner.clone();
-        let (target, link) = (target.to_string(), link.to_string());
-        forward(engine, extra, move |e| inner.symlink(e, &target, &link, cb));
-    }
-
-    fn readlink(&self, engine: &Engine, path: &str, cb: FsCallback<String>) {
-        let Ok((cb, extra)) = self.gate(engine, "readlink", path, false, cb) else {
-            return;
-        };
-        let inner = self.inner.clone();
-        let path = path.to_string();
-        forward(engine, extra, move |e| inner.readlink(e, &path, cb));
     }
 }
 
@@ -335,112 +289,5 @@ mod tests {
         );
         engine.run_until_idle();
         assert!(*done_at.borrow() >= t0 + 40_000_000);
-    }
-
-    /// An inner backend whose only job is to prove forwarding: chmod
-    /// succeeds (unlike the trait's ENOTSUP default), everything else
-    /// delegates to in-memory.
-    struct ChmodBackend(SharedBackend);
-
-    impl Backend for ChmodBackend {
-        fn name(&self) -> &'static str {
-            "Chmod"
-        }
-        fn stat(&self, e: &Engine, p: &str, cb: FsCallback<Stat>) {
-            self.0.stat(e, p, cb);
-        }
-        fn open(&self, e: &Engine, p: &str, f: OpenFlags, cb: FsCallback<Vec<u8>>) {
-            self.0.open(e, p, f, cb);
-        }
-        fn sync(&self, e: &Engine, p: &str, d: Vec<u8>, cb: FsCallback<()>) {
-            self.0.sync(e, p, d, cb);
-        }
-        fn close(&self, e: &Engine, p: &str, cb: FsCallback<()>) {
-            self.0.close(e, p, cb);
-        }
-        fn rename(&self, e: &Engine, f: &str, t: &str, cb: FsCallback<()>) {
-            self.0.rename(e, f, t, cb);
-        }
-        fn unlink(&self, e: &Engine, p: &str, cb: FsCallback<()>) {
-            self.0.unlink(e, p, cb);
-        }
-        fn mkdir(&self, e: &Engine, p: &str, cb: FsCallback<()>) {
-            self.0.mkdir(e, p, cb);
-        }
-        fn rmdir(&self, e: &Engine, p: &str, cb: FsCallback<()>) {
-            self.0.rmdir(e, p, cb);
-        }
-        fn readdir(&self, e: &Engine, p: &str, cb: FsCallback<Vec<String>>) {
-            self.0.readdir(e, p, cb);
-        }
-        fn chmod(&self, e: &Engine, _p: &str, _mode: u32, cb: FsCallback<()>) {
-            deliver(e, 1_000, cb, Ok(()));
-        }
-    }
-
-    #[test]
-    fn optional_ops_draw_injection_and_count_it() {
-        // Regression: chmod/chown/link/symlink/readlink used to fall
-        // through to the trait defaults, bypassing the fault plan.
-        let engine = Engine::new(Browser::Chrome);
-        let plan = eio_plan(5);
-        let be = FaultyBackend::new(backends::in_memory(&engine), plan.clone());
-        let errs = Rc::new(RefCell::new(Vec::new()));
-        let push = |errs: &Rc<RefCell<Vec<Errno>>>| {
-            let e = errs.clone();
-            Box::new(move |_: &Engine, r: Result<(), FsError>| {
-                e.borrow_mut().push(r.unwrap_err().errno)
-            })
-        };
-        be.chmod(&engine, "/f", 0o644, push(&errs));
-        be.chown(&engine, "/f", 1, 1, push(&errs));
-        be.link(&engine, "/f", "/g", push(&errs));
-        be.symlink(&engine, "/f", "/l", push(&errs));
-        let e2 = errs.clone();
-        be.readlink(
-            &engine,
-            "/l",
-            Box::new(move |_, r| e2.borrow_mut().push(r.unwrap_err().errno)),
-        );
-        engine.run_until_idle();
-        assert_eq!(*errs.borrow(), vec![Errno::Eio; 5], "all five gated");
-        assert_eq!(plan.fs_injected(), 5);
-        assert_eq!(
-            engine.metrics().counter("fault.fs.transient_eio").get(),
-            5,
-            "injections visible under fault.fs.*"
-        );
-    }
-
-    #[test]
-    fn optional_ops_forward_to_inner_implementations() {
-        // With no faults configured, the decorator must reach the
-        // inner chmod (which succeeds here), not the ENOTSUP default.
-        let engine = Engine::new(Browser::Chrome);
-        let plan = FaultPlan::new(1, FaultConfig::default());
-        let inner: SharedBackend = Rc::new(ChmodBackend(backends::in_memory(&engine)));
-        let be = FaultyBackend::new(inner, plan);
-        let results = Rc::new(RefCell::new(Vec::new()));
-        let r1 = results.clone();
-        be.chmod(
-            &engine,
-            "/",
-            0o755,
-            Box::new(move |_, r| r1.borrow_mut().push(r)),
-        );
-        // chown has no inner implementation: ENOTSUP must still come
-        // from the *inner* default, proving the call went through.
-        let r2 = results.clone();
-        be.chown(
-            &engine,
-            "/",
-            0,
-            0,
-            Box::new(move |_, r| r2.borrow_mut().push(r)),
-        );
-        engine.run_until_idle();
-        let got = results.borrow();
-        assert!(got[0].is_ok(), "inner chmod reached");
-        assert_eq!(got[1].as_ref().unwrap_err().errno, Errno::Enotsup);
     }
 }
