@@ -244,6 +244,48 @@ struct PlanInner {
     log: Vec<FaultRecord>,
 }
 
+impl PlanInner {
+    /// The injected count and the cap of `domain`'s recovery budget.
+    fn budget(&mut self, domain: Domain) -> (&mut u32, u32) {
+        match domain {
+            Domain::Net => (&mut self.net_injected, self.cfg.max_net_faults),
+            Domain::Fs | Domain::Pipe => (&mut self.fs_injected, self.cfg.max_fs_faults),
+            Domain::Storage => (&mut self.storage_injected, self.cfg.max_storage_faults),
+        }
+    }
+}
+
+/// Where a fault decision is made. Pipe faults share the fs budget.
+#[derive(Clone, Copy)]
+enum Domain {
+    Net,
+    Fs,
+    Pipe,
+    Storage,
+}
+
+impl Domain {
+    /// The `<domain>` of `fault.<domain>.<kind>` counters.
+    fn name(self) -> &'static str {
+        match self {
+            Domain::Net => "net",
+            Domain::Fs => "fs",
+            Domain::Pipe => "pipe",
+            Domain::Storage => "storage",
+        }
+    }
+
+    /// The name of the trace instant an injection emits.
+    fn instant(self) -> &'static str {
+        match self {
+            Domain::Net => "net_fault",
+            Domain::Fs => "fs_fault",
+            Domain::Pipe => "pipe_fault",
+            Domain::Storage => "storage_fault",
+        }
+    }
+}
+
 /// A seeded, virtual-clock-driven fault plan. Cheaply cloneable; all
 /// clones share one PRNG stream and one log, so a single plan can be
 /// injected into the network fabric and several backends at once while
@@ -269,63 +311,88 @@ impl FaultPlan {
         }
     }
 
+    /// One fault decision in `domain`. Once the domain's budget is
+    /// spent nothing fires; otherwise `draw` picks the fault from the
+    /// plan's stream, in its domain's fixed evaluation order (which
+    /// keeps the stream reproducible). A fault that fires is charged
+    /// to the budget, logged with `detail`, counted as
+    /// `fault.<domain>.<kind>`, and traced as a `<domain>_fault`
+    /// instant whose args are its kind and `args`.
+    fn decide<F: Copy>(
+        &self,
+        engine: &Engine,
+        domain: Domain,
+        kind: fn(&F) -> &'static str,
+        draw: impl FnOnce(&mut SplitMix64, &FaultConfig) -> Option<F>,
+        detail: impl FnOnce() -> String,
+        args: impl FnOnce() -> [(&'static str, ArgValue); 2],
+    ) -> Option<F> {
+        let fault = {
+            let mut p = self.inner.borrow_mut();
+            let p = &mut *p;
+            let (injected, cap) = p.budget(domain);
+            if *injected >= cap {
+                return None;
+            }
+            let fault = draw(&mut p.rng, &p.cfg)?;
+            *p.budget(domain).0 += 1;
+            p.log.push(FaultRecord {
+                ts_ns: engine.now_ns(),
+                kind: kind(&fault),
+                detail: detail(),
+            });
+            fault
+        };
+        // Faults are rare; a registry lookup here is fine and lets the
+        // RunReport count injections without holding the plan.
+        engine
+            .metrics()
+            .counter(&format!("fault.{}.{}", domain.name(), kind(&fault)))
+            .inc();
+        let tracer = engine.tracer();
+        if tracer.enabled() {
+            let [a, b] = args();
+            tracer.instant(
+                cat::FAULT,
+                domain.instant(),
+                engine.now_ns(),
+                0,
+                vec![("kind", ArgValue::from(kind(&fault))), a, b],
+            );
+        }
+        Some(fault)
+    }
+
     /// Decide the fate of one network transmission of `bytes` payload
     /// bytes in direction `dir` (`"c2s"` / `"s2c"`). Returns `None` for
     /// normal delivery. The decision is logged and traced.
     pub fn net_fault(&self, engine: &Engine, dir: &'static str, bytes: usize) -> Option<NetFault> {
-        let fault = {
-            let mut p = self.inner.borrow_mut();
-            if p.net_injected >= p.cfg.max_net_faults {
-                return None;
-            }
-            let cfg = p.cfg.clone();
-            // Fixed evaluation order keeps the stream reproducible.
-            let fault = if p.rng.gen_bool(cfg.net_reset_p) {
-                Some(NetFault::Reset)
-            } else if p.rng.gen_bool(cfg.net_drop_p) {
-                Some(NetFault::Drop)
-            } else if p.rng.gen_bool(cfg.net_spike_p) {
-                let (lo, hi) = cfg.net_spike_ns;
-                Some(NetFault::LatencySpike(p.rng.gen_range(lo..=hi)))
-            } else if bytes > 1 && p.rng.gen_bool(cfg.net_split_p) {
-                let at = p.rng.gen_range(1..bytes);
-                Some(NetFault::Split(at))
-            } else {
-                None
-            };
-            if let Some(f) = fault {
-                p.net_injected += 1;
-                p.log.push(FaultRecord {
-                    ts_ns: engine.now_ns(),
-                    kind: f.name(),
-                    detail: format!("{dir} {bytes}B"),
-                });
-            }
-            fault
-        };
-        if let Some(f) = fault {
-            // Faults are rare; a registry lookup here is fine and lets
-            // the RunReport count injections without holding the plan.
-            engine
-                .metrics()
-                .counter(&format!("fault.net.{}", f.name()))
-                .inc();
-            let tracer = engine.tracer();
-            if tracer.enabled() {
-                tracer.instant(
-                    cat::FAULT,
-                    "net_fault",
-                    engine.now_ns(),
-                    0,
-                    vec![
-                        ("kind", ArgValue::from(f.name())),
-                        ("dir", ArgValue::from(dir)),
-                        ("bytes", ArgValue::U64(bytes as u64)),
-                    ],
-                );
-            }
-        }
-        fault
+        self.decide(
+            engine,
+            Domain::Net,
+            NetFault::name,
+            |rng, cfg| {
+                if rng.gen_bool(cfg.net_reset_p) {
+                    Some(NetFault::Reset)
+                } else if rng.gen_bool(cfg.net_drop_p) {
+                    Some(NetFault::Drop)
+                } else if rng.gen_bool(cfg.net_spike_p) {
+                    let (lo, hi) = cfg.net_spike_ns;
+                    Some(NetFault::LatencySpike(rng.gen_range(lo..=hi)))
+                } else if bytes > 1 && rng.gen_bool(cfg.net_split_p) {
+                    Some(NetFault::Split(rng.gen_range(1..bytes)))
+                } else {
+                    None
+                }
+            },
+            || format!("{dir} {bytes}B"),
+            || {
+                [
+                    ("dir", ArgValue::from(dir)),
+                    ("bytes", ArgValue::U64(bytes as u64)),
+                ]
+            },
+        )
     }
 
     /// Decide the fate of one fs backend operation `op` on `path`.
@@ -338,53 +405,30 @@ impl FaultPlan {
         path: &str,
         writes: bool,
     ) -> Option<FsFault> {
-        let fault = {
-            let mut p = self.inner.borrow_mut();
-            if p.fs_injected >= p.cfg.max_fs_faults {
-                return None;
-            }
-            let cfg = p.cfg.clone();
-            let fault = if p.rng.gen_bool(cfg.fs_eio_p) {
-                Some(FsFault::TransientEio)
-            } else if writes && p.rng.gen_bool(cfg.fs_quota_p) {
-                Some(FsFault::QuotaExceeded)
-            } else if p.rng.gen_bool(cfg.fs_slow_p) {
-                let (lo, hi) = cfg.fs_slow_ns;
-                Some(FsFault::SlowCompletion(p.rng.gen_range(lo..=hi)))
-            } else {
-                None
-            };
-            if let Some(f) = fault {
-                p.fs_injected += 1;
-                p.log.push(FaultRecord {
-                    ts_ns: engine.now_ns(),
-                    kind: f.name(),
-                    detail: format!("{op} {path}"),
-                });
-            }
-            fault
-        };
-        if let Some(f) = fault {
-            engine
-                .metrics()
-                .counter(&format!("fault.fs.{}", f.name()))
-                .inc();
-            let tracer = engine.tracer();
-            if tracer.enabled() {
-                tracer.instant(
-                    cat::FAULT,
-                    "fs_fault",
-                    engine.now_ns(),
-                    0,
-                    vec![
-                        ("kind", ArgValue::from(f.name())),
-                        ("op", ArgValue::from(op)),
-                        ("path", ArgValue::from(path.to_string())),
-                    ],
-                );
-            }
-        }
-        fault
+        self.decide(
+            engine,
+            Domain::Fs,
+            FsFault::name,
+            |rng, cfg| {
+                if rng.gen_bool(cfg.fs_eio_p) {
+                    Some(FsFault::TransientEio)
+                } else if writes && rng.gen_bool(cfg.fs_quota_p) {
+                    Some(FsFault::QuotaExceeded)
+                } else if rng.gen_bool(cfg.fs_slow_p) {
+                    let (lo, hi) = cfg.fs_slow_ns;
+                    Some(FsFault::SlowCompletion(rng.gen_range(lo..=hi)))
+                } else {
+                    None
+                }
+            },
+            || format!("{op} {path}"),
+            || {
+                [
+                    ("op", ArgValue::from(op)),
+                    ("path", ArgValue::from(path.to_string())),
+                ]
+            },
+        )
     }
 
     /// Decide the fate of one kernel pipe operation `op` (`"read"` /
@@ -395,52 +439,23 @@ impl FaultPlan {
     /// [`FsFault::SlowCompletion`] can fire. Returns `None` for normal
     /// completion.
     pub fn pipe_fault(&self, engine: &Engine, op: &'static str, pipe: u64) -> Option<FsFault> {
-        let fault = {
-            let mut p = self.inner.borrow_mut();
-            if p.fs_injected >= p.cfg.max_fs_faults {
-                return None;
-            }
-            let cfg = p.cfg.clone();
-            // Fixed evaluation order keeps the stream reproducible.
-            let fault = if p.rng.gen_bool(cfg.fs_eio_p) {
-                Some(FsFault::TransientEio)
-            } else if p.rng.gen_bool(cfg.fs_slow_p) {
-                let (lo, hi) = cfg.fs_slow_ns;
-                Some(FsFault::SlowCompletion(p.rng.gen_range(lo..=hi)))
-            } else {
-                None
-            };
-            if let Some(f) = fault {
-                p.fs_injected += 1;
-                p.log.push(FaultRecord {
-                    ts_ns: engine.now_ns(),
-                    kind: f.name(),
-                    detail: format!("{op} pipe#{pipe}"),
-                });
-            }
-            fault
-        };
-        if let Some(f) = fault {
-            engine
-                .metrics()
-                .counter(&format!("fault.pipe.{}", f.name()))
-                .inc();
-            let tracer = engine.tracer();
-            if tracer.enabled() {
-                tracer.instant(
-                    cat::FAULT,
-                    "pipe_fault",
-                    engine.now_ns(),
-                    0,
-                    vec![
-                        ("kind", ArgValue::from(f.name())),
-                        ("op", ArgValue::from(op)),
-                        ("pipe", ArgValue::U64(pipe)),
-                    ],
-                );
-            }
-        }
-        fault
+        self.decide(
+            engine,
+            Domain::Pipe,
+            FsFault::name,
+            |rng, cfg| {
+                if rng.gen_bool(cfg.fs_eio_p) {
+                    Some(FsFault::TransientEio)
+                } else if rng.gen_bool(cfg.fs_slow_p) {
+                    let (lo, hi) = cfg.fs_slow_ns;
+                    Some(FsFault::SlowCompletion(rng.gen_range(lo..=hi)))
+                } else {
+                    None
+                }
+            },
+            || format!("{op} pipe#{pipe}"),
+            || [("op", ArgValue::from(op)), ("pipe", ArgValue::U64(pipe))],
+        )
     }
 
     /// Decide the fate of one replicated-storage protocol step `op`
@@ -455,57 +470,33 @@ impl FaultPlan {
         node: &str,
         op: &'static str,
     ) -> Option<StorageFault> {
-        let fault = {
-            let mut p = self.inner.borrow_mut();
-            if p.storage_injected >= p.cfg.max_storage_faults {
-                return None;
-            }
-            let cfg = p.cfg.clone();
-            // Fixed evaluation order keeps the stream reproducible.
-            let fault = if p.rng.gen_bool(cfg.storage_crash_p) {
-                let (lo, hi) = cfg.storage_crash_restart_ns;
-                Some(StorageFault::Crash {
-                    restart_after_ns: p.rng.gen_range(lo..=hi),
-                })
-            } else if op == "replicate" && p.rng.gen_bool(cfg.storage_partition_p) {
-                let (lo, hi) = cfg.storage_partition_ns;
-                Some(StorageFault::Partition {
-                    heal_after_ns: p.rng.gen_range(lo..=hi),
-                })
-            } else {
-                None
-            };
-            if let Some(f) = fault {
-                p.storage_injected += 1;
-                p.log.push(FaultRecord {
-                    ts_ns: engine.now_ns(),
-                    kind: f.name(),
-                    detail: format!("{op} {node}"),
-                });
-            }
-            fault
-        };
-        if let Some(f) = fault {
-            engine
-                .metrics()
-                .counter(&format!("fault.storage.{}", f.name()))
-                .inc();
-            let tracer = engine.tracer();
-            if tracer.enabled() {
-                tracer.instant(
-                    cat::FAULT,
-                    "storage_fault",
-                    engine.now_ns(),
-                    0,
-                    vec![
-                        ("kind", ArgValue::from(f.name())),
-                        ("op", ArgValue::from(op)),
-                        ("node", ArgValue::from(node.to_string())),
-                    ],
-                );
-            }
-        }
-        fault
+        self.decide(
+            engine,
+            Domain::Storage,
+            StorageFault::name,
+            |rng, cfg| {
+                if rng.gen_bool(cfg.storage_crash_p) {
+                    let (lo, hi) = cfg.storage_crash_restart_ns;
+                    Some(StorageFault::Crash {
+                        restart_after_ns: rng.gen_range(lo..=hi),
+                    })
+                } else if op == "replicate" && rng.gen_bool(cfg.storage_partition_p) {
+                    let (lo, hi) = cfg.storage_partition_ns;
+                    Some(StorageFault::Partition {
+                        heal_after_ns: rng.gen_range(lo..=hi),
+                    })
+                } else {
+                    None
+                }
+            },
+            || format!("{op} {node}"),
+            || {
+                [
+                    ("op", ArgValue::from(op)),
+                    ("node", ArgValue::from(node.to_string())),
+                ]
+            },
+        )
     }
 
     /// Network faults injected so far.
