@@ -318,16 +318,16 @@ impl FaultPlan {
     /// to the budget, logged with `detail`, counted as
     /// `fault.<domain>.<kind>`, and traced as a `<domain>_fault`
     /// instant whose args are its kind and `args`.
-    fn decide<F: Copy>(
+    fn decide<F>(
         &self,
         engine: &Engine,
         domain: Domain,
-        kind: fn(&F) -> &'static str,
+        name: fn(&F) -> &'static str,
         draw: impl FnOnce(&mut SplitMix64, &FaultConfig) -> Option<F>,
         detail: impl FnOnce() -> String,
         args: impl FnOnce() -> [(&'static str, ArgValue); 2],
     ) -> Option<F> {
-        let fault = {
+        let (fault, kind) = {
             let mut p = self.inner.borrow_mut();
             let p = &mut *p;
             let (injected, cap) = p.budget(domain);
@@ -335,19 +335,20 @@ impl FaultPlan {
                 return None;
             }
             let fault = draw(&mut p.rng, &p.cfg)?;
+            let kind = name(&fault);
             *p.budget(domain).0 += 1;
             p.log.push(FaultRecord {
                 ts_ns: engine.now_ns(),
-                kind: kind(&fault),
+                kind,
                 detail: detail(),
             });
-            fault
+            (fault, kind)
         };
         // Faults are rare; a registry lookup here is fine and lets the
         // RunReport count injections without holding the plan.
         engine
             .metrics()
-            .counter(&format!("fault.{}.{}", domain.name(), kind(&fault)))
+            .counter(&format!("fault.{}.{kind}", domain.name()))
             .inc();
         let tracer = engine.tracer();
         if tracer.enabled() {
@@ -357,7 +358,7 @@ impl FaultPlan {
                 domain.instant(),
                 engine.now_ns(),
                 0,
-                vec![("kind", ArgValue::from(kind(&fault))), a, b],
+                vec![("kind", ArgValue::from(kind)), a, b],
             );
         }
         Some(fault)
