@@ -86,6 +86,7 @@ fn main() {
         // The report's percentiles must match an independent fold of
         // the probe's exact latencies through the same histogram.
         let snap = r.snapshot();
+        assert!(row.count > 0, "no click was dispatched on {b}");
         assert_eq!(row.count, r.latencies.len() as u64);
         assert_eq!(row.p95, snap.percentile(95.0), "p95 disagrees on {b}");
         assert_eq!(row.p99, snap.percentile(99.0), "p99 disagrees on {b}");
