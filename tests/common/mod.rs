@@ -1,17 +1,17 @@
-//! The byte-identity driver every determinism test shares.
+//! The byte-identity check every determinism test shares.
 //!
 //! A scenario is a pure function of its seed, so its rendered output is
 //! committed under `tests/golden/` and compared byte for byte. The
-//! driver produces each scenario more than once in this process: twice,
+//! check produces each scenario more than once in this process: twice,
 //! or once per shard-pool size when the scenario is sharded. A byte that
 //! moves between commits and hidden host state (allocation order, thread
 //! ids, wall clocks) fail the same check.
 //!
-//! On a mismatch the driver writes what it got to
+//! On a mismatch the check writes what it got to
 //! `target/tmp/golden/<name>.txt` and fails; copy that file over the
 //! golden only when the change is intended.
 
-// Each test crate uses only part of the driver.
+// Each test crate uses only part of this module.
 #![allow(dead_code)]
 
 use std::path::PathBuf;

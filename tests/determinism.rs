@@ -14,7 +14,7 @@
 //! `shell_pipeline`, `process_per_request` and `responsive_page`
 //! examples write, produced by the examples' own `run`.
 //!
-//! The driver in `tests/common/mod.rs` produces every scenario at
+//! The check in `tests/common/mod.rs` produces every scenario at
 //! least twice; see there for what to do on a mismatch.
 
 mod common;
