@@ -434,6 +434,11 @@ fn responsive_page_matches_its_golden() {
     check_golden("observability/responsive_page", || {
         // `--trace --profile --report`: every observer attached.
         let page = responsive_page::run(true, true);
+        let md = page.report.to_markdown();
+        assert!(
+            md.contains("## Latency histograms") && md.contains("## Profile"),
+            "report.md lacks its histogram or profile section:\n{md}"
+        );
         let sink = page.sink.as_ref().expect("trace ring");
         let profiler = page.engine.profiler().expect("profiler attached");
         format!(
