@@ -51,17 +51,21 @@ pub enum CpEntry {
 }
 
 /// A field reference resolved to its declaring class, with the
-/// dictionary key and default value precomputed.
+/// dictionary key, slot and default value precomputed.
 #[derive(Debug)]
 pub struct ResolvedField {
     /// Declaring class.
     pub class: ClassId,
-    /// Dictionary key (`"DeclaringClass.fieldName"`).
+    /// Dictionary key (`"DeclaringClass.fieldName"`). For an instance
+    /// field this is the declaring class's layout `Rc`, which every
+    /// subclass's layout shares, so a pointer comparison with an
+    /// object's slot key tells whether the object carries the field.
     pub key: Rc<str>,
-    /// Field descriptor.
-    pub descriptor: Rc<str>,
-    /// Default value for the descriptor (lazy `getfield` on a fresh
-    /// instance returns this without re-parsing the descriptor).
+    /// The instance field's slot in every layout that carries it (0
+    /// for a static field, which lives in its class's `statics`).
+    pub slot: usize,
+    /// Default value for the descriptor (what `getfield` on an array
+    /// or string receiver reads).
     pub default: Value,
     /// Whether the field is static.
     pub is_static: bool,
@@ -100,6 +104,14 @@ pub struct RuntimeClass {
     pub array_component: Option<String>,
     /// Static fields, keyed `"Class.name"`.
     pub statics: HashMap<String, Value>,
+    /// Instance-field layout: one key (`"DeclaringClass.fieldName"`)
+    /// per slot, the superclass's slots first, sharing its `Rc`s, then
+    /// this class's own non-static fields in declaration order. §6.7's
+    /// field dictionary, laid out once per class.
+    pub slot_keys: Vec<Rc<str>>,
+    /// Each slot's descriptor default, in slot order: a new instance's
+    /// fields start as a copy of this template.
+    pub slot_template: Box<[Value]>,
     /// Initialization state.
     pub clinit: ClinitState,
     /// Quickened constant-pool entries, keyed by CP index, populated on
@@ -115,6 +127,13 @@ impl RuntimeClass {
             .map(|cf| cf.access_flags & access::ACC_INTERFACE != 0)
             .unwrap_or(false)
     }
+
+    /// The slot of instance field `key` (`"DeclaringClass.fieldName"`)
+    /// in this class's layout: the by-name lookup for the natives that
+    /// touch a field they know by name.
+    pub fn field_slot(&self, key: &str) -> Option<usize> {
+        self.slot_keys.iter().position(|k| &**k == key)
+    }
 }
 
 /// A resolved method: declaring class + index into its method list.
@@ -124,19 +143,6 @@ pub struct MethodRef {
     pub class: ClassId,
     /// Index into that class's `methods`.
     pub index: usize,
-}
-
-/// A resolved field.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FieldRef {
-    /// Declaring class.
-    pub class: ClassId,
-    /// Dictionary key (`"DeclaringClass.fieldName"`).
-    pub key: String,
-    /// Field descriptor.
-    pub descriptor: String,
-    /// Whether the field is static.
-    pub is_static: bool,
 }
 
 /// The class registry: all defined classes, by id and name.
@@ -207,14 +213,24 @@ impl ClassRegistry {
         }
         let id = self.classes.len();
         // Statics get default values now; ConstantValue attributes are
-        // applied by the loader after definition.
+        // applied by the loader after definition. Instance fields
+        // extend the superclass's layout.
         let mut statics = HashMap::new();
+        let (mut slot_keys, mut template) = match super_id {
+            Some(s) => {
+                let sup = self.get(s);
+                (sup.slot_keys.clone(), sup.slot_template.to_vec())
+            }
+            None => (Vec::new(), Vec::new()),
+        };
         for f in &cf.fields {
+            let key = format!("{name}.{}", f.name);
+            let default = Value::default_for(&f.descriptor);
             if f.access_flags & access::ACC_STATIC != 0 {
-                statics.insert(
-                    format!("{name}.{}", f.name),
-                    Value::default_for(&f.descriptor),
-                );
+                statics.insert(key, default);
+            } else {
+                slot_keys.push(Rc::from(key));
+                template.push(default);
             }
         }
         self.by_name.insert(name.clone(), id);
@@ -226,6 +242,8 @@ impl ClassRegistry {
             cf: Some(cf),
             array_component: None,
             statics,
+            slot_keys,
+            slot_template: template.into(),
             clinit: ClinitState::NotStarted,
             cp_cache: RefCell::new(HashMap::new()),
         });
@@ -255,6 +273,8 @@ impl ClassRegistry {
             cf: None,
             array_component: Some(component),
             statics: HashMap::new(),
+            slot_keys: Vec::new(),
+            slot_template: Box::default(),
             clinit: ClinitState::Initialized,
             cp_cache: RefCell::new(HashMap::new()),
         });
@@ -331,16 +351,32 @@ impl ClassRegistry {
     }
 
     /// Resolve a field by walking the class, its interfaces, then the
-    /// superclass chain (JVMS §5.4.3.2).
-    pub fn resolve_field(&self, class: ClassId, name: &str) -> Option<FieldRef> {
+    /// superclass chain (JVMS §5.4.3.2). An instance field resolves to
+    /// its declaring class's slot and key `Rc`.
+    pub fn resolve_field(&self, class: ClassId, name: &str) -> Option<ResolvedField> {
         let rc = self.get(class);
         if let Some(cf) = &rc.cf {
-            if let Some(f) = cf.fields.iter().find(|f| f.name == name) {
-                return Some(FieldRef {
+            if let Some(pos) = cf.fields.iter().position(|f| f.name == name) {
+                let f = &cf.fields[pos];
+                let is_static = f.access_flags & access::ACC_STATIC != 0;
+                let (key, slot) = if is_static {
+                    (Rc::from(format!("{}.{name}", rc.name)), 0)
+                } else {
+                    // Own slots follow the superclass's, in declaration order.
+                    let inherited = rc.super_id.map_or(0, |s| self.get(s).slot_keys.len());
+                    let slot = inherited
+                        + cf.fields[..pos]
+                            .iter()
+                            .filter(|f| f.access_flags & access::ACC_STATIC == 0)
+                            .count();
+                    (rc.slot_keys[slot].clone(), slot)
+                };
+                return Some(ResolvedField {
                     class,
-                    key: format!("{}.{}", rc.name, name),
-                    descriptor: f.descriptor.clone(),
-                    is_static: f.access_flags & access::ACC_STATIC != 0,
+                    key,
+                    slot,
+                    default: Value::default_for(&f.descriptor),
+                    is_static,
                 });
             }
         }
@@ -350,26 +386,6 @@ impl ClassRegistry {
             }
         }
         rc.super_id.and_then(|s| self.resolve_field(s, name))
-    }
-
-    /// All instance fields of a class, including inherited ones, as
-    /// `(dictionary key, descriptor)` pairs — used to build the field
-    /// dictionary of a new instance (§6.7).
-    pub fn instance_field_layout(&self, class: ClassId) -> Vec<(String, String)> {
-        let mut out = Vec::new();
-        let mut cur = Some(class);
-        while let Some(id) = cur {
-            let rc = self.get(id);
-            if let Some(cf) = &rc.cf {
-                for f in &cf.fields {
-                    if f.access_flags & access::ACC_STATIC == 0 {
-                        out.push((format!("{}.{}", rc.name, f.name), f.descriptor.clone()));
-                    }
-                }
-            }
-            cur = rc.super_id;
-        }
-        out
     }
 
     /// Subtype test: can a value of class `sub` be assigned to
@@ -467,19 +483,52 @@ mod tests {
         // <init> found on Object from B.
         let init = reg.resolve_method(b, "<init>", "()V").unwrap();
         assert_eq!(init.class, obj);
-        // Field resolution finds A's field from B, keyed by declarer.
+        // Field resolution finds A's field from B, keyed by declarer,
+        // at A's slot with A's key `Rc`.
         let f = reg.resolve_field(b, "x").unwrap();
-        assert_eq!(f.key, "demo/A.x");
+        assert_eq!(&*f.key, "demo/A.x");
         assert!(!f.is_static);
+        assert_eq!((f.class, f.slot), (a, 0));
+        assert!(Rc::ptr_eq(&f.key, &reg.get(a).slot_keys[0]));
         let s = reg.resolve_field(b, "count").unwrap();
         assert!(s.is_static);
-        // Instance layout includes inherited fields.
-        let layout = reg.instance_field_layout(b);
-        assert_eq!(layout, vec![("demo/A.x".to_string(), "I".to_string())]);
         // Assignability.
         assert!(reg.is_assignable(b, "demo/A"));
         assert!(reg.is_assignable(b, "java/lang/Object"));
         assert!(!reg.is_assignable(a, "demo/B"));
+    }
+
+    #[test]
+    fn subclass_layouts_extend_the_superclass_layout() {
+        let mut reg = ClassRegistry::new();
+        define_object(&mut reg);
+        let a = simple_class(&mut reg, "demo/A", "java/lang/Object");
+        let b = {
+            let mut builder = ClassBuilder::new("demo/B", "demo/A");
+            builder.add_field(access::ACC_PRIVATE, "y", "J");
+            builder.add_field(access::ACC_STATIC, "total", "I");
+            builder.add_field(access::ACC_PRIVATE, "x", "Ljava/lang/String;");
+            reg.define(builder.finish()).unwrap()
+        };
+        let (ra, rb) = (reg.get(a), reg.get(b));
+        // Static fields stay out of the layout.
+        let keys = |rc: &RuntimeClass| -> Vec<String> {
+            rc.slot_keys.iter().map(|k| k.to_string()).collect()
+        };
+        assert_eq!(keys(ra), ["demo/A.x"]);
+        // A's slots are a prefix of B's, with the same key `Rc`s; B's
+        // redeclared `x` gets its own key and slot after them.
+        assert_eq!(keys(rb), ["demo/A.x", "demo/B.y", "demo/B.x"]);
+        assert!(Rc::ptr_eq(&ra.slot_keys[0], &rb.slot_keys[0]));
+        assert_eq!(
+            &*rb.slot_template,
+            &[Value::Int(0), Value::Long(0), Value::null()]
+        );
+        let bx = reg.resolve_field(b, "x").unwrap();
+        assert_eq!((bx.class, bx.slot, bx.default), (b, 2, Value::null()));
+        assert!(Rc::ptr_eq(&bx.key, &rb.slot_keys[2]));
+        assert_eq!(rb.field_slot("demo/A.x"), Some(0));
+        assert_eq!(rb.field_slot("demo/B.total"), None);
     }
 
     #[test]

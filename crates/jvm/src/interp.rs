@@ -26,8 +26,10 @@ use doppio_trace::cat;
 use crate::class::{ClassConst, ClassId, ClinitState, CpEntry, ResolvedField};
 use crate::decode::Op;
 use crate::frame::Frame;
+use crate::loader;
 use crate::natives::{self, NativeCtx, PendingNative};
 use crate::object::HeapObj;
+use crate::rtlib;
 use crate::state::{CallSite, JvmState};
 use crate::value::{ObjRef, Value};
 
@@ -625,8 +627,6 @@ pub fn run(
                         let statics = &mut state.registry.get_mut(f.class).statics;
                         if let Some(slot) = statics.get_mut(&*f.key) {
                             *slot = v;
-                        } else {
-                            statics.insert(f.key.to_string(), v);
                         }
                     }
                 }
@@ -644,32 +644,13 @@ pub fn run(
                             &resolved
                         }
                     };
-                    if matches!(op, Op::GetField { .. }) {
-                        if !get_field(state, top!(), f) {
-                            throw!(
-                                "java/lang/NullPointerException",
-                                &format!("getfield {}", f.key)
-                            );
-                        }
+                    let done = if matches!(op, Op::GetField { .. }) {
+                        get_field(state, top!(), f)
                     } else {
-                        // The dictionary lookup of §6.7.
-                        state.engine.charge(Cost::MapOp);
-                        state.engine.charge(Cost::FieldPut);
-                        let fr = top!();
-                        let v = fr.pop();
-                        let Some(obj) = fr.pop_ref() else {
-                            throw!(
-                                "java/lang/NullPointerException",
-                                &format!("putfield {}", f.key)
-                            );
-                        };
-                        if let HeapObj::Instance { fields, .. } = state.heap.get_mut(obj) {
-                            if let Some(slot) = fields.get_mut(&*f.key) {
-                                *slot = v;
-                            } else {
-                                fields.insert(f.key.to_string(), v);
-                            }
-                        }
+                        put_field(state, top!(), f)
+                    };
+                    if let Err((class, msg)) = done {
+                        throw!(class, &msg);
                     }
                 }
 
@@ -879,11 +860,8 @@ pub fn run(
                     };
                     dispatch!();
                     state.perf.cp_hit.inc();
-                    if !get_field(state, top!(), field) {
-                        throw!(
-                            "java/lang/NullPointerException",
-                            &format!("getfield {}", field.key)
-                        );
+                    if let Err((class, msg)) = get_field(state, top!(), field) {
+                        throw!(class, &msg);
                     }
                 }
             }
@@ -923,21 +901,66 @@ fn conv_cost(opcode: u8) -> Cost {
     }
 }
 
+/// The exception a field op throws: class name and message.
+type FieldFault = (&'static str, String);
+
 /// A resolved `getfield` on the top frame: charge the §6.7 dictionary
-/// lookup, pop the receiver and push its field value. `false` (and
-/// nothing pushed) for a null receiver.
-fn get_field(state: &mut JvmState, frame: &mut Frame, f: &ResolvedField) -> bool {
+/// lookup, pop the receiver and push its field value. `Err` (with
+/// nothing pushed) carries the exception to throw.
+fn get_field(state: &mut JvmState, frame: &mut Frame, f: &ResolvedField) -> Result<(), FieldFault> {
     state.engine.charge(Cost::MapOp);
     state.engine.charge(Cost::FieldGet);
     let Some(obj) = frame.pop_ref() else {
-        return false;
+        return Err((
+            "java/lang/NullPointerException",
+            format!("getfield {}", f.key),
+        ));
     };
-    let v = match state.heap.get(obj) {
-        HeapObj::Instance { fields, .. } => fields.get(&*f.key).copied().unwrap_or(f.default),
-        _ => f.default,
-    };
+    let v = field_slot(state, obj, f)?.map_or(f.default, |v| *v);
     frame.push(v);
-    true
+    Ok(())
+}
+
+/// A resolved `putfield` on the top frame: charge the §6.7 dictionary
+/// lookup, pop the value and the receiver, and store the field. `Err`
+/// carries the exception to throw.
+fn put_field(state: &mut JvmState, frame: &mut Frame, f: &ResolvedField) -> Result<(), FieldFault> {
+    state.engine.charge(Cost::MapOp);
+    state.engine.charge(Cost::FieldPut);
+    let v = frame.pop();
+    let Some(obj) = frame.pop_ref() else {
+        return Err((
+            "java/lang/NullPointerException",
+            format!("putfield {}", f.key),
+        ));
+    };
+    if let Some(slot) = field_slot(state, obj, f)? {
+        *slot = v;
+    }
+    Ok(())
+}
+
+/// `obj`'s slot for resolved instance field `f`. An instance carries
+/// the field exactly when its layout holds `f`'s key `Rc` at `f`'s
+/// slot; one that does not is an `IncompatibleClassChangeError`.
+/// Arrays and strings have no slots (`None`): a read sees the default
+/// and a write is dropped.
+fn field_slot<'s>(
+    state: &'s mut JvmState,
+    obj: ObjRef,
+    f: &ResolvedField,
+) -> Result<Option<&'s mut Value>, FieldFault> {
+    let HeapObj::Instance { class, fields } = state.heap.get_mut(obj) else {
+        return Ok(None);
+    };
+    let rc = state.registry.get(*class);
+    match (rc.slot_keys.get(f.slot), fields.get_mut(f.slot)) {
+        (Some(key), Some(v)) if Rc::ptr_eq(key, &f.key) => Ok(Some(v)),
+        _ => Err((
+            "java/lang/IncompatibleClassChangeError",
+            format!("{} has no field {}", rc.name, f.key),
+        )),
+    }
 }
 
 /// JVM `f2i`/`d2i` conversion: NaN → 0, saturating.
@@ -1167,7 +1190,9 @@ fn ldc(
 /// class is initialized first (`Err(CallBoundary)` after pushing its
 /// `<clinit>`; the instruction retries), and its entry is quickened only
 /// once that class is `Initialized`, so the hit path may skip the
-/// initialization protocol.
+/// initialization protocol. A field of the other kind than the op's
+/// (`is_static`) is an `IncompatibleClassChangeError` and never fills
+/// `slot`, so the hit paths only ever see fields of their own kind.
 #[allow(clippy::too_many_arguments)]
 fn resolve_field(
     state: &mut JvmState,
@@ -1179,54 +1204,69 @@ fn resolve_field(
     slot: &OnceCell<Rc<ResolvedField>>,
     is_static: bool,
 ) -> Result<Rc<ResolvedField>, StepResult> {
-    if let Some(f) = cp_field(state, class, idx) {
-        state.perf.cp_hit.inc();
-        return Ok(slot.get_or_init(|| f).clone());
-    }
-    note_cp_miss(state, ctx, if is_static { "static_field" } else { "field" });
-    let cf = state.registry.get(class).cf.as_ref().expect("class file");
-    let (cname, fname) = match cf.constant_pool.member_ref(idx) {
-        Ok((c, n, _)) => (c.to_string(), n.to_string()),
-        Err(e) => {
-            let msg = e.to_string();
-            return Err(throw_vm(
-                state,
-                frames,
-                ctx,
-                tid,
-                "java/lang/InternalError",
-                &msg,
-            ));
+    let (resolved, quickened) = match cp_field(state, class, idx) {
+        Some(f) => {
+            state.perf.cp_hit.inc();
+            (f, true)
+        }
+        None => {
+            note_cp_miss(state, ctx, if is_static { "static_field" } else { "field" });
+            let cf = state.registry.get(class).cf.as_ref().expect("class file");
+            let (cname, fname) = match cf.constant_pool.member_ref(idx) {
+                Ok((c, n, _)) => (c.to_string(), n.to_string()),
+                Err(e) => {
+                    let msg = e.to_string();
+                    return Err(throw_vm(
+                        state,
+                        frames,
+                        ctx,
+                        tid,
+                        "java/lang/InternalError",
+                        &msg,
+                    ));
+                }
+            };
+            let class_id = ensure_class(state, &cname)?;
+            if is_static {
+                if let InitAction::Pushed = ensure_initialized(state, frames, tid, class_id) {
+                    return Err(StepResult::CallBoundary);
+                }
+            }
+            let Some(resolved) = state.registry.resolve_field(class_id, &fname) else {
+                let msg = format!("{cname}.{fname}");
+                return Err(throw_vm(
+                    state,
+                    frames,
+                    ctx,
+                    tid,
+                    "java/lang/NoSuchFieldError",
+                    &msg,
+                ));
+            };
+            let resolved = Rc::new(resolved);
+            // Instance-field resolution is stable (classes are never
+            // redefined); a static field waits for `Initialized`.
+            let quicken_now = resolved.is_static == is_static
+                && (!is_static || state.registry.get(class_id).clinit == ClinitState::Initialized);
+            if quicken_now {
+                quicken(state, class, idx, CpEntry::Field(resolved.clone()));
+            }
+            (resolved, quicken_now)
         }
     };
-    let class_id = ensure_class(state, &cname)?;
-    if is_static {
-        if let InitAction::Pushed = ensure_initialized(state, frames, tid, class_id) {
-            return Err(StepResult::CallBoundary);
-        }
-    }
-    let Some(fr) = state.registry.resolve_field(class_id, &fname) else {
-        let msg = format!("{cname}.{fname}");
+    if resolved.is_static != is_static {
+        let kind = if is_static { "static" } else { "non-static" };
+        let msg = format!("Expected {kind} field {}", resolved.key);
         return Err(throw_vm(
             state,
             frames,
             ctx,
             tid,
-            "java/lang/NoSuchFieldError",
+            "java/lang/IncompatibleClassChangeError",
             &msg,
         ));
-    };
-    let resolved = Rc::new(ResolvedField {
-        class: fr.class,
-        key: Rc::from(fr.key.as_str()),
-        default: Value::default_for(&fr.descriptor),
-        descriptor: Rc::from(fr.descriptor.as_str()),
-        is_static: fr.is_static,
-    });
-    // Instance-field resolution is stable (classes are never
-    // redefined): quicken unconditionally.
-    if !is_static || state.registry.get(class_id).clinit == ClinitState::Initialized {
-        quicken(state, class, idx, CpEntry::Field(resolved.clone()));
+    }
+    if quickened {
         let _ = slot.set(resolved.clone());
     }
     Ok(resolved)
@@ -1405,15 +1445,12 @@ fn ensure_initialized(
     InitAction::Ready
 }
 
-/// Allocate an instance with its field dictionary pre-populated (§6.7).
+/// Allocate an instance: charged as §6.7's field dictionary (one map
+/// operation per field), built as a copy of its class's slot template.
 pub fn alloc_instance(state: &mut JvmState, class: ClassId) -> ObjRef {
+    let fields = state.registry.get(class).slot_template.clone();
     state.engine.charge(Cost::Alloc);
-    let layout = state.registry.instance_field_layout(class);
-    state.engine.charge_n(Cost::MapOp, layout.len() as u64);
-    let fields = layout
-        .into_iter()
-        .map(|(key, desc)| (key, Value::default_for(&desc)))
-        .collect();
+    state.engine.charge_n(Cost::MapOp, fields.len() as u64);
     state.heap.alloc(HeapObj::Instance { class, fields })
 }
 
@@ -1463,12 +1500,12 @@ pub fn class_object(state: &mut JvmState, name: &str) -> ObjRef {
     let r = match class_id {
         Some(cid) => {
             let name_ref = state.intern_string(name);
-            let mut fields = std::collections::HashMap::new();
-            fields.insert(
-                "java/lang/Class.name".to_string(),
-                Value::Ref(Some(name_ref)),
-            );
-            state.heap.alloc(HeapObj::Instance { class: cid, fields })
+            let fields = state.registry.get(cid).slot_template.clone();
+            let r = state.heap.alloc(HeapObj::Instance { class: cid, fields });
+            if let Some(slot) = state.field_mut(r, "java/lang/Class.name") {
+                *slot = Value::Ref(Some(name_ref));
+            }
+            r
         }
         None => state.heap.alloc_string(name),
     };
@@ -1579,17 +1616,20 @@ pub fn throw_vm(
 }
 
 /// Build an exception instance (class must be defined — the runtime
-/// library guarantees the VM exception classes are).
+/// library defines the VM exception classes at boot, or on first throw
+/// for its [on-demand class](rtlib::on_demand_class)).
 pub fn make_exception(state: &mut JvmState, class_name: &str, message: &str) -> ObjRef {
     let msg_ref = state.intern_string(message);
-    match state.registry.lookup(class_name) {
+    let class = state.registry.lookup(class_name).or_else(|| {
+        let cf = rtlib::on_demand_class(class_name)?;
+        loader::define_with_constants(state, cf).ok()?;
+        state.registry.lookup(class_name)
+    });
+    match class {
         Some(cid) => {
             let r = alloc_instance(state, cid);
-            if let HeapObj::Instance { fields, .. } = state.heap.get_mut(r) {
-                fields.insert(
-                    "java/lang/Throwable.message".to_string(),
-                    Value::Ref(Some(msg_ref)),
-                );
+            if let Some(slot) = state.field_mut(r, "java/lang/Throwable.message") {
+                *slot = Value::Ref(Some(msg_ref));
             }
             r
         }
@@ -1861,22 +1901,21 @@ fn invoke_with_site(
         }
     }
 
-    // Pop arguments (and receiver) into a locals prefix.
-    let frame = frames.last_mut().expect("frame");
-    let total_slots = arg_slots + usize::from(has_receiver);
-    let split = frame.stack.len() - total_slots;
-    let args: Vec<Value> = frame.stack.split_off(split);
-    frame.pc = next_pc; // the call returns past the invoke
+    // The arguments (and receiver) leave the caller's operand stack
+    // from `base` up; the call returns past the invoke.
+    let caller = frames.last_mut().expect("frame");
+    let base = caller.stack.len() - (arg_slots + usize::from(has_receiver));
+    caller.pc = next_pc;
 
     // Native?
     if method_flags & access::ACC_NATIVE != 0 {
         // Natives see logical values, not stack slots: drop the
         // padding slots of wide arguments.
-        let args: Vec<Value> = args
-            .into_iter()
+        let args = caller
+            .stack
+            .drain(base..)
             .filter(|v| !matches!(v, Value::Padding))
             .collect();
-        let class_name = state.registry.get(target.class).name.clone();
         let outcome = natives::call_native(
             &mut NativeCtx {
                 state,
@@ -1884,7 +1923,7 @@ fn invoke_with_site(
                 ctx,
                 tid,
             },
-            &class_name,
+            target.class,
             &site.name,
             &site.desc,
             args,
@@ -1892,6 +1931,8 @@ fn invoke_with_site(
         return natives::apply_outcome(state, frames, ctx, tid, outcome);
     }
 
+    // A throw here clears or pops the caller's operand stack, arguments
+    // included.
     if frames.len() >= 8192 {
         return throw_vm(
             state,
@@ -1914,8 +1955,11 @@ fn invoke_with_site(
     };
     let mut new_frame = Frame::new(blob);
     new_frame.held_monitor = acquired_monitor;
-    // Copy argument slots verbatim (they are already slot-expanded).
-    new_frame.locals[..args.len()].copy_from_slice(&args);
+    // Move the argument slots verbatim (they are already slot-expanded).
+    let caller = frames.last_mut().expect("frame");
+    let args = &caller.stack[base..];
+    new_frame.locals[..args.len()].copy_from_slice(args);
+    caller.stack.truncate(base);
     frames.push(new_frame);
     StepResult::CallBoundary
 }

@@ -7,9 +7,11 @@
 //! can suspend-and-resume through the Doppio execution environment,
 //! emulates JVM exception handling by walking that virtual stack
 //! (§6.6), maps objects to class-reference + field-dictionary pairs
-//! (§6.7), loads classes lazily through asynchronous file-system
-//! downloads (§6.4), and bridges native methods to the Doppio file
-//! system, unmanaged heap, and sockets (§6.3, §6.5).
+//! (§6.7; dictionary-costed on the virtual clock, laid out in
+//! per-class slots on the host — see [`object`]), loads classes lazily
+//! through asynchronous file-system downloads (§6.4), and bridges
+//! native methods to the Doppio file system, unmanaged heap, and
+//! sockets (§6.3, §6.5).
 //!
 //! # Example
 //!
@@ -111,6 +113,53 @@ mod tests {
         assert_eq!(r.stdout, "Hello, browser!\n");
         assert!(r.uncaught.is_none());
         assert!(r.instructions > 0);
+    }
+
+    /// `length()` and `charAt()` count UTF-16 units: an ASCII string is
+    /// indexed directly, any other walks its UTF-16 encoding, where an
+    /// astral character is a surrogate pair.
+    #[test]
+    fn string_length_and_char_at_count_utf16_units() {
+        const STR: &str = "java/lang/String";
+        const MIXED: &str = "a\u{e9}\u{20ac}\u{1f600}b"; // a, é, €, 😀, b
+        let run = |body: &dyn Fn(&mut MethodBuilder)| {
+            let mut b = ClassBuilder::new("Str", "java/lang/Object");
+            let mut m = MethodBuilder::new(PUB_STATIC, "main", MAIN_DESC, 1);
+            body(&mut m);
+            m.return_void();
+            b.add_method(m);
+            run_classes(vec![b.finish()], "Str")
+        };
+        let length = |m: &mut MethodBuilder, s: &str| {
+            println_int(m, |m| {
+                m.ldc_string(s);
+                m.invokevirtual(STR, "length", "()I");
+            })
+        };
+        let char_at = |m: &mut MethodBuilder, s: &str, i: i32| {
+            println_int(m, |m| {
+                m.ldc_string(s);
+                m.ldc_int(i);
+                m.invokevirtual(STR, "charAt", "(I)C");
+            })
+        };
+        let r = run(&|m| {
+            length(m, MIXED);
+            for i in 0..6 {
+                char_at(m, MIXED, i);
+            }
+            length(m, "ascii");
+            char_at(m, "ascii", 4);
+        });
+        assert_eq!(r.uncaught, None);
+        assert_eq!(r.stdout, "6\n97\n233\n8364\n55357\n56832\n98\n5\n105\n");
+        for (s, i) in [(MIXED, 6), ("ascii", 5), ("ascii", -1)] {
+            let r = run(&|m| char_at(m, s, i));
+            assert_eq!(
+                r.uncaught,
+                Some(format!("java.lang.StringIndexOutOfBoundsException: {i}"))
+            );
+        }
     }
 
     #[test]
@@ -1256,6 +1305,96 @@ mod malformed_code_tests {
             multianewarray_of("", 1).as_deref(),
             Some("java.lang.InternalError: multianewarray: \"\" has fewer than 1 dimensions")
         );
+    }
+
+    const STRING: &str = "Ljava/lang/String;";
+
+    fn incompatible(msg: &str) -> Option<String> {
+        Some(format!("java.lang.IncompatibleClassChangeError: {msg}"))
+    }
+
+    #[test]
+    fn field_ops_on_an_object_without_the_field_throw_incompatible_class_change() {
+        // An Object has no slots at all.
+        let get = bad_class(|m| {
+            m.new_object("java/lang/Object");
+            m.getfield("java/lang/Throwable", "message", STRING);
+            m.pop();
+            m.return_void();
+        });
+        assert_eq!(
+            run_bad(get),
+            incompatible("java/lang/Object has no field java/lang/Throwable.message")
+        );
+        // A PrintStream has a slot 0, but it holds another field.
+        let put = bad_class(|m| {
+            m.new_object("java/io/PrintStream");
+            m.aconst_null();
+            m.putfield("java/lang/Class", "name", STRING);
+            m.return_void();
+        });
+        assert_eq!(
+            run_bad(put),
+            incompatible("java/io/PrintStream has no field java/lang/Class.name")
+        );
+    }
+
+    #[test]
+    fn instance_field_ops_on_a_static_field_throw_incompatible_class_change() {
+        const OUT: &str = "Ljava/io/PrintStream;";
+        let get = bad_class(|m| {
+            m.new_object("java/lang/Object");
+            m.getfield("java/lang/System", "out", OUT);
+            m.pop();
+            m.return_void();
+        });
+        let put = bad_class(|m| {
+            m.new_object("java/lang/Object");
+            m.aconst_null();
+            m.putfield("java/lang/System", "out", OUT);
+            m.return_void();
+        });
+        for cf in [get, put] {
+            assert_eq!(
+                run_bad(cf),
+                incompatible("Expected non-static field java/lang/System.out")
+            );
+        }
+    }
+
+    #[test]
+    fn static_field_ops_on_an_instance_field_throw_incompatible_class_change() {
+        let get = bad_class(|m| {
+            m.getstatic("java/lang/Throwable", "message", STRING);
+            m.pop();
+            m.return_void();
+        });
+        let put = bad_class(|m| {
+            m.aconst_null();
+            m.putstatic("java/lang/Throwable", "message", STRING);
+            m.return_void();
+        });
+        for cf in [get, put] {
+            assert_eq!(
+                run_bad(cf),
+                incompatible("Expected static field java/lang/Throwable.message")
+            );
+        }
+    }
+
+    #[test]
+    fn field_ops_on_arrays_and_strings_read_the_default_and_drop_the_write() {
+        let cf = bad_class(|m| {
+            m.ldc_string("no fields");
+            m.getfield("java/lang/Class", "name", STRING);
+            m.pop();
+            m.ldc_int(1);
+            m.newarray(10);
+            m.aconst_null();
+            m.putfield("java/lang/Class", "name", STRING);
+            m.return_void();
+        });
+        assert_eq!(run_bad(cf), None);
     }
 
     #[test]

@@ -20,9 +20,10 @@
 use doppio_core::{Resource, ThreadContext, ThreadId};
 use doppio_jsengine::Cost;
 
+use crate::class::ClassId;
 use crate::frame::Frame;
 use crate::interp::{self, StepResult};
-use crate::object::HeapObj;
+use crate::object::{Heap, HeapObj};
 use crate::state::JvmState;
 use crate::value::{ObjRef, Value};
 
@@ -60,21 +61,20 @@ pub struct NativeCtx<'a, 'b, 'rt> {
     pub tid: ThreadId,
 }
 
+/// The characters of String argument `v`, read in place.
+fn heap_str<'h>(heap: &'h Heap, v: &Value) -> Result<&'h str, NativeOutcome> {
+    match v {
+        Value::Ref(Some(r)) => match heap.get(*r) {
+            HeapObj::JavaString(s) => Ok(s),
+            _ => Err(throw("java/lang/InternalError", "expected a String")),
+        },
+        _ => Err(npe("null String")),
+    }
+}
+
 impl NativeCtx<'_, '_, '_> {
     fn string_arg(&self, v: &Value) -> Result<String, NativeOutcome> {
-        match v {
-            Value::Ref(Some(r)) => match self.state.heap.get(*r) {
-                HeapObj::JavaString(s) => Ok(s.clone()),
-                _ => Err(NativeOutcome::Throw {
-                    class: "java/lang/InternalError".into(),
-                    message: "expected a String".into(),
-                }),
-            },
-            _ => Err(NativeOutcome::Throw {
-                class: "java/lang/NullPointerException".into(),
-                message: "null String".into(),
-            }),
-        }
+        heap_str(&self.state.heap, v).map(str::to_string)
     }
 
     fn ret_string(&mut self, s: impl Into<String>) -> NativeOutcome {
@@ -156,56 +156,51 @@ pub fn apply_outcome(
     }
 }
 
-/// Dispatch a native method call.
+/// A native method group: the natives of one class.
+type NativeFn = fn(&mut NativeCtx<'_, '_, '_>, &str, &str, Vec<Value>) -> NativeOutcome;
+
+/// Dispatch a native method declared by `class`.
 pub fn call_native(
     n: &mut NativeCtx<'_, '_, '_>,
-    class: &str,
+    class: ClassId,
     name: &str,
     desc: &str,
     args: Vec<Value>,
 ) -> NativeOutcome {
+    let class_name = n.state.registry.get(class).name.as_str();
     // User-registered natives take precedence (the §6.3 JNI path).
-    let key = (class.to_string(), name.to_string(), desc.to_string());
-    if let Some(f) = n.state_user_native(&key) {
-        return f(n, args);
+    if !n.state.user_natives.is_empty() {
+        let key = (class_name.to_string(), name.to_string(), desc.to_string());
+        if let Some(f) = n.state.user_natives.get(&key).cloned() {
+            return f(n, args);
+        }
     }
-    match class {
-        "java/lang/Object" => object_native(n, name, desc, args),
-        "java/lang/System" => system_native(n, name, desc, args),
-        "java/io/PrintStream" => printstream_native(n, name, desc, args),
-        "java/lang/String" => string_native(n, name, desc, args),
-        "java/lang/StringBuilder" => stringbuilder_native(n, name, desc, args),
-        "java/lang/Math" => math_native(n, name, desc, args),
-        "java/lang/Integer" => integer_native(n, name, desc, args),
-        "java/lang/Long" => long_native(n, name, desc, args),
-        "java/lang/Double" => double_native(n, name, desc, args),
-        "java/lang/Thread" => thread_native(n, name, desc, args),
-        "java/lang/Throwable" => throwable_native(n, name, desc, args),
-        "java/lang/Class" => class_native(n, name, desc, args),
-        "sun/misc/Unsafe" => unsafe_native(n, name, desc, args),
-        "doppio/runtime/FileSystem" => fs_native(n, name, desc, args),
-        "doppio/runtime/Console" => console_native(n, name, desc, args),
-        "doppio/runtime/JS" => js_native(n, name, desc, args),
-        "doppio/net/Socket" => socket_native(n, name, desc, args),
-        _ => throw(
-            "java/lang/UnsatisfiedLinkError",
-            format!("{class}.{name}{desc}"),
-        ),
-    }
-}
-
-// Work around borrow rules: fetch a user native as an Rc clone.
-impl JvmState {
-    /// Registered user natives.
-    pub fn user_native(&self, key: &(String, String, String)) -> Option<crate::jvm::UserNative> {
-        self.user_natives.get(key).cloned()
-    }
-}
-
-impl NativeCtx<'_, '_, '_> {
-    fn state_user_native(&self, key: &(String, String, String)) -> Option<crate::jvm::UserNative> {
-        self.state.user_native(key)
-    }
+    let native: NativeFn = match class_name {
+        "java/lang/Object" => object_native,
+        "java/lang/System" => system_native,
+        "java/io/PrintStream" => printstream_native,
+        "java/lang/String" => string_native,
+        "java/lang/StringBuilder" => stringbuilder_native,
+        "java/lang/Math" => math_native,
+        "java/lang/Integer" => integer_native,
+        "java/lang/Long" => long_native,
+        "java/lang/Double" => double_native,
+        "java/lang/Thread" => thread_native,
+        "java/lang/Throwable" => throwable_native,
+        "java/lang/Class" => class_native,
+        "sun/misc/Unsafe" => unsafe_native,
+        "doppio/runtime/FileSystem" => fs_native,
+        "doppio/runtime/Console" => console_native,
+        "doppio/runtime/JS" => js_native,
+        "doppio/net/Socket" => socket_native,
+        _ => {
+            return throw(
+                "java/lang/UnsatisfiedLinkError",
+                format!("{class_name}.{name}{desc}"),
+            )
+        }
+    };
+    native(n, name, desc, args)
 }
 
 // ----------------------------------------------------------------
@@ -492,12 +487,7 @@ fn printstream_native(
     let Some(recv) = args.first().and_then(Value::as_ref) else {
         return npe("PrintStream");
     };
-    let is_err = match n.state.heap.get(recv) {
-        HeapObj::Instance { fields, .. } => {
-            matches!(fields.get("java/io/PrintStream.fd"), Some(Value::Int(2)))
-        }
-        _ => false,
-    };
+    let is_err = n.state.field(recv, "java/io/PrintStream.fd") == Some(Value::Int(2));
     let newline = name == "println";
     if name != "print" && name != "println" {
         return throw(
@@ -559,15 +549,6 @@ fn string_native(
     desc: &str,
     args: Vec<Value>,
 ) -> NativeOutcome {
-    let this_str = |n: &NativeCtx<'_, '_, '_>| -> Result<String, NativeOutcome> {
-        match args.first() {
-            Some(Value::Ref(Some(r))) => match n.state.heap.get(*r) {
-                HeapObj::JavaString(s) => Ok(s.clone()),
-                _ => Err(throw("java/lang/InternalError", "not a String")),
-            },
-            _ => Err(npe("String method")),
-        }
-    };
     match (name, desc) {
         // Constructors rewrite the freshly `new`ed instance in place.
         ("<init>", "()V") => {
@@ -612,32 +593,43 @@ fn string_native(
             NativeOutcome::Return(None)
         }
         ("length", "()I") => {
-            let s = match this_str(n) {
+            let s = match this_str(&n.state.heap, &args) {
                 Ok(s) => s,
                 Err(e) => return e,
             };
-            NativeOutcome::Return(Some(Value::Int(s.encode_utf16().count() as i32)))
+            let len = if s.is_ascii() {
+                s.len()
+            } else {
+                s.encode_utf16().count()
+            };
+            NativeOutcome::Return(Some(Value::Int(len as i32)))
         }
         ("charAt", "(I)C") => {
-            let s = match this_str(n) {
+            let s = match this_str(&n.state.heap, &args) {
                 Ok(s) => s,
                 Err(e) => return e,
             };
             let i = args[1].as_int();
             n.state.engine.charge(Cost::StringOp);
-            match s.encode_utf16().nth(i.max(0) as usize) {
-                Some(u) if i >= 0 => NativeOutcome::Return(Some(Value::Int(i32::from(u)))),
-                _ => throw("java/lang/StringIndexOutOfBoundsException", i.to_string()),
+            // An ASCII string's UTF-16 units are its bytes.
+            let unit = match usize::try_from(i) {
+                Ok(i) if s.is_ascii() => s.as_bytes().get(i).map(|&b| u16::from(b)),
+                Ok(i) => s.encode_utf16().nth(i),
+                Err(_) => None,
+            };
+            match unit {
+                Some(u) => NativeOutcome::Return(Some(Value::Int(i32::from(u)))),
+                None => throw("java/lang/StringIndexOutOfBoundsException", i.to_string()),
             }
         }
         ("equals", "(Ljava/lang/Object;)Z") => {
-            let s = match this_str(n) {
+            let s = match this_str(&n.state.heap, &args) {
                 Ok(s) => s,
                 Err(e) => return e,
             };
             let eq = match args[1] {
                 Value::Ref(Some(r)) => {
-                    matches!(n.state.heap.get(r), HeapObj::JavaString(t) if *t == s)
+                    matches!(n.state.heap.get(r), HeapObj::JavaString(t) if t == s)
                 }
                 _ => false,
             };
@@ -645,7 +637,7 @@ fn string_native(
             NativeOutcome::Return(Some(Value::Int(i32::from(eq))))
         }
         ("hashCode", "()I") => {
-            let s = match this_str(n) {
+            let s = match this_str(&n.state.heap, &args) {
                 Ok(s) => s,
                 Err(e) => return e,
             };
@@ -657,11 +649,11 @@ fn string_native(
             NativeOutcome::Return(Some(Value::Int(h)))
         }
         ("compareTo", "(Ljava/lang/String;)I") => {
-            let s = match this_str(n) {
+            let s = match this_str(&n.state.heap, &args) {
                 Ok(s) => s,
                 Err(e) => return e,
             };
-            let t = match n.string_arg(&args[1]) {
+            let t = match heap_str(&n.state.heap, &args[1]) {
                 Ok(t) => t,
                 Err(e) => return e,
             };
@@ -678,18 +670,18 @@ fn string_native(
             NativeOutcome::Return(Some(Value::Int(r)))
         }
         ("concat", "(Ljava/lang/String;)Ljava/lang/String;") => {
-            let s = match this_str(n) {
+            let s = match this_str(&n.state.heap, &args) {
                 Ok(s) => s,
                 Err(e) => return e,
             };
-            let t = match n.string_arg(&args[1]) {
+            let t = match heap_str(&n.state.heap, &args[1]) {
                 Ok(t) => t,
                 Err(e) => return e,
             };
             n.ret_string(format!("{s}{t}"))
         }
         ("substring", "(II)Ljava/lang/String;") | ("substring", "(I)Ljava/lang/String;") => {
-            let s = match this_str(n) {
+            let s = match this_str(&n.state.heap, &args) {
                 Ok(s) => s,
                 Err(e) => return e,
             };
@@ -713,7 +705,7 @@ fn string_native(
             n.ret_string(sub)
         }
         ("indexOf", "(I)I") => {
-            let s = match this_str(n) {
+            let s = match this_str(&n.state.heap, &args) {
                 Ok(s) => s,
                 Err(e) => return e,
             };
@@ -726,34 +718,34 @@ fn string_native(
             NativeOutcome::Return(Some(Value::Int(idx)))
         }
         ("indexOf", "(Ljava/lang/String;)I") => {
-            let s = match this_str(n) {
+            let s = match this_str(&n.state.heap, &args) {
                 Ok(s) => s,
                 Err(e) => return e,
             };
-            let t = match n.string_arg(&args[1]) {
+            let t = match heap_str(&n.state.heap, &args[1]) {
                 Ok(t) => t,
                 Err(e) => return e,
             };
             n.state.engine.charge_n(Cost::StringOp, s.len() as u64);
             let idx = s
-                .find(&t)
+                .find(t)
                 .map(|b| s[..b].encode_utf16().count() as i32)
                 .unwrap_or(-1);
             NativeOutcome::Return(Some(Value::Int(idx)))
         }
         ("startsWith", "(Ljava/lang/String;)Z") => {
-            let s = match this_str(n) {
+            let s = match this_str(&n.state.heap, &args) {
                 Ok(s) => s,
                 Err(e) => return e,
             };
-            let t = match n.string_arg(&args[1]) {
+            let t = match heap_str(&n.state.heap, &args[1]) {
                 Ok(t) => t,
                 Err(e) => return e,
             };
-            NativeOutcome::Return(Some(Value::Int(i32::from(s.starts_with(&t)))))
+            NativeOutcome::Return(Some(Value::Int(i32::from(s.starts_with(t)))))
         }
         ("toCharArray", "()[C") => {
-            let s = match this_str(n) {
+            let s = match this_str(&n.state.heap, &args) {
                 Ok(s) => s,
                 Err(e) => return e,
             };
@@ -763,7 +755,7 @@ fn string_native(
             NativeOutcome::Return(Some(Value::Ref(Some(r))))
         }
         ("getBytes", "()[B") => {
-            let s = match this_str(n) {
+            let s = match this_str(&n.state.heap, &args) {
                 Ok(s) => s,
                 Err(e) => return e,
             };
@@ -773,8 +765,8 @@ fn string_native(
             NativeOutcome::Return(Some(Value::Ref(Some(r))))
         }
         ("intern", "()Ljava/lang/String;") => {
-            let s = match this_str(n) {
-                Ok(s) => s,
+            let s = match this_str(&n.state.heap, &args) {
+                Ok(s) => s.to_string(),
                 Err(e) => return e,
             };
             let r = n.state.intern_string(&s);
@@ -804,6 +796,17 @@ fn string_native(
             "java/lang/UnsatisfiedLinkError",
             format!("String.{name}{desc}"),
         ),
+    }
+}
+
+/// The receiver of a `java/lang/String` instance method, read in place.
+fn this_str<'h>(heap: &'h Heap, args: &[Value]) -> Result<&'h str, NativeOutcome> {
+    match args.first() {
+        Some(Value::Ref(Some(r))) => match heap.get(*r) {
+            HeapObj::JavaString(s) => Ok(s),
+            _ => Err(throw("java/lang/InternalError", "not a String")),
+        },
+        _ => Err(npe("String method")),
     }
 }
 
@@ -1101,11 +1104,8 @@ fn throwable_native(
             let text = trace.join("\n\tat ");
             let trace_ref = n.state.heap.alloc_string(text);
             if let Some(r) = args[0].as_ref() {
-                if let HeapObj::Instance { fields, .. } = n.state.heap.get_mut(r) {
-                    fields.insert(
-                        "java/lang/Throwable.stackTrace".to_string(),
-                        Value::Ref(Some(trace_ref)),
-                    );
+                if let Some(slot) = n.state.field_mut(r, "java/lang/Throwable.stackTrace") {
+                    *slot = Value::Ref(Some(trace_ref));
                 }
             }
             NativeOutcome::Return(Some(args[0]))
@@ -1130,14 +1130,8 @@ fn throwable_native(
             let Some(r) = args[0].as_ref() else {
                 return npe("getMessage");
             };
-            let msg = match n.state.heap.get(r) {
-                HeapObj::Instance { fields, .. } => fields
-                    .get("java/lang/Throwable.message")
-                    .copied()
-                    .unwrap_or(Value::null()),
-                _ => Value::null(),
-            };
-            NativeOutcome::Return(Some(msg))
+            let msg = n.state.field(r, "java/lang/Throwable.message");
+            NativeOutcome::Return(Some(msg.unwrap_or(Value::null())))
         }
         _ => throw(
             "java/lang/UnsatisfiedLinkError",
@@ -1148,18 +1142,18 @@ fn throwable_native(
 
 /// `(class name, message, stack trace)` of a throwable object.
 pub fn describe_throwable(state: &JvmState, r: ObjRef) -> (String, String, String) {
+    let text = |key: &str| match state.field(r, key) {
+        Some(Value::Ref(Some(s))) => state.heap.java_string(s).unwrap_or("").to_string(),
+        _ => String::new(),
+    };
     match state.heap.get(r) {
-        HeapObj::Instance { class, fields } => {
+        HeapObj::Instance { class, .. } => {
             let cls = state.registry.get(*class).name.replace('/', ".");
-            let msg = match fields.get("java/lang/Throwable.message") {
-                Some(Value::Ref(Some(m))) => state.heap.java_string(*m).unwrap_or("").to_string(),
-                _ => String::new(),
-            };
-            let trace = match fields.get("java/lang/Throwable.stackTrace") {
-                Some(Value::Ref(Some(t))) => state.heap.java_string(*t).unwrap_or("").to_string(),
-                _ => String::new(),
-            };
-            (cls, msg, trace)
+            (
+                cls,
+                text("java/lang/Throwable.message"),
+                text("java/lang/Throwable.stackTrace"),
+            )
         }
         HeapObj::JavaString(s) => ("java.lang.Throwable".into(), s.clone(), String::new()),
         _ => ("java.lang.Throwable".into(), String::new(), String::new()),
@@ -1177,16 +1171,10 @@ fn class_native(
             let Some(r) = args[0].as_ref() else {
                 return npe("getName");
             };
-            let n2 = match n.state.heap.get(r) {
-                HeapObj::Instance { fields, .. } => match fields.get("java/lang/Class.name") {
-                    Some(Value::Ref(Some(s))) => n
-                        .state
-                        .heap
-                        .java_string(*s)
-                        .unwrap_or("?")
-                        .replace('/', "."),
-                    _ => "?".to_string(),
-                },
+            let n2 = match n.state.field(r, "java/lang/Class.name") {
+                Some(Value::Ref(Some(s))) => {
+                    n.state.heap.java_string(s).unwrap_or("?").replace('/', ".")
+                }
                 _ => "?".to_string(),
             };
             n.ret_string(n2)

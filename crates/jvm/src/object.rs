@@ -4,13 +4,15 @@
 //! object contains a reference to its class and a dictionary that
 //! contains all of its fields keyed on their names. JVM arrays are ...
 //! mapped to a JavaScript object that contains an array of values."
-//! We reproduce exactly that layout — instances carry a *dictionary*
-//! of fields (charged as map operations on browser profiles), arrays a
-//! typed vector. The original leans on the JavaScript garbage
-//! collector; our arena correspondingly never frees (object lifetimes
-//! in the benchmarks are run-scoped).
-
-use std::collections::HashMap;
+//! The virtual clock charges exactly that model: `new` costs an
+//! allocation plus one map operation per field, and every field access
+//! a map operation plus the get or put. The host does not execute the
+//! dictionary: an instance carries its class and a slot array laid
+//! out once per class (`RuntimeClass::slot_keys`, copied from
+//! `RuntimeClass::slot_template`), so these are dictionary-costed
+//! objects in slot layouts. Arrays carry a typed vector. The original
+//! leans on the JavaScript garbage collector; our arena correspondingly
+//! never frees (object lifetimes in the benchmarks are run-scoped).
 
 use crate::class::ClassId;
 use crate::value::{ObjRef, Value};
@@ -18,12 +20,12 @@ use crate::value::{ObjRef, Value};
 /// An object on the JVM heap.
 #[derive(Debug, Clone)]
 pub enum HeapObj {
-    /// A class instance: class reference + field dictionary (§6.7).
+    /// A class instance: class reference + fields (§6.7).
     Instance {
         /// The instance's class.
         class: ClassId,
-        /// Fields keyed `"DeclaringClass.fieldName"`.
-        fields: HashMap<String, Value>,
+        /// Field values in the class's slot order (`slot_keys`).
+        fields: Box<[Value]>,
     },
     /// `java/lang/String`: the character data lives Rust-side, as the
     /// original keeps it in a JavaScript string.

@@ -526,6 +526,15 @@ pub fn runtime_classes() -> Vec<ClassFile> {
     out
 }
 
+/// A runtime class defined on its first throw instead of at boot: the
+/// linking error that only malformed code raises. A run that never
+/// raises it defines only the boot classes, so its class ids and its
+/// boot-time `class_defined` trace events do not depend on this class.
+pub fn on_demand_class(name: &str) -> Option<ClassFile> {
+    (name == "java/lang/IncompatibleClassChangeError")
+        .then(|| throwable_subclass(name, "java/lang/Error"))
+}
+
 /// Runtime library as `(binary name, class file bytes)` pairs, for
 /// mounting on a file system.
 pub fn runtime_class_bytes() -> Vec<(String, Vec<u8>)> {

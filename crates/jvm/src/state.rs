@@ -15,8 +15,8 @@ use doppio_trace::Counter;
 use crate::class::{ClassId, ClassRegistry, MethodRef};
 use crate::decode::{decode, DecodeError, Decoded};
 use crate::loader::LoaderState;
-use crate::object::Heap;
-use crate::value::ObjRef;
+use crate::object::{Heap, HeapObj};
+use crate::value::{ObjRef, Value};
 
 /// A JVM monitor (the lock behind `monitorenter`/`synchronized`).
 #[derive(Debug, Default)]
@@ -233,6 +233,28 @@ impl JvmState {
         let r = self.heap.alloc_string(s);
         self.string_pool.insert(s.to_string(), r);
         r
+    }
+
+    /// Instance field `key` (`"DeclaringClass.fieldName"`) of `obj`,
+    /// if `obj` is an instance whose class carries it: the by-name
+    /// access for natives that know a field by name.
+    pub fn field(&self, obj: ObjRef, key: &str) -> Option<Value> {
+        match self.heap.get(obj) {
+            HeapObj::Instance { class, fields } => {
+                Some(fields[self.registry.get(*class).field_slot(key)?])
+            }
+            _ => None,
+        }
+    }
+
+    /// [`field`](Self::field), for writing.
+    pub fn field_mut(&mut self, obj: ObjRef, key: &str) -> Option<&mut Value> {
+        match self.heap.get_mut(obj) {
+            HeapObj::Instance { class, fields } => {
+                Some(&mut fields[self.registry.get(*class).field_slot(key)?])
+            }
+            _ => None,
+        }
     }
 
     /// Write to captured stdout (and the hook, if set).
