@@ -55,3 +55,57 @@ pub fn faulty(inner: SharedBackend, plan: doppio_faults::FaultPlan) -> SharedBac
 pub fn replicated<C: ObjectStoreClient + 'static>(client: C) -> SharedBackend {
     Rc::new(ObjectStoreBackend::new(client))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::{FsCallback, OpenFlags};
+    use crate::error::{Errno, FsResult};
+    use doppio_jsengine::Browser;
+    use std::cell::RefCell;
+
+    fn wait<T: 'static>(engine: &Engine, run: impl FnOnce(FsCallback<T>)) -> FsResult<T> {
+        let slot = Rc::new(RefCell::new(None));
+        let s = slot.clone();
+        run(Box::new(move |_, r| *s.borrow_mut() = Some(r)));
+        engine.run_until_idle();
+        let out = slot.borrow_mut().take().expect("operation completed");
+        out
+    }
+
+    #[test]
+    fn a_sync_refused_for_quota_leaves_the_recorded_size_alone() {
+        let engine = Engine::new(Browser::Chrome);
+        let be = local_storage(&engine);
+        let flags = |f| OpenFlags::parse(f).unwrap();
+        wait(&engine, |cb| be.open(&engine, "/big", flags("w"), cb)).unwrap();
+        let err = wait(&engine, |cb| be.sync(&engine, "/big", vec![7; 6 << 20], cb)).unwrap_err();
+        assert_eq!(err.errno, Errno::Enospc);
+        let size = wait(&engine, |cb| be.stat(&engine, "/big", cb))
+            .unwrap()
+            .size;
+        let data = wait(&engine, |cb| be.open(&engine, "/big", flags("r"), cb)).unwrap();
+        assert_eq!(size, data.len());
+        assert_eq!(size, 0);
+    }
+
+    #[test]
+    fn renaming_a_directory_of_ten_thousand_files_completes() {
+        let engine = Engine::new(Browser::Chrome);
+        let be = in_memory(&engine);
+        wait(&engine, |cb| be.mkdir(&engine, "/d", cb)).unwrap();
+        for i in 0..10_000 {
+            let path = format!("/d/f{i}");
+            wait(&engine, |cb| be.sync(&engine, &path, vec![1], cb)).unwrap();
+        }
+        wait(&engine, |cb| be.rename(&engine, "/d", "/e", cb)).unwrap();
+        assert_eq!(
+            wait(&engine, |cb| be.readdir(&engine, "/e", cb))
+                .unwrap()
+                .len(),
+            10_000
+        );
+        let err = wait(&engine, |cb| be.readdir(&engine, "/d", cb)).unwrap_err();
+        assert_eq!(err.errno, Errno::Enoent);
+    }
+}

@@ -51,7 +51,17 @@ const NOTES_APP: &str = r#"
     }
 "#;
 
-fn main() {
+/// One run's output.
+pub struct Notes {
+    /// Everything `main` prints: the app's stdout, the report summary
+    /// and the happens-before verdict.
+    pub stdout: String,
+    /// The run report, with its trace and causal sections.
+    pub report: RunReport,
+}
+
+/// Run the notes app against a fresh three-node cluster.
+pub fn run() -> Notes {
     // One kernel hosting both worlds: the JVM guest process and the
     // three storage-node processes it unknowingly talks to.
     let kernel = Kernel::new();
@@ -81,8 +91,7 @@ fn main() {
     kernel.run().expect("drain");
     assert!(status.success(), "notes app exited {status:?}");
 
-    let stdout = String::from_utf8(kernel.host_read(out).expect("live pipe")).expect("utf8");
-    print!("{stdout}");
+    let mut stdout = String::from_utf8(kernel.host_read(out).expect("live pipe")).expect("utf8");
     assert!(stdout.contains("readback: Doppio breaks the browser language barrier"));
 
     // End-to-end through the cluster: the published note is durable on
@@ -99,7 +108,7 @@ fn main() {
         .with_kernel(&kernel)
         .with_trace(&sink)
         .with_causal(&sink);
-    println!("---\n{}", report.summary());
+    stdout.push_str(&format!("---\n{}\n", report.summary()));
 
     // The whole app ran as one traced `proc:notes` request, and its
     // virtual wall time decomposes into named categories (interpreter
@@ -123,5 +132,10 @@ fn main() {
     query
         .assert_happens_before("storage.journal.append", "storage.repl.ack")
         .expect("journal append must happen-before its replication ack");
-    println!("journal-before-ack: verified on the causal graph");
+    stdout.push_str("journal-before-ack: verified on the causal graph\n");
+    Notes { stdout, report }
+}
+
+fn main() {
+    print!("{}", run().stdout);
 }

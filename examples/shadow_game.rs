@@ -16,12 +16,15 @@
 //!
 //! Run with: `cargo run --example shadow_game`
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use doppio::fs::{backends, FileSystem};
 use doppio::jsengine::{Browser, Engine};
 use doppio::jvm::{fsutil, Jvm};
 use doppio::minijava::compile_to_bytes;
+use doppio::report::RunReport;
 
 const GAME: &str = r#"
     class Main {
@@ -58,7 +61,17 @@ const GAME: &str = r#"
     }
 "#;
 
-fn main() {
+/// One play-through's output.
+pub struct Game {
+    /// Everything `main` prints: the game's stdout, the scripted input
+    /// lines and the save check.
+    pub stdout: String,
+    /// The run report of the game's engine.
+    pub report: RunReport,
+}
+
+/// Play the game with a scripted player, then read the save back.
+pub fn run() -> Game {
     let engine = Engine::new(Browser::Chrome);
 
     // Asset server: a read-only XHR mount, downloaded on demand.
@@ -86,8 +99,10 @@ fn main() {
     let classes = compile_to_bytes(GAME).expect("game compiles");
     fsutil::mount_class_files(&engine, &fs, "/classes", &classes);
 
+    let stdout = Rc::new(RefCell::new(String::new()));
     let jvm = Jvm::new(&engine, fs);
-    jvm.set_stdout_hook(|s| print!("{s}"));
+    let out = stdout.clone();
+    jvm.set_stdout_hook(move |s| out.borrow_mut().push_str(s));
     jvm.launch("Main", &[]);
     jvm.runtime().start();
 
@@ -96,20 +111,22 @@ fn main() {
     for cmd in ["go", "save", "go", "go"] {
         engine.run_until_idle();
         assert!(!jvm.is_finished(), "game should be blocked on input");
-        println!("> {cmd}");
+        stdout.borrow_mut().push_str(&format!("> {cmd}\n"));
         jvm.push_stdin(format!("{cmd}\n").as_bytes());
     }
     engine.run_until_idle();
     assert!(jvm.is_finished());
 
     // Prove the save persisted: a fresh run resumes from level 2.
-    println!("\n-- relaunching from the persistent save --");
+    stdout
+        .borrow_mut()
+        .push_str("\n-- relaunching from the persistent save --\n");
     let engine2 = Engine::new(Browser::Chrome);
     // (In a real browser the localStorage would survive the reload; our
     // engine is per-run, so run the original engine's saved state check
     // instead: read the save back.)
     let _ = engine2;
-    let out = std::rc::Rc::new(std::cell::RefCell::new(None));
+    let out = Rc::new(RefCell::new(None));
     let o = out.clone();
     jvm.with_state(|s| s.fs.clone())
         .read_file("/save/progress.txt", move |_, r| {
@@ -117,9 +134,18 @@ fn main() {
         });
     engine.run_until_idle();
     let save = out.borrow().clone().unwrap();
-    println!(
-        "persistent save contains: level {}",
+    stdout.borrow_mut().push_str(&format!(
+        "persistent save contains: level {}\n",
         String::from_utf8_lossy(&save)
-    );
+    ));
     assert_eq!(save, b"2");
+    let stdout = stdout.borrow().clone();
+    Game {
+        stdout,
+        report: RunReport::collect("shadow_game", &engine),
+    }
+}
+
+fn main() {
+    print!("{}", run().stdout);
 }

@@ -12,7 +12,10 @@
 //! match one golden at every shard thread count. `tests/golden/pipeline/`
 //! and `tests/golden/observability/` hold the artifacts the
 //! `shell_pipeline`, `process_per_request` and `responsive_page`
-//! examples write, produced by the examples' own `run`.
+//! examples write, produced by the examples' own `run`;
+//! `tests/golden/examples/` holds the stdout and final RunReport of
+//! `cloud_notes` (a replicated mount) and `shadow_game` (XHR and
+//! localStorage mounts).
 //!
 //! The check in `tests/common/mod.rs` produces every scenario at
 //! least twice; see there for what to do on a mismatch.
@@ -20,11 +23,17 @@
 mod common;
 
 #[allow(dead_code)]
+#[path = "../examples/cloud_notes.rs"]
+mod cloud_notes;
+#[allow(dead_code)]
 #[path = "../examples/process_per_request.rs"]
 mod process_per_request;
 #[allow(dead_code)]
 #[path = "../examples/responsive_page.rs"]
 mod responsive_page;
+#[allow(dead_code)]
+#[path = "../examples/shadow_game.rs"]
+mod shadow_game;
 #[allow(dead_code)]
 #[path = "../examples/shell_pipeline.rs"]
 mod shell_pipeline;
@@ -446,6 +455,30 @@ fn responsive_page_matches_its_golden() {
             page.report.to_json_string(),
             profiler.folded(),
             digest(&chrome::export_sink(sink))
+        )
+    });
+}
+
+#[test]
+fn cloud_notes_matches_its_golden() {
+    check_golden("examples/cloud_notes", || {
+        let run = cloud_notes::run();
+        format!(
+            "--- stdout\n{}--- report.json\n{}\n",
+            run.stdout,
+            run.report.to_json_string()
+        )
+    });
+}
+
+#[test]
+fn shadow_game_matches_its_golden() {
+    check_golden("examples/shadow_game", || {
+        let run = shadow_game::run();
+        format!(
+            "--- stdout\n{}--- report.json\n{}\n",
+            run.stdout,
+            run.report.to_json_string()
         )
     });
 }
