@@ -112,11 +112,6 @@ pub trait Backend {
     /// Backend name for diagnostics (`"InMemory"`, `"LocalStorage"`...).
     fn name(&self) -> &'static str;
 
-    /// Whether every write operation fails with `EROFS`.
-    fn is_read_only(&self) -> bool {
-        false
-    }
-
     /// Metadata for `path`.
     fn stat(&self, engine: &Engine, path: &str, cb: FsCallback<Stat>);
 

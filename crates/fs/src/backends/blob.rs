@@ -1,10 +1,11 @@
-//! The generic blob-store backend and its four concrete stores.
+//! The paper's four blob stores.
 //!
 //! §5.1's utility classes make writing a backend cheap: the directory
-//! index, the load-whole-file/sync-on-close file model, and the Buffer
-//! string bridge are shared. [`BlobBackend`] packages those utilities
-//! around a [`BlobStore`] — the only part each storage mechanism has to
-//! provide. The paper's five backends map to:
+//! index and the load-whole-file/sync-on-close file model are shared
+//! by [`ObjectStoreBackend`](super::ObjectStoreBackend), so each
+//! storage mechanism below only moves whole blobs, as an
+//! [`ObjectStoreClient`] that answers every call before it returns.
+//! The paper's five backends map to:
 //!
 //! * [`MemoryStore`] — "temporary in-memory storage"
 //! * [`LocalStorageStore`] — browser-local persistent storage, going
@@ -25,300 +26,30 @@ use doppio_buffer::{Buffer, Encoding};
 use doppio_jsengine::storage::SyncMechanism;
 use doppio_jsengine::{Cost, Engine, EngineError};
 
-use crate::backend::{deliver, Backend, DirIndex, FileKind, FsCallback, OpenFlags, Stat};
+use super::ObjectStoreClient;
+use crate::backend::{DirIndex, FsCallback};
 use crate::error::{Errno, FsError, FsResult};
 
-/// The storage mechanism under a [`BlobBackend`]: where file contents
-/// live and what moving them costs.
-pub trait BlobStore {
-    /// Name for diagnostics.
-    fn name(&self) -> &'static str;
-
-    /// Whether writes are rejected (`EROFS`).
-    fn is_read_only(&self) -> bool {
-        false
-    }
-
-    /// Fixed virtual latency per operation.
-    fn op_latency_ns(&self) -> u64;
-
-    /// Additional virtual latency per KiB transferred (bandwidth).
-    fn ns_per_kib(&self) -> u64 {
-        0
-    }
-
-    /// Fetch the blob at `key`.
-    fn get(&mut self, engine: &Engine, key: &str) -> FsResult<Option<Vec<u8>>>;
-
-    /// Store the blob at `key`.
-    fn put(&mut self, engine: &Engine, key: &str, data: &[u8]) -> FsResult<()>;
-
-    /// Remove the blob at `key` (missing is fine).
-    fn delete(&mut self, engine: &Engine, key: &str) -> FsResult<()>;
-
-    /// Persist the serialized directory index (no-op for stores whose
-    /// structure is not durable).
-    fn persist_index(&mut self, _engine: &Engine, _serialized: &str) -> FsResult<()> {
-        Ok(())
-    }
-
-    /// Load a previously persisted index, if one exists.
-    fn load_index(&mut self, _engine: &Engine) -> Option<String> {
-        None
+/// Charge landing a fetched blob of `len` bytes in a read buffer. The
+/// buffer is a typed array (§7.1: "DOPPIO's file system implementation
+/// makes heavy use of typed arrays"); on Safari the matching free is
+/// ignored and the buffer stays resident — the leak behind javap's
+/// pathology. Browsers without typed arrays use a JS array.
+fn charge_read_buffer(engine: &Engine, len: usize) {
+    if engine.profile().has_typed_arrays {
+        engine.typed_array_alloc(len);
+        engine.typed_array_free(len);
+        engine.charge_n(Cost::TypedArrayByte, len as u64);
+    } else {
+        engine.charge_n(Cost::JsArrayByte, len as u64);
     }
 }
 
-struct BlobState<S> {
-    store: S,
-    index: DirIndex,
-    sizes: HashMap<String, usize>,
-    mtimes: HashMap<String, u64>,
-}
-
-/// A full [`Backend`] implementation over any [`BlobStore`].
-pub struct BlobBackend<S: BlobStore> {
-    state: RefCell<BlobState<S>>,
-}
-
-impl<S: BlobStore> BlobBackend<S> {
-    /// Wrap a store, restoring its persisted index if it has one.
-    pub fn new(engine: &Engine, mut store: S) -> BlobBackend<S> {
-        let index = match store.load_index(engine) {
-            Some(s) => DirIndex::deserialize(&s),
-            None => DirIndex::new(),
-        };
-        // Restore sizes lazily: stat() falls back to a get().
-        BlobBackend {
-            state: RefCell::new(BlobState {
-                store,
-                index,
-                sizes: HashMap::new(),
-                mtimes: HashMap::new(),
-            }),
-        }
-    }
-
-    /// Pre-populate with an index built elsewhere (the server-backed
-    /// store derives its listing from the web server).
-    pub fn with_index(engine: &Engine, store: S, index: DirIndex) -> BlobBackend<S> {
-        let b = BlobBackend::new(engine, store);
-        b.state.borrow_mut().index = index;
-        b
-    }
-
-    fn latency(&self, bytes: usize) -> u64 {
-        let st = self.state.borrow();
-        st.store.op_latency_ns() + st.store.ns_per_kib() * (bytes as u64).div_ceil(1024)
-    }
-
-    fn persist(&self, engine: &Engine) -> FsResult<()> {
-        let mut st = self.state.borrow_mut();
-        let ser = st.index.serialize();
-        st.store.persist_index(engine, &ser)
-    }
-
-    fn write_guard(&self, path: &str) -> FsResult<()> {
-        if self.state.borrow().store.is_read_only() {
-            Err(FsError::new(Errno::Erofs, path))
-        } else {
-            Ok(())
-        }
-    }
-}
-
-impl<S: BlobStore> Backend for BlobBackend<S> {
-    fn name(&self) -> &'static str {
-        self.state.borrow().store.name()
-    }
-
-    fn is_read_only(&self) -> bool {
-        self.state.borrow().store.is_read_only()
-    }
-
-    fn stat(&self, engine: &Engine, path: &str, cb: FsCallback<Stat>) {
-        let result = (|| {
-            let mut st = self.state.borrow_mut();
-            match st.index.kind(path) {
-                None => Err(FsError::new(Errno::Enoent, path)),
-                Some(FileKind::Directory) => Ok(Stat {
-                    kind: FileKind::Directory,
-                    size: 0,
-                    mtime_ns: st.mtimes.get(path).copied().unwrap_or(0),
-                }),
-                Some(FileKind::File) => {
-                    let size = match st.sizes.get(path) {
-                        Some(&s) => s,
-                        None => {
-                            let data = st.store.get(engine, path)?.unwrap_or_default();
-                            let s = data.len();
-                            st.sizes.insert(path.to_string(), s);
-                            s
-                        }
-                    };
-                    Ok(Stat {
-                        kind: FileKind::File,
-                        size,
-                        mtime_ns: st.mtimes.get(path).copied().unwrap_or(0),
-                    })
-                }
-            }
-        })();
-        deliver(engine, self.latency(0), cb, result);
-    }
-
-    fn open(&self, engine: &Engine, path: &str, flags: OpenFlags, cb: FsCallback<Vec<u8>>) {
-        let result = (|| {
-            let mut st = self.state.borrow_mut();
-            match st.index.kind(path) {
-                Some(FileKind::Directory) => Err(FsError::new(Errno::Eisdir, path)),
-                Some(FileKind::File) => {
-                    if flags.exclusive {
-                        return Err(FsError::new(Errno::Eexist, path));
-                    }
-                    if flags.truncate {
-                        if st.store.is_read_only() {
-                            return Err(FsError::new(Errno::Erofs, path));
-                        }
-                        st.sizes.insert(path.to_string(), 0);
-                        Ok(Vec::new())
-                    } else {
-                        let data = st
-                            .store
-                            .get(engine, path)?
-                            .ok_or_else(|| FsError::new(Errno::Eio, path))?;
-                        st.sizes.insert(path.to_string(), data.len());
-                        Ok(data)
-                    }
-                }
-                None => {
-                    if !flags.create {
-                        return Err(FsError::new(Errno::Enoent, path));
-                    }
-                    if st.store.is_read_only() {
-                        return Err(FsError::new(Errno::Erofs, path));
-                    }
-                    st.index.insert_file(path)?;
-                    st.store.put(engine, path, &[])?;
-                    st.sizes.insert(path.to_string(), 0);
-                    st.mtimes.insert(path.to_string(), engine.now_ns());
-                    drop(st);
-                    self.persist(engine)?;
-                    Ok(Vec::new())
-                }
-            }
-        })();
-        let bytes = result.as_ref().map(Vec::len).unwrap_or(0);
-        deliver(engine, self.latency(bytes), cb, result);
-    }
-
-    fn sync(&self, engine: &Engine, path: &str, data: Vec<u8>, cb: FsCallback<()>) {
-        let bytes = data.len();
-        let result = (|| {
-            self.write_guard(path)?;
-            let mut st = self.state.borrow_mut();
-            if !st.index.contains(path) {
-                st.index.insert_file(path)?;
-            }
-            st.store.put(engine, path, &data)?;
-            st.sizes.insert(path.to_string(), data.len());
-            st.mtimes.insert(path.to_string(), engine.now_ns());
-            Ok(())
-        })()
-        .and_then(|_| self.persist(engine));
-        deliver(engine, self.latency(bytes), cb, result);
-    }
-
-    fn close(&self, engine: &Engine, _path: &str, cb: FsCallback<()>) {
-        deliver(engine, 1_000, cb, Ok(()));
-    }
-
-    fn rename(&self, engine: &Engine, from: &str, to: &str, cb: FsCallback<()>) {
-        let result = (|| {
-            self.write_guard(from)?;
-            let mut st = self.state.borrow_mut();
-            let moved = st.index.rename(from, to)?;
-            for (old, new) in moved {
-                if let Some(data) = st.store.get(engine, &old)? {
-                    st.store.put(engine, &new, &data)?;
-                    st.store.delete(engine, &old)?;
-                }
-                if let Some(s) = st.sizes.remove(&old) {
-                    st.sizes.insert(new.clone(), s);
-                }
-                if let Some(t) = st.mtimes.remove(&old) {
-                    st.mtimes.insert(new, t);
-                }
-            }
-            Ok(())
-        })()
-        .and_then(|_| self.persist(engine));
-        deliver(engine, self.latency(0), cb, result);
-    }
-
-    fn unlink(&self, engine: &Engine, path: &str, cb: FsCallback<()>) {
-        let result = (|| {
-            self.write_guard(path)?;
-            let mut st = self.state.borrow_mut();
-            st.index.remove_file(path)?;
-            st.store.delete(engine, path)?;
-            st.sizes.remove(path);
-            st.mtimes.remove(path);
-            Ok(())
-        })()
-        .and_then(|_| self.persist(engine));
-        deliver(engine, self.latency(0), cb, result);
-    }
-
-    fn mkdir(&self, engine: &Engine, path: &str, cb: FsCallback<()>) {
-        let result = (|| {
-            self.write_guard(path)?;
-            let mut st = self.state.borrow_mut();
-            st.index.insert_dir(path)?;
-            st.mtimes.insert(path.to_string(), engine.now_ns());
-            Ok(())
-        })()
-        .and_then(|_| self.persist(engine));
-        deliver(engine, self.latency(0), cb, result);
-    }
-
-    fn rmdir(&self, engine: &Engine, path: &str, cb: FsCallback<()>) {
-        let result = (|| {
-            self.write_guard(path)?;
-            let mut st = self.state.borrow_mut();
-            st.index.remove_dir(path)?;
-            st.mtimes.remove(path);
-            Ok(())
-        })()
-        .and_then(|_| self.persist(engine));
-        deliver(engine, self.latency(0), cb, result);
-    }
-
-    fn readdir(&self, engine: &Engine, path: &str, cb: FsCallback<Vec<String>>) {
-        let result = self.state.borrow().index.list(path);
-        deliver(engine, self.latency(0), cb, result);
-    }
-
-    fn utimes(&self, engine: &Engine, path: &str, mtime_ns: u64, cb: FsCallback<()>) {
-        let result = (|| {
-            let mut st = self.state.borrow_mut();
-            if !st.index.contains(path) {
-                return Err(FsError::new(Errno::Enoent, path));
-            }
-            st.mtimes.insert(path.to_string(), mtime_ns);
-            Ok(())
-        })();
-        deliver(engine, self.latency(0), cb, result);
-    }
-}
-
-// ----------------------------------------------------------------
-// Concrete stores
-// ----------------------------------------------------------------
-
-/// Temporary in-memory storage: fast, lost on reload.
+/// Temporary in-memory storage: fast, lost on reload. Its directory
+/// index lives only in the backend.
 #[derive(Debug, Default)]
 pub struct MemoryStore {
-    blobs: HashMap<String, Vec<u8>>,
+    blobs: RefCell<HashMap<String, Vec<u8>>>,
 }
 
 impl MemoryStore {
@@ -328,7 +59,7 @@ impl MemoryStore {
     }
 }
 
-impl BlobStore for MemoryStore {
+impl ObjectStoreClient for MemoryStore {
     fn name(&self) -> &'static str {
         "InMemory"
     }
@@ -337,39 +68,38 @@ impl BlobStore for MemoryStore {
         1_200
     }
 
-    fn get(&mut self, engine: &Engine, key: &str) -> FsResult<Option<Vec<u8>>> {
-        let data = self.blobs.get(key).cloned();
+    fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
+        let data = self.blobs.borrow().get(key).cloned();
         if let Some(d) = &data {
-            // The read buffer is a typed array (§7.1: "DOPPIO's file
-            // system implementation makes heavy use of typed arrays");
-            // on Safari the matching free is ignored and the buffer
-            // stays resident — the leak behind javap's pathology.
-            if engine.profile().has_typed_arrays {
-                engine.typed_array_alloc(d.len());
-                engine.typed_array_free(d.len());
-                engine.charge_n(Cost::TypedArrayByte, d.len() as u64);
-            } else {
-                engine.charge_n(Cost::JsArrayByte, d.len() as u64);
-            }
+            charge_read_buffer(engine, d.len());
         }
-        Ok(data)
+        cb(engine, Ok(data));
     }
 
-    fn put(&mut self, engine: &Engine, key: &str, data: &[u8]) -> FsResult<()> {
+    fn put(&self, engine: &Engine, key: &str, data: Vec<u8>, cb: FsCallback<()>) {
         engine.charge_n(Cost::TypedArrayByte, data.len() as u64);
-        self.blobs.insert(key.to_string(), data.to_vec());
-        Ok(())
+        self.blobs.borrow_mut().insert(key.to_string(), data);
+        cb(engine, Ok(()));
     }
 
-    fn delete(&mut self, _engine: &Engine, key: &str) -> FsResult<()> {
-        self.blobs.remove(key);
-        Ok(())
+    fn delete(&self, engine: &Engine, key: &str, cb: FsCallback<()>) {
+        self.blobs.borrow_mut().remove(key);
+        cb(engine, Ok(()));
+    }
+
+    fn get_index(&self, engine: &Engine, cb: FsCallback<Option<DirIndex>>) {
+        cb(engine, Ok(None));
+    }
+
+    fn put_index(&self, engine: &Engine, _index: &DirIndex, cb: FsCallback<()>) {
+        cb(engine, Ok(()));
     }
 }
 
 /// Browser-local persistent storage over `localStorage`: binary data
 /// crosses the Buffer binary-string bridge, and the 5 MB quota
-/// surfaces as `ENOSPC`.
+/// surfaces as `ENOSPC`. The directory index is the plain string item
+/// `doppio-fs-index`.
 #[derive(Debug, Default)]
 pub struct LocalStorageStore {
     _priv: (),
@@ -384,11 +114,29 @@ impl LocalStorageStore {
     fn key(path: &str) -> String {
         format!("doppio-file:{path}")
     }
+
+    /// Run `f` on the engine's localStorage; a quota error becomes
+    /// `ENOSPC` and any other error `EIO`, both reported against `key`.
+    fn with_local_storage<R>(
+        engine: &Engine,
+        key: &str,
+        f: impl FnOnce(&mut doppio_jsengine::storage::KvStore, &'static str) -> Result<R, EngineError>,
+    ) -> FsResult<R> {
+        let browser = engine.profile().browser.name();
+        engine
+            .with_storage(|s, _| f(s.sync_store(SyncMechanism::LocalStorage), browser))
+            .map_err(|e| match e {
+                EngineError::QuotaExceeded { .. } => {
+                    FsError::new(Errno::Enospc, key).with_detail(e.to_string())
+                }
+                other => FsError::new(Errno::Eio, key).with_detail(other.to_string()),
+            })
+    }
 }
 
 const LS_INDEX_KEY: &str = "doppio-fs-index";
 
-impl BlobStore for LocalStorageStore {
+impl ObjectStoreClient for LocalStorageStore {
     fn name(&self) -> &'static str {
         "LocalStorage"
     }
@@ -397,120 +145,73 @@ impl BlobStore for LocalStorageStore {
         25_000
     }
 
-    fn get(&mut self, engine: &Engine, key: &str) -> FsResult<Option<Vec<u8>>> {
-        let browser = engine.profile().browser.name();
-        let js = engine
-            .with_storage(|s, _| {
-                s.sync_store(SyncMechanism::LocalStorage)
-                    .get_item_js(browser, &Self::key(key))
+    fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
+        let data = Self::with_local_storage(engine, key, |ls, browser| {
+            ls.get_item_js(browser, &Self::key(key))
+        })
+        .and_then(|js| {
+            js.map(|js| {
+                Buffer::from_js_string(engine, Encoding::BinaryString, &js)
+                    .map(|buf| buf.as_slice().to_vec())
+                    .map_err(|e| FsError::new(Errno::Eio, key).with_detail(e.to_string()))
             })
-            .map_err(|e| FsError::new(Errno::Eio, key).with_detail(e.to_string()))?;
-        match js {
-            None => Ok(None),
-            Some(js) => {
-                let buf = Buffer::from_js_string(engine, Encoding::BinaryString, &js)
-                    .map_err(|e| FsError::new(Errno::Eio, key).with_detail(e.to_string()))?;
-                Ok(Some(buf.as_slice().to_vec()))
-            }
-        }
+            .transpose()
+        });
+        cb(engine, data);
     }
 
-    fn put(&mut self, engine: &Engine, key: &str, data: &[u8]) -> FsResult<()> {
-        let browser = engine.profile().browser.name();
-        let js = Buffer::from_slice(engine, data)
+    fn put(&self, engine: &Engine, key: &str, data: Vec<u8>, cb: FsCallback<()>) {
+        let stored = Buffer::from_slice(engine, &data)
             .to_js_string_full(Encoding::BinaryString)
-            .map_err(|e| FsError::new(Errno::Eio, key).with_detail(e.to_string()))?;
-        engine
-            .with_storage(|s, _| {
-                s.sync_store(SyncMechanism::LocalStorage)
-                    .set_item_js(browser, &Self::key(key), js)
-            })
-            .map_err(|e| match e {
-                EngineError::QuotaExceeded { .. } => {
-                    FsError::new(Errno::Enospc, key).with_detail(e.to_string())
-                }
-                other => FsError::new(Errno::Eio, key).with_detail(other.to_string()),
-            })
-    }
-
-    fn delete(&mut self, engine: &Engine, key: &str) -> FsResult<()> {
-        let browser = engine.profile().browser.name();
-        engine
-            .with_storage(|s, _| {
-                s.sync_store(SyncMechanism::LocalStorage)
-                    .remove_item(browser, &Self::key(key))
-            })
             .map_err(|e| FsError::new(Errno::Eio, key).with_detail(e.to_string()))
+            .and_then(|js| {
+                Self::with_local_storage(engine, key, |ls, browser| {
+                    ls.set_item_js(browser, &Self::key(key), js)
+                })
+            });
+        cb(engine, stored);
     }
 
-    fn persist_index(&mut self, engine: &Engine, serialized: &str) -> FsResult<()> {
-        let browser = engine.profile().browser.name();
-        engine
-            .with_storage(|s, _| {
-                s.sync_store(SyncMechanism::LocalStorage).set_item(
-                    browser,
-                    LS_INDEX_KEY,
-                    serialized,
-                )
-            })
-            .map_err(|e| match e {
-                EngineError::QuotaExceeded { .. } => {
-                    FsError::new(Errno::Enospc, LS_INDEX_KEY).with_detail(e.to_string())
-                }
-                other => FsError::new(Errno::Eio, LS_INDEX_KEY).with_detail(other.to_string()),
-            })
+    fn delete(&self, engine: &Engine, key: &str, cb: FsCallback<()>) {
+        let removed = Self::with_local_storage(engine, key, |ls, browser| {
+            ls.remove_item(browser, &Self::key(key))
+        });
+        cb(engine, removed);
     }
 
-    fn load_index(&mut self, engine: &Engine) -> Option<String> {
-        let browser = engine.profile().browser.name();
-        engine
-            .with_storage(|s, _| {
-                s.sync_store(SyncMechanism::LocalStorage)
-                    .get_item(browser, LS_INDEX_KEY)
-            })
-            .ok()
-            .flatten()
+    fn get_index(&self, engine: &Engine, cb: FsCallback<Option<DirIndex>>) {
+        let index = Self::with_local_storage(engine, LS_INDEX_KEY, |ls, browser| {
+            ls.get_item(browser, LS_INDEX_KEY)
+        });
+        cb(engine, index.map(|s| s.map(|s| DirIndex::deserialize(&s))));
+    }
+
+    fn put_index(&self, engine: &Engine, index: &DirIndex, cb: FsCallback<()>) {
+        let stored = Self::with_local_storage(engine, LS_INDEX_KEY, |ls, browser| {
+            ls.set_item(browser, LS_INDEX_KEY, &index.serialize())
+        });
+        cb(engine, stored);
     }
 }
 
 /// Read-only access to files served by the web server, downloaded on
 /// demand (DoppioJVM's class loader runs on this: "the file system
 /// backend launches an asynchronous download request for the particular
-/// file", §6.4).
+/// file", §6.4), with ~3 ms request RTT and ~30 MB/s transfer. The
+/// server's listing is the directory index.
 #[derive(Debug)]
 pub struct XhrStore {
     files: BTreeMap<String, Vec<u8>>,
-    rtt_ns: u64,
-    ns_per_kib: u64,
 }
 
 impl XhrStore {
-    /// A server store over `files` with default 2013-era latencies
-    /// (~3 ms request RTT, ~30 MB/s transfer).
+    /// A server store over `files`.
     pub fn new(files: BTreeMap<String, Vec<u8>>) -> XhrStore {
-        XhrStore::with_network(files, 3_000_000, 32_000)
-    }
-
-    /// A server store with an explicit network model.
-    pub fn with_network(
-        files: BTreeMap<String, Vec<u8>>,
-        rtt_ns: u64,
-        ns_per_kib: u64,
-    ) -> XhrStore {
-        XhrStore {
-            files,
-            rtt_ns,
-            ns_per_kib,
-        }
-    }
-
-    /// The server's listing (used to build the directory index).
-    pub fn listing(&self) -> DirIndex {
-        DirIndex::from_file_paths(self.files.keys().map(String::as_str))
+        XhrStore { files }
     }
 }
 
-impl BlobStore for XhrStore {
+impl ObjectStoreClient for XhrStore {
     fn name(&self) -> &'static str {
         "XmlHttpRequest"
     }
@@ -520,106 +221,77 @@ impl BlobStore for XhrStore {
     }
 
     fn op_latency_ns(&self) -> u64 {
-        self.rtt_ns
+        3_000_000
     }
 
     fn ns_per_kib(&self) -> u64 {
-        self.ns_per_kib
+        32_000
     }
 
-    fn get(&mut self, engine: &Engine, key: &str) -> FsResult<Option<Vec<u8>>> {
+    fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
         let data = self.files.get(key).cloned();
         if let Some(d) = &data {
-            // The downloaded body lands in a typed array (or string on
-            // browsers without them) — visible to the Safari leak.
-            if engine.profile().has_typed_arrays {
-                engine.typed_array_alloc(d.len());
-                engine.typed_array_free(d.len());
-                engine.charge_n(Cost::TypedArrayByte, d.len() as u64);
-            } else {
-                engine.charge_n(Cost::JsArrayByte, d.len() as u64);
-            }
+            // The downloaded body lands in a read buffer, visible to
+            // the Safari leak.
+            charge_read_buffer(engine, d.len());
         }
-        Ok(data)
+        cb(engine, Ok(data));
     }
 
-    fn put(&mut self, _engine: &Engine, key: &str, _data: &[u8]) -> FsResult<()> {
-        Err(FsError::new(Errno::Erofs, key))
+    fn put(&self, engine: &Engine, key: &str, _data: Vec<u8>, cb: FsCallback<()>) {
+        cb(engine, Err(FsError::new(Errno::Erofs, key)));
     }
 
-    fn delete(&mut self, _engine: &Engine, key: &str) -> FsResult<()> {
-        Err(FsError::new(Errno::Erofs, key))
+    fn delete(&self, engine: &Engine, key: &str, cb: FsCallback<()>) {
+        cb(engine, Err(FsError::new(Errno::Erofs, key)));
+    }
+
+    fn get_index(&self, engine: &Engine, cb: FsCallback<Option<DirIndex>>) {
+        let listing = DirIndex::from_file_paths(self.files.keys().map(String::as_str));
+        cb(engine, Ok(Some(listing)));
     }
 }
 
 /// Dropbox cloud storage: read-write, but every operation pays a cloud
-/// round trip.
-#[derive(Debug)]
+/// round trip (~40 ms) and ~8 MB/s transfer. The directory index is the
+/// object at [`INDEX_KEY`](super::replicated::INDEX_KEY).
+#[derive(Debug, Default)]
 pub struct DropboxStore {
-    blobs: HashMap<String, Vec<u8>>,
-    rtt_ns: u64,
-    ns_per_kib: u64,
+    blobs: RefCell<HashMap<String, Vec<u8>>>,
 }
 
 impl DropboxStore {
-    /// An empty cloud store with default latencies (~40 ms RTT,
-    /// ~8 MB/s transfer).
+    /// An empty cloud store.
     pub fn new() -> DropboxStore {
-        DropboxStore::with_network(40_000_000, 128_000)
-    }
-
-    /// A cloud store with an explicit network model.
-    pub fn with_network(rtt_ns: u64, ns_per_kib: u64) -> DropboxStore {
-        DropboxStore {
-            blobs: HashMap::new(),
-            rtt_ns,
-            ns_per_kib,
-        }
+        DropboxStore::default()
     }
 }
 
-impl Default for DropboxStore {
-    fn default() -> Self {
-        DropboxStore::new()
-    }
-}
-
-impl BlobStore for DropboxStore {
+impl ObjectStoreClient for DropboxStore {
     fn name(&self) -> &'static str {
         "Dropbox"
     }
 
     fn op_latency_ns(&self) -> u64 {
-        self.rtt_ns
+        40_000_000
     }
 
     fn ns_per_kib(&self) -> u64 {
-        self.ns_per_kib
+        128_000
     }
 
-    fn get(&mut self, _engine: &Engine, key: &str) -> FsResult<Option<Vec<u8>>> {
-        Ok(self.blobs.get(key).cloned())
+    fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
+        let data = self.blobs.borrow().get(key).cloned();
+        cb(engine, Ok(data));
     }
 
-    fn put(&mut self, _engine: &Engine, key: &str, data: &[u8]) -> FsResult<()> {
-        self.blobs.insert(key.to_string(), data.to_vec());
-        Ok(())
+    fn put(&self, engine: &Engine, key: &str, data: Vec<u8>, cb: FsCallback<()>) {
+        self.blobs.borrow_mut().insert(key.to_string(), data);
+        cb(engine, Ok(()));
     }
 
-    fn delete(&mut self, _engine: &Engine, key: &str) -> FsResult<()> {
-        self.blobs.remove(key);
-        Ok(())
-    }
-
-    fn persist_index(&mut self, _engine: &Engine, serialized: &str) -> FsResult<()> {
-        self.blobs
-            .insert("\u{0}index".to_string(), serialized.as_bytes().to_vec());
-        Ok(())
-    }
-
-    fn load_index(&mut self, _engine: &Engine) -> Option<String> {
-        self.blobs
-            .get("\u{0}index")
-            .map(|b| String::from_utf8_lossy(b).into_owned())
+    fn delete(&self, engine: &Engine, key: &str, cb: FsCallback<()>) {
+        self.blobs.borrow_mut().remove(key);
+        cb(engine, Ok(()));
     }
 }

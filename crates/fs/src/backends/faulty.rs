@@ -81,10 +81,6 @@ impl Backend for FaultyBackend {
         "Faulty"
     }
 
-    fn is_read_only(&self) -> bool {
-        self.inner.is_read_only()
-    }
-
     fn stat(&self, engine: &Engine, path: &str, cb: FsCallback<Stat>) {
         let Ok((cb, extra)) = self.gate(engine, "stat", path, false, cb) else {
             return;

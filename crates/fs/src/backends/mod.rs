@@ -1,11 +1,17 @@
 //! The concrete file-system backends (§5.1, Figure 2).
+//!
+//! One whole-file backend, [`ObjectStoreBackend`], serves five stores:
+//! the paper's memory, localStorage, XHR and Dropbox stores
+//! ([`blob`]), and any asynchronous [`ObjectStoreClient`], such as the
+//! replicated cluster client in `doppio-storage`. [`MountableFs`] and
+//! [`FaultyBackend`] decorate backends.
 
 pub mod blob;
 pub mod faulty;
 pub mod mount;
 pub mod replicated;
 
-pub use blob::{BlobBackend, BlobStore, DropboxStore, LocalStorageStore, MemoryStore, XhrStore};
+pub use blob::{DropboxStore, LocalStorageStore, MemoryStore, XhrStore};
 pub use faulty::FaultyBackend;
 pub use mount::MountableFs;
 pub use replicated::{ObjectStoreBackend, ObjectStoreClient};
@@ -16,28 +22,35 @@ use std::rc::Rc;
 
 use crate::backend::SharedBackend;
 
+/// A backend over one of the paper's stores, its directory tree loaded
+/// from wherever the store keeps it. These stores answer inline, so the
+/// tree is in place when this returns.
+fn over(engine: &Engine, store: impl ObjectStoreClient + 'static) -> SharedBackend {
+    let backend = ObjectStoreBackend::new(store);
+    backend.hydrate(engine, Box::new(|_, _| {}));
+    Rc::new(backend)
+}
+
 /// An in-memory backend (temporary storage, like `/tmp`).
 pub fn in_memory(engine: &Engine) -> SharedBackend {
-    Rc::new(BlobBackend::new(engine, MemoryStore::new()))
+    over(engine, MemoryStore::new())
 }
 
 /// A backend persisted in the browser's `localStorage` (5 MB quota,
 /// binary data packed through the Buffer binary-string bridge).
 pub fn local_storage(engine: &Engine) -> SharedBackend {
-    Rc::new(BlobBackend::new(engine, LocalStorageStore::new()))
+    over(engine, LocalStorageStore::new())
 }
 
 /// A read-only backend over files served by the web server, downloaded
 /// on demand.
 pub fn xhr(engine: &Engine, files: BTreeMap<String, Vec<u8>>) -> SharedBackend {
-    let store = XhrStore::new(files);
-    let index = store.listing();
-    Rc::new(BlobBackend::with_index(engine, store, index))
+    over(engine, XhrStore::new(files))
 }
 
 /// A Dropbox-style cloud backend (read-write, high latency).
 pub fn dropbox(engine: &Engine) -> SharedBackend {
-    Rc::new(BlobBackend::new(engine, DropboxStore::new()))
+    over(engine, DropboxStore::new())
 }
 
 /// A mountable file system over `root`.

@@ -1,43 +1,59 @@
-//! The replicated object-store backend seam.
+//! The whole-file backend over any object store (§5.1).
 //!
-//! §5.1's utility classes already factor a backend into "directory
-//! structure + whole-blob movement" ([`BlobBackend`](super::blob)
-//! packages them around a *synchronous* [`BlobStore`](super::blob)).
-//! A replicated store cannot be synchronous: every data operation is a
-//! network round trip to a primary node, completing through the event
-//! loop turns later. [`ObjectStoreBackend`] is the asynchronous twin:
-//! the same [`DirIndex`]/sizes/mtimes bookkeeping, sync-on-close
-//! whole-blob semantics, and errno surface as the blob backend, over an
-//! [`ObjectStoreClient`] whose get/put/delete complete by callback.
+//! §5.1's utility classes make a backend cheap to write: the directory
+//! index and the load-whole-file/sync-on-close file model are shared,
+//! and a storage mechanism only moves whole blobs. [`ObjectStoreBackend`]
+//! is that shared part, written once: the [`DirIndex`], the size and
+//! mtime caches, and the errno surface. A store plugs in as an
+//! [`ObjectStoreClient`]:
+//! * the paper's four stores in [`blob`](super::blob) (memory,
+//!   localStorage, XHR, Dropbox), which answer every call before it
+//!   returns;
+//! * `doppio-storage`'s client of a primary/backup replicated cluster,
+//!   whose calls complete turns later, through the network.
 //!
-//! The concrete client — a primary/backup replicated cluster with a
-//! write-back journal and an invalidating cache tier — lives in the
-//! `doppio-storage` crate; this module owns only the fs-semantics
-//! layer, so the conformance suite can pin both backends to the same
-//! oracle behavior.
+//! One completion rule serves both kinds of store. An op whose store
+//! calls were all answered inline completes with one [`deliver`] after
+//! the store's latency for the op's payload bytes. An op that waited on
+//! the store completes in the store's callback. An op's store calls run
+//! as a chain of steps; steps answered inline run in a loop, so a rename
+//! of a large directory does not grow the stack.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use doppio_jsengine::Engine;
 
 use crate::backend::{deliver, Backend, DirIndex, FileKind, FsCallback, OpenFlags, Stat};
-use crate::error::{Errno, FsError};
+use crate::error::{Errno, FsError, FsResult};
 
-/// Key under which the serialized directory index is persisted in the
-/// object store (NUL-prefixed so it can never collide with a path).
+/// Key under which stores that keep the directory index as an object
+/// persist it (NUL-prefixed so it can never collide with a path).
 pub const INDEX_KEY: &str = "\u{0}index";
 
-/// Latency of a purely client-local operation (an index lookup that
-/// never leaves the client), matching the in-memory store.
-const LOCAL_LATENCY_NS: u64 = 1_200;
-
-/// An asynchronous whole-blob object store: the only thing a
-/// replicated (or otherwise remote) storage service has to provide.
+/// A whole-blob object store: all a storage mechanism has to provide.
+///
+/// Every call completes through its callback, either before it returns
+/// (the paper's stores) or later (a remote store).
 pub trait ObjectStoreClient {
-    /// Client name for diagnostics.
+    /// Store name for diagnostics.
     fn name(&self) -> &'static str;
+
+    /// Whether every write fails with `EROFS`. The backend checks this
+    /// before it changes anything.
+    fn is_read_only(&self) -> bool {
+        false
+    }
+
+    /// Fixed virtual latency of an op whose store calls were all
+    /// answered inline (and of an op that needs no store call).
+    fn op_latency_ns(&self) -> u64;
+
+    /// Additional virtual latency per KiB of such an op's payload.
+    fn ns_per_kib(&self) -> u64 {
+        0
+    }
 
     /// Fetch the blob at `key` (`Ok(None)` if absent).
     fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>);
@@ -47,57 +63,118 @@ pub trait ObjectStoreClient {
 
     /// Remove the blob at `key` (missing is fine).
     fn delete(&self, engine: &Engine, key: &str, cb: FsCallback<()>);
+
+    /// Fetch the persisted directory index (`Ok(None)` if there is
+    /// none). By default it is the object at [`INDEX_KEY`].
+    fn get_index(&self, engine: &Engine, cb: FsCallback<Option<DirIndex>>) {
+        self.get(
+            engine,
+            INDEX_KEY,
+            Box::new(move |e, r| {
+                let index =
+                    r.map(|b| b.map(|b| DirIndex::deserialize(&String::from_utf8_lossy(&b))));
+                cb(e, index)
+            }),
+        );
+    }
+
+    /// Persist the directory index. By default it is the object at
+    /// [`INDEX_KEY`].
+    fn put_index(&self, engine: &Engine, index: &DirIndex, cb: FsCallback<()>) {
+        self.put(engine, INDEX_KEY, index.serialize().into_bytes(), cb);
+    }
 }
 
-struct ReplState {
+struct State {
     index: DirIndex,
     sizes: HashMap<String, usize>,
     mtimes: HashMap<String, u64>,
 }
 
-struct ReplInner<C> {
+struct Inner<C> {
     client: C,
-    state: RefCell<ReplState>,
+    state: RefCell<State>,
 }
 
-/// A full [`Backend`] over any [`ObjectStoreClient`] — the
-/// asynchronous counterpart of [`BlobBackend`](super::blob::BlobBackend).
-pub struct ObjectStoreBackend<C: ObjectStoreClient + 'static> {
-    inner: Rc<ReplInner<C>>,
-}
-
-impl<C: ObjectStoreClient + 'static> Clone for ObjectStoreBackend<C> {
-    fn clone(&self) -> Self {
-        ObjectStoreBackend {
-            inner: self.inner.clone(),
-        }
+impl<C: ObjectStoreClient> Inner<C> {
+    /// The store's latency for an op answered inline that moved `bytes`.
+    fn latency(&self, bytes: usize) -> u64 {
+        self.client.op_latency_ns() + self.client.ns_per_kib() * (bytes as u64).div_ceil(1024)
     }
 }
 
-/// One asynchronous step in a sequential chain (see [`run_steps`]).
+/// A full [`Backend`] over any [`ObjectStoreClient`].
+pub struct ObjectStoreBackend<C: ObjectStoreClient + 'static> {
+    inner: Rc<Inner<C>>,
+}
+
+/// What an op's result carries back from the store; its bytes count
+/// toward the latency of an inline answer.
+trait Payload {
+    fn bytes(&self) -> usize {
+        0
+    }
+}
+
+impl Payload for () {}
+impl Payload for Stat {}
+impl Payload for Vec<u8> {
+    fn bytes(&self) -> usize {
+        self.len()
+    }
+}
+
+/// One store call in an op's chain (see [`run_steps`]).
 type Step = Box<dyn FnOnce(&Engine, FsCallback<()>)>;
 
-/// Run `steps` strictly in order, short-circuiting on the first error.
+/// Where a step's answer goes: the loop in [`run_steps`] picks it up if
+/// it came before the step returned; otherwise the step is waiting, and
+/// the answer resumes the rest of the chain.
+enum Answer {
+    Pending,
+    Ready(FsResult<()>),
+    Resume(FsCallback<()>),
+}
+
+/// Run `steps` strictly in order, stopping at the first error, then
+/// call `done`.
 fn run_steps(engine: &Engine, mut steps: VecDeque<Step>, done: FsCallback<()>) {
-    match steps.pop_front() {
-        None => done(engine, Ok(())),
-        Some(step) => step(
+    while let Some(step) = steps.pop_front() {
+        let answer = Rc::new(RefCell::new(Answer::Pending));
+        let slot = answer.clone();
+        step(
             engine,
-            Box::new(move |e, r| match r {
-                Ok(()) => run_steps(e, steps, done),
-                Err(err) => done(e, Err(err)),
+            Box::new(move |e, r| {
+                let prev = std::mem::replace(&mut *slot.borrow_mut(), Answer::Pending);
+                match prev {
+                    Answer::Resume(rest) => rest(e, r),
+                    _ => *slot.borrow_mut() = Answer::Ready(r),
+                }
             }),
-        ),
+        );
+        let answered = std::mem::replace(&mut *answer.borrow_mut(), Answer::Pending);
+        match answered {
+            Answer::Ready(Ok(())) => {}
+            Answer::Ready(Err(err)) => return done(engine, Err(err)),
+            _ => {
+                *answer.borrow_mut() = Answer::Resume(Box::new(move |e, r| match r {
+                    Ok(()) => run_steps(e, steps, done),
+                    Err(err) => done(e, Err(err)),
+                }));
+                return;
+            }
+        }
     }
+    done(engine, Ok(()))
 }
 
 impl<C: ObjectStoreClient + 'static> ObjectStoreBackend<C> {
     /// A backend over `client` with an empty directory tree.
     pub fn new(client: C) -> ObjectStoreBackend<C> {
         ObjectStoreBackend {
-            inner: Rc::new(ReplInner {
+            inner: Rc::new(Inner {
                 client,
-                state: RefCell::new(ReplState {
+                state: RefCell::new(State {
                     index: DirIndex::new(),
                     sizes: HashMap::new(),
                     mtimes: HashMap::new(),
@@ -106,33 +183,148 @@ impl<C: ObjectStoreClient + 'static> ObjectStoreBackend<C> {
         }
     }
 
-    /// Load the persisted directory index from the store (for a client
-    /// attaching to a cluster that already holds data, e.g. after a
-    /// crash/restart cycle). Completes with `Ok` even when no index
-    /// has ever been persisted (the tree is simply empty).
+    /// Load the directory index from wherever the store persists it
+    /// (for a client attaching to a store that already holds data, e.g.
+    /// after a crash/restart cycle). Completes with `Ok` even when no
+    /// index has ever been persisted (the tree is simply empty).
     pub fn hydrate(&self, engine: &Engine, cb: FsCallback<()>) {
         let inner = self.inner.clone();
-        self.inner.client.get(
+        self.inner.client.get_index(
             engine,
-            INDEX_KEY,
-            Box::new(move |e, r| match r {
-                Ok(Some(bytes)) => {
-                    let text = String::from_utf8_lossy(&bytes).into_owned();
-                    inner.state.borrow_mut().index = DirIndex::deserialize(&text);
-                    cb(e, Ok(()));
-                }
-                Ok(None) => cb(e, Ok(())),
-                Err(err) => cb(e, Err(err)),
+            Box::new(move |e, r| {
+                let r = r.map(|index| {
+                    if let Some(index) = index {
+                        inner.state.borrow_mut().index = index;
+                    }
+                });
+                cb(e, r)
             }),
         );
     }
 
-    /// A step that persists the current index serialization.
+    /// Hand `body` the callback that completes the op under the
+    /// completion rule (see the module docs). An inline answer's
+    /// latency is charged for the `sent` bytes plus those the result
+    /// carries back.
+    fn complete<T: Payload + 'static>(
+        &self,
+        sent: usize,
+        cb: FsCallback<T>,
+        body: impl FnOnce(FsCallback<T>),
+    ) {
+        let returned = Rc::new(Cell::new(false));
+        let waited = returned.clone();
+        let inner = self.inner.clone();
+        body(Box::new(move |e, r| {
+            if waited.get() {
+                cb(e, r);
+            } else {
+                let bytes = sent + r.as_ref().map_or(0, Payload::bytes);
+                deliver(e, inner.latency(bytes), cb, r);
+            }
+        }));
+        returned.set(true);
+    }
+
+    fn write_guard(&self, path: &str) -> FsResult<()> {
+        if self.inner.client.is_read_only() {
+            Err(FsError::new(Errno::Erofs, path))
+        } else {
+            Ok(())
+        }
+    }
+
+    /// A write op: after the read-only check, `change` updates the
+    /// index and caches and returns the store calls that carry the
+    /// change out; persisting the index comes last.
+    fn write(
+        &self,
+        engine: &Engine,
+        path: &str,
+        sent: usize,
+        cb: FsCallback<()>,
+        change: impl FnOnce(&mut State) -> FsResult<Vec<Step>>,
+    ) {
+        self.complete(sent, cb, |done| {
+            let changed = self
+                .write_guard(path)
+                .and_then(|()| change(&mut self.inner.state.borrow_mut()));
+            match changed {
+                Ok(steps) => {
+                    let mut steps = VecDeque::from(steps);
+                    steps.push_back(self.persist_step());
+                    run_steps(engine, steps, done);
+                }
+                Err(err) => done(engine, Err(err)),
+            }
+        });
+    }
+
+    /// A step that stores `data` at `path`, then records its size and
+    /// mtime, unless the store refused it before returning.
+    fn put_step(&self, path: &str, data: Vec<u8>) -> Step {
+        let inner = self.inner.clone();
+        let key = path.to_string();
+        Box::new(move |e, done| {
+            let size = data.len();
+            let refused = Rc::new(Cell::new(false));
+            let r = refused.clone();
+            let answer = Box::new(move |e: &Engine, result: FsResult<()>| {
+                r.set(result.is_err());
+                done(e, result)
+            });
+            inner.client.put(e, &key, data, answer);
+            if !refused.get() {
+                let mut st = inner.state.borrow_mut();
+                st.sizes.insert(key.clone(), size);
+                st.mtimes.insert(key, e.now_ns());
+            }
+        })
+    }
+
+    /// A step that moves the blob at `old` to `new` (a missing blob has
+    /// nothing to move).
+    fn move_step(&self, old: String, new: String) -> Step {
+        let inner = self.inner.clone();
+        Box::new(move |e, done| {
+            let store = inner.clone();
+            inner.client.get(
+                e,
+                &old.clone(),
+                Box::new(move |e, r| match r {
+                    Ok(Some(data)) => {
+                        let then = store.clone();
+                        store.client.put(
+                            e,
+                            &new,
+                            data,
+                            Box::new(move |e, r| match r {
+                                Ok(()) => then.client.delete(e, &old, done),
+                                Err(err) => done(e, Err(err)),
+                            }),
+                        );
+                    }
+                    Ok(None) => done(e, Ok(())),
+                    Err(err) => done(e, Err(err)),
+                }),
+            );
+        })
+    }
+
+    /// A step that deletes the blob at `path`.
+    fn delete_step(&self, path: &str) -> Step {
+        let inner = self.inner.clone();
+        let key = path.to_string();
+        Box::new(move |e, done| inner.client.delete(e, &key, done))
+    }
+
+    /// A step that persists the directory index as it stands when the
+    /// step runs.
     fn persist_step(&self) -> Step {
         let inner = self.inner.clone();
         Box::new(move |e, done| {
-            let ser = inner.state.borrow().index.serialize();
-            inner.client.put(e, INDEX_KEY, ser.into_bytes(), done);
+            let st = inner.state.borrow();
+            inner.client.put_index(e, &st.index, done);
         })
     }
 }
@@ -143,158 +335,98 @@ impl<C: ObjectStoreClient + 'static> Backend for ObjectStoreBackend<C> {
     }
 
     fn stat(&self, engine: &Engine, path: &str, cb: FsCallback<Stat>) {
-        let st = self.inner.state.borrow();
-        match st.index.kind(path) {
-            None => deliver(
-                engine,
-                LOCAL_LATENCY_NS,
-                cb,
-                Err(FsError::new(Errno::Enoent, path)),
-            ),
-            Some(FileKind::Directory) => {
-                let stat = Stat {
-                    kind: FileKind::Directory,
-                    size: 0,
-                    mtime_ns: st.mtimes.get(path).copied().unwrap_or(0),
-                };
-                deliver(engine, LOCAL_LATENCY_NS, cb, Ok(stat));
-            }
-            Some(FileKind::File) => {
-                let mtime_ns = st.mtimes.get(path).copied().unwrap_or(0);
-                if let Some(&size) = st.sizes.get(path) {
-                    let stat = Stat {
-                        kind: FileKind::File,
-                        size,
-                        mtime_ns,
-                    };
-                    deliver(engine, LOCAL_LATENCY_NS, cb, Ok(stat));
-                    return;
+        self.complete(0, cb, |done| {
+            let st = self.inner.state.borrow();
+            let mtime_ns = st.mtimes.get(path).copied().unwrap_or(0);
+            let stat = move |kind, size| Stat {
+                kind,
+                size,
+                mtime_ns,
+            };
+            match (st.index.kind(path), st.sizes.get(path).copied()) {
+                (None, _) => done(engine, Err(FsError::new(Errno::Enoent, path))),
+                (Some(FileKind::Directory), _) => done(engine, Ok(stat(FileKind::Directory, 0))),
+                (Some(FileKind::File), Some(size)) => done(engine, Ok(stat(FileKind::File, size))),
+                (Some(FileKind::File), None) => {
+                    drop(st);
+                    // Size unknown (a hydrated index): fetch the blob.
+                    let inner = self.inner.clone();
+                    let key = path.to_string();
+                    self.inner.client.get(
+                        engine,
+                        path,
+                        Box::new(move |e, r| {
+                            let r = r.map(|data| {
+                                let size = data.map_or(0, |d| d.len());
+                                inner.state.borrow_mut().sizes.insert(key, size);
+                                stat(FileKind::File, size)
+                            });
+                            done(e, r)
+                        }),
+                    );
                 }
-                drop(st);
-                // Size unknown (e.g. a hydrated index): fetch the blob.
-                let inner = self.inner.clone();
-                let path = path.to_string();
-                self.inner.client.get(
-                    engine,
-                    &path.clone(),
-                    Box::new(move |e, r| match r {
-                        Ok(data) => {
-                            let size = data.map(|d| d.len()).unwrap_or(0);
-                            inner.state.borrow_mut().sizes.insert(path, size);
-                            cb(
-                                e,
-                                Ok(Stat {
-                                    kind: FileKind::File,
-                                    size,
-                                    mtime_ns,
-                                }),
-                            );
-                        }
-                        Err(err) => cb(e, Err(err)),
-                    }),
-                );
             }
-        }
+        });
     }
 
     fn open(&self, engine: &Engine, path: &str, flags: OpenFlags, cb: FsCallback<Vec<u8>>) {
-        let mut st = self.inner.state.borrow_mut();
-        match st.index.kind(path) {
-            Some(FileKind::Directory) => deliver(
-                engine,
-                LOCAL_LATENCY_NS,
-                cb,
-                Err(FsError::new(Errno::Eisdir, path)),
-            ),
+        let kind = self.inner.state.borrow().index.kind(path);
+        if kind.is_none() && flags.create {
+            let created =
+                Box::new(move |e: &Engine, r: FsResult<()>| cb(e, r.map(|()| Vec::new())));
+            return self.write(engine, path, 0, created, |st| {
+                st.index.insert_file(path)?;
+                Ok(vec![self.put_step(path, Vec::new())])
+            });
+        }
+        self.complete(0, cb, |done| match kind {
+            None => done(engine, Err(FsError::new(Errno::Enoent, path))),
+            Some(FileKind::Directory) => done(engine, Err(FsError::new(Errno::Eisdir, path))),
+            Some(FileKind::File) if flags.exclusive => {
+                done(engine, Err(FsError::new(Errno::Eexist, path)))
+            }
+            Some(FileKind::File) if flags.truncate => {
+                // Truncation is recorded locally; the empty image lands
+                // at sync time.
+                let truncated = self.write_guard(path).map(|()| {
+                    self.inner
+                        .state
+                        .borrow_mut()
+                        .sizes
+                        .insert(path.to_string(), 0);
+                    Vec::new()
+                });
+                done(engine, truncated)
+            }
             Some(FileKind::File) => {
-                if flags.exclusive {
-                    deliver(
-                        engine,
-                        LOCAL_LATENCY_NS,
-                        cb,
-                        Err(FsError::new(Errno::Eexist, path)),
-                    );
-                    return;
-                }
-                if flags.truncate {
-                    // Like the blob backend, truncation is recorded
-                    // locally; the zero-length image lands at sync time.
-                    st.sizes.insert(path.to_string(), 0);
-                    deliver(engine, LOCAL_LATENCY_NS, cb, Ok(Vec::new()));
-                    return;
-                }
-                drop(st);
                 let inner = self.inner.clone();
                 let key = path.to_string();
-                let err_path = path.to_string();
                 self.inner.client.get(
                     engine,
                     path,
-                    Box::new(move |e, r| match r {
-                        Ok(Some(data)) => {
-                            inner.state.borrow_mut().sizes.insert(key, data.len());
-                            cb(e, Ok(data));
-                        }
-                        Ok(None) => cb(e, Err(FsError::new(Errno::Eio, err_path))),
-                        Err(err) => cb(e, Err(err)),
+                    Box::new(move |e, r| {
+                        let r = match r {
+                            Ok(Some(data)) => {
+                                inner.state.borrow_mut().sizes.insert(key, data.len());
+                                Ok(data)
+                            }
+                            Ok(None) => Err(FsError::new(Errno::Eio, key)),
+                            Err(err) => Err(err),
+                        };
+                        done(e, r)
                     }),
                 );
             }
-            None => {
-                if !flags.create {
-                    deliver(
-                        engine,
-                        LOCAL_LATENCY_NS,
-                        cb,
-                        Err(FsError::new(Errno::Enoent, path)),
-                    );
-                    return;
-                }
-                if let Err(err) = st.index.insert_file(path) {
-                    deliver(engine, LOCAL_LATENCY_NS, cb, Err(err));
-                    return;
-                }
-                st.sizes.insert(path.to_string(), 0);
-                st.mtimes.insert(path.to_string(), engine.now_ns());
-                drop(st);
-                let key = path.to_string();
-                let create = {
-                    let inner = self.inner.clone();
-                    Box::new(move |e: &Engine, done: FsCallback<()>| {
-                        inner.client.put(e, &key, Vec::new(), done);
-                    }) as Step
-                };
-                let steps = VecDeque::from([create, self.persist_step()]);
-                run_steps(
-                    engine,
-                    steps,
-                    Box::new(move |e, r| cb(e, r.map(|_| Vec::new()))),
-                );
-            }
-        }
+        });
     }
 
     fn sync(&self, engine: &Engine, path: &str, data: Vec<u8>, cb: FsCallback<()>) {
-        {
-            let mut st = self.inner.state.borrow_mut();
+        self.write(engine, path, data.len(), cb, |st| {
             if !st.index.contains(path) {
-                if let Err(err) = st.index.insert_file(path) {
-                    deliver(engine, LOCAL_LATENCY_NS, cb, Err(err));
-                    return;
-                }
+                st.index.insert_file(path)?;
             }
-            st.sizes.insert(path.to_string(), data.len());
-            st.mtimes.insert(path.to_string(), engine.now_ns());
-        }
-        let key = path.to_string();
-        let write = {
-            let inner = self.inner.clone();
-            Box::new(move |e: &Engine, done: FsCallback<()>| {
-                inner.client.put(e, &key, data, done);
-            }) as Step
-        };
-        let steps = VecDeque::from([write, self.persist_step()]);
-        run_steps(engine, steps, cb);
+            Ok(vec![self.put_step(path, data)])
+        });
     }
 
     fn close(&self, engine: &Engine, _path: &str, cb: FsCallback<()>) {
@@ -302,109 +434,55 @@ impl<C: ObjectStoreClient + 'static> Backend for ObjectStoreBackend<C> {
     }
 
     fn rename(&self, engine: &Engine, from: &str, to: &str, cb: FsCallback<()>) {
-        let moved = {
-            let mut st = self.inner.state.borrow_mut();
-            match st.index.rename(from, to) {
-                Ok(moved) => {
-                    for (old, new) in &moved {
-                        if let Some(s) = st.sizes.remove(old) {
-                            st.sizes.insert(new.clone(), s);
-                        }
-                        if let Some(t) = st.mtimes.remove(old) {
-                            st.mtimes.insert(new.clone(), t);
-                        }
-                    }
-                    moved
+        self.write(engine, from, 0, cb, |st| {
+            let moved = st.index.rename(from, to)?;
+            for (old, new) in &moved {
+                if let Some(s) = st.sizes.remove(old) {
+                    st.sizes.insert(new.clone(), s);
                 }
-                Err(err) => {
-                    deliver(engine, LOCAL_LATENCY_NS, cb, Err(err));
-                    return;
+                if let Some(t) = st.mtimes.remove(old) {
+                    st.mtimes.insert(new.clone(), t);
                 }
             }
-        };
-        let mut steps: VecDeque<Step> = VecDeque::new();
-        for (old, new) in moved {
-            let inner = self.inner.clone();
-            steps.push_back(Box::new(move |e: &Engine, done: FsCallback<()>| {
-                let inner2 = inner.clone();
-                inner.client.get(
-                    e,
-                    &old.clone(),
-                    Box::new(move |e, r| match r {
-                        Ok(Some(data)) => {
-                            let inner3 = inner2.clone();
-                            inner2.client.put(
-                                e,
-                                &new,
-                                data,
-                                Box::new(move |e, r| match r {
-                                    Ok(()) => inner3.client.delete(e, &old, done),
-                                    Err(err) => done(e, Err(err)),
-                                }),
-                            );
-                        }
-                        Ok(None) => done(e, Ok(())),
-                        Err(err) => done(e, Err(err)),
-                    }),
-                );
-            }));
-        }
-        steps.push_back(self.persist_step());
-        run_steps(engine, steps, cb);
+            Ok(moved
+                .into_iter()
+                .map(|(old, new)| self.move_step(old, new))
+                .collect())
+        });
     }
 
     fn unlink(&self, engine: &Engine, path: &str, cb: FsCallback<()>) {
-        {
-            let mut st = self.inner.state.borrow_mut();
-            if let Err(err) = st.index.remove_file(path) {
-                deliver(engine, LOCAL_LATENCY_NS, cb, Err(err));
-                return;
-            }
+        self.write(engine, path, 0, cb, |st| {
+            st.index.remove_file(path)?;
             st.sizes.remove(path);
             st.mtimes.remove(path);
-        }
-        let key = path.to_string();
-        let del = {
-            let inner = self.inner.clone();
-            Box::new(move |e: &Engine, done: FsCallback<()>| {
-                inner.client.delete(e, &key, done);
-            }) as Step
-        };
-        let steps = VecDeque::from([del, self.persist_step()]);
-        run_steps(engine, steps, cb);
+            Ok(vec![self.delete_step(path)])
+        });
     }
 
     fn mkdir(&self, engine: &Engine, path: &str, cb: FsCallback<()>) {
-        {
-            let mut st = self.inner.state.borrow_mut();
-            if let Err(err) = st.index.insert_dir(path) {
-                deliver(engine, LOCAL_LATENCY_NS, cb, Err(err));
-                return;
-            }
+        self.write(engine, path, 0, cb, |st| {
+            st.index.insert_dir(path)?;
             st.mtimes.insert(path.to_string(), engine.now_ns());
-        }
-        run_steps(engine, VecDeque::from([self.persist_step()]), cb);
+            Ok(Vec::new())
+        });
     }
 
     fn rmdir(&self, engine: &Engine, path: &str, cb: FsCallback<()>) {
-        {
-            let mut st = self.inner.state.borrow_mut();
-            if let Err(err) = st.index.remove_dir(path) {
-                deliver(engine, LOCAL_LATENCY_NS, cb, Err(err));
-                return;
-            }
+        self.write(engine, path, 0, cb, |st| {
+            st.index.remove_dir(path)?;
             st.mtimes.remove(path);
-        }
-        run_steps(engine, VecDeque::from([self.persist_step()]), cb);
+            Ok(Vec::new())
+        });
     }
 
     fn readdir(&self, engine: &Engine, path: &str, cb: FsCallback<Vec<String>>) {
-        let result = self.inner.state.borrow().index.list(path);
-        deliver(engine, LOCAL_LATENCY_NS, cb, result);
+        let names = self.inner.state.borrow().index.list(path);
+        deliver(engine, self.inner.latency(0), cb, names);
     }
 
     fn utimes(&self, engine: &Engine, path: &str, mtime_ns: u64, cb: FsCallback<()>) {
-        let result = {
+        let touched = {
             let mut st = self.inner.state.borrow_mut();
             if st.index.contains(path) {
                 st.mtimes.insert(path.to_string(), mtime_ns);
@@ -413,14 +491,13 @@ impl<C: ObjectStoreClient + 'static> Backend for ObjectStoreBackend<C> {
                 Err(FsError::new(Errno::Enoent, path))
             }
         };
-        deliver(engine, LOCAL_LATENCY_NS, cb, result);
+        deliver(engine, self.inner.latency(0), cb, touched);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::FsResult;
     use doppio_jsengine::Browser;
     use std::collections::BTreeMap;
 
@@ -447,6 +524,9 @@ mod tests {
     impl ObjectStoreClient for LoopbackStore {
         fn name(&self) -> &'static str {
             "Loopback"
+        }
+        fn op_latency_ns(&self) -> u64 {
+            1_200
         }
         fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
             let data = self.blobs.borrow().get(key).cloned();
@@ -510,7 +590,7 @@ mod tests {
     }
 
     #[test]
-    fn errno_surface_matches_the_blob_backend() {
+    fn errno_surface_holds_over_an_async_store() {
         let engine = Engine::new(Browser::Chrome);
         let (store, _) = LoopbackStore::new();
         let be = ObjectStoreBackend::new(store);

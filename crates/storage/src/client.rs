@@ -467,6 +467,12 @@ impl ObjectStoreClient for StorageClient {
         "Replicated"
     }
 
+    /// An op that never leaves the client (an index lookup) costs what
+    /// it costs on the in-memory store.
+    fn op_latency_ns(&self) -> u64 {
+        1_200
+    }
+
     fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
         self.kv_get(engine, key, cb);
     }
