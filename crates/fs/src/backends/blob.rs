@@ -23,8 +23,8 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 
 use doppio_buffer::{Buffer, Encoding};
-use doppio_jsengine::storage::SyncMechanism;
-use doppio_jsengine::{Cost, Engine, EngineError};
+use doppio_jsengine::storage::{KvStore, SyncMechanism};
+use doppio_jsengine::{Cost, Engine, EngineError, EngineResult};
 
 use super::ObjectStoreClient;
 use crate::backend::{DirIndex, FsCallback};
@@ -120,7 +120,7 @@ impl LocalStorageStore {
     fn with_local_storage<R>(
         engine: &Engine,
         key: &str,
-        f: impl FnOnce(&mut doppio_jsengine::storage::KvStore, &'static str) -> Result<R, EngineError>,
+        f: impl FnOnce(&mut KvStore, &'static str) -> EngineResult<R>,
     ) -> FsResult<R> {
         let browser = engine.profile().browser.name();
         engine
