@@ -60,7 +60,8 @@ pub use proto::{Frame, FrameBuffer, RequestOp, WriteOp};
 use doppio_fs::backend::SharedBackend;
 
 /// A full FS backend over `cluster` for one client session (cache
-/// enabled): the replicated twin of `doppio_fs::backends::dropbox`.
+/// enabled): the `ObjectStoreBackend` behind every fs store, here over
+/// the cluster's client instead of an inline store such as Dropbox's.
 pub fn replicated(cluster: &StorageCluster, label: &str) -> SharedBackend {
     doppio_fs::backends::replicated(cluster.client(label, true))
 }

@@ -11,7 +11,8 @@
 //! write crosses the network fabric, lands in the primary's journal,
 //! replicates to both backups, and only then acks.
 //!
-//! Run with: `cargo run --example cloud_notes`
+//! Run with: `cargo run --example cloud_notes`. `tests/determinism.rs`
+//! checks its stdout and final RunReport against a golden.
 
 use std::rc::Rc;
 

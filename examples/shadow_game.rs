@@ -14,7 +14,8 @@
 //! the game loop blocks on `Console.readLine` — the §3.2 pattern that
 //! plain JavaScript cannot express.
 //!
-//! Run with: `cargo run --example shadow_game`
+//! Run with: `cargo run --example shadow_game`. `tests/determinism.rs`
+//! checks its stdout and final RunReport against a golden.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
