@@ -4,10 +4,12 @@
 //! storage mechanisms with different storage formats, restrictions,
 //! compatibility across browsers, and intended use cases". Doppio
 //! unifies them behind a Node-style asynchronous `fs` API
-//! ([`FileSystem`]) over pluggable [`Backend`]s: in-memory,
-//! localStorage, read-only server files (XHR), Dropbox-style cloud
-//! storage, and a Unix-style [`MountableFs`](backends::MountableFs)
-//! that composes them into one tree.
+//! ([`FileSystem`]) over pluggable [`Backend`]s: one whole-file
+//! backend, [`ObjectStoreBackend`](backends::ObjectStoreBackend), over
+//! in-memory, localStorage, read-only server files (XHR), Dropbox-style
+//! cloud or replicated storage, and a Unix-style
+//! [`MountableFs`](backends::MountableFs) that composes them into one
+//! tree.
 //!
 //! A backend implements just **nine methods**; the frontend supplies
 //! argument normalization, the descriptor table (descriptors are
