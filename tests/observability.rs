@@ -1,7 +1,8 @@
 //! End-to-end checks of the observability stack: the virtual-clock
 //! sampling profiler is byte-deterministic, the `RunReport` artifact is
 //! byte-deterministic, ring-buffer truncation surfaces everywhere it
-//! should, and the Prometheus text exposition matches its golden file.
+//! should, the Prometheus text exposition matches its golden file, and
+//! histograms and the profiler never move the virtual clock.
 
 mod common;
 
@@ -9,7 +10,7 @@ use std::rc::Rc;
 
 use common::{check_golden, digest};
 use doppio::fs::{backends, FileSystem};
-use doppio::jsengine::{Browser, Engine};
+use doppio::jsengine::{Browser, Cost, Engine};
 use doppio::jvm::{fsutil, Jvm};
 use doppio::minijava::compile_to_bytes;
 use doppio::report::RunReport;
@@ -177,5 +178,42 @@ fn prometheus_exposition_matches_the_golden_file() {
         got, want,
         "Prometheus exposition drifted from tests/golden/prometheus.txt;\n\
          if the change is intentional, update the golden file.\n--- got ---\n{got}"
+    );
+}
+
+/// Dispatch `n` immediate events, each charging a handful of costs,
+/// and return the virtual time at which the engine goes idle.
+fn virtual_ns_after_events(engine: &Engine, n: u32) -> u64 {
+    for _ in 0..n {
+        engine
+            .set_immediate(|e| {
+                for _ in 0..16 {
+                    e.charge(Cost::IntOp);
+                    e.charge(Cost::FieldGet);
+                }
+                e.charge(Cost::Alloc);
+            })
+            .unwrap();
+    }
+    engine.run_until_idle();
+    engine.now_ns()
+}
+
+#[test]
+fn virtual_time_is_invariant_under_histograms_and_the_profiler() {
+    // Histograms and the sampling profiler only read the clock, they
+    // never charge it, so enabling both must leave the simulated
+    // timeline identical to a bare engine's.
+    let plain = Engine::new(Browser::Native);
+    let instrumented = Engine::builder(Browser::Native)
+        .histograms(true)
+        .profiler(Profiler::new(1_000_000))
+        .build();
+    let bare_ns = virtual_ns_after_events(&plain, 256);
+    assert!(bare_ns > 0, "the events charged nothing");
+    assert_eq!(
+        virtual_ns_after_events(&instrumented, 256),
+        bare_ns,
+        "enabling histograms/profiler moved the virtual clock"
     );
 }
