@@ -6,34 +6,27 @@
 //! The run happens twice — once on the shard pool, once serially on
 //! the calling thread — and the two merged reports are asserted
 //! **byte-identical** (markdown, JSON, and Prometheus exposition):
-//! parallelism changes wall-clock time, never the artifact. Host wall
-//! timings appear only on stdout and in `BENCH_scale.json`, never in
-//! the report itself.
+//! parallelism changes wall-clock time, never the artifact. The
+//! benchmark's `tenants` workload measures what the pool costs on the
+//! host; this example prints only the merged artifacts, and
+//! `tests/determinism.rs` pins two tenants at seed 1 as
+//! `tests/golden/scale/tenant_storm.txt` at 1 and 2 shard threads.
 //!
 //! Run with: `cargo run --release --example tenant_storm -- [tenants]
-//! [--seed S] [--threads N] [--out DIR]`
+//! [--seed S] [--threads N]`
 //!
-//! * `tenants` — how many tenant simulations (default 8; 3 under
-//!   `DOPPIO_BENCH_LIGHT`).
+//! * `tenants` — how many tenant simulations (default 8).
 //! * `--seed S` — master seed; per-tenant seeds derive from it by
 //!   index (default 1).
 //! * `--threads N` — shard pool size (default: one per core).
-//! * `--out DIR` — also write `scale_report.md`, `scale_report.json`,
-//!   and `scale.prom` under `DIR`.
-//!
-//! Appends a `tenant_storm.scale` section (tenants, total clicks,
-//! host seconds, simulated users/sec/core) to `BENCH_scale.json`
-//! (override the path with `DOPPIO_BENCH_SCALE_OUT`).
 
 use std::rc::Rc;
-use std::time::Instant;
 
 use doppio::jsengine::Browser;
 use doppio::scale::{self, TenantRun, TenantSpec};
 use doppio::trace::RingSink;
 use doppio::workloads::responsiveness::run_responsiveness_on;
 use doppio::EngineBuilder;
-use doppio_bench::results;
 
 /// Virtual milliseconds between synthetic user clicks.
 const CLICK_INTERVAL_MS: f64 = 16.0;
@@ -63,28 +56,12 @@ fn tenant(spec: TenantSpec) -> TenantRun {
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .map(|i| args[i + 1].clone())
-    };
-    let tenants: usize = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| a.parse().expect("tenants must be a number"))
-        .unwrap_or(if results::light_profile() { 3 } else { 8 });
-    let seed: u64 = flag("--seed").map_or(1, |s| s.parse().expect("numeric seed"));
-    let threads: usize = flag("--threads").map_or_else(scale::default_threads, |s| {
-        s.parse().expect("numeric thread count")
-    });
-    let out_dir = flag("--out");
-
-    // The measured run: K tenants on the shard pool.
-    let t0 = Instant::now();
+/// Run `tenants` tenants from master seed `seed` on a pool of
+/// `threads` OS threads, check the merge against a serial run, and
+/// return the merged `scale_report.md`, `scale_report.json` and
+/// `scale.prom`, each under a `--- <file>` header.
+pub fn run(tenants: usize, seed: u64, threads: usize) -> String {
     let report = scale::run_tenants("tenant_storm", seed, tenants, threads, tenant);
-    let host_secs = t0.elapsed().as_secs_f64();
 
     // The reference run: same shards, serially. Byte-identity of the
     // merged artifacts is the harness's core guarantee.
@@ -127,43 +104,29 @@ fn main() {
     assert_eq!(causal.truncated, 0, "tenant rings must not truncate");
     let input = causal.classes.get("input").expect("input request class");
     assert_eq!(input.requests, clicks, "traced requests == clicks");
-    let cores = threads.max(1) as f64;
-    let users_per_sec_per_core = clicks as f64 / host_secs / cores;
 
-    println!("{}", report.to_markdown());
-    println!(
-        "tenants: {tenants}  threads: {threads}  clicks: {clicks}  \
-         host: {host_secs:.3}s  simulated users/sec/core: {users_per_sec_per_core:.1}"
-    );
-    println!("parallel and serial merged reports are byte-identical");
+    format!(
+        "--- scale_report.md\n{}--- scale_report.json\n{}--- scale.prom\n{}",
+        report.to_markdown(),
+        report.to_json_string(),
+        report.prometheus()
+    )
+}
 
-    let bench_path = results::write_sections_at(
-        results::scale_out_path(),
-        vec![(
-            "tenant_storm.scale".to_string(),
-            vec![
-                ("tenants".to_string(), tenants as f64),
-                ("clicks".to_string(), clicks as f64),
-                ("host_secs".to_string(), host_secs),
-                (
-                    "sim_users_per_sec_per_core".to_string(),
-                    users_per_sec_per_core,
-                ),
-                (
-                    "virtual_ns_total".to_string(),
-                    report.total_virtual_ns() as f64,
-                ),
-            ],
-        )],
-    );
-    println!("bench section: {}", bench_path.display());
-
-    if let Some(dir) = out_dir {
-        std::fs::create_dir_all(&dir).expect("create out dir");
-        let path = |name: &str| format!("{dir}/{name}");
-        std::fs::write(path("scale_report.md"), report.to_markdown()).expect("write md");
-        std::fs::write(path("scale_report.json"), report.to_json_string()).expect("write json");
-        std::fs::write(path("scale.prom"), report.prometheus()).expect("write prom");
-        println!("wrote scale_report.md, scale_report.json, scale.prom to {dir}");
-    }
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let flag = |name: &str| {
+        args.iter()
+            .position(|a| a == name)
+            .map(|i| args[i + 1].clone())
+    };
+    let tenants: usize = args
+        .first()
+        .filter(|a| !a.starts_with("--"))
+        .map_or(8, |a| a.parse().expect("tenants must be a number"));
+    let seed: u64 = flag("--seed").map_or(1, |s| s.parse().expect("numeric seed"));
+    let threads: usize = flag("--threads").map_or_else(scale::default_threads, |s| {
+        s.parse().expect("numeric thread count")
+    });
+    print!("{}", run(tenants, seed, threads));
 }

@@ -15,7 +15,9 @@
 //! examples write, produced by the examples' own `run`;
 //! `tests/golden/examples/` holds the stdout and final RunReport of
 //! `cloud_notes` (a replicated mount) and `shadow_game` (XHR and
-//! localStorage mounts).
+//! localStorage mounts), and `tests/golden/scale/tenant_storm.txt` the
+//! merged report of two `tenant_storm` DeltaBlue tenants, which must
+//! match at 1 and 2 shard threads.
 //!
 //! The check in `tests/common/mod.rs` produces every scenario at
 //! least twice; see there for what to do on a mismatch.
@@ -37,6 +39,9 @@ mod shadow_game;
 #[allow(dead_code)]
 #[path = "../examples/shell_pipeline.rs"]
 mod shell_pipeline;
+#[allow(dead_code)]
+#[path = "../examples/tenant_storm.rs"]
+mod tenant_storm;
 
 use std::rc::Rc;
 
@@ -404,6 +409,13 @@ fn scale_report_matches_its_golden_at_one_and_two_threads() {
         let report = run_tenants("kernel_scale", SEED, 4, threads, pipeline_tenant);
         assert!(report.all_ok(), "threads={threads}");
         format!("{}\n", report.to_json_string())
+    });
+}
+
+#[test]
+fn tenant_storm_matches_its_golden_at_one_and_two_threads() {
+    check_golden_at("scale/tenant_storm", &[1, 2], |threads| {
+        tenant_storm::run(2, 1, threads)
     });
 }
 
