@@ -10,7 +10,6 @@
 
 use std::rc::Rc;
 
-use doppio_bench::rule;
 use doppio_classfile::access::{ACC_PUBLIC, ACC_STATIC};
 use doppio_classfile::builder::{ClassBuilder, MethodBuilder};
 use doppio_fs::{backends, FileSystem};
@@ -18,6 +17,8 @@ use doppio_heap::UnmanagedHeap;
 use doppio_jsengine::{Browser, Engine};
 use doppio_jvm::{fsutil, Jvm};
 use doppio_sockets::{DoppioSocket, Network, ServerConn, SocketState, TcpServerApp, Websockify};
+
+use crate::rule;
 
 struct Echo;
 impl TcpServerApp for Echo {
@@ -241,8 +242,10 @@ fn probe_reflection() -> bool {
     out.contains("Probe.main")
 }
 
-fn main() {
-    println!("Table 1: feature comparison (Doppio column probed live)\n");
+/// Table 1 with the Doppio column probed live. Panics if a probe fails.
+pub fn table1_features() -> String {
+    let mut out = String::new();
+    out.push_str("Table 1: feature comparison (Doppio column probed live)\n\n");
 
     type FeatureRow = (&'static str, &'static str, fn() -> bool, [&'static str; 5]);
     let features: Vec<FeatureRow> = vec![
@@ -304,31 +307,37 @@ fn main() {
         ),
     ];
 
-    println!(
-        "{:<12} {:<36} {:>7} {:>6} {:>6} {:>6} {:>6} {:>9}",
-        "category", "feature", "Doppio", "GWT", "Emscr", "ASMjs", "IL2JS", "WeScheme"
+    let row = |out: &mut String,
+               [cat, feat, mark, gwt, emscr, asmjs, il2js, wescheme]: [&str; 8]| {
+        putln!(
+            out,
+            "{cat:<12} {feat:<36} {mark:>7} {gwt:>6} {emscr:>6} {asmjs:>6} {il2js:>6} {wescheme:>9}"
+        );
+    };
+    row(
+        &mut out,
+        [
+            "category", "feature", "Doppio", "GWT", "Emscr", "ASMjs", "IL2JS", "WeScheme",
+        ],
     );
-    rule(96);
+    rule(&mut out, 96);
     let mut all = true;
-    for (cat, feat, probe, cmp) in features {
+    for (cat, feat, probe, [gwt, emscr, asmjs, il2js, wescheme]) in features {
         let ok = probe();
         all &= ok;
         let mark = if ok { "PASS" } else { "FAIL" };
-        println!(
-            "{:<12} {:<36} {:>7} {:>6} {:>6} {:>6} {:>6} {:>9}",
-            cat, feat, mark, cmp[0], cmp[1], cmp[2], cmp[3], cmp[4]
+        row(
+            &mut out,
+            [cat, feat, mark, gwt, emscr, asmjs, il2js, wescheme],
         );
     }
-    rule(96);
-    println!(
-        "\"*\" = needs a non-default compatibility flag on majority browsers (paper's asterisk);"
+    rule(&mut out, 96);
+    out.push_str(
+        "\"*\" = needs a non-default compatibility flag on majority browsers (paper's asterisk);\n\
+         \"+\" = will not work for over half the web population (paper's dagger).\n\
+         Comparator columns are the paper's published matrix, not re-measured here.\n",
     );
-    println!("\"+\" = will not work for over half the web population (paper's dagger).");
-    println!("Comparator columns are the paper's published matrix, not re-measured here.");
-    if all {
-        println!("\nAll Doppio features verified by live end-to-end probes.");
-    } else {
-        println!("\nWARNING: at least one probe FAILED.");
-        std::process::exit(1);
-    }
+    assert!(all, "a Table 1 probe failed:\n{out}");
+    out.push_str("\nAll Doppio features verified by live end-to-end probes.\n");
+    out
 }

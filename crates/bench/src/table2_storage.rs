@@ -8,26 +8,30 @@
 //! simulated browser profile (a write at the quota boundary must
 //! succeed, one past it must fail).
 
-use doppio_bench::rule;
-use doppio_jsengine::storage::{async_put, table2_rows, AsyncMechanism, SyncMechanism};
-use doppio_jsengine::{Browser, Engine};
 use std::cell::Cell;
 use std::rc::Rc;
 
-fn main() {
-    println!("Table 2: browser persistent storage mechanisms\n");
-    println!(
-        "{:<14} {:<24} {:>6} {:>14} {:>8} {:>9}",
-        "mechanism", "format", "sync", "max size", "compat", "status"
+use doppio_jsengine::storage::{async_put, table2_rows, AsyncMechanism, SyncMechanism};
+use doppio_jsengine::{Browser, Engine};
+
+use crate::rule;
+
+/// Table 2's survey rows, then the live availability and quota probes.
+pub fn table2_storage() -> String {
+    let mut out = String::new();
+    out.push_str("Table 2: browser persistent storage mechanisms\n\n");
+    out.push_str(
+        "mechanism      format                     sync       max size   compat    status\n",
     );
-    rule(80);
+    rule(&mut out, 80);
     for row in table2_rows() {
         let size = match row.max_size_bytes {
             Some(b) if b >= 1024 * 1024 => format!("{} MB", b / 1024 / 1024),
             Some(b) => format!("{} KB", b / 1024),
             None => "user-specified".to_string(),
         };
-        println!(
+        putln!(
+            out,
             "{:<14} {:<24} {:>6} {:>14} {:>7}% {:>9}",
             row.name,
             row.format,
@@ -38,13 +42,13 @@ fn main() {
         );
     }
 
-    println!("\nLive availability probes per simulated browser:");
-    print!("{:>14} |", "mechanism");
+    putln!(out, "\nLive availability probes per simulated browser:");
+    put!(out, "{:>14} |", "mechanism");
     for b in Browser::ALL {
-        print!("{:>9}", b.name());
+        put!(out, "{:>9}", b.name());
     }
-    println!();
-    rule(14 + 2 + 9 * Browser::ALL.len());
+    putln!(out);
+    rule(&mut out, 14 + 2 + 9 * Browser::ALL.len());
 
     let sync_mechs = [
         SyncMechanism::Cookies,
@@ -52,14 +56,14 @@ fn main() {
         SyncMechanism::UserBehavior,
     ];
     for m in sync_mechs {
-        print!("{:>14} |", m.name());
+        put!(out, "{:>14} |", m.name());
         for b in Browser::ALL {
             let e = Engine::new(b);
             let browser = e.profile().browser.name();
             let ok = e.with_storage(|s, _| s.sync_store(m).set_item(browser, "probe", "x").is_ok());
-            print!("{:>9}", if ok { "yes" } else { "-" });
+            put!(out, "{:>9}", if ok { "yes" } else { "-" });
         }
-        println!();
+        putln!(out);
     }
     let async_mechs = [
         AsyncMechanism::IndexedDb,
@@ -67,7 +71,7 @@ fn main() {
         AsyncMechanism::FileSystemApi,
     ];
     for m in async_mechs {
-        print!("{:>14} |", m.name());
+        put!(out, "{:>14} |", m.name());
         for b in Browser::ALL {
             let e = Engine::new(b);
             let done = Rc::new(Cell::new(false));
@@ -77,13 +81,14 @@ fn main() {
             })
             .is_ok();
             e.run_until_idle();
-            print!("{:>9}", if started && done.get() { "yes" } else { "-" });
+            let ok = started && done.get();
+            put!(out, "{:>9}", if ok { "yes" } else { "-" });
         }
-        println!();
+        putln!(out);
     }
 
     // Quota enforcement probe: localStorage's 5 MB boundary.
-    println!("\nQuota probe (localStorage, 5 MB):");
+    putln!(out, "\nQuota probe (localStorage, 5 MB):");
     let e = Engine::new(Browser::Chrome);
     let under = "x".repeat(2 * 1024 * 1024 - 64); // 4 MB minus slack
     let fits = e.with_storage(|s, _| {
@@ -97,7 +102,8 @@ fn main() {
             .set_item("Chrome", "big2", &over)
             .is_err()
     });
-    println!("  4 MB write accepted: {fits}");
-    println!("  further 2 MB write rejected (quota): {rejected}");
+    putln!(out, "  4 MB write accepted: {fits}");
+    putln!(out, "  further 2 MB write rejected (quota): {rejected}");
     assert!(fits && rejected, "quota probe failed");
+    out
 }
