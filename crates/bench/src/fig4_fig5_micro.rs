@@ -262,5 +262,6 @@ fn fig5(out: &mut String, sections: &mut Vec<(String, Section)>, runs: &[Runs]) 
             ],
         ));
     }
+    // A blank line between the text and the JSON sections.
     putln!(out);
 }
