@@ -48,7 +48,7 @@ use std::rc::Rc;
 use common::{check_golden, check_golden_at, check_golden_seeds, digest};
 use doppio::core::PipeId;
 use doppio::fs::{backends, FileSystem};
-use doppio::jsengine::{Browser, Engine};
+use doppio::jsengine::{Browser, BrowserProfile, Engine};
 use doppio::jvm::{fsutil, spawn_jvm, Jvm, JvmRunResult};
 use doppio::minijava::compile_to_bytes;
 use doppio::report::RunReport;
@@ -119,14 +119,21 @@ fn pidigits_matches_its_golden() {
 /// and its RunReport rendered as JSON.
 fn run_guest(src: &str, title: &str) -> (JvmRunResult, Engine, String) {
     let engine = Engine::new(Browser::Chrome);
-    let fs = FileSystem::new(&engine, backends::in_memory(&engine));
-    fsutil::mount_class_files(&engine, &fs, "/classes", &compile_to_bytes(src).unwrap());
-    let jvm = Jvm::new(&engine, fs);
+    let (r, report) = run_guest_on(&engine, src, title);
+    (r, engine, report)
+}
+
+/// Run `Main` of `src` on `engine`; return the run result and its
+/// RunReport rendered as JSON.
+fn run_guest_on(engine: &Engine, src: &str, title: &str) -> (JvmRunResult, String) {
+    let fs = FileSystem::new(engine, backends::in_memory(engine));
+    fsutil::mount_class_files(engine, &fs, "/classes", &compile_to_bytes(src).unwrap());
+    let jvm = Jvm::new(engine, fs);
     jvm.launch("Main", &[]);
     let r = jvm.run_to_completion().unwrap();
     assert!(r.uncaught.is_none(), "uncaught: {:?}", r.uncaught);
-    let report = RunReport::collect(title, &engine).to_json_string();
-    (r, engine, report)
+    let report = RunReport::collect(title, engine).to_json_string();
+    (r, report)
 }
 
 /// A hot loop with all three superinstruction shapes in its body:
@@ -158,6 +165,52 @@ fn hot_loop_matches_its_golden() {
         let (r, _engine, report) = run_guest(HOT_LOOP, "hot_loop");
         // Σ(i + 3) for i in 0..5000.
         assert_eq!(r.stdout, "sum=12512500\n");
+        render(&r.stdout, r.wall_ns, r.instructions, &report)
+    });
+}
+
+/// A call-free loop that makes Safari's memory model page mid-run: each
+/// iteration allocates a `byte[1024]`, which the leaking profile never
+/// frees, then does int work. With the paging threshold lowered to
+/// 16 KiB, residency crosses it about a third of the way through, so
+/// the charges of the remaining iterations, and of the two-field
+/// `Pair` allocated after the loop, are inflated by the paging penalty.
+/// After 49 iterations one map operation's penalty is not a whole
+/// number of nanoseconds, so the `Pair`'s two field-dictionary charges
+/// read differently as one bulk charge and as two single ones.
+const PAGING_LOOP: &str = r#"
+    class Pair {
+        int left;
+        int right;
+        Pair(int l, int r) { this.left = l; this.right = r; }
+    }
+    class Main {
+        static void main(String[] args) {
+            int sum = 0;
+            int len = 0;
+            for (int i = 0; i < 49; i++) {
+                byte[] block = new byte[1024];
+                len = len + block.length;
+                for (int j = 0; j < 40; j++) { sum = sum * 31 + j; }
+            }
+            Pair p = new Pair(sum, len);
+            System.out.println("sum=" + p.left + " bytes=" + p.right);
+        }
+    }
+"#;
+
+#[test]
+fn paging_loop_matches_its_golden() {
+    check_golden("jvm/paging_loop", || {
+        let mut profile = BrowserProfile::of(Browser::Safari);
+        profile.paging_threshold_bytes = 16 * 1024;
+        let engine = EngineBuilder::with_profile(profile).build();
+        let (r, report) = run_guest_on(&engine, PAGING_LOOP, "paging_loop");
+        assert_eq!(r.stdout, "sum=-1939072044 bytes=50176\n");
+        assert!(
+            engine.is_paging(),
+            "the loop's byte[]s must leak past 16 KiB"
+        );
         render(&r.stdout, r.wall_ns, r.instructions, &report)
     });
 }
