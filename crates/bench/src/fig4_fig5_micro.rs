@@ -178,29 +178,30 @@ fn alloc_churn(out: &mut String) -> Section {
 fn fig5(out: &mut String, sections: &mut Vec<(String, Section)>, runs: &[Runs]) {
     let browsers = Browser::EVALUATED;
     out.push_str(
-        "Figure 5: suspension time as a percentage of total runtime\n\
+        "\nFigure 5: suspension time as a percentage of total runtime\n\
          (paper: < 2% in Chrome and Safari for DeltaBlue, < 1% for pidigits)\n\n",
     );
+    // Wide enough for `setImmediate` with a space before it.
     put!(out, "{:>12} |", "workload");
     for b in browsers {
-        put!(out, "{:>10}", b.name());
+        put!(out, "{:>13}", b.name());
     }
-    putln!(out, "{:>12}", "mechanism");
-    rule(out, 12 + 2 + 10 * browsers.len() + 12);
+    putln!(out);
+    rule(out, 12 + 2 + 13 * browsers.len());
 
     for Runs { id, hosted, .. } in runs {
         put!(out, "{:>12} |", id);
         for (r, b) in hosted.iter().zip(browsers) {
             assert!(r.uncaught.is_none(), "{id} failed on {b}");
-            put!(out, "{:>9.2}%", 100.0 * r.suspension_fraction());
+            put!(out, "{:>12.2}%", 100.0 * r.suspension_fraction());
         }
         putln!(out);
     }
-    rule(out, 12 + 2 + 10 * browsers.len() + 12);
+    rule(out, 12 + 2 + 13 * browsers.len());
     put!(out, "{:>12} |", "resumes via");
     for b in browsers {
         let p = BrowserProfile::of(b);
-        put!(out, "{:>10}", p.best_resume_mechanism().to_string());
+        put!(out, "{:>13}", p.best_resume_mechanism().to_string());
     }
     putln!(out);
 
