@@ -310,6 +310,38 @@ impl Engine {
         self.inner.counters.ns[kind as usize].add(cost);
     }
 
+    /// Charge a tally of operations: `counts[k]` operations of category
+    /// `Cost::ALL[k]` for each bit `k` set in `touched`. The charged
+    /// counts are left at zero; the others are not read.
+    ///
+    /// Each operation pays `apply_paging(unit)`, as one
+    /// [`charge`](Engine::charge) does, so the clock and the
+    /// `engine.ops.*`/`engine.ns.*` counters end exactly where that many
+    /// single charges would leave them, provided typed-array residency
+    /// did not change in between. [`charge_n`](Engine::charge_n) rounds
+    /// the paging penalty once per batch instead, which differs while
+    /// the memory model pages. A caller that defers charges therefore
+    /// hands them over before every
+    /// [`typed_array_alloc`](Engine::typed_array_alloc) and
+    /// [`typed_array_free`](Engine::typed_array_free), and before
+    /// anything reads the clock.
+    pub fn charge_tally(&self, counts: &mut [u64; COST_CATEGORIES], touched: u32) {
+        let inner = &*self.inner;
+        let memory = inner.memory.borrow();
+        let mut clock = inner.clock_ns.get();
+        let mut rest = touched;
+        while rest != 0 {
+            let k = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            let n = std::mem::take(&mut counts[k]);
+            let cost = n.saturating_mul(memory.apply_paging(inner.profile.cost(Cost::ALL[k])));
+            clock += cost;
+            inner.counters.ops[k].add(n);
+            inner.counters.ns[k].add(cost);
+        }
+        inner.clock_ns.set(clock);
+    }
+
     /// Advance the clock without attributing the time to an operation
     /// category (used for modeled external latencies).
     pub fn advance_ns(&self, ns: u64) {
@@ -846,6 +878,49 @@ mod tests {
         let t0 = e.now_ns();
         e.charge(Cost::Dispatch);
         assert!(e.now_ns() - t0 > unit);
+    }
+
+    #[test]
+    fn a_tally_charges_like_single_charges_while_paging() {
+        let paging = || {
+            let e = Engine::new(Browser::Safari);
+            e.typed_array_alloc(e.profile().paging_threshold_bytes + 1_234_567);
+            assert!(e.is_paging());
+            e
+        };
+        let k = |kind: Cost| kind as u64 + 3;
+        let tallied = paging();
+        let mut counts: [u64; COST_CATEGORIES] = std::array::from_fn(|i| k(Cost::ALL[i]));
+        tallied.charge_tally(&mut counts, (1 << COST_CATEGORIES) - 1);
+        assert_eq!(counts, [0; COST_CATEGORIES]);
+        let single = paging();
+        for kind in Cost::ALL {
+            for _ in 0..k(kind) {
+                single.charge(kind);
+            }
+        }
+        assert_eq!(tallied.now_ns(), single.now_ns());
+        for kind in Cost::ALL {
+            for counter in ["ops", "ns"] {
+                let name = format!("engine.{counter}.{}", kind.name());
+                assert_eq!(
+                    tallied.metrics().get(&name),
+                    single.metrics().get(&name),
+                    "{name}"
+                );
+            }
+        }
+        // A bulk charge rounds the paging penalty once for all k
+        // operations, so it cannot stand in for the tally.
+        let bulk_differs = Cost::ALL.into_iter().any(|kind| {
+            let (bulk, single) = (paging(), paging());
+            bulk.charge_n(kind, k(kind));
+            for _ in 0..k(kind) {
+                single.charge(kind);
+            }
+            bulk.now_ns() != single.now_ns()
+        });
+        assert!(bulk_differs);
     }
 
     #[test]

@@ -43,4 +43,4 @@ pub use engine::{Callback, Engine, EngineBuilder, TimerId};
 pub use error::{EngineError, EngineResult};
 pub use event_loop::EventKind;
 pub use jsstring::JsString;
-pub use profile::{Browser, BrowserProfile, Cost};
+pub use profile::{Browser, BrowserProfile, Cost, COST_CATEGORIES};

@@ -20,7 +20,7 @@ use std::rc::Rc;
 
 use doppio_classfile::{access, opcodes as op, Constant};
 use doppio_core::{Resource, ThreadContext, ThreadId};
-use doppio_jsengine::Cost;
+use doppio_jsengine::{Cost, COST_CATEGORIES};
 use doppio_trace::cat;
 
 use crate::class::{ClassConst, ClassId, ClinitState, CpEntry, ResolvedField};
@@ -60,6 +60,45 @@ pub enum StepResult {
     Exit(i32),
 }
 
+/// The virtual-clock charges [`run`] has made since it last handed them
+/// to the engine: a count per cost category, and a bitmask of the
+/// categories with a non-zero count.
+///
+/// [`Engine::charge_tally`](doppio_jsengine::Engine::charge_tally)
+/// charges `n` tallied operations exactly as `n` single charges, as long
+/// as typed-array residency stays put, so the loop flushes before
+/// anything that changes residency (`newarray`'s typed array, natives)
+/// and before anything that reads the clock or the `engine.*` counters
+/// (calls, returns, throws, monitors, resolution slow paths and their
+/// trace instants, and every exit from [`run`]). A loop without calls
+/// never flushes. Helpers that charge the engine themselves
+/// ([`alloc_instance`], natives, the `ldc` miss path) keep doing so: the
+/// clock is a sum, and nothing reads it before the next flush.
+#[derive(Default)]
+struct Tally {
+    counts: [u64; COST_CATEGORIES],
+    touched: u32,
+}
+
+impl Tally {
+    /// One operation of `kind`.
+    #[inline(always)]
+    fn charge(&mut self, kind: Cost) {
+        self.counts[kind as usize] += 1;
+        self.touched |= 1 << kind as u32;
+    }
+
+    /// Charge the tallied operations to the engine and count their
+    /// dispatches as executed instructions.
+    fn flush(&mut self, state: &mut JvmState) {
+        if self.touched != 0 {
+            state.instructions += self.counts[Cost::Dispatch as usize];
+            state.engine.charge_tally(&mut self.counts, self.touched);
+            self.touched = 0;
+        }
+    }
+}
+
 /// Run the top frame until the thread must leave the interpreter: a
 /// frame push or pop (the §6.1 suspend-check boundary), a block, an
 /// uncaught exception, or the end of the thread. The hosting thread's
@@ -68,13 +107,15 @@ pub enum StepResult {
 /// The loop executes the frame's pre-decoded ops (`decode.rs`).
 /// It keeps the op index in a local and writes the bytecode pc back to
 /// the frame only where something can observe it: before an op throws,
-/// blocks, calls, or pushes a frame.
+/// blocks, calls, or pushes a frame. Its virtual-clock charges go into a
+/// [`Tally`] that is handed to the engine on the same terms.
 pub fn run(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
     ctx: &mut ThreadContext<'_>,
     tid: ThreadId,
 ) -> StepResult {
+    let mut tally = Tally::default();
     'frame: loop {
         // Leave the loop with a sub-call's result; `Continue` re-enters
         // at the (possibly different) top frame's pc.
@@ -86,6 +127,8 @@ pub fn run(
                 }
             };
         }
+        // Every way back here flushed first.
+        debug_assert_eq!(tally.touched, 0);
         let Some(frame) = frames.last() else {
             return StepResult::Finished;
         };
@@ -122,17 +165,27 @@ pub fn run(
                 top!().pc = code.pc(ip)
             };
         }
+        // Hand the tallied charges to the engine: before anything that
+        // reads the clock or the counters, or changes residency, runs.
+        macro_rules! flush {
+            () => {
+                tally.flush(state)
+            };
+        }
         macro_rules! throw {
             ($class:expr, $msg:expr) => {{
                 sync!();
+                flush!();
                 leave!(throw_vm(state, frames, ctx, tid, $class, $msg))
             }};
         }
-        // A slow path runs with the pc synced; `Err` carries the step to
-        // leave with (a throw, a class to load, a pushed `<clinit>`).
+        // A slow path runs with the pc synced and the tally flushed;
+        // `Err` carries the step to leave with (a throw, a class to load,
+        // a pushed `<clinit>`).
         macro_rules! slow {
             ($r:expr) => {{
                 sync!();
+                flush!();
                 match $r {
                     Ok(v) => v,
                     Err(sr) => leave!(sr),
@@ -141,8 +194,7 @@ pub fn run(
         }
         macro_rules! dispatch {
             () => {
-                state.instructions += 1;
-                state.engine.charge(Cost::Dispatch);
+                tally.charge(Cost::Dispatch)
             };
         }
         // Continue at op `target` from the instruction at op `from`. With
@@ -153,7 +205,8 @@ pub fn run(
                 let target = $target as usize;
                 if target < $from && state.check_backedges {
                     top!().pc = code.pc(target);
-                    state.engine.charge(Cost::IntOp);
+                    tally.charge(Cost::IntOp);
+                    flush!();
                     return StepResult::CallBoundary;
                 }
                 ip = target;
@@ -169,10 +222,13 @@ pub fn run(
                         state.perf.cp_hit.inc();
                         cc
                     }
-                    None => match cp_class(state, ctx, blob.class, $idx) {
-                        Ok(cc) => $slot.get_or_init(|| cc),
-                        Err(msg) => throw!("java/lang/InternalError", &msg),
-                    },
+                    None => {
+                        flush!();
+                        match cp_class(state, ctx, blob.class, $idx) {
+                            Ok(cc) => $slot.get_or_init(|| cc),
+                            Err(msg) => throw!("java/lang/InternalError", &msg),
+                        }
+                    }
                 }
             };
         }
@@ -189,7 +245,7 @@ pub fn run(
                 // ---- constants and locals ----
                 Op::Const { v, cost } => {
                     if let Some(c) = cost {
-                        state.engine.charge(*c);
+                        tally.charge(*c);
                     }
                     top!().push(*v);
                 }
@@ -198,29 +254,32 @@ pub fn run(
                         Some(&v) => {
                             state.perf.cp_hit.inc();
                             match v {
-                                Value::Long(_) => state.engine.charge(Cost::LongOp),
+                                Value::Long(_) => tally.charge(Cost::LongOp),
                                 // Interned strings and class mirrors: one
                                 // map-sized operation.
-                                Value::Ref(_) => state.engine.charge(Cost::MapOp),
+                                Value::Ref(_) => tally.charge(Cost::MapOp),
                                 _ => {}
                             }
                             v
                         }
-                        None => match ldc(state, ctx, blob.class, *idx) {
-                            Ok(v) => *value.get_or_init(|| v),
-                            Err(msg) => throw!("java/lang/InternalError", &msg),
-                        },
+                        None => {
+                            flush!();
+                            match ldc(state, ctx, blob.class, *idx) {
+                                Ok(v) => *value.get_or_init(|| v),
+                                Err(msg) => throw!("java/lang/InternalError", &msg),
+                            }
+                        }
                     };
                     top!().push(v);
                 }
                 Op::Load { local, cost } => {
-                    state.engine.charge(*cost);
+                    tally.charge(*cost);
                     let f = top!();
                     let v = f.local(usize::from(*local));
                     f.push(v);
                 }
                 Op::Store { local, cost } => {
-                    state.engine.charge(*cost);
+                    tally.charge(*cost);
                     let f = top!();
                     let v = f.pop();
                     f.set_local(usize::from(*local), v);
@@ -236,14 +295,14 @@ pub fn run(
                     f.set_local(usize::from(*local), v);
                 }
                 Op::Iinc { local, delta } => {
-                    state.engine.charge(Cost::IntOp);
+                    tally.charge(Cost::IntOp);
                     iinc(top!(), *local, *delta);
                 }
                 Op::WideIinc { local, delta } => iinc(top!(), *local, *delta),
 
                 // ---- arrays ----
                 Op::ArrayLoad => {
-                    state.engine.charge(Cost::ArrayGet);
+                    tally.charge(Cost::ArrayGet);
                     let f = top!();
                     let index = f.pop_int();
                     let Some(arr) = f.pop_ref() else {
@@ -271,7 +330,7 @@ pub fn run(
                     top!().push(v);
                 }
                 Op::ArrayStore => {
-                    state.engine.charge(Cost::ArrayPut);
+                    tally.charge(Cost::ArrayPut);
                     let f = top!();
                     let value = f.pop();
                     let index = f.pop_int();
@@ -356,14 +415,14 @@ pub fn run(
 
                 // ---- arithmetic (long: software Int64 territory, §8) ----
                 Op::IntBin(o) => {
-                    state.engine.charge(Cost::IntOp);
+                    tally.charge(Cost::IntOp);
                     let f = top!();
                     let b = f.pop_int();
                     let a = f.pop_int();
                     f.push(Value::Int(int_bin(*o, a, b)));
                 }
                 Op::IntDivRem(o) => {
-                    state.engine.charge(Cost::IntOp);
+                    tally.charge(Cost::IntOp);
                     let f = top!();
                     let b = f.pop_int();
                     let a = f.pop_int();
@@ -378,13 +437,13 @@ pub fn run(
                     top!().push(Value::Int(r));
                 }
                 Op::IntNeg => {
-                    state.engine.charge(Cost::IntOp);
+                    tally.charge(Cost::IntOp);
                     let f = top!();
                     let a = f.pop_int();
                     f.push(Value::Int(a.wrapping_neg()));
                 }
                 Op::LongBin(o) => {
-                    state.engine.charge(Cost::LongOp);
+                    tally.charge(Cost::LongOp);
                     let f = top!();
                     let b = f.pop_long();
                     let a = f.pop_long();
@@ -399,7 +458,7 @@ pub fn run(
                     f.push(Value::Long(r));
                 }
                 Op::LongDivRem(o) => {
-                    state.engine.charge(Cost::LongOp);
+                    tally.charge(Cost::LongOp);
                     let f = top!();
                     let b = f.pop_long();
                     let a = f.pop_long();
@@ -414,7 +473,7 @@ pub fn run(
                     top!().push(Value::Long(r));
                 }
                 Op::LongShift(o) => {
-                    state.engine.charge(Cost::LongOp);
+                    tally.charge(Cost::LongOp);
                     let f = top!();
                     let s = f.pop_int() as u32 & 63;
                     let a = f.pop_long();
@@ -426,13 +485,13 @@ pub fn run(
                     f.push(Value::Long(r));
                 }
                 Op::LongNeg => {
-                    state.engine.charge(Cost::LongOp);
+                    tally.charge(Cost::LongOp);
                     let f = top!();
                     let a = f.pop_long();
                     f.push(Value::Long(a.wrapping_neg()));
                 }
                 Op::FloatBin(o) => {
-                    state.engine.charge(Cost::FloatOp);
+                    tally.charge(Cost::FloatOp);
                     let f = top!();
                     let b = f.pop_float();
                     let a = f.pop_float();
@@ -446,7 +505,7 @@ pub fn run(
                     f.push(Value::Float(r));
                 }
                 Op::DoubleBin(o) => {
-                    state.engine.charge(Cost::FloatOp);
+                    tally.charge(Cost::FloatOp);
                     let f = top!();
                     let b = f.pop_double();
                     let a = f.pop_double();
@@ -460,19 +519,19 @@ pub fn run(
                     f.push(Value::Double(r));
                 }
                 Op::FloatNeg => {
-                    state.engine.charge(Cost::FloatOp);
+                    tally.charge(Cost::FloatOp);
                     let f = top!();
                     let a = f.pop_float();
                     f.push(Value::Float(-a));
                 }
                 Op::DoubleNeg => {
-                    state.engine.charge(Cost::FloatOp);
+                    tally.charge(Cost::FloatOp);
                     let f = top!();
                     let a = f.pop_double();
                     f.push(Value::Double(-a));
                 }
                 Op::Conv(o) => {
-                    state.engine.charge(conv_cost(*o));
+                    tally.charge(conv_cost(*o));
                     let f = top!();
                     let v = match *o {
                         op::I2L => Value::Long(f.pop_int() as i64),
@@ -494,21 +553,21 @@ pub fn run(
                     f.push(v);
                 }
                 Op::Lcmp => {
-                    state.engine.charge(Cost::LongOp);
+                    tally.charge(Cost::LongOp);
                     let f = top!();
                     let b = f.pop_long();
                     let a = f.pop_long();
                     f.push(Value::Int(a.cmp(&b) as i32));
                 }
                 Op::Fcmp { greater_on_nan } => {
-                    state.engine.charge(Cost::FloatOp);
+                    tally.charge(Cost::FloatOp);
                     let f = top!();
                     let b = f.pop_float();
                     let a = f.pop_float();
                     f.push(Value::Int(fp_cmp(a as f64, b as f64, *greater_on_nan)));
                 }
                 Op::Dcmp { greater_on_nan } => {
-                    state.engine.charge(Cost::FloatOp);
+                    tally.charge(Cost::FloatOp);
                     let f = top!();
                     let b = f.pop_double();
                     let a = f.pop_double();
@@ -517,7 +576,7 @@ pub fn run(
 
                 // ---- control flow ----
                 Op::If0 { cond, target } => {
-                    state.engine.charge(Cost::Branch);
+                    tally.charge(Cost::Branch);
                     let v = top!().pop_int();
                     let taken = match *cond {
                         op::IFEQ => v == 0,
@@ -532,7 +591,7 @@ pub fn run(
                     }
                 }
                 Op::IfICmp { cond, target } => {
-                    state.engine.charge(Cost::Branch);
+                    tally.charge(Cost::Branch);
                     let f = top!();
                     let b = f.pop_int();
                     let a = f.pop_int();
@@ -549,7 +608,7 @@ pub fn run(
                     }
                 }
                 Op::IfACmp { eq, target } => {
-                    state.engine.charge(Cost::Branch);
+                    tally.charge(Cost::Branch);
                     let f = top!();
                     let b = f.pop_ref();
                     let a = f.pop_ref();
@@ -558,13 +617,13 @@ pub fn run(
                     }
                 }
                 Op::IfNull { null, target } => {
-                    state.engine.charge(Cost::Branch);
+                    tally.charge(Cost::Branch);
                     if top!().pop_ref().is_none() == *null {
                         jump!(*target, ip);
                     }
                 }
                 Op::Goto { target } => {
-                    state.engine.charge(Cost::Branch);
+                    tally.charge(Cost::Branch);
                     jump!(*target, ip);
                 }
                 Op::Jsr { target } => {
@@ -581,20 +640,21 @@ pub fn run(
                     ),
                 },
                 Op::TableSwitch(t) => {
-                    state.engine.charge(Cost::Branch);
+                    tally.charge(Cost::Branch);
                     let v = top!().pop_int();
                     let case = usize::try_from(i64::from(v) - i64::from(t.low)).ok();
                     let target = case.and_then(|k| t.targets.get(k)).unwrap_or(&t.default);
                     jump!(*target, ip);
                 }
                 Op::LookupSwitch(l) => {
-                    state.engine.charge(Cost::Branch);
+                    tally.charge(Cost::Branch);
                     let v = top!().pop_int();
                     let pair = l.pairs.iter().find(|&&(key, _)| key == v);
                     jump!(pair.map_or(l.default, |&(_, t)| t), ip);
                 }
                 Op::Return { value } => {
                     let v = if *value { Some(top!().pop()) } else { None };
+                    flush!();
                     return do_return(state, frames, ctx, tid, v);
                 }
 
@@ -615,14 +675,14 @@ pub fn run(
                             &resolved
                         }
                     };
-                    state.engine.charge(Cost::MapOp);
+                    tally.charge(Cost::MapOp);
                     if matches!(op, Op::GetStatic { .. }) {
-                        state.engine.charge(Cost::FieldGet);
+                        tally.charge(Cost::FieldGet);
                         let statics = &state.registry.get(f.class).statics;
                         let v = statics.get(&*f.key).copied().unwrap_or(f.default);
                         top!().push(v);
                     } else {
-                        state.engine.charge(Cost::FieldPut);
+                        tally.charge(Cost::FieldPut);
                         let v = top!().pop();
                         let statics = &mut state.registry.get_mut(f.class).statics;
                         if let Some(slot) = statics.get_mut(&*f.key) {
@@ -645,9 +705,9 @@ pub fn run(
                         }
                     };
                     let done = if matches!(op, Op::GetField { .. }) {
-                        get_field(state, top!(), f)
+                        get_field(state, &mut tally, top!(), f)
                     } else {
-                        put_field(state, top!(), f)
+                        put_field(state, &mut tally, top!(), f)
                     };
                     if let Err((class, msg)) = done {
                         throw!(class, &msg);
@@ -657,7 +717,8 @@ pub fn run(
                 // ---- invocations ----
                 Op::Invoke { opcode, idx, site } => {
                     sync!();
-                    state.engine.charge(Cost::Call);
+                    tally.charge(Cost::Call);
+                    flush!();
                     let site = match site.get() {
                         Some(site) => {
                             state.perf.cp_hit.inc();
@@ -688,7 +749,7 @@ pub fn run(
                     top!().push(Value::Ref(Some(r)));
                 }
                 Op::NewArray { atype } => {
-                    state.engine.charge(Cost::Alloc);
+                    tally.charge(Cost::Alloc);
                     let len = top!().pop_int();
                     if len < 0 {
                         throw!("java/lang/NegativeArraySizeException", &len.to_string());
@@ -699,6 +760,7 @@ pub fn run(
                     // churn too. The matching free models the JS garbage
                     // collector.
                     if matches!(atype, 4 | 5 | 8) && state.engine.profile().has_typed_arrays {
+                        flush!();
                         let bytes = len as usize * if *atype == 5 { 2 } else { 1 };
                         state.engine.typed_array_alloc(bytes);
                         state.engine.typed_array_free(bytes);
@@ -709,7 +771,7 @@ pub fn run(
                     top!().push(Value::Ref(Some(r)));
                 }
                 Op::ANewArray { idx, class } => {
-                    state.engine.charge(Cost::Alloc);
+                    tally.charge(Cost::Alloc);
                     let cc = class_const!(class, *idx);
                     let len = top!().pop_int();
                     if len < 0 {
@@ -722,7 +784,7 @@ pub fn run(
                     top!().push(Value::Ref(Some(r)));
                 }
                 Op::MultiANewArray { idx, dims, class } => {
-                    state.engine.charge(Cost::Alloc);
+                    tally.charge(Cost::Alloc);
                     let cc = class_const!(class, *idx);
                     if cc.name.bytes().take_while(|&b| b == b'[').count() < usize::from(*dims) {
                         let msg = format!(
@@ -743,7 +805,7 @@ pub fn run(
                     top!().push(Value::Ref(Some(r)));
                 }
                 Op::ArrayLength => {
-                    state.engine.charge(Cost::IntOp);
+                    tally.charge(Cost::IntOp);
                     let Some(arr) = top!().pop_ref() else {
                         throw!("java/lang/NullPointerException", "arraylength");
                     };
@@ -759,11 +821,12 @@ pub fn run(
                         throw!("java/lang/NullPointerException", "athrow null");
                     };
                     sync!();
+                    flush!();
                     leave!(dispatch_exception(state, frames, ctx, tid, ex));
                 }
                 Op::CheckCast { idx, class } | Op::InstanceOf { idx, class } => {
                     let cc = class_const!(class, *idx);
-                    state.engine.charge(Cost::MapOp);
+                    tally.charge(Cost::MapOp);
                     let checkcast = matches!(op, Op::CheckCast { .. });
                     let r = top!().peek(0).as_ref();
                     let matches = match r {
@@ -796,6 +859,7 @@ pub fn run(
                     let Some(obj) = obj else {
                         throw!("java/lang/NullPointerException", "monitorenter");
                     };
+                    flush!();
                     if try_enter_monitor(state, ctx, obj, tid) {
                         top!().pop_ref();
                     } else {
@@ -808,6 +872,7 @@ pub fn run(
                     let Some(obj) = top!().pop_ref() else {
                         throw!("java/lang/NullPointerException", "monitorexit");
                     };
+                    flush!();
                     if let Err(msg) = exit_monitor(state, ctx, obj, tid) {
                         throw!("java/lang/IllegalMonitorStateException", &msg);
                     }
@@ -823,11 +888,11 @@ pub fn run(
                 // ---- superinstructions: each replays its sequence's
                 // per-instruction counts and charges ----
                 Op::LoadLoadIntBin { a, b, op: bin } => {
-                    state.engine.charge(Cost::IntOp);
+                    tally.charge(Cost::IntOp);
                     dispatch!();
-                    state.engine.charge(Cost::IntOp);
+                    tally.charge(Cost::IntOp);
                     dispatch!();
-                    state.engine.charge(Cost::IntOp);
+                    tally.charge(Cost::IntOp);
                     let f = top!();
                     let (x, y) = (f.local(usize::from(*a)), f.local(usize::from(*b)));
                     f.push(Value::Int(int_bin(*bin, x.as_int(), y.as_int())));
@@ -839,14 +904,14 @@ pub fn run(
                     delta,
                     target,
                 } => {
-                    state.engine.charge(Cost::IntOp);
+                    tally.charge(Cost::IntOp);
                     iinc(top!(), *local, *delta);
                     dispatch!();
-                    state.engine.charge(Cost::Branch);
+                    tally.charge(Cost::Branch);
                     jump!(*target, ip + 1);
                 }
                 Op::LoadGetfield { local } => {
-                    state.engine.charge(Cost::IntOp);
+                    tally.charge(Cost::IntOp);
                     let f = top!();
                     let v = f.local(usize::from(*local));
                     f.push(v);
@@ -860,7 +925,7 @@ pub fn run(
                     };
                     dispatch!();
                     state.perf.cp_hit.inc();
-                    if let Err((class, msg)) = get_field(state, top!(), field) {
+                    if let Err((class, msg)) = get_field(state, &mut tally, top!(), field) {
                         throw!(class, &msg);
                     }
                 }
@@ -904,12 +969,17 @@ fn conv_cost(opcode: u8) -> Cost {
 /// The exception a field op throws: class name and message.
 type FieldFault = (&'static str, String);
 
-/// A resolved `getfield` on the top frame: charge the §6.7 dictionary
+/// A resolved `getfield` on the top frame: tally the §6.7 dictionary
 /// lookup, pop the receiver and push its field value. `Err` (with
 /// nothing pushed) carries the exception to throw.
-fn get_field(state: &mut JvmState, frame: &mut Frame, f: &ResolvedField) -> Result<(), FieldFault> {
-    state.engine.charge(Cost::MapOp);
-    state.engine.charge(Cost::FieldGet);
+fn get_field(
+    state: &mut JvmState,
+    tally: &mut Tally,
+    frame: &mut Frame,
+    f: &ResolvedField,
+) -> Result<(), FieldFault> {
+    tally.charge(Cost::MapOp);
+    tally.charge(Cost::FieldGet);
     let Some(obj) = frame.pop_ref() else {
         return Err((
             "java/lang/NullPointerException",
@@ -921,12 +991,17 @@ fn get_field(state: &mut JvmState, frame: &mut Frame, f: &ResolvedField) -> Resu
     Ok(())
 }
 
-/// A resolved `putfield` on the top frame: charge the §6.7 dictionary
+/// A resolved `putfield` on the top frame: tally the §6.7 dictionary
 /// lookup, pop the value and the receiver, and store the field. `Err`
 /// carries the exception to throw.
-fn put_field(state: &mut JvmState, frame: &mut Frame, f: &ResolvedField) -> Result<(), FieldFault> {
-    state.engine.charge(Cost::MapOp);
-    state.engine.charge(Cost::FieldPut);
+fn put_field(
+    state: &mut JvmState,
+    tally: &mut Tally,
+    frame: &mut Frame,
+    f: &ResolvedField,
+) -> Result<(), FieldFault> {
+    tally.charge(Cost::MapOp);
+    tally.charge(Cost::FieldPut);
     let v = frame.pop();
     let Some(obj) = frame.pop_ref() else {
         return Err((
