@@ -885,8 +885,8 @@ pub fn run(
                     )
                 }
 
-                // ---- superinstructions: each replays its sequence's
-                // per-instruction counts and charges ----
+                // ---- the superinstruction: tallies its sequence's
+                // per-instruction dispatches and charges ----
                 Op::LoadLoadIntBin { a, b, op: bin } => {
                     tally.charge(Cost::IntOp);
                     dispatch!();
@@ -898,36 +898,6 @@ pub fn run(
                     f.push(Value::Int(int_bin(*bin, x.as_int(), y.as_int())));
                     ip += 3;
                     continue;
-                }
-                Op::IincGoto {
-                    local,
-                    delta,
-                    target,
-                } => {
-                    tally.charge(Cost::IntOp);
-                    iinc(top!(), *local, *delta);
-                    dispatch!();
-                    tally.charge(Cost::Branch);
-                    jump!(*target, ip + 1);
-                }
-                Op::LoadGetfield { local } => {
-                    tally.charge(Cost::IntOp);
-                    let f = top!();
-                    let v = f.local(usize::from(*local));
-                    f.push(v);
-                    ip += 1;
-                    // An unresolved getfield resolves at its own pc.
-                    let Op::GetField { field, .. } = &ops[ip] else {
-                        continue;
-                    };
-                    let Some(field) = field.get() else {
-                        continue;
-                    };
-                    dispatch!();
-                    state.perf.cp_hit.inc();
-                    if let Err((class, msg)) = get_field(state, &mut tally, top!(), field) {
-                        throw!(class, &msg);
-                    }
                 }
             }
             ip += 1;

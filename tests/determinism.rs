@@ -136,9 +136,9 @@ fn run_guest_on(engine: &Engine, src: &str, title: &str) -> (JvmRunResult, Strin
     (r, report)
 }
 
-/// A hot loop with all three superinstruction shapes in its body:
-/// `iload;iload;iadd` (`a + b`), `aload;getfield` (`acc.bias`), and the
-/// `iinc;goto` latch of the `for`.
+/// A hot loop whose body holds the fused `iload;iload;iadd` (`a + b`)
+/// beside two shapes the decoder leaves unfused: `aload;getfield`
+/// (`acc.bias`) and the `iinc;goto` latch of the `for`.
 const HOT_LOOP: &str = r#"
     class Acc {
         int bias;
