@@ -14,6 +14,13 @@
 //! Exception handling (§6.6) never touches the JavaScript exception
 //! machinery: [`dispatch_exception`] walks the virtual frame stack for
 //! a handler, exactly as the paper describes.
+//!
+//! Each instruction costs a `Cost::Dispatch` plus its own category on
+//! the engine's virtual clock. [`run`] counts these per category and
+//! charges the counts with one engine call wherever anything can
+//! observe the clock, the `engine.*` counters or typed-array residency,
+//! so every transcript reads as if each instruction had charged on its
+//! own (see `docs/performance.md`, "Charging").
 
 use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
@@ -60,18 +67,15 @@ pub enum StepResult {
     Exit(i32),
 }
 
-/// The virtual-clock charges [`run`] has made since it last handed them
-/// to the engine: a count per cost category, and a bitmask of the
+/// The virtual-clock charges [`run`] has counted since it last handed
+/// them to the engine: a count per cost category, and a bitmask of the
 /// categories with a non-zero count.
 ///
 /// [`Engine::charge_tally`](doppio_jsengine::Engine::charge_tally)
-/// charges `n` tallied operations exactly as `n` single charges, as long
+/// charges `n` tallied operations exactly as `n` single charges as long
 /// as typed-array residency stays put, so the loop flushes before
-/// anything that changes residency (`newarray`'s typed array, natives)
-/// and before anything that reads the clock or the `engine.*` counters
-/// (calls, returns, throws, monitors, resolution slow paths and their
-/// trace instants, and every exit from [`run`]). A loop without calls
-/// never flushes. Helpers that charge the engine themselves
+/// anything changes residency or reads the clock or the `engine.*`
+/// counters. Helpers that charge the engine themselves
 /// ([`alloc_instance`], natives, the `ldc` miss path) keep doing so: the
 /// clock is a sum, and nothing reads it before the next flush.
 #[derive(Default)]
@@ -108,7 +112,7 @@ impl Tally {
 /// It keeps the op index in a local and writes the bytecode pc back to
 /// the frame only where something can observe it: before an op throws,
 /// blocks, calls, or pushes a frame. Its virtual-clock charges go into a
-/// [`Tally`] that is handed to the engine on the same terms.
+/// `Tally` that is handed to the engine on the same terms.
 pub fn run(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
