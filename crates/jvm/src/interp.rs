@@ -84,6 +84,9 @@ struct Tally {
     touched: u32,
 }
 
+// `Tally::touched` holds one bit per cost category.
+const _: () = assert!(COST_CATEGORIES <= u32::BITS as usize);
+
 impl Tally {
     /// One operation of `kind`.
     #[inline(always)]
