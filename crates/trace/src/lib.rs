@@ -10,9 +10,9 @@
 //!   When tracing is disabled the handle holds a [`NullSink`] and a
 //!   cached `enabled: false`, so the hot path pays one branch and zero
 //!   allocations per would-be span.
-//! * [`RingBuffer`] / [`RingSink`] — fixed-capacity storage that keeps
-//!   the *most recent* events and counts what it dropped, so tracing a
-//!   long run cannot exhaust memory.
+//! * [`RingBuffer`] / [`RingSink`] — bounded storage that grows with
+//!   the events it holds, keeps the *most recent* ones once full and
+//!   counts what it dropped, so tracing a long run cannot exhaust memory.
 //! * [`MetricsRegistry`] / [`Counter`] — a process-wide named-counter
 //!   registry, the one place every subsystem's counters are read from
 //!   (`metrics().get("fs.bytes_read")`) and reset

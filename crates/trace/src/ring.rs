@@ -1,32 +1,42 @@
-//! Fixed-capacity event storage.
+//! Bounded event storage.
 //!
 //! Traces of long simulated runs can produce millions of events; the
 //! recorder must not turn a bounded simulation into unbounded memory.
 //! [`RingBuffer`] keeps the most recent `capacity` events and counts the
 //! ones it evicted, so the exporter can report truncation honestly.
+//! `capacity` is a bound, not an allocation: the ring grows with the
+//! events it holds, so a short run that records a few thousand events
+//! pays for those, not for the whole bound.
 
 use crate::TraceEvent;
 
-/// A circular buffer of [`TraceEvent`]s that overwrites its oldest
-/// entries once full.
+/// Smallest growth step, so a ring that records anything at all does
+/// not reallocate for each of its first few events.
+const MIN_GROWTH: usize = 64;
+
+/// A circular buffer of [`TraceEvent`]s that grows on demand up to its
+/// capacity and overwrites its oldest entries once full.
 #[derive(Debug)]
 pub struct RingBuffer {
-    slots: Vec<Option<TraceEvent>>,
-    /// Index of the next slot to write.
+    /// The stored events. While the ring is filling they are in push
+    /// order; once `events.len() == capacity` the oldest sits at
+    /// `head`.
+    events: Vec<TraceEvent>,
+    capacity: usize,
+    /// Index of the next event to overwrite once the ring is full.
     head: usize,
-    len: usize,
     dropped: u64,
 }
 
 impl RingBuffer {
     /// A ring holding at most `capacity` events. `capacity` must be
-    /// non-zero.
+    /// non-zero. Nothing is allocated until the first push.
     pub fn new(capacity: usize) -> RingBuffer {
         assert!(capacity > 0, "ring capacity must be non-zero");
         RingBuffer {
-            slots: (0..capacity).map(|_| None).collect(),
+            events: Vec::new(),
+            capacity,
             head: 0,
-            len: 0,
             dropped: 0,
         }
     }
@@ -35,30 +45,35 @@ impl RingBuffer {
     /// an event was evicted, so callers can maintain a live drop
     /// counter without re-reading [`RingBuffer::dropped`].
     pub fn push(&mut self, ev: TraceEvent) -> bool {
-        let evicted = self.slots[self.head].is_some();
-        if evicted {
-            self.dropped += 1;
-        } else {
-            self.len += 1;
+        let len = self.events.len();
+        if len < self.capacity {
+            if len == self.events.capacity() {
+                // Double, but never reserve past the bound.
+                let grow = len.max(MIN_GROWTH).min(self.capacity - len);
+                self.events.reserve_exact(grow);
+            }
+            self.events.push(ev);
+            return false;
         }
-        self.slots[self.head] = Some(ev);
-        self.head = (self.head + 1) % self.slots.len();
-        evicted
+        self.events[self.head] = ev;
+        self.head = (self.head + 1) % self.capacity;
+        self.dropped += 1;
+        true
     }
 
     /// Number of events currently stored.
     pub fn len(&self) -> usize {
-        self.len
+        self.events.len()
     }
 
     /// Whether the ring holds no events.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.events.is_empty()
     }
 
     /// Maximum number of events the ring can hold.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// How many events were evicted to make room for newer ones.
@@ -68,13 +83,9 @@ impl RingBuffer {
 
     /// The stored events, oldest first.
     pub fn to_vec(&self) -> Vec<TraceEvent> {
-        let cap = self.slots.len();
-        // Oldest event sits at `head` once the ring has wrapped, at 0
-        // otherwise.
-        let start = if self.len == cap { self.head } else { 0 };
-        (0..self.len)
-            .filter_map(|i| self.slots[(start + i) % cap].clone())
-            .collect()
+        // `head` is 0 until the ring wraps.
+        let (newer, older) = self.events.split_at(self.head);
+        older.iter().chain(newer).cloned().collect()
     }
 }
 
@@ -144,5 +155,30 @@ mod tests {
     #[should_panic(expected = "non-zero")]
     fn zero_capacity_rejected() {
         RingBuffer::new(0);
+    }
+
+    #[test]
+    fn matches_a_queue_model_while_growing_and_wrapping() {
+        use std::collections::VecDeque;
+        for cap in [1, 3, 5, 8] {
+            let mut r = RingBuffer::new(cap);
+            let mut model: VecDeque<u64> = VecDeque::new();
+            let mut dropped = 0u64;
+            for ts in 0..(3 * cap as u64 + 1) {
+                let evicted = model.len() == cap;
+                if evicted {
+                    model.pop_front();
+                    dropped += 1;
+                }
+                model.push_back(ts);
+                assert_eq!(r.push(ev(ts)), evicted, "cap {cap}, push {ts}");
+                assert_eq!(r.len(), model.len(), "cap {cap}, push {ts}");
+                assert_eq!(r.dropped(), dropped, "cap {cap}, push {ts}");
+                let got: Vec<u64> = r.to_vec().iter().map(|e| e.ts_ns).collect();
+                assert_eq!(got, Vec::from(model.clone()), "cap {cap}, push {ts}");
+                assert!(r.events.capacity() <= cap, "cap {cap}, push {ts}");
+            }
+            assert_eq!(r.capacity(), cap);
+        }
     }
 }

@@ -36,7 +36,7 @@ impl TraceSink for NullSink {
     }
 }
 
-/// Records into a fixed-capacity [`RingBuffer`]; the default sink for
+/// Records into a bounded [`RingBuffer`]; the default sink for
 /// `--trace` runs.
 #[derive(Debug)]
 pub struct RingSink {
@@ -48,7 +48,8 @@ pub struct RingSink {
 }
 
 impl RingSink {
-    /// A sink whose ring holds at most `capacity` events.
+    /// A sink whose ring holds at most `capacity` events. Nothing is
+    /// allocated up front: the ring grows with the events recorded.
     pub fn with_capacity(capacity: usize) -> RingSink {
         RingSink {
             ring: RefCell::new(RingBuffer::new(capacity)),
@@ -99,8 +100,10 @@ impl TraceSink for RingSink {
     }
 }
 
-/// A generous default ring size: at ~100 bytes/event this caps trace
-/// memory near 100 MB while holding several minutes of simulated run.
+/// A generous default bound on the ring: at ~100 bytes/event it caps
+/// trace memory near 100 MB while holding several minutes of simulated
+/// run. It is a cap, not an allocation; a run pays only for the events
+/// it records.
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 20;
 
 impl Default for RingSink {
