@@ -99,7 +99,9 @@ pub struct RuntimeClass {
     /// Directly implemented interfaces.
     pub interfaces: Vec<ClassId>,
     /// The parsed class file (None for synthesized array classes).
-    pub cf: Option<ClassFile>,
+    /// Read-only once defined, so JVMs on one thread share the runtime
+    /// library's class files (see [`crate::rtlib`]).
+    pub cf: Option<Rc<ClassFile>>,
     /// For array classes: the component type name.
     pub array_component: Option<String>,
     /// Static fields, keyed `"Class.name"`.
@@ -188,7 +190,8 @@ impl ClassRegistry {
     ///
     /// Returns `None` if a super/interface is missing (the caller must
     /// load it first).
-    pub fn define(&mut self, cf: ClassFile) -> Result<ClassId, String> {
+    pub fn define(&mut self, cf: impl Into<Rc<ClassFile>>) -> Result<ClassId, String> {
+        let cf = cf.into();
         let name = cf.name().map_err(|e| e.to_string())?.to_string();
         if self.by_name.contains_key(&name) {
             return Err(format!("class {name} already defined"));

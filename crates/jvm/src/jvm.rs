@@ -74,7 +74,7 @@ impl Jvm {
     /// `doppio_core::Kernel` and [`crate::process::spawn_jvm`]).
     pub fn with_runtime(engine: &Engine, fs: FileSystem, runtime: DoppioRuntime) -> Jvm {
         let mut state = JvmState::new(engine, fs);
-        for cf in rtlib::runtime_classes() {
+        for cf in rtlib::shared_runtime_classes() {
             let name = cf.name().expect("rt class").to_string();
             loader::define_with_constants(&mut state, cf)
                 .unwrap_or_else(|e| panic!("defining runtime class {name}: {e}"));

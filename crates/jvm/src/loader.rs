@@ -11,6 +11,7 @@
 //! classes never hit memory or storage.
 
 use std::collections::{HashMap, VecDeque};
+use std::rc::Rc;
 
 use doppio_classfile::{parse, ClassFile, Constant};
 use doppio_core::{AsyncCell, AsyncResolver, ThreadContext};
@@ -196,9 +197,13 @@ fn dep_to_fetch(state: &JvmState, cf: &ClassFile) -> Option<String> {
 }
 
 /// Define a class and apply its `ConstantValue` static initializers.
-pub fn define_with_constants(state: &mut JvmState, cf: ClassFile) -> Result<(), String> {
+pub fn define_with_constants(
+    state: &mut JvmState,
+    cf: impl Into<Rc<ClassFile>>,
+) -> Result<(), String> {
+    let cf = cf.into();
     let name = cf.name().map_err(|e| e.to_string())?.to_string();
-    // Collect ConstantValue statics before the registry consumes `cf`.
+    // Collect ConstantValue statics before the registry takes `cf`.
     let mut constants: Vec<(String, Value)> = Vec::new();
     let mut strings: Vec<(String, String)> = Vec::new();
     for f in &cf.fields {

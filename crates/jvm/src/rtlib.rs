@@ -9,6 +9,14 @@
 //! [`crate::natives`]. Everything else (user code, the benchmark
 //! programs) still loads through the Doppio file system exactly as
 //! §6.4 describes.
+//!
+//! The library is built once per thread ([`shared_runtime_classes`]).
+//! Every JVM still defines each class itself, so its class ids,
+//! `class_defined` events, statics and interned strings are its own;
+//! only the class files, which nothing mutates once defined, are
+//! shared.
+
+use std::rc::Rc;
 
 use doppio_classfile::access::{
     ACC_ABSTRACT, ACC_INTERFACE, ACC_NATIVE, ACC_PUBLIC, ACC_STATIC, ACC_SUPER,
@@ -524,6 +532,17 @@ pub fn runtime_classes() -> Vec<ClassFile> {
     out.push(unsafe_class());
     out.extend(doppio_runtime_classes());
     out
+}
+
+thread_local! {
+    static RUNTIME_CLASSES: Vec<Rc<ClassFile>> =
+        runtime_classes().into_iter().map(Rc::new).collect();
+}
+
+/// [`runtime_classes`], built on this thread's first call and shared
+/// by every later one: what each JVM defines at boot.
+pub fn shared_runtime_classes() -> Vec<Rc<ClassFile>> {
+    RUNTIME_CLASSES.with(Vec::clone)
 }
 
 /// A runtime class defined on its first throw instead of at boot: the
