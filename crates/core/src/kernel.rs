@@ -1505,7 +1505,16 @@ impl Kernel {
     /// kill its remaining threads, release its pipe ends (EOF for
     /// readers, broken pipe for writers), and wake `waitpid` waiters.
     fn finish_process(&self, pid: Pid, status: ExitStatus) {
-        let Some((rt, engine, threads, wait_waiters, pipe_wakes, touched_pipes, causal_tail)) = ({
+        let Some((
+            rt,
+            engine,
+            threads,
+            wait_waiters,
+            pipe_wakes,
+            touched_pipes,
+            causal_tail,
+            probe,
+        )) = ({
             let mut inner = self.inner.borrow_mut();
             let Some(host) = inner.host.as_ref() else {
                 return;
@@ -1520,6 +1529,10 @@ impl Kernel {
             }
             proc.status = Some(status);
             proc.exited_at_ns = Some(now);
+            // The probe's closure holds the guest's state, which may hold
+            // this kernel (a JVM's stdout hook does). An exited process
+            // consults it no more; it is dropped below, outside the borrow.
+            let probe = proc.exit_probe.take();
             let causal_tail = proc.ctx.map(|root| (root, proc.last_span.unwrap_or(root)));
             let wait_waiters = std::mem::take(&mut proc.wait_waiters);
             let threads = rt.tagged_threads(pid.0 as u64);
@@ -1552,10 +1565,13 @@ impl Kernel {
                 pipe_wakes,
                 touched,
                 causal_tail,
+                probe,
             ))
-        }) else {
+        })
+        else {
             return;
         };
+        drop(probe);
         for t in threads {
             // Reentrant exit-hook calls land in on_thread_finished /
             // finish_process, which both return early now that the

@@ -718,6 +718,9 @@ impl DoppioRuntime {
             }
         };
 
+        // A thread that finishes (or is killed) in this slice is not put
+        // back: its guest state drops when `tick` returns, outside the
+        // runtime borrow, so a finished guest holds nothing alive.
         let Some((id, n_ready, Some(mut thread))) = picked else {
             return; // nothing ready: a wake will reschedule us
         };
@@ -794,7 +797,6 @@ impl DoppioRuntime {
                 // exit hook.
                 false
             } else {
-                slot.thread = Some(thread);
                 slot.state = match step {
                     ThreadStep::Finished => ThreadState::Finished,
                     ThreadStep::Yielded => ThreadState::Ready,
@@ -807,7 +809,11 @@ impl DoppioRuntime {
                         }
                     }
                 };
-                step == ThreadStep::Finished
+                let finished = step == ThreadStep::Finished;
+                if !finished {
+                    slot.thread = Some(thread);
+                }
+                finished
             };
             // A slice that ended runnable (or done) is not waiting on
             // anything, whatever edges it reported mid-slice.

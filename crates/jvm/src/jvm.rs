@@ -257,10 +257,14 @@ impl Jvm {
     }
 
     /// Drive the engine's event loop until the program completes
-    /// (see [`DoppioRuntime::run_until`]).
+    /// (see [`DoppioRuntime::run_until`]). On a finished program it
+    /// schedules nothing: a tick left queued would hold the runtime,
+    /// and through it the engine, past the run.
     pub fn run_to_completion(&self) -> Result<JvmRunResult, RuntimeError> {
         let start_ns = self.engine.now_ns();
-        self.runtime.run_until(|| self.is_finished())?;
+        if !self.is_finished() {
+            self.runtime.run_until(|| self.is_finished())?;
+        }
         Ok(self.collect_result(start_ns))
     }
 

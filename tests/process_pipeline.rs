@@ -13,12 +13,14 @@ use common::check_golden_seeds;
 use doppio::core::{KernelError, PipeRead, PipeWrite, Scheduler, ThreadStep, WaitPid};
 use doppio::faults::{FaultConfig, FaultPlan, FaultRecord};
 use doppio::fs::{backends, FileSystem};
+use doppio::jsengine::Browser;
 use doppio::jvm::{fsutil, spawn_jvm};
 use doppio::minijava::compile_to_bytes;
 use doppio::schedtest::{
     explore, explore_parallel, ExploreConfig, PickLog, RecordingScheduler, ReplayFile,
 };
-use doppio::{ExitStatus, Kernel, Signal, SpawnOptions};
+use doppio::trace::RingSink;
+use doppio::{BuildOnKernel, EngineBuilder, ExitStatus, Kernel, Signal, SpawnOptions};
 
 /// Master seed for the exploration test; fixed so the in-tree run is
 /// deterministic (CI's fuzz matrix varies it separately).
@@ -91,6 +93,40 @@ fn jvm_pipeline_eof_and_exit_code_propagation() {
         out,
         "got line 0\ngot line 1\ngot line 2\ngot line 3\ngot line 4\n"
     );
+}
+
+#[test]
+fn a_finished_pipeline_frees_its_world() {
+    // A host serving many short-lived tenants must get each tenant's
+    // world (engine, kernel, JVM heaps, trace ring) back once it drops
+    // its handles, with no cleanup of its own. The engine holds the
+    // trace sink, so the sink's count says whether anything in that
+    // world still holds the engine.
+    let sink = Rc::new(RingSink::with_capacity(1 << 12));
+    {
+        let kernel = Kernel::new();
+        let _engine = EngineBuilder::new(Browser::Chrome)
+            .trace_sink(sink.clone())
+            .build_on(&kernel);
+        let (p1, p2) = (kernel.pipe(), kernel.pipe());
+        let (producer, _) = spawn_jvm(
+            &kernel,
+            SpawnOptions::new("producer").stdout(p1),
+            classes_fs(&kernel, PRODUCER),
+            "Main",
+        );
+        let (filter, _) = spawn_jvm(
+            &kernel,
+            SpawnOptions::new("filter").stdin(p1).stdout(p2),
+            classes_fs(&kernel, COUNTING_FILTER),
+            "Main",
+        );
+        kernel.run().unwrap();
+        assert_eq!(producer.status(), Some(ExitStatus::Exited(0)));
+        assert_eq!(filter.status(), Some(ExitStatus::Exited(5)));
+        assert!(!sink.is_empty());
+    }
+    assert_eq!(Rc::strong_count(&sink), 1);
 }
 
 #[test]

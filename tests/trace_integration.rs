@@ -24,6 +24,35 @@ const CRUNCHER: &str = r#"
 "#;
 
 #[test]
+fn a_finished_jvm_frees_its_world() {
+    // Running a finished program again schedules nothing, and a
+    // finished thread's guest state is dropped: once the embedder drops
+    // its handles, nothing the run built still holds the engine, so the
+    // trace sink is back to its one owner.
+    let sink = Rc::new(RingSink::with_capacity(1 << 12));
+    {
+        let engine = Engine::builder(Browser::Chrome)
+            .trace_sink(sink.clone())
+            .build();
+        let fs = FileSystem::new(&engine, backends::in_memory(&engine));
+        let classes = compile_to_bytes(
+            r#"class Main { static void main(String[] args) { System.out.println("hi"); } }"#,
+        )
+        .expect("compiles");
+        fsutil::mount_class_files(&engine, &fs, "/classes", &classes);
+        let jvm = Jvm::new(&engine, fs);
+        jvm.launch("Main", &[]);
+        let first = jvm.run_to_completion().unwrap();
+        let again = jvm.run_to_completion().unwrap();
+        assert_eq!(first.stdout, "hi\n");
+        assert_eq!(again.stdout, first.stdout);
+        assert_eq!(again.wall_ns, 0);
+        assert!(!sink.is_empty());
+    }
+    assert_eq!(Rc::strong_count(&sink), 1);
+}
+
+#[test]
 fn traced_run_exports_consistent_chrome_json() {
     let sink = Rc::new(RingSink::default());
     let engine = Engine::builder(Browser::Chrome)
