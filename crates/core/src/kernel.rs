@@ -1505,16 +1505,7 @@ impl Kernel {
     /// kill its remaining threads, release its pipe ends (EOF for
     /// readers, broken pipe for writers), and wake `waitpid` waiters.
     fn finish_process(&self, pid: Pid, status: ExitStatus) {
-        let Some((
-            rt,
-            engine,
-            threads,
-            wait_waiters,
-            pipe_wakes,
-            touched_pipes,
-            causal_tail,
-            probe,
-        )) = ({
+        let Some((rt, engine, threads, wait_waiters, pipe_wakes, touched_pipes, causal_tail)) = ({
             let mut inner = self.inner.borrow_mut();
             let Some(host) = inner.host.as_ref() else {
                 return;
@@ -1529,10 +1520,6 @@ impl Kernel {
             }
             proc.status = Some(status);
             proc.exited_at_ns = Some(now);
-            // The probe's closure holds the guest's state, which may hold
-            // this kernel (a JVM's stdout hook does). An exited process
-            // consults it no more; it is dropped below, outside the borrow.
-            let probe = proc.exit_probe.take();
             let causal_tail = proc.ctx.map(|root| (root, proc.last_span.unwrap_or(root)));
             let wait_waiters = std::mem::take(&mut proc.wait_waiters);
             let threads = rt.tagged_threads(pid.0 as u64);
@@ -1565,12 +1552,19 @@ impl Kernel {
                 pipe_wakes,
                 touched,
                 causal_tail,
-                probe,
             ))
-        })
-        else {
+        }) else {
             return;
         };
+        // The probe's closure holds the guest's state, which may hold
+        // this kernel (a JVM's stdout hook does). An exited process
+        // consults it no more: drop it, outside the kernel borrow.
+        let probe = self
+            .inner
+            .borrow_mut()
+            .procs
+            .get_mut(&pid.0)
+            .and_then(|p| p.exit_probe.take());
         drop(probe);
         for t in threads {
             // Reentrant exit-hook calls land in on_thread_finished /

@@ -548,6 +548,27 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_thread_drops_its_guest_state() {
+        // A runtime outlives its threads (a kernel runs every process
+        // on one), so a finished thread must not keep its guest's state
+        // alive.
+        let engine = Engine::new(Browser::Chrome);
+        let rt = DoppioRuntime::new(&engine);
+        let slices = Rc::new(RefCell::new(0));
+        let s = slices.clone();
+        rt.spawn(
+            "short",
+            Box::new(FnThread::new(move |_| {
+                *s.borrow_mut() += 1;
+                ThreadStep::Finished
+            })),
+        );
+        rt.run_to_completion().unwrap();
+        assert_eq!(*slices.borrow(), 1);
+        assert_eq!(Rc::strong_count(&slices), 1);
+    }
+
+    #[test]
     fn finished_runtime_reports_wall_time_span() {
         let engine = Engine::new(Browser::Chrome);
         let rt = DoppioRuntime::new(&engine);
