@@ -872,7 +872,7 @@ mod tests {
     fn paging_inflates_charges_on_safari() {
         let e = Engine::new(Browser::Safari);
         let unit = e.profile().cost(Cost::Dispatch);
-        e.typed_array_alloc(400 * 1024 * 1024); // past the 192 MB threshold
+        e.typed_array_alloc(400 * 1024 * 1024); // past the 4 MiB threshold
         e.typed_array_free(400 * 1024 * 1024); // leak: ignored
         assert!(e.is_paging());
         let t0 = e.now_ns();
