@@ -405,6 +405,80 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A multi-KiB payload, so frame lengths cross a byte of the
+    /// little-endian length fields.
+    fn big_data() -> Vec<u8> {
+        (0..5000u32).map(|i| (i % 251) as u8).collect()
+    }
+
+    /// Frames carrying [`big_data`], each with the hex of every byte
+    /// before the payload (the payload itself follows verbatim).
+    fn big_samples() -> Vec<(Frame, &'static str)> {
+        let put = WriteOp::Put {
+            key: "/big".into(),
+            data: big_data(),
+        };
+        vec![
+            (
+                Frame::Request {
+                    req_id: 9,
+                    op: RequestOp::Write(put.clone()),
+                    ctx: None,
+                },
+                "b013000001090000000000000000000000000000000000000000000000000201040000002f62696788130000",
+            ),
+            (
+                Frame::Replicate {
+                    seq: 300,
+                    op: put,
+                    ctx: Some(SpanContext {
+                        trace_id: 5,
+                        span_id: 6,
+                    }),
+                },
+                "af130000042c01000000000000010500000000000000060000000000000001040000002f62696788130000",
+            ),
+            (
+                Frame::Response {
+                    req_id: 10,
+                    value: Some(big_data()),
+                },
+                "96130000020a000000000000000188130000",
+            ),
+        ]
+    }
+
+    /// The wire layout is pinned byte for byte: frame lengths set
+    /// simulated transfer delays, and a layout change made on both the
+    /// encode and the decode side would still round-trip.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        let want = [
+            "21000000010700000000000000000000000000000000000000000000000001020000002f61",
+            "2a00000001080000000000000001adde000000000000efbe0000000000000201020000002f6204000000626c6f62",
+            "0f000000020700000000000000010100000078",
+            "0a00000002080000000000000000",
+            "0700000003020000002f62",
+            "21000000040300000000000000010100000000000000020000000000000002020000002f62",
+            "21000000040400000000000000000000000000000000000000000000000002020000002f63",
+            "09000000050300000000000000",
+        ];
+        assert_eq!(samples().len(), want.len());
+        for (f, want) in samples().iter().zip(want) {
+            assert_eq!(hex(&f.encode()), want, "{f:?}");
+        }
+        for (f, head) in big_samples() {
+            let enc = f.encode();
+            let (prefix, payload) = enc.split_at(enc.len() - big_data().len());
+            assert_eq!(hex(prefix), head);
+            assert_eq!(payload, big_data());
+        }
+    }
+
     #[test]
     fn buffer_reassembles_fragmented_stream() {
         let all: Vec<u8> = samples().iter().flat_map(|f| f.encode()).collect();
