@@ -357,19 +357,22 @@ impl DirIndex {
         Ok(moved_files)
     }
 
-    /// All paths in the index, sorted (used to persist the index).
+    /// All paths in the index, sorted (used to persist the index): one
+    /// line per entry, its kind's tag (`F` or `D`) and then its path.
     pub fn serialize(&self) -> String {
-        self.entries
-            .iter()
-            .map(|(k, v)| {
-                let tag = match v {
-                    FileKind::File => 'F',
-                    FileKind::Directory => 'D',
-                };
-                format!("{tag}{k}")
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
+        let len: usize = self.entries.keys().map(|k| k.len() + 2).sum();
+        let mut out = String::with_capacity(len.saturating_sub(1));
+        for (k, v) in &self.entries {
+            if !out.is_empty() {
+                out.push('\n');
+            }
+            out.push(match v {
+                FileKind::File => 'F',
+                FileKind::Directory => 'D',
+            });
+            out.push_str(k);
+        }
+        out
     }
 
     /// Rebuild an index from [`serialize`](Self::serialize) output.
@@ -476,6 +479,76 @@ mod tests {
         assert_eq!(restored.kind("/lib"), Some(FileKind::Directory));
         assert_eq!(restored.kind("/lib/rt.jar"), Some(FileKind::File));
         assert_eq!(restored.list("/").unwrap(), idx.list("/").unwrap());
+    }
+
+    /// The serializer as first written: a `format!` per entry, then a
+    /// `join`. It is the oracle for the one-pass serializer's bytes.
+    fn serialize_oracle(idx: &DirIndex) -> String {
+        idx.entries
+            .iter()
+            .map(|(k, v)| {
+                let tag = match v {
+                    FileKind::File => 'F',
+                    FileKind::Directory => 'D',
+                };
+                format!("{tag}{k}")
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    /// A seeded random tree: directories and files under random
+    /// existing directories, with names drawn from a small alphabet
+    /// that includes characters sorting on both sides of `/`.
+    fn random_index(seed: u64) -> DirIndex {
+        let mut rng = doppio_prng::SplitMix64::new(seed);
+        let mut idx = DirIndex::new();
+        let mut dirs = vec!["/".to_string()];
+        for _ in 0..rng.gen_range(0..200usize) {
+            let parent = dirs[rng.gen_range(0..dirs.len())].clone();
+            // A letter first, so no name is `.` or `..`.
+            let mut name = String::from(b"abz"[rng.gen_range(0..3usize)] as char);
+            for _ in 0..rng.gen_range(0..7usize) {
+                name.push(b"ab-._z0"[rng.gen_range(0..7usize)] as char);
+            }
+            let path = if parent == "/" {
+                format!("/{name}")
+            } else {
+                format!("{parent}/{name}")
+            };
+            if idx.contains(&path) {
+                continue;
+            }
+            if rng.gen_bool(0.3) {
+                idx.insert_dir(&path).unwrap();
+                dirs.push(path);
+            } else {
+                idx.insert_file(&path).unwrap();
+            }
+        }
+        idx
+    }
+
+    #[test]
+    fn serialize_matches_the_format_join_oracle() {
+        let mut only_dirs = DirIndex::new();
+        only_dirs.insert_dir("/a").unwrap();
+        only_dirs.insert_dir("/a/b").unwrap();
+        only_dirs.insert_dir("/c").unwrap();
+        let mut around_slash = DirIndex::new();
+        around_slash.insert_dir("/a").unwrap();
+        around_slash.insert_file("/a/b").unwrap();
+        around_slash.insert_file("/a-b").unwrap();
+        around_slash.insert_dir("/a.b").unwrap();
+        let mut cases = vec![DirIndex::new(), only_dirs, around_slash];
+        cases.extend((0..64).map(random_index));
+        for idx in &cases {
+            let got = idx.serialize();
+            assert_eq!(got, serialize_oracle(idx));
+            assert_eq!(DirIndex::deserialize(&got).serialize(), got);
+        }
+        assert_eq!(cases[0].serialize(), "");
+        assert_eq!(cases[2].serialize(), "D/a\nF/a-b\nD/a.b\nF/a/b");
     }
 
     #[test]
