@@ -12,10 +12,9 @@
 //! blob another session has since overwritten (its own writes update
 //! the cache write-through).
 //!
-//! [`StorageClient`] implements
-//! [`ObjectStoreClient`](doppio_fs::backends::replicated::ObjectStoreClient),
-//! so `doppio_fs::backends::replicated(cluster.client(...))` yields a
-//! full FS backend over the cluster.
+//! [`StorageClient`] implements [`ObjectStoreClient`], so
+//! `doppio_fs::backends::replicated(cluster.client(...))` yields a full
+//! FS backend over the cluster.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -28,7 +27,7 @@ use doppio_sockets::{ClientHandlers, ConnId, Network};
 use doppio_trace::SpanContext;
 
 use crate::history::{HistoryRecorder, OpKind};
-use crate::proto::{Frame, FrameBuffer, RequestOp, WriteOp};
+use crate::proto::{encode_get, encode_write_request, Frame, FrameBuffer, WriteOp};
 
 /// Virtual latency of a cache hit (no network round trip).
 const CACHE_HIT_NS: u64 = 2_000;
@@ -40,8 +39,15 @@ const RECONNECT_NS: u64 = 2_000_000;
 /// or, for writes, is ignored.
 type DoneFn = Box<dyn FnOnce(&Engine, Option<Vec<u8>>)>;
 
+/// What a pending request asks of the primary. A write shares its op,
+/// payload included, with the write-through cache.
+enum PendingOp {
+    Get(String),
+    Write(Rc<WriteOp>),
+}
+
 struct Pending {
-    op: RequestOp,
+    op: PendingOp,
     done: DoneFn,
     sent_once: bool,
     /// Causal bookkeeping for the op, if tracing is on.
@@ -50,6 +56,17 @@ struct Pending {
     /// categorized `retry.backoff` so the reconnect window is named on
     /// the critical path.
     retried: bool,
+}
+
+impl Pending {
+    /// The request frame for this op under correlation id `req_id`.
+    fn frame(&self, req_id: u64) -> Vec<u8> {
+        let ctx = self.trace.as_ref().map(|t| t.ctx);
+        match &self.op {
+            PendingOp::Get(key) => encode_get(req_id, key, ctx),
+            PendingOp::Write(op) => encode_write_request(req_id, op, ctx),
+        }
+    }
 }
 
 /// Causal identity of one client operation: the span frames are
@@ -108,7 +125,10 @@ struct ClientState {
     connecting: bool,
     next_req: u64,
     pending: BTreeMap<u64, Pending>,
-    cache: BTreeMap<String, Option<Vec<u8>>>,
+    /// Per key, the latest write this session knows of: its own (the
+    /// op it sent) or, after a get, a put of the value read (a delete
+    /// when the key was absent).
+    cache: BTreeMap<String, Rc<WriteOp>>,
 }
 
 struct ClientInner {
@@ -178,7 +198,13 @@ impl StorageClient {
         let trace = begin_op(engine, "storage:get");
         let inner = self.inner.clone();
         if self.inner.cache_enabled {
-            let cached = self.inner.state.borrow().cache.get(key).cloned();
+            let cached = self
+                .inner
+                .state
+                .borrow()
+                .cache
+                .get(key)
+                .map(|op| op.data().map(<[u8]>::to_vec));
             if let Some(value) = cached {
                 counter(engine, "storage.cache.hit");
                 let ctx = trace.as_ref().map(|t| t.ctx);
@@ -193,21 +219,22 @@ impl StorageClient {
             }
             counter(engine, "storage.cache.miss");
         }
-        let fill_key = key.to_string();
+        let key = key.to_string();
         submit(
             &self.inner,
             engine,
-            RequestOp::Get {
-                key: key.to_string(),
-            },
+            PendingOp::Get(key.clone()),
             trace,
             Box::new(move |e, value| {
                 if inner.cache_enabled {
-                    inner
-                        .state
-                        .borrow_mut()
-                        .cache
-                        .insert(fill_key, value.clone());
+                    let read = match &value {
+                        Some(data) => WriteOp::Put {
+                            key: key.clone(),
+                            data: data.clone(),
+                        },
+                        None => WriteOp::Delete { key: key.clone() },
+                    };
+                    inner.state.borrow_mut().cache.insert(key, Rc::new(read));
                 }
                 complete_history(&inner, hist, e, observed(&value));
                 cb(e, Ok(value));
@@ -231,19 +258,20 @@ impl StorageClient {
                 WriteOp::Delete { .. } => "storage:delete",
             },
         );
+        let op = Rc::new(op);
         if self.inner.cache_enabled {
             // Write-through: this session always sees its own writes.
-            let entry = match &op {
-                WriteOp::Put { key, data } => (key.clone(), Some(data.clone())),
-                WriteOp::Delete { key } => (key.clone(), None),
-            };
-            self.inner.state.borrow_mut().cache.insert(entry.0, entry.1);
+            self.inner
+                .state
+                .borrow_mut()
+                .cache
+                .insert(op.key().to_string(), op.clone());
         }
         let inner = self.inner.clone();
         submit(
             &self.inner,
             engine,
-            RequestOp::Write(op),
+            PendingOp::Write(op),
             trace,
             Box::new(move |e, _| {
                 complete_history(&inner, hist, e, None);
@@ -281,7 +309,7 @@ fn complete_history(
 fn submit(
     inner: &Rc<ClientInner>,
     engine: &Engine,
-    op: RequestOp,
+    op: PendingOp,
     trace: Option<OpTrace>,
     done: DoneFn,
 ) {
@@ -290,17 +318,16 @@ fn submit(
         let mut st = inner.state.borrow_mut();
         let req_id = st.next_req;
         st.next_req += 1;
-        st.pending.insert(
-            req_id,
-            Pending {
-                op: op.clone(),
-                done,
-                sent_once: false,
-                trace,
-                retried: false,
-            },
-        );
-        (req_id, Frame::Request { req_id, op, ctx }.encode())
+        let pending = Pending {
+            op,
+            done,
+            sent_once: false,
+            trace,
+            retried: false,
+        };
+        let frame = pending.frame(req_id);
+        st.pending.insert(req_id, pending);
+        (req_id, frame)
     };
     let conn = inner.state.borrow().conn;
     match conn {
@@ -389,17 +416,7 @@ fn flush_pending(inner: &Rc<ClientInner>, engine: &Engine, conn: ConnId) {
             .iter()
             .map(|(id, p)| {
                 let ctx = p.trace.as_ref().map(|t| t.ctx);
-                (
-                    *id,
-                    Frame::Request {
-                        req_id: *id,
-                        op: p.op.clone(),
-                        ctx,
-                    }
-                    .encode(),
-                    p.sent_once,
-                    ctx,
-                )
+                (*id, p.frame(*id), p.sent_once, ctx)
             })
             .collect()
     };

@@ -30,7 +30,9 @@ use doppio_sockets::{ConnId, Network, ServerConn, TcpServerApp};
 use doppio_trace::SpanContext;
 
 use crate::client::StorageClient;
-use crate::proto::{Frame, FrameBuffer, RequestOp, WriteOp};
+use crate::proto::{
+    encode_invalidate, encode_replicate, encode_response, Frame, FrameBuffer, RequestOp, WriteOp,
+};
 
 /// Cluster shape and protocol knobs.
 #[derive(Debug, Clone)]
@@ -65,12 +67,15 @@ struct Node {
     port: u16,
     up: Cell<bool>,
     /// Volatile object map — lost on crash, rebuilt from the journal.
-    objects: RefCell<BTreeMap<String, Vec<u8>>>,
-    /// Durable write-back journal: `(seq, op, ctx)` in sequence order.
-    /// The causal context of the appending span rides along so
-    /// retransmissions can link back to the write that created the
-    /// record.
-    journal: RefCell<Vec<(u64, WriteOp, Option<SpanContext>)>>,
+    /// Each key maps to the journaled put that wrote it, so the map and
+    /// the journal share one copy of the blob.
+    objects: RefCell<BTreeMap<String, Rc<WriteOp>>>,
+    /// Durable write-back journal: `(op, ctx)` in sequence order. It is
+    /// dense and 1-based, so the record for sequence number `seq` sits
+    /// at index `seq - 1`. The causal context of the appending span
+    /// rides along so retransmissions can link back to the write that
+    /// created the record.
+    journal: RefCell<Vec<Record>>,
     /// Highest sequence number applied to `objects` (volatile).
     applied: Cell<u64>,
     /// Out-of-order replicate frames awaiting their gap (volatile).
@@ -83,6 +88,10 @@ struct Node {
     /// Per-connection reassembly buffers.
     bufs: RefCell<HashMap<u64, FrameBuffer>>,
 }
+
+/// One journal record: the write, and the causal context of the span
+/// that appended it.
+type Record = (Rc<WriteOp>, Option<SpanContext>);
 
 struct ReplLink {
     /// Index of the backup this link feeds.
@@ -194,7 +203,11 @@ impl StorageCluster {
 
     /// The blob at `key` on node `idx` (direct state inspection).
     pub fn object(&self, idx: usize, key: &str) -> Option<Vec<u8>> {
-        self.inner.nodes[idx].objects.borrow().get(key).cloned()
+        let objects = self.inner.nodes[idx].objects.borrow();
+        objects
+            .get(key)
+            .and_then(|op| op.data())
+            .map(<[u8]>::to_vec)
     }
 
     /// Number of journal records on node `idx`.
@@ -314,8 +327,11 @@ fn handle_request(
             if crash_fault(inner, idx, "get", engine) {
                 return;
             }
-            let value = inner.nodes[idx].objects.borrow().get(&key).cloned();
-            conn.send(Frame::Response { req_id, value }.encode());
+            let frame = {
+                let objects = inner.nodes[idx].objects.borrow();
+                encode_response(req_id, objects.get(&key).and_then(|op| op.data()))
+            };
+            conn.send(frame);
         }
         RequestOp::Write(w) => {
             let opname: &'static str = match w {
@@ -324,13 +340,7 @@ fn handle_request(
             };
             if inner.cfg.ack_before_journal {
                 // THE BUG under test: the ack races the journal append.
-                conn.send(
-                    Frame::Response {
-                        req_id,
-                        value: None,
-                    }
-                    .encode(),
-                );
+                conn.send(encode_response(req_id, None));
                 if crash_fault(inner, idx, opname, engine) {
                     return; // acked write lost — never journaled
                 }
@@ -344,13 +354,7 @@ fn handle_request(
                 if !inner.nodes[idx].up.get() {
                     return; // crashed at the post-journal decision point
                 }
-                conn.send(
-                    Frame::Response {
-                        req_id,
-                        value: None,
-                    }
-                    .encode(),
-                );
+                conn.send(encode_response(req_id, None));
             }
         }
     }
@@ -369,11 +373,11 @@ fn commit_write(
 ) {
     let node = &inner.nodes[idx];
     let append_ctx = engine.causal().current().or(ctx);
+    let w = Rc::new(w);
     let seq = {
         let mut journal = node.journal.borrow_mut();
-        let seq = journal.last().map(|(s, _, _)| *s).unwrap_or(0) + 1;
-        journal.push((seq, w.clone(), append_ctx));
-        seq
+        journal.push((w.clone(), append_ctx));
+        journal.len() as u64
     };
     counter(engine, "storage.journal.append");
     mark_journal_append(engine, ctx, seq);
@@ -397,10 +401,10 @@ fn mark_journal_append(engine: &Engine, wire_ctx: Option<SpanContext>, seq: u64)
     }
 }
 
-fn apply_op(objects: &mut BTreeMap<String, Vec<u8>>, op: &WriteOp) {
-    match op {
-        WriteOp::Put { key, data } => {
-            objects.insert(key.clone(), data.clone());
+fn apply_op(objects: &mut BTreeMap<String, Rc<WriteOp>>, op: &Rc<WriteOp>) {
+    match &**op {
+        WriteOp::Put { key, .. } => {
+            objects.insert(key.clone(), op.clone());
         }
         WriteOp::Delete { key } => {
             objects.remove(key);
@@ -419,12 +423,7 @@ fn invalidate_others(node: &Node, from_conn: u64, key: &str) {
     let conns = node.conns.borrow();
     for id in ids {
         if let Some(c) = conns.get(&id) {
-            c.send(
-                Frame::Invalidate {
-                    key: key.to_string(),
-                }
-                .encode(),
-            );
+            c.send(encode_invalidate(key));
         }
     }
 }
@@ -466,12 +465,7 @@ fn replicate_all(
             }
         }
         if let Some(conn) = link.conn.get() {
-            let frame = Frame::Replicate {
-                seq,
-                op: op.clone(),
-                ctx,
-            }
-            .encode();
+            let frame = encode_replicate(seq, op, ctx);
             if inner.net.client_send(conn, frame).is_ok() {
                 counter(engine, "storage.replicate.sent");
             }
@@ -481,21 +475,20 @@ fn replicate_all(
 }
 
 /// Retransmit every journal record the backup behind link `l` has not
-/// acked yet.
+/// acked yet: the journal's suffix after the acked sequence number.
 fn resend_link(inner: &Rc<ClusterInner>, l: usize, engine: &Engine) {
     let link = &inner.links[l];
     if link.partitioned.get() {
         return;
     }
     let Some(conn) = link.conn.get() else { return };
-    let records: Vec<(u64, WriteOp, Option<SpanContext>)> = inner.nodes[0]
+    let acked = link.acked.get();
+    let records: Vec<Record> = inner.nodes[0]
         .journal
         .borrow()
-        .iter()
-        .filter(|(s, _, _)| *s > link.acked.get())
-        .cloned()
-        .collect();
-    for (seq, op, ctx) in records {
+        .get(acked as usize..)
+        .map_or_else(Vec::new, <[Record]>::to_vec);
+    for (seq, (op, ctx)) in (acked + 1..).zip(records) {
         // A "retry" flow links the retransmission back to the write
         // that journaled this record: the resend timer may have been
         // armed by an unrelated commit, so without this edge the
@@ -508,7 +501,7 @@ fn resend_link(inner: &Rc<ClusterInner>, l: usize, engine: &Engine) {
         }
         if inner
             .net
-            .client_send(conn, Frame::Replicate { seq, op, ctx }.encode())
+            .client_send(conn, encode_replicate(seq, &op, ctx))
             .is_ok()
         {
             counter(engine, "storage.replicate.resent");
@@ -518,12 +511,7 @@ fn resend_link(inner: &Rc<ClusterInner>, l: usize, engine: &Engine) {
 
 /// Highest sequence number in the primary journal.
 fn primary_seq(inner: &ClusterInner) -> u64 {
-    inner.nodes[0]
-        .journal
-        .borrow()
-        .last()
-        .map(|(s, _, _)| *s)
-        .unwrap_or(0)
+    inner.nodes[0].journal.borrow().len() as u64
 }
 
 fn arm_resend(inner: &Rc<ClusterInner>, engine: &Engine) {
@@ -567,9 +555,12 @@ fn handle_replicate(
             let Some(op) = next else { break };
             applied += 1;
             let append_ctx = engine.causal().current().or(ctx);
-            node.journal
-                .borrow_mut()
-                .push((applied, op.clone(), append_ctx));
+            let op = Rc::new(op);
+            {
+                let mut journal = node.journal.borrow_mut();
+                journal.push((op.clone(), append_ctx));
+                debug_assert_eq!(journal.len() as u64, applied, "journal is dense");
+            }
             counter(engine, "storage.journal.append");
             mark_journal_append(engine, ctx, applied);
             apply_op(&mut node.objects.borrow_mut(), &op);
@@ -640,11 +631,10 @@ fn recover_node(inner: &Rc<ClusterInner>, idx: usize, engine: &Engine) {
         let journal = node.journal.borrow();
         let mut objects = node.objects.borrow_mut();
         objects.clear();
-        for (_, op, _) in journal.iter() {
+        for (op, _) in journal.iter() {
             apply_op(&mut objects, op);
         }
-        node.applied
-            .set(journal.last().map(|(s, _, _)| *s).unwrap_or(0));
+        node.applied.set(journal.len() as u64);
         engine
             .metrics()
             .counter("storage.journal.replayed")

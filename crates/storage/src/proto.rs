@@ -47,6 +47,14 @@ impl WriteOp {
             WriteOp::Delete { .. } => "delete",
         }
     }
+
+    /// The blob a put stores (`None` for a delete).
+    pub(crate) fn data(&self) -> Option<&[u8]> {
+        match self {
+            WriteOp::Put { data, .. } => Some(data),
+            WriteOp::Delete { .. } => None,
+        }
+    }
 }
 
 /// What a client can ask of the primary.
@@ -152,7 +160,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn put_ctx(buf: &mut Vec<u8>, ctx: &Option<SpanContext>) {
+fn put_ctx(buf: &mut Vec<u8>, ctx: Option<SpanContext>) {
     match ctx {
         Some(c) => {
             buf.push(1);
@@ -188,6 +196,96 @@ fn encode_write(buf: &mut Vec<u8>, op: &WriteOp) {
     }
 }
 
+/// Encoded width of a causal context: a flag byte and two u64s.
+const CTX_LEN: usize = 17;
+
+/// Encoded length of a length-prefixed byte string.
+fn bytes_len(b: &[u8]) -> usize {
+    4 + b.len()
+}
+
+fn write_len(op: &WriteOp) -> usize {
+    1 + match op {
+        WriteOp::Put { key, data } => bytes_len(key.as_bytes()) + bytes_len(data),
+        WriteOp::Delete { key } => bytes_len(key.as_bytes()),
+    }
+}
+
+/// A complete frame whose payload `fill` writes in one pass into a
+/// buffer allocated at its exact size, `len` payload bytes.
+fn frame(len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(4 + len);
+    put_u32(&mut out, len as u32);
+    fill(&mut out);
+    debug_assert_eq!(out.len(), 4 + len, "payload length mismatch");
+    out
+}
+
+// The encoders below borrow what they send, so the storage tier builds
+// a frame without cloning its payload. `Frame::encode` is made of them.
+
+/// A `Request` frame asking for the blob at `key`.
+pub(crate) fn encode_get(req_id: u64, key: &str, ctx: Option<SpanContext>) -> Vec<u8> {
+    frame(1 + 8 + CTX_LEN + 1 + bytes_len(key.as_bytes()), |p| {
+        p.push(1);
+        put_u64(p, req_id);
+        put_ctx(p, ctx);
+        p.push(1);
+        put_bytes(p, key.as_bytes());
+    })
+}
+
+/// A `Request` frame carrying the write `op`.
+pub(crate) fn encode_write_request(req_id: u64, op: &WriteOp, ctx: Option<SpanContext>) -> Vec<u8> {
+    frame(1 + 8 + CTX_LEN + 1 + write_len(op), |p| {
+        p.push(1);
+        put_u64(p, req_id);
+        put_ctx(p, ctx);
+        p.push(2);
+        encode_write(p, op);
+    })
+}
+
+/// A `Response` frame answering `req_id` with `value`.
+pub(crate) fn encode_response(req_id: u64, value: Option<&[u8]>) -> Vec<u8> {
+    frame(1 + 8 + 1 + value.map_or(0, bytes_len), |p| {
+        p.push(2);
+        put_u64(p, req_id);
+        match value {
+            Some(v) => {
+                p.push(1);
+                put_bytes(p, v);
+            }
+            None => p.push(0),
+        }
+    })
+}
+
+/// An `Invalidate` frame for `key`.
+pub(crate) fn encode_invalidate(key: &str) -> Vec<u8> {
+    frame(1 + bytes_len(key.as_bytes()), |p| {
+        p.push(3);
+        put_bytes(p, key.as_bytes());
+    })
+}
+
+/// A `Replicate` frame carrying `op` as sequence number `seq`.
+pub(crate) fn encode_replicate(seq: u64, op: &WriteOp, ctx: Option<SpanContext>) -> Vec<u8> {
+    frame(1 + 8 + CTX_LEN + write_len(op), |p| {
+        p.push(4);
+        put_u64(p, seq);
+        put_ctx(p, ctx);
+        encode_write(p, op);
+    })
+}
+
+fn encode_ack(seq: u64) -> Vec<u8> {
+    frame(1 + 8, |p| {
+        p.push(5);
+        put_u64(p, seq);
+    })
+}
+
 fn decode_write(r: &mut Reader) -> Option<WriteOp> {
     match r.u8()? {
         1 => Some(WriteOp::Put {
@@ -202,53 +300,22 @@ fn decode_write(r: &mut Reader) -> Option<WriteOp> {
 impl Frame {
     /// Serialize to a complete length-prefixed frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut p = Vec::new();
         match self {
-            Frame::Request { req_id, op, ctx } => {
-                p.push(1);
-                put_u64(&mut p, *req_id);
-                put_ctx(&mut p, ctx);
-                match op {
-                    RequestOp::Get { key } => {
-                        p.push(1);
-                        put_bytes(&mut p, key.as_bytes());
-                    }
-                    RequestOp::Write(w) => {
-                        p.push(2);
-                        encode_write(&mut p, w);
-                    }
-                }
-            }
-            Frame::Response { req_id, value } => {
-                p.push(2);
-                put_u64(&mut p, *req_id);
-                match value {
-                    Some(v) => {
-                        p.push(1);
-                        put_bytes(&mut p, v);
-                    }
-                    None => p.push(0),
-                }
-            }
-            Frame::Invalidate { key } => {
-                p.push(3);
-                put_bytes(&mut p, key.as_bytes());
-            }
-            Frame::Replicate { seq, op, ctx } => {
-                p.push(4);
-                put_u64(&mut p, *seq);
-                put_ctx(&mut p, ctx);
-                encode_write(&mut p, op);
-            }
-            Frame::Ack { seq } => {
-                p.push(5);
-                put_u64(&mut p, *seq);
-            }
+            Frame::Request {
+                req_id,
+                op: RequestOp::Get { key },
+                ctx,
+            } => encode_get(*req_id, key, *ctx),
+            Frame::Request {
+                req_id,
+                op: RequestOp::Write(w),
+                ctx,
+            } => encode_write_request(*req_id, w, *ctx),
+            Frame::Response { req_id, value } => encode_response(*req_id, value.as_deref()),
+            Frame::Invalidate { key } => encode_invalidate(key),
+            Frame::Replicate { seq, op, ctx } => encode_replicate(*seq, op, *ctx),
+            Frame::Ack { seq } => encode_ack(*seq),
         }
-        let mut out = Vec::with_capacity(4 + p.len());
-        put_u32(&mut out, p.len() as u32);
-        out.extend_from_slice(&p);
-        out
     }
 
     /// Parse one payload (the bytes after the length prefix).
@@ -294,10 +361,18 @@ impl Frame {
     }
 }
 
+/// Total length (prefix included) of the frame `buf` starts with, once
+/// its length prefix is complete.
+fn frame_len(buf: &[u8]) -> Option<usize> {
+    let prefix: [u8; 4] = buf.get(..4)?.try_into().ok()?;
+    Some(4 + u32::from_le_bytes(prefix) as usize)
+}
+
 /// Reassembles frames from a fragmented byte stream.
 #[derive(Default)]
 pub struct FrameBuffer {
-    buf: Vec<u8>,
+    /// The start of a frame whose remainder has not arrived yet.
+    partial: Vec<u8>,
 }
 
 impl FrameBuffer {
@@ -309,22 +384,32 @@ impl FrameBuffer {
     /// Feed raw bytes; returns every complete frame now available.
     /// Malformed payloads are dropped (the length prefix still bounds
     /// them, so the stream stays in sync).
-    pub fn push(&mut self, data: &[u8]) -> Vec<Frame> {
-        self.buf.extend_from_slice(data);
+    ///
+    /// Whole frames decode straight from `data`; only a frame split
+    /// across deliveries is copied, into the partial-frame buffer.
+    pub fn push(&mut self, mut data: &[u8]) -> Vec<Frame> {
         let mut frames = Vec::new();
-        loop {
-            if self.buf.len() < 4 {
+        while !self.partial.is_empty() {
+            // Top the partial frame up to its length prefix, then to
+            // its whole length.
+            let want = frame_len(&self.partial).unwrap_or(4);
+            let take = (want - self.partial.len()).min(data.len());
+            self.partial.extend_from_slice(&data[..take]);
+            data = &data[take..];
+            if self.partial.len() < want {
                 return frames;
             }
-            let len = u32::from_le_bytes(self.buf[..4].try_into().unwrap()) as usize;
-            if self.buf.len() < 4 + len {
-                return frames;
+            if frame_len(&self.partial) == Some(self.partial.len()) {
+                frames.extend(Frame::decode_payload(&self.partial[4..]));
+                self.partial.clear();
             }
-            if let Some(f) = Frame::decode_payload(&self.buf[4..4 + len]) {
-                frames.push(f);
-            }
-            self.buf.drain(..4 + len);
         }
+        while let Some(n) = frame_len(data).filter(|&n| n <= data.len()) {
+            frames.extend(Frame::decode_payload(&data[4..n]));
+            data = &data[n..];
+        }
+        self.partial.extend_from_slice(data);
+        frames
     }
 }
 
@@ -470,12 +555,35 @@ mod tests {
         assert_eq!(samples().len(), want.len());
         for (f, want) in samples().iter().zip(want) {
             assert_eq!(hex(&f.encode()), want, "{f:?}");
+            assert_eq!(borrowed_encode(f), f.encode(), "{f:?}");
         }
         for (f, head) in big_samples() {
             let enc = f.encode();
             let (prefix, payload) = enc.split_at(enc.len() - big_data().len());
             assert_eq!(hex(prefix), head);
             assert_eq!(payload, big_data());
+            assert_eq!(borrowed_encode(&f), enc);
+        }
+    }
+
+    /// `f` through the crate's borrowing encoders, as the client and
+    /// the cluster build their frames.
+    fn borrowed_encode(f: &Frame) -> Vec<u8> {
+        match f {
+            Frame::Request {
+                req_id,
+                op: RequestOp::Get { key },
+                ctx,
+            } => encode_get(*req_id, key, *ctx),
+            Frame::Request {
+                req_id,
+                op: RequestOp::Write(w),
+                ctx,
+            } => encode_write_request(*req_id, w, *ctx),
+            Frame::Response { req_id, value } => encode_response(*req_id, value.as_deref()),
+            Frame::Invalidate { key } => encode_invalidate(key),
+            Frame::Replicate { seq, op, ctx } => encode_replicate(*seq, op, *ctx),
+            Frame::Ack { .. } => f.encode(),
         }
     }
 
@@ -492,6 +600,31 @@ mod tests {
         // And in one burst.
         let mut fb = FrameBuffer::new();
         assert_eq!(fb.push(&all), samples());
+    }
+
+    /// Every way to cut a stream in two (and many in three) yields the
+    /// same frames, whether a cut falls in a length prefix, inside a
+    /// payload, or on a frame boundary.
+    #[test]
+    fn buffer_reassembles_across_every_cut() {
+        let mut frames = samples();
+        frames.extend(big_samples().into_iter().map(|(f, _)| f));
+        let all: Vec<u8> = frames.iter().flat_map(|f| f.encode()).collect();
+        for cut in 0..=all.len() {
+            let mut fb = FrameBuffer::new();
+            let mut got = fb.push(&all[..cut]);
+            got.extend(fb.push(&all[cut..]));
+            assert_eq!(got, frames, "cut at {cut}");
+        }
+        for a in (0..all.len()).step_by(97) {
+            for b in (a..all.len()).step_by(89) {
+                let mut fb = FrameBuffer::new();
+                let mut got = fb.push(&all[..a]);
+                got.extend(fb.push(&all[a..b]));
+                got.extend(fb.push(&all[b..]));
+                assert_eq!(got, frames, "cuts at {a} and {b}");
+            }
+        }
     }
 
     #[test]
