@@ -19,7 +19,8 @@
 //!
 //! Everything is scheduled deterministically on the shared virtual
 //! clock: same seed, same schedule, byte-identical transcripts. And
-//! because every guest blocks through the one shared [`WaitGraph`],
+//! because every guest blocks through the one shared
+//! [`WaitGraph`](crate::WaitGraph),
 //! deadlock blame crosses process boundaries — a pipe-full writer
 //! stuck on a reader that is `waitpid`-ing the writer is reported as a
 //! cycle naming both pids (see
@@ -1306,7 +1307,14 @@ impl Kernel {
     /// Drive the event loop until every process has exited. Errors
     /// with per-pid blame if the wait-for graph latches a cycle or the
     /// loop drains with live processes blocked.
+    ///
+    /// Once every process has exited it schedules nothing, as
+    /// [`DoppioRuntime::run_to_completion`] does on a finished runtime;
+    /// a kernel with no processes yet still takes its first tick.
     pub fn run(&self) -> Result<(), RuntimeError> {
+        if !self.inner.borrow().procs.is_empty() && self.all_exited() {
+            return Ok(());
+        }
         self.runtime().run_until(|| self.all_exited())
     }
 
@@ -1793,6 +1801,25 @@ mod tests {
         kernel.run().unwrap();
         assert_eq!(p.status(), Some(ExitStatus::Exited(0)));
         assert!(p.status().unwrap().success());
+    }
+
+    #[test]
+    fn an_exited_kernel_frees_its_world() {
+        // Running a kernel whose processes have all exited again, then
+        // dropping it: nothing the run queued may still hold the
+        // engine, so the trace sink is back to its one owner.
+        let sink = Rc::new(doppio_trace::RingSink::with_capacity(1 << 12));
+        {
+            let engine = EngineBuilder::new(Browser::Chrome)
+                .trace_sink(sink.clone())
+                .build();
+            let kernel = Kernel::on_engine(&engine);
+            kernel.spawn_fn(SpawnOptions::new("short"), |_| ThreadStep::Finished);
+            kernel.run().unwrap();
+            kernel.run().unwrap();
+            assert!(!sink.is_empty());
+        }
+        assert_eq!(Rc::strong_count(&sink), 1);
     }
 
     #[test]

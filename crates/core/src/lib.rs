@@ -569,6 +569,25 @@ mod tests {
     }
 
     #[test]
+    fn a_finished_runtime_frees_its_world() {
+        // Running a finished runtime again schedules nothing, so once
+        // the embedder drops its handles nothing holds the engine and
+        // the trace sink is back to its one owner.
+        let sink = Rc::new(doppio_trace::RingSink::with_capacity(1 << 12));
+        {
+            let engine = Engine::builder(Browser::Chrome)
+                .trace_sink(sink.clone())
+                .build();
+            let rt = DoppioRuntime::new(&engine);
+            rt.spawn("short", Box::new(FnThread::new(|_| ThreadStep::Finished)));
+            rt.run_to_completion().unwrap();
+            rt.run_to_completion().unwrap();
+            assert!(!sink.is_empty());
+        }
+        assert_eq!(Rc::strong_count(&sink), 1);
+    }
+
+    #[test]
     fn finished_runtime_reports_wall_time_span() {
         let engine = Engine::new(Browser::Chrome);
         let rt = DoppioRuntime::new(&engine);

@@ -622,9 +622,13 @@ impl DoppioRuntime {
     /// Drive the engine's event loop until every thread finishes.
     ///
     /// Returns the final stats, or a deadlock error if all live threads
-    /// are blocked with no event left to wake them.
+    /// are blocked with no event left to wake them. On a finished
+    /// runtime it schedules nothing: a tick queued then would never run,
+    /// and its closure would keep the runtime and its engine alive.
     pub fn run_to_completion(&self) -> Result<RuntimeStats, RuntimeError> {
-        self.run_until(|| self.is_finished())?;
+        if !self.is_finished() {
+            self.run_until(|| self.is_finished())?;
+        }
         Ok(self.stats())
     }
 
