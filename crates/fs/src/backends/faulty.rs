@@ -1,14 +1,13 @@
 //! A fault-injecting decorator for any [`Backend`].
 //!
-//! Wraps an inner backend and consults a seeded
-//! [`FaultPlan`](doppio_faults::FaultPlan) before every operation:
-//! the plan can fail the call with a transient `EIO`, fail a write
-//! with `ENOSPC` (quota pressure), or stretch its completion by a
-//! deterministic extra delay. Injections are recorded in the plan's
-//! log and traced under the `fault` category, so a run's failures are
-//! reproducible from the seed and visible in Perfetto — this is how
-//! the retry policies in the frontend and the mount fallthrough are
-//! exercised.
+//! Wraps an inner backend and consults a seeded [`FaultPlan`] before
+//! every operation: the plan can fail the call with a transient `EIO`,
+//! fail a write with `ENOSPC` (quota pressure), or stretch its
+//! completion by a deterministic extra delay. Injections are recorded
+//! in the plan's log and traced under the `fault` category, so a run's
+//! failures are reproducible from the seed and visible in Perfetto —
+//! this is how the retry policies in the frontend and the mount
+//! fallthrough are exercised.
 
 use doppio_faults::{FaultPlan, FsFault};
 use doppio_jsengine::Engine;

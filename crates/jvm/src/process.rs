@@ -5,7 +5,8 @@
 //! kernel's shared engine and runtime, wires the [`SpawnOptions`]
 //! stdin/stdout pipes to the JVM's standard streams, installs the
 //! JVM's exit probe (so `System.exit`, normal completion, and uncaught
-//! exceptions all become the process's [`ExitStatus`]), and spawns the
+//! exceptions all become the process's
+//! [`ExitStatus`](doppio_core::kernel::ExitStatus)), and spawns the
 //! main thread as a process. Several JVMs spawned this way interleave
 //! deterministically on one virtual clock, and blocked pipe I/O in any
 //! of them participates in the kernel's cross-process deadlock blame.
