@@ -481,8 +481,8 @@ mod tests {
         assert_eq!(restored.list("/").unwrap(), idx.list("/").unwrap());
     }
 
-    /// The serializer as first written: a `format!` per entry, then a
-    /// `join`. It is the oracle for the one-pass serializer's bytes.
+    /// The reference serializer, a `format!` per entry and then a
+    /// `join`: the one-pass serializer must write its bytes.
     fn serialize_oracle(idx: &DirIndex) -> String {
         idx.entries
             .iter()
