@@ -181,11 +181,11 @@ impl RunReport {
     }
 
     /// Add the critical-path section: replay the causal events in
-    /// `sink` into a [`CausalReport`] (per-request critical paths and
-    /// per-class latency attribution). Truncated rings degrade to a
-    /// verdict rather than a wrong path.
+    /// `sink`, read in place, into a [`CausalReport`] (per-request
+    /// critical paths and per-class latency attribution). Truncated
+    /// rings degrade to a verdict rather than a wrong path.
     pub fn with_causal(mut self, sink: &RingSink) -> RunReport {
-        self.causal = Some(CausalReport::analyze(&sink.events(), sink.dropped()));
+        self.causal = Some(sink.with_events(|ring| CausalReport::analyze(ring, ring.dropped())));
         self
     }
 

@@ -35,7 +35,7 @@
 
 use std::borrow::Cow;
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 
 use crate::json::Json;
@@ -311,15 +311,23 @@ fn arg_u64(ev: &TraceEvent, key: &str) -> Option<u64> {
     })
 }
 
-fn arg_str<'a>(ev: &'a TraceEvent, key: &str) -> Option<&'a str> {
+/// The string arg `key`, shared with the event: a clone of a borrowed
+/// name copies no bytes.
+fn arg_str<'a>(ev: &'a TraceEvent, key: &str) -> Option<&'a Cow<'static, str>> {
     ev.args.iter().find(|(k, _)| *k == key).and_then(|(_, v)| {
         if let ArgValue::Str(s) = v {
-            Some(s.as_ref())
+            Some(s)
         } else {
             None
         }
     })
 }
+
+/// An index keyed by span, trace or flow id. It is only ever looked
+/// up, never iterated: its order changes from run to run. Ids can come
+/// from an imported trace, so it keeps the default collision-resistant
+/// hasher.
+type IdMap<V> = HashMap<u64, V>;
 
 /// One reconstructed span node in the causality DAG.
 #[derive(Clone, Debug)]
@@ -332,9 +340,9 @@ pub struct SpanNode {
     pub parent: u64,
     /// Attribution category (the span event's name), empty for spans
     /// only ever referenced by flows or markers.
-    pub category: String,
+    pub category: Cow<'static, str>,
     /// What the span's owner waited on before this span started.
-    pub wait: Option<String>,
+    pub wait: Option<Cow<'static, str>>,
     /// Earliest timestamp attributed to the span.
     pub start_ns: u64,
     /// Latest timestamp attributed to the span.
@@ -345,7 +353,7 @@ pub struct SpanNode {
 /// and landing at `end_ns`.
 #[derive(Clone, Debug)]
 struct FlowEdge {
-    kind: String,
+    kind: Cow<'static, str>,
     src: u64,
     start_ns: u64,
     end_ns: u64,
@@ -371,7 +379,7 @@ pub struct RequestNode {
 #[derive(Clone, Debug)]
 pub struct Marker {
     /// Marker name.
-    pub name: String,
+    pub name: Cow<'static, str>,
     /// Span it was recorded in.
     pub span_id: u64,
     /// Correlation key (journal seq, req id, …).
@@ -384,13 +392,34 @@ pub struct Marker {
 /// to `category`.
 pub type PathStep = (String, u64);
 
+/// Add `ns` nanoseconds of category `prefix` + `name` to the end of a
+/// path: the last step grows when it has that category, and only a new
+/// step allocates.
+fn push_step(steps: &mut Vec<PathStep>, prefix: &str, name: &str, ns: u64) {
+    if ns == 0 {
+        return;
+    }
+    match steps.last_mut() {
+        Some((c, n)) if c.strip_prefix(prefix) == Some(name) => *n += ns,
+        _ => steps.push(([prefix, name].concat(), ns)),
+    }
+}
+
 /// The reconstructed per-request causality DAG over a recorded event
 /// stream. Build it with [`CausalGraph::build`]; the analyzer only
 /// reads events in the `causal` category and ignores everything else.
 #[derive(Debug, Default)]
 pub struct CausalGraph {
-    spans: BTreeMap<u64, SpanNode>,
-    flows_in: BTreeMap<u64, Vec<usize>>,
+    /// Every span, in the order the stream first touched it.
+    spans: Vec<SpanNode>,
+    /// Span id → position in `spans`.
+    index: IdMap<usize>,
+    /// Per span (by position): the flows landing in it, in recorded
+    /// order.
+    flows_in: Vec<Vec<usize>>,
+    /// Trace id → position of the trace's terminal span: its
+    /// latest-ending span, the larger span id winning a tie.
+    terminal: IdMap<usize>,
     flows: Vec<FlowEdge>,
     requests: Vec<RequestNode>,
     markers: Vec<Marker>,
@@ -400,72 +429,83 @@ pub struct CausalGraph {
 }
 
 impl CausalGraph {
-    /// Reconstruct the DAG from `events`. `dropped` is the ring's
-    /// eviction count: when non-zero the graph still builds (tolerating
-    /// unmatched flows and orphan spans) but reports the truncation.
-    pub fn build(events: &[TraceEvent], dropped: u64) -> CausalGraph {
+    /// Reconstruct the DAG from `events`, oldest first (`&sink.events()`,
+    /// or a ring read in place through [`RingSink::with_events`]).
+    /// `dropped` is the ring's eviction count: when non-zero the graph
+    /// still builds (tolerating unmatched flows and orphan spans) but
+    /// reports the truncation.
+    ///
+    /// [`RingSink::with_events`]: crate::RingSink::with_events
+    pub fn build<'a>(
+        events: impl IntoIterator<Item = &'a TraceEvent>,
+        dropped: u64,
+    ) -> CausalGraph {
         let mut g = CausalGraph {
             dropped,
             ..CausalGraph::default()
         };
-        let mut open_flows: BTreeMap<u64, (String, u64, u64)> = BTreeMap::new();
-        for ev in events.iter().filter(|e| e.cat == cat::CAUSAL) {
+        // Flow id → (kind, source span, start) of flows not yet landed.
+        let mut open_flows: IdMap<(Cow<'static, str>, u64, u64)> = IdMap::default();
+        // Trace id → positions in `requests` of its requests still
+        // open, the latest on top.
+        let mut open_requests: IdMap<Vec<usize>> = IdMap::default();
+        for ev in events.into_iter().filter(|e| e.cat == cat::CAUSAL) {
             let (Some(trace), Some(span)) = (arg_u64(ev, "trace"), arg_u64(ev, "span")) else {
                 continue;
             };
             match ev.phase {
                 Phase::Complete => {
-                    let node = g.touch(trace, span, ev.ts_ns);
-                    node.category = ev.name.to_string();
-                    node.wait = arg_str(ev, "wait").map(str::to_string);
+                    let at = g.touch(trace, span, ev.ts_ns);
+                    let node = &mut g.spans[at];
+                    node.category = ev.name.clone();
+                    node.wait = arg_str(ev, "wait").cloned();
                     node.parent = arg_u64(ev, "parent").unwrap_or(0);
                     node.start_ns = node.start_ns.min(ev.ts_ns);
                     node.end_ns = node.end_ns.max(ev.ts_ns + ev.dur_ns);
                 }
                 Phase::FlowStart => {
                     g.touch(trace, span, ev.ts_ns);
-                    open_flows.insert(ev.id, (ev.name.to_string(), span, ev.ts_ns));
+                    open_flows.insert(ev.id, (ev.name.clone(), span, ev.ts_ns));
                 }
                 Phase::FlowEnd => {
                     // A FlowEnd whose start was evicted (or dropped by
                     // a fault) is tolerated: no edge, no panic.
                     if let Some((kind, src, start_ns)) = open_flows.remove(&ev.id) {
-                        g.touch(trace, span, ev.ts_ns);
-                        let idx = g.flows.len();
+                        let at = g.touch(trace, span, ev.ts_ns);
+                        g.flows_in[at].push(g.flows.len());
                         g.flows.push(FlowEdge {
                             kind,
                             src,
                             start_ns,
                             end_ns: ev.ts_ns,
                         });
-                        g.flows_in.entry(span).or_default().push(idx);
                     }
                 }
                 Phase::Instant => match ev.name.as_ref() {
                     "req.begin" => {
                         g.touch(trace, span, ev.ts_ns);
+                        open_requests
+                            .entry(trace)
+                            .or_default()
+                            .push(g.requests.len());
                         g.requests.push(RequestNode {
                             trace_id: trace,
                             root_span: span,
-                            class: arg_str(ev, "class").unwrap_or("?").to_string(),
+                            class: arg_str(ev, "class").map_or("?", |c| c.as_ref()).to_string(),
                             begin_ns: ev.ts_ns,
                             end_ns: None,
                         });
                     }
                     "req.end" => {
-                        if let Some(r) = g
-                            .requests
-                            .iter_mut()
-                            .rev()
-                            .find(|r| r.trace_id == trace && r.end_ns.is_none())
-                        {
-                            r.end_ns = Some(ev.ts_ns);
+                        // The trace's latest request still open.
+                        if let Some(r) = open_requests.get_mut(&trace).and_then(Vec::pop) {
+                            g.requests[r].end_ns = Some(ev.ts_ns);
                         }
                     }
-                    name => {
+                    _ => {
                         g.touch(trace, span, ev.ts_ns);
                         g.markers.push(Marker {
-                            name: name.to_string(),
+                            name: ev.name.clone(),
                             span_id: span,
                             key: arg_u64(ev, "key").unwrap_or(0),
                             ts_ns: ev.ts_ns,
@@ -475,22 +515,36 @@ impl CausalGraph {
                 _ => {}
             }
         }
+        for (at, s) in g.spans.iter().enumerate() {
+            let best = g.terminal.entry(s.trace_id).or_insert(at);
+            let b = &g.spans[*best];
+            if (s.end_ns, s.span_id) > (b.end_ns, b.span_id) {
+                *best = at;
+            }
+        }
         g
     }
 
-    fn touch(&mut self, trace: u64, span: u64, ts: u64) -> &mut SpanNode {
-        let node = self.spans.entry(span).or_insert(SpanNode {
-            trace_id: trace,
-            span_id: span,
-            parent: 0,
-            category: String::new(),
-            wait: None,
-            start_ns: ts,
-            end_ns: ts,
+    /// Widen span `span`'s extent to cover `ts`, creating the span on
+    /// first touch. Returns its position in `spans`.
+    fn touch(&mut self, trace: u64, span: u64, ts: u64) -> usize {
+        let at = *self.index.entry(span).or_insert_with(|| {
+            self.spans.push(SpanNode {
+                trace_id: trace,
+                span_id: span,
+                parent: 0,
+                category: Cow::Borrowed(""),
+                wait: None,
+                start_ns: ts,
+                end_ns: ts,
+            });
+            self.flows_in.push(Vec::new());
+            self.spans.len() - 1
         });
+        let node = &mut self.spans[at];
         node.start_ns = node.start_ns.min(ts);
         node.end_ns = node.end_ns.max(ts);
-        node
+        at
     }
 
     /// Every request window found in the stream, in recorded order.
@@ -500,10 +554,13 @@ impl CausalGraph {
 
     /// Every span of `trace_id`, in span-id order.
     pub fn spans_for(&self, trace_id: u64) -> Vec<&SpanNode> {
-        self.spans
-            .values()
+        let mut spans: Vec<&SpanNode> = self
+            .spans
+            .iter()
             .filter(|s| s.trace_id == trace_id)
-            .collect()
+            .collect();
+        spans.sort_unstable_by_key(|s| s.span_id);
+        spans
     }
 
     /// Whether span `a` can reach span `b` along the causal edges
@@ -523,13 +580,11 @@ impl CausalGraph {
             if !seen.insert(cur) {
                 continue;
             }
-            if let Some(node) = self.spans.get(&cur) {
-                if node.parent != 0 {
-                    queue.push_back(node.parent);
+            if let Some(&at) = self.index.get(&cur) {
+                if self.spans[at].parent != 0 {
+                    queue.push_back(self.spans[at].parent);
                 }
-            }
-            if let Some(edges) = self.flows_in.get(&cur) {
-                for &i in edges {
+                for &i in &self.flows_in[at] {
                     queue.push_back(self.flows[i].src);
                 }
             }
@@ -544,54 +599,41 @@ impl CausalGraph {
     /// wall time exactly.
     pub fn critical_path(&self, req: &RequestNode) -> Vec<PathStep> {
         let mut steps: Vec<PathStep> = Vec::new();
-        let mut push = |cat: &str, ns: u64| {
-            if ns == 0 {
-                return;
-            }
-            match steps.last_mut() {
-                Some((c, n)) if c == cat => *n += ns,
-                _ => steps.push((cat.to_string(), ns)),
-            }
-        };
         let end = match req.end_ns {
             Some(e) => e,
             None => return steps,
         };
-        // Terminal node: the latest-ending span of the request's trace
-        // (deterministic tie-break on span id).
-        let terminal = self
-            .spans
-            .values()
-            .filter(|s| s.trace_id == req.trace_id)
-            .max_by_key(|s| (s.end_ns, s.span_id));
-        let Some(terminal) = terminal else {
-            push(UNATTRIBUTED, end - req.begin_ns);
+        // Start from the terminal node: the latest-ending span of the
+        // request's trace.
+        let Some(&terminal) = self.terminal.get(&req.trace_id) else {
+            push_step(&mut steps, "", UNATTRIBUTED, end - req.begin_ns);
             return steps;
         };
 
         let mut cursor = end;
-        let mut current = terminal.span_id;
+        let mut current = terminal;
         let mut hops = 0usize;
         while cursor > req.begin_ns {
             // A malformed graph (truncated ring) could cycle; bail to
             // the unattributed bucket rather than spin.
             hops += 1;
             if hops > self.spans.len().saturating_mul(2) + 16 {
-                push(UNATTRIBUTED, cursor - req.begin_ns);
+                push_step(&mut steps, "", UNATTRIBUTED, cursor - req.begin_ns);
                 break;
             }
-            let node = &self.spans[&current];
+            let node = &self.spans[current];
             // Work inside the span itself. A span known only from flow
             // touches has no category; its extent still has to land
             // somewhere or the steps would sum short of the wall time.
             let lo = node.start_ns.max(req.begin_ns).min(cursor);
             let hi = node.end_ns.min(cursor);
             if hi > lo {
-                if node.category.is_empty() {
-                    push(UNATTRIBUTED, hi - lo);
+                let category = if node.category.is_empty() {
+                    UNATTRIBUTED
                 } else {
-                    push(&node.category, hi - lo);
-                }
+                    &node.category
+                };
+                push_step(&mut steps, "", category, hi - lo);
             }
             cursor = cursor.min(lo.max(node.start_ns.min(cursor)));
             cursor = cursor.min(node.start_ns.max(req.begin_ns));
@@ -602,28 +644,20 @@ impl CausalGraph {
             // flow or parent whose hand-off happened latest (flow edges
             // win ties — they carry the sharper category).
             let mut best: Option<(u64, bool, u64, usize)> = None; // (ts, is_flow, span, flow idx)
-            if let Some(edges) = self.flows_in.get(&current) {
-                for &i in edges {
-                    let f = &self.flows[i];
-                    if f.end_ns <= cursor {
-                        let cand = (f.start_ns, true, f.src, i);
-                        if best.is_none()
-                            || (cand.0, cand.1, cand.2)
-                                > (best.unwrap().0, best.unwrap().1, best.unwrap().2)
-                        {
-                            best = Some(cand);
-                        }
+            for &i in &self.flows_in[current] {
+                let f = &self.flows[i];
+                if f.end_ns <= cursor {
+                    let cand = (f.start_ns, true, f.src, i);
+                    if best.is_none_or(|b| (cand.0, cand.1, cand.2) > (b.0, b.1, b.2)) {
+                        best = Some(cand);
                     }
                 }
             }
             if node.parent != 0 {
-                if let Some(p) = self.spans.get(&node.parent) {
-                    let p_end = p.end_ns.min(cursor);
-                    let cand = (p_end, false, p.span_id, usize::MAX);
-                    if best.is_none()
-                        || (cand.0, cand.1, cand.2)
-                            > (best.unwrap().0, best.unwrap().1, best.unwrap().2)
-                    {
+                if let Some(&p) = self.index.get(&node.parent) {
+                    let p = &self.spans[p];
+                    let cand = (p.end_ns.min(cursor), false, p.span_id, usize::MAX);
+                    if best.is_none_or(|b| (cand.0, cand.1, cand.2) > (b.0, b.1, b.2)) {
                         best = Some(cand);
                     }
                 }
@@ -631,26 +665,20 @@ impl CausalGraph {
             match best {
                 Some((hand_off, is_flow, pred, idx)) => {
                     let gap_to = hand_off.min(cursor);
-                    let gap = cursor - gap_to;
-                    if gap > 0 {
-                        let cat = if is_flow {
-                            format!("wait.{}", self.flows[idx].kind)
-                        } else {
-                            node.wait.clone().unwrap_or_else(|| WAIT_SCHED.to_string())
-                        };
-                        push(&cat, gap);
+                    if is_flow {
+                        push_step(&mut steps, "wait.", &self.flows[idx].kind, cursor - gap_to);
+                    } else {
+                        let wait = node.wait.as_deref().unwrap_or(WAIT_SCHED);
+                        push_step(&mut steps, "", wait, cursor - gap_to);
                     }
                     cursor = gap_to;
-                    current = pred;
+                    current = self.index[&pred];
                 }
                 None => {
                     // No predecessor: whatever remains before this span
                     // is the span's own wait reason, or unattributed.
-                    let cat = node
-                        .wait
-                        .clone()
-                        .unwrap_or_else(|| UNATTRIBUTED.to_string());
-                    push(&cat, cursor - req.begin_ns);
+                    let wait = node.wait.as_deref().unwrap_or(UNATTRIBUTED);
+                    push_step(&mut steps, "", wait, cursor - req.begin_ns);
                     cursor = req.begin_ns;
                 }
             }
@@ -740,6 +768,14 @@ impl<'a> TraceQuery<'a> {
 // The report artifact
 // ---------------------------------------------------------------------
 
+/// The value under `key`, copying the key only when it is new.
+fn slot<'m, V: Default>(map: &'m mut BTreeMap<String, V>, key: &str) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("inserted above")
+}
+
 /// Per-request-class aggregate of the critical-path analysis.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClassStats {
@@ -792,7 +828,10 @@ impl CausalReport {
     /// every completed request's critical path, and aggregate per
     /// class. On a truncated ring (`dropped > 0`) the tables are
     /// withheld — an explicit verdict beats a silently broken DAG.
-    pub fn analyze(events: &[TraceEvent], dropped: u64) -> CausalReport {
+    pub fn analyze<'a>(
+        events: impl IntoIterator<Item = &'a TraceEvent>,
+        dropped: u64,
+    ) -> CausalReport {
         let graph = CausalGraph::build(events, dropped);
         CausalReport::from_graph(&graph)
     }
@@ -813,11 +852,11 @@ impl CausalReport {
             };
             let wall = end - req.begin_ns;
             let path = graph.critical_path(req);
-            let stats = report.classes.entry(req.class.clone()).or_default();
+            let stats = slot(&mut report.classes, &req.class);
             stats.requests += 1;
             stats.wall_ns += wall;
             for (cat, ns) in &path {
-                *stats.attributed.entry(cat.clone()).or_insert(0) += ns;
+                *slot(&mut stats.attributed, cat) += ns;
             }
             if (wall, req.trace_id) >= (stats.slowest_wall_ns, stats.slowest_trace) {
                 stats.slowest_wall_ns = wall;
@@ -1140,5 +1179,559 @@ mod tests {
         assert_eq!(report.in_flight, 1);
         assert_eq!(report.classes.len(), 1);
         assert!(report.classes.contains_key("proc:done"));
+    }
+
+    /// The reference analyzer: a `BTreeMap` of spans with owned
+    /// strings, a scan over every span for each request's terminal and
+    /// over every request for each `req.end`. The indexed analyzer must
+    /// answer every query exactly as it does.
+    mod oracle {
+        use super::super::*;
+
+        pub struct Span {
+            pub trace_id: u64,
+            pub span_id: u64,
+            pub parent: u64,
+            pub category: String,
+            pub wait: Option<String>,
+            pub start_ns: u64,
+            pub end_ns: u64,
+        }
+
+        struct Flow {
+            kind: String,
+            src: u64,
+            start_ns: u64,
+            end_ns: u64,
+        }
+
+        pub struct Graph {
+            pub spans: BTreeMap<u64, Span>,
+            flows_in: BTreeMap<u64, Vec<usize>>,
+            flows: Vec<Flow>,
+            pub requests: Vec<RequestNode>,
+            /// `(name, span, key, ts)`.
+            pub markers: Vec<(String, u64, u64, u64)>,
+            pub dropped: u64,
+        }
+
+        impl Graph {
+            pub fn build(events: &[TraceEvent], dropped: u64) -> Graph {
+                let mut g = Graph {
+                    spans: BTreeMap::new(),
+                    flows_in: BTreeMap::new(),
+                    flows: Vec::new(),
+                    requests: Vec::new(),
+                    markers: Vec::new(),
+                    dropped,
+                };
+                let mut open_flows: BTreeMap<u64, (String, u64, u64)> = BTreeMap::new();
+                for ev in events.iter().filter(|e| e.cat == cat::CAUSAL) {
+                    let (Some(trace), Some(span)) = (arg_u64(ev, "trace"), arg_u64(ev, "span"))
+                    else {
+                        continue;
+                    };
+                    match ev.phase {
+                        Phase::Complete => {
+                            let node = g.touch(trace, span, ev.ts_ns);
+                            node.category = ev.name.to_string();
+                            node.wait = arg_str(ev, "wait").map(|w| w.to_string());
+                            node.parent = arg_u64(ev, "parent").unwrap_or(0);
+                            node.start_ns = node.start_ns.min(ev.ts_ns);
+                            node.end_ns = node.end_ns.max(ev.ts_ns + ev.dur_ns);
+                        }
+                        Phase::FlowStart => {
+                            g.touch(trace, span, ev.ts_ns);
+                            open_flows.insert(ev.id, (ev.name.to_string(), span, ev.ts_ns));
+                        }
+                        Phase::FlowEnd => {
+                            if let Some((kind, src, start_ns)) = open_flows.remove(&ev.id) {
+                                g.touch(trace, span, ev.ts_ns);
+                                let idx = g.flows.len();
+                                g.flows.push(Flow {
+                                    kind,
+                                    src,
+                                    start_ns,
+                                    end_ns: ev.ts_ns,
+                                });
+                                g.flows_in.entry(span).or_default().push(idx);
+                            }
+                        }
+                        Phase::Instant => match ev.name.as_ref() {
+                            "req.begin" => {
+                                g.touch(trace, span, ev.ts_ns);
+                                g.requests.push(RequestNode {
+                                    trace_id: trace,
+                                    root_span: span,
+                                    class: arg_str(ev, "class")
+                                        .map_or("?", |c| c.as_ref())
+                                        .to_string(),
+                                    begin_ns: ev.ts_ns,
+                                    end_ns: None,
+                                });
+                            }
+                            "req.end" => {
+                                if let Some(r) = g
+                                    .requests
+                                    .iter_mut()
+                                    .rev()
+                                    .find(|r| r.trace_id == trace && r.end_ns.is_none())
+                                {
+                                    r.end_ns = Some(ev.ts_ns);
+                                }
+                            }
+                            name => {
+                                g.touch(trace, span, ev.ts_ns);
+                                let key = arg_u64(ev, "key").unwrap_or(0);
+                                g.markers.push((name.to_string(), span, key, ev.ts_ns));
+                            }
+                        },
+                        _ => {}
+                    }
+                }
+                g
+            }
+
+            fn touch(&mut self, trace: u64, span: u64, ts: u64) -> &mut Span {
+                let node = self.spans.entry(span).or_insert(Span {
+                    trace_id: trace,
+                    span_id: span,
+                    parent: 0,
+                    category: String::new(),
+                    wait: None,
+                    start_ns: ts,
+                    end_ns: ts,
+                });
+                node.start_ns = node.start_ns.min(ts);
+                node.end_ns = node.end_ns.max(ts);
+                node
+            }
+
+            pub fn reaches(&self, a: u64, b: u64) -> bool {
+                if a == b {
+                    return true;
+                }
+                let mut seen = BTreeSet::new();
+                let mut queue = VecDeque::from([b]);
+                while let Some(cur) = queue.pop_front() {
+                    if cur == a {
+                        return true;
+                    }
+                    if !seen.insert(cur) {
+                        continue;
+                    }
+                    if let Some(node) = self.spans.get(&cur) {
+                        if node.parent != 0 {
+                            queue.push_back(node.parent);
+                        }
+                    }
+                    if let Some(edges) = self.flows_in.get(&cur) {
+                        for &i in edges {
+                            queue.push_back(self.flows[i].src);
+                        }
+                    }
+                }
+                false
+            }
+
+            pub fn critical_path(&self, req: &RequestNode) -> Vec<PathStep> {
+                let mut steps: Vec<PathStep> = Vec::new();
+                let mut push = |cat: &str, ns: u64| {
+                    if ns == 0 {
+                        return;
+                    }
+                    match steps.last_mut() {
+                        Some((c, n)) if c == cat => *n += ns,
+                        _ => steps.push((cat.to_string(), ns)),
+                    }
+                };
+                let end = match req.end_ns {
+                    Some(e) => e,
+                    None => return steps,
+                };
+                let terminal = self
+                    .spans
+                    .values()
+                    .filter(|s| s.trace_id == req.trace_id)
+                    .max_by_key(|s| (s.end_ns, s.span_id));
+                let Some(terminal) = terminal else {
+                    push(UNATTRIBUTED, end - req.begin_ns);
+                    return steps;
+                };
+                let mut cursor = end;
+                let mut current = terminal.span_id;
+                let mut hops = 0usize;
+                while cursor > req.begin_ns {
+                    hops += 1;
+                    if hops > self.spans.len().saturating_mul(2) + 16 {
+                        push(UNATTRIBUTED, cursor - req.begin_ns);
+                        break;
+                    }
+                    let node = &self.spans[&current];
+                    let lo = node.start_ns.max(req.begin_ns).min(cursor);
+                    let hi = node.end_ns.min(cursor);
+                    if hi > lo {
+                        if node.category.is_empty() {
+                            push(UNATTRIBUTED, hi - lo);
+                        } else {
+                            push(&node.category, hi - lo);
+                        }
+                    }
+                    cursor = cursor.min(lo.max(node.start_ns.min(cursor)));
+                    cursor = cursor.min(node.start_ns.max(req.begin_ns));
+                    if cursor <= req.begin_ns {
+                        break;
+                    }
+                    let mut best: Option<(u64, bool, u64, usize)> = None;
+                    if let Some(edges) = self.flows_in.get(&current) {
+                        for &i in edges {
+                            let f = &self.flows[i];
+                            if f.end_ns <= cursor {
+                                let cand = (f.start_ns, true, f.src, i);
+                                if best.is_none()
+                                    || (cand.0, cand.1, cand.2)
+                                        > (best.unwrap().0, best.unwrap().1, best.unwrap().2)
+                                {
+                                    best = Some(cand);
+                                }
+                            }
+                        }
+                    }
+                    if node.parent != 0 {
+                        if let Some(p) = self.spans.get(&node.parent) {
+                            let p_end = p.end_ns.min(cursor);
+                            let cand = (p_end, false, p.span_id, usize::MAX);
+                            if best.is_none()
+                                || (cand.0, cand.1, cand.2)
+                                    > (best.unwrap().0, best.unwrap().1, best.unwrap().2)
+                            {
+                                best = Some(cand);
+                            }
+                        }
+                    }
+                    match best {
+                        Some((hand_off, is_flow, pred, idx)) => {
+                            let gap_to = hand_off.min(cursor);
+                            let gap = cursor - gap_to;
+                            if gap > 0 {
+                                let cat = if is_flow {
+                                    format!("wait.{}", self.flows[idx].kind)
+                                } else {
+                                    node.wait.clone().unwrap_or_else(|| WAIT_SCHED.to_string())
+                                };
+                                push(&cat, gap);
+                            }
+                            cursor = gap_to;
+                            current = pred;
+                        }
+                        None => {
+                            let cat = node
+                                .wait
+                                .clone()
+                                .unwrap_or_else(|| UNATTRIBUTED.to_string());
+                            push(&cat, cursor - req.begin_ns);
+                            cursor = req.begin_ns;
+                        }
+                    }
+                }
+                steps
+            }
+
+            pub fn report(&self) -> CausalReport {
+                let mut report = CausalReport {
+                    truncated: self.dropped,
+                    ..CausalReport::default()
+                };
+                if self.dropped > 0 {
+                    return report;
+                }
+                for req in &self.requests {
+                    let Some(end) = req.end_ns else {
+                        report.in_flight += 1;
+                        continue;
+                    };
+                    let wall = end - req.begin_ns;
+                    let path = self.critical_path(req);
+                    let stats = report.classes.entry(req.class.clone()).or_default();
+                    stats.requests += 1;
+                    stats.wall_ns += wall;
+                    for (cat, ns) in &path {
+                        *stats.attributed.entry(cat.clone()).or_insert(0) += ns;
+                    }
+                    if (wall, req.trace_id) >= (stats.slowest_wall_ns, stats.slowest_trace) {
+                        stats.slowest_wall_ns = wall;
+                        stats.slowest_trace = req.trace_id;
+                        stats.slowest_path = path;
+                    }
+                }
+                report
+            }
+        }
+    }
+
+    /// A seeded stream of causal events (plus non-causal noise) over a
+    /// few traces, with every malformation the analyzer has to
+    /// tolerate: parent cycles and self-parents, span ids shared by two
+    /// traces, flows whose start is missing or that never end, reused
+    /// flow ids, twin flows that tie, spans known only from flows,
+    /// several requests open in
+    /// one trace, requests that never end, `req.end` with nothing open,
+    /// events missing their ids, timestamps on a coarse grid so end
+    /// times tie, and names both borrowed and owned.
+    fn random_stream(seed: u64) -> Vec<TraceEvent> {
+        let mut rng = doppio_prng::SplitMix64::new(seed);
+        let traces: Vec<u64> = (0..rng.gen_range(1..5usize))
+            .map(|i| {
+                if rng.gen_bool(0.5) {
+                    rng.next_u64()
+                } else {
+                    i as u64 + 1
+                }
+            })
+            .collect();
+        let spans: Vec<(u64, u64)> = (0..rng.gen_range(1..12usize))
+            .map(|i| {
+                let id = if rng.gen_bool(0.5) {
+                    rng.next_u64()
+                } else {
+                    100 + i as u64
+                };
+                (traces[rng.gen_range(0..traces.len())], id)
+            })
+            .collect();
+        let flow_ids: Vec<u64> = (0..rng.gen_range(1..6usize))
+            .map(|_| rng.next_u64())
+            .collect();
+        let pick =
+            |rng: &mut doppio_prng::SplitMix64, xs: &[&'static str]| xs[rng.gen_range(0..xs.len())];
+        let mut events = Vec::new();
+        // The clock steps on a coarse grid, often by nothing, so end
+        // times tie; like a recorder, instants and flows land at `now`
+        // and a span is recorded when it ends.
+        let mut now = 0u64;
+        for _ in 0..rng.gen_range(0..80usize) {
+            now += rng.gen_range(0..3u64) * 25;
+            let (trace, span) = spans[rng.gen_range(0..spans.len())];
+            let (trace, span) = if rng.gen_bool(0.05) {
+                // A span named only here, or another trace's span.
+                (trace, span ^ 1)
+            } else {
+                (trace, span)
+            };
+            let mut args = vec![
+                ("trace", ArgValue::U64(trace)),
+                ("span", ArgValue::U64(span)),
+            ];
+            if rng.gen_bool(0.03) {
+                args.remove(rng.gen_range(0..2usize));
+            }
+            let owned = rng.gen_bool(0.2);
+            let name = |n: &'static str| {
+                if owned {
+                    Cow::Owned(n.to_string())
+                } else {
+                    Cow::Borrowed(n)
+                }
+            };
+            let mut ev = TraceEvent {
+                name: Cow::Borrowed(""),
+                cat: cat::CAUSAL,
+                phase: Phase::Instant,
+                ts_ns: now,
+                dur_ns: 0,
+                tid: 0,
+                id: 0,
+                args,
+            };
+            match rng.gen_range(0..8u32) {
+                0 | 1 => {
+                    ev.phase = Phase::Complete;
+                    ev.name = name(pick(&mut rng, &["interp", "dispatch", "storage.journal"]));
+                    ev.dur_ns = rng.gen_range(0..8u64).min(now / 25) * 25;
+                    ev.ts_ns = now - ev.dur_ns;
+                    let parent = match rng.gen_range(0..4u32) {
+                        0 => 0,
+                        1 => span, // a self-parent
+                        _ => spans[rng.gen_range(0..spans.len())].1,
+                    };
+                    ev.args.push(("parent", ArgValue::U64(parent)));
+                    if rng.gen_bool(0.4) {
+                        let wait = pick(&mut rng, &["wait.pipe.read", "wait.child", "wait.sched"]);
+                        ev.args.push(("wait", ArgValue::Str(name(wait))));
+                    }
+                }
+                2 => {
+                    ev.phase = Phase::FlowStart;
+                    ev.name = name(pick(&mut rng, &["pipe", "spawn", "net"]));
+                    ev.id = flow_ids[rng.gen_range(0..flow_ids.len())];
+                }
+                3 => {
+                    ev.phase = Phase::FlowEnd;
+                    ev.name = name(pick(&mut rng, &["pipe", "spawn", "net"]));
+                    ev.id = flow_ids[rng.gen_range(0..flow_ids.len())];
+                }
+                4 => {
+                    ev.name = name("req.begin");
+                    if rng.gen_bool(0.9) {
+                        let class = pick(&mut rng, &["proc:grep", "proc:wc", "input"]);
+                        ev.args.push(("class", ArgValue::Str(name(class))));
+                    }
+                }
+                5 => ev.name = name("req.end"),
+                6 => {
+                    ev.name = name(pick(
+                        &mut rng,
+                        &["storage.journal.append", "storage.repl.ack"],
+                    ));
+                    ev.args.push(("key", ArgValue::U64(rng.gen_range(0..4u64))));
+                }
+                _ => {
+                    ev.cat = cat::ENGINE;
+                    ev.phase = Phase::Complete;
+                    ev.name = name("dispatch");
+                    ev.dur_ns = 100;
+                }
+            }
+            if ev.phase == Phase::FlowStart && rng.gen_bool(0.3) {
+                // Twin flows of two kinds that leave this span together
+                // and land together in a span only they name: a tie on
+                // the critical path.
+                let (trace, dst) = (spans[rng.gen_range(0..spans.len())].0, rng.next_u64());
+                let lands = now + rng.gen_range(1..4u64) * 25;
+                for kind in ["pipe", "net"] {
+                    let mut start = ev.clone();
+                    start.id = rng.next_u64();
+                    start.name = name(kind);
+                    let mut end = start.clone();
+                    end.phase = Phase::FlowEnd;
+                    end.ts_ns = lands;
+                    end.args = vec![
+                        ("trace", ArgValue::U64(trace)),
+                        ("span", ArgValue::U64(dst)),
+                    ];
+                    events.extend([start, end]);
+                }
+            }
+            events.push(ev);
+        }
+        events
+    }
+
+    #[test]
+    fn indexed_analyzer_matches_the_reference_on_random_streams() {
+        let as_tuple = |s: &SpanNode| {
+            (
+                s.trace_id,
+                s.span_id,
+                s.parent,
+                s.category.to_string(),
+                s.wait.as_ref().map(|w| w.to_string()),
+                s.start_ns,
+                s.end_ns,
+            )
+        };
+        let (mut paths, mut tied, mut truncated) = (0, 0, 0);
+        for seed in 0..400u64 {
+            let events = random_stream(seed);
+            let dropped = if seed % 7 == 3 { seed } else { 0 };
+            let want = oracle::Graph::build(&events, dropped);
+            let got = CausalGraph::build(&events, dropped);
+
+            let (want_report, got_report) = (want.report(), CausalReport::from_graph(&got));
+            assert_eq!(
+                got_report.to_json_string(),
+                want_report.to_json_string(),
+                "seed {seed}"
+            );
+            assert_eq!(
+                got_report.to_markdown(),
+                want_report.to_markdown(),
+                "seed {seed}"
+            );
+            assert_eq!(got_report, want_report, "seed {seed}");
+
+            let requests = |rs: &[RequestNode]| {
+                rs.iter()
+                    .map(|r| {
+                        (
+                            r.trace_id,
+                            r.root_span,
+                            r.class.clone(),
+                            r.begin_ns,
+                            r.end_ns,
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(
+                requests(got.requests()),
+                requests(&want.requests),
+                "seed {seed}"
+            );
+            for r in got.requests() {
+                let path = got.critical_path(r);
+                assert_eq!(path, want.critical_path(r), "seed {seed}");
+                paths += usize::from(!path.is_empty());
+            }
+
+            let traces: BTreeSet<u64> = want.spans.values().map(|s| s.trace_id).collect();
+            for &t in traces.iter().chain([&0, &u64::MAX]) {
+                let want_spans: Vec<_> = want
+                    .spans
+                    .values()
+                    .filter(|s| s.trace_id == t)
+                    .map(|s| {
+                        let wait = s.wait.clone();
+                        (
+                            s.trace_id,
+                            s.span_id,
+                            s.parent,
+                            s.category.clone(),
+                            wait,
+                            s.start_ns,
+                            s.end_ns,
+                        )
+                    })
+                    .collect();
+                let got_spans: Vec<_> = got.spans_for(t).into_iter().map(as_tuple).collect();
+                assert_eq!(got_spans, want_spans, "seed {seed}, trace {t}");
+                let ends: Vec<u64> = want_spans.iter().map(|s| s.6).collect();
+                let last = ends.iter().max().copied();
+                tied += usize::from(ends.iter().filter(|&&e| Some(e) == last).count() > 1);
+            }
+
+            let ids: Vec<u64> = want.spans.keys().copied().chain([0, 1]).collect();
+            for &a in &ids {
+                for &b in &ids {
+                    assert_eq!(
+                        got.reaches(a, b),
+                        want.reaches(a, b),
+                        "seed {seed}, {a} -> {b}"
+                    );
+                }
+            }
+
+            let q = TraceQuery::new(&got);
+            let names: BTreeSet<&str> = want.markers.iter().map(|m| m.0.as_str()).collect();
+            for name in names.into_iter().chain(["req.begin", "absent"]) {
+                let got_markers: Vec<_> = q
+                    .markers(name)
+                    .into_iter()
+                    .map(|m| (m.name.to_string(), m.span_id, m.key, m.ts_ns))
+                    .collect();
+                let want_markers: Vec<_> = want
+                    .markers
+                    .iter()
+                    .filter(|m| m.0 == name)
+                    .cloned()
+                    .collect();
+                assert_eq!(got_markers, want_markers, "seed {seed}, marker {name}");
+            }
+            truncated += usize::from(dropped > 0);
+        }
+        // The streams must actually reach the cases they are for.
+        assert!(paths > 200, "only {paths} non-empty critical paths");
+        assert!(tied > 50, "only {tied} traces with tied end times");
+        assert!(truncated > 40);
     }
 }

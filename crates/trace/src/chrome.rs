@@ -11,24 +11,28 @@ use std::fmt::Write as _;
 use crate::json::{self, Json};
 use crate::{cat, ArgValue, Phase, TraceEvent};
 
-/// Serialize `events` as a complete Chrome trace JSON document.
+/// Serialize `events` (borrowed, oldest first: a slice, or a ring read
+/// in place) as a complete Chrome trace JSON document.
 ///
 /// `dropped` (from the ring buffer) is recorded twice: in the
 /// top-level `metadata` object, and — when non-zero — as a
 /// `trace.dropped` metadata event *inside* `traceEvents`, because most
 /// viewers surface events but not document metadata. Truncated traces
 /// must never look complete.
-pub fn export(events: &[TraceEvent], dropped: u64) -> String {
-    let mut out = String::with_capacity(events.len() * 120 + 128);
+pub fn export<'a>(events: impl IntoIterator<Item = &'a TraceEvent>, dropped: u64) -> String {
+    let events = events.into_iter();
+    let mut out = String::with_capacity(events.size_hint().0 * 120 + 128);
     out.push_str("{\"traceEvents\":[");
-    for (i, ev) in events.iter().enumerate() {
-        if i > 0 {
+    let mut any = false;
+    for ev in events {
+        if any {
             out.push(',');
         }
         write_event(&mut out, ev);
+        any = true;
     }
     if dropped > 0 {
-        if !events.is_empty() {
+        if any {
             out.push(',');
         }
         let _ = write!(
@@ -141,9 +145,10 @@ fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Convenience: export straight from a [`RingSink`](crate::RingSink).
+/// Convenience: export straight from a [`RingSink`](crate::RingSink),
+/// reading its ring in place.
 pub fn export_sink(sink: &crate::RingSink) -> String {
-    export(&sink.events(), sink.dropped())
+    sink.with_events(|ring| export(ring, ring.dropped()))
 }
 
 /// Intern a parsed category back onto the workspace's `&'static`
@@ -208,8 +213,8 @@ pub fn import(doc: &str) -> Result<(Vec<TraceEvent>, u64), String> {
     let dropped = v
         .get("metadata")
         .and_then(|m| m.get("dropped_events"))
-        .and_then(Json::as_f64)
-        .ok_or("missing metadata.dropped_events")? as u64;
+        .and_then(Json::as_u64)
+        .ok_or("missing metadata.dropped_events")?;
     let ts_of = |e: &Json, key: &str| -> Result<u64, String> {
         let us = e
             .get(key)
@@ -246,8 +251,11 @@ pub fn import(doc: &str) -> Result<(Vec<TraceEvent>, u64), String> {
         } else {
             0
         };
-        let id = match e.get("id").and_then(Json::as_f64) {
-            Some(n) => n as u64,
+        // Ids and integer args are read exactly: they use all 64 bits.
+        let id = match e.get("id") {
+            Some(v) => v
+                .as_u64()
+                .ok_or_else(|| format!("event {name:?} has a non-integer id"))?,
             None if matches!(phase, Phase::FlowStart | Phase::FlowEnd) => {
                 return Err(format!("flow event {name:?} missing id"))
             }
@@ -257,11 +265,11 @@ pub fn import(doc: &str) -> Result<(Vec<TraceEvent>, u64), String> {
         if let Some(Json::Obj(map)) = e.get("args") {
             for (k, val) in map {
                 let Some(key) = intern_key(k) else { continue };
-                let arg = match val {
-                    Json::Num(n) if n.fract() == 0.0 && *n >= 0.0 => ArgValue::U64(*n as u64),
-                    Json::Num(n) => ArgValue::F64(*n),
-                    Json::Bool(b) => ArgValue::Bool(*b),
-                    Json::Str(s) => ArgValue::Str(Cow::Owned(s.clone())),
+                let arg = match (val.as_u64(), val) {
+                    (Some(n), _) => ArgValue::U64(n),
+                    (None, Json::Num(n)) => ArgValue::F64(*n),
+                    (None, Json::Bool(b)) => ArgValue::Bool(*b),
+                    (None, Json::Str(s)) => ArgValue::Str(Cow::Owned(s.clone())),
                     _ => continue,
                 };
                 args.push((key, arg));
@@ -395,6 +403,44 @@ mod tests {
             parsed[1].args,
             vec![("span", ArgValue::U64(9)), ("trace", ArgValue::U64(5)),]
         );
+    }
+
+    #[test]
+    fn ids_past_2_63_survive_export_and_import_exactly() {
+        // As f64s all three would read back as 11400714819323199488.
+        let (flow, trace, span) = (
+            11_400_714_819_323_198_485u64,
+            11_400_714_819_323_198_486u64,
+            11_400_714_819_323_198_487u64,
+        );
+        let mut s = ev("pipe", Phase::FlowStart, 1_000, 0);
+        s.cat = cat::CAUSAL;
+        s.id = flow;
+        // Args in key order, the order the importer reads them back in.
+        s.args = vec![("span", span.into()), ("trace", trace.into())];
+        let mut f = ev("pipe", Phase::FlowEnd, 2_000, 0);
+        f.cat = cat::CAUSAL;
+        f.id = flow;
+        f.args = vec![("span", u64::MAX.into()), ("trace", trace.into())];
+        let doc = export(&[s, f], 0);
+        let (parsed, _) = import(&doc).expect("round-trip");
+        assert_eq!((parsed[0].id, parsed[1].id), (flow, flow));
+        assert_eq!(
+            parsed[0].args,
+            vec![
+                ("span", ArgValue::U64(span)),
+                ("trace", ArgValue::U64(trace))
+            ]
+        );
+        assert_eq!(
+            parsed[1].args,
+            vec![
+                ("span", ArgValue::U64(u64::MAX)),
+                ("trace", ArgValue::U64(trace))
+            ]
+        );
+        // Re-exporting the import writes the same bytes.
+        assert_eq!(export(&parsed, 0), doc);
     }
 
     #[test]

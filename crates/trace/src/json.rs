@@ -19,8 +19,12 @@ pub enum Json {
     Null,
     /// `true` / `false`
     Bool(bool),
-    /// Any number (parsed as `f64`).
+    /// A number: every fraction, exponent, negative, and integer up
+    /// to 2^53, the range in which an `f64` holds each integer exactly.
     Num(f64),
+    /// A non-negative integer literal past 2^53, kept exact: as an
+    /// `f64` it would round, and trace and span ids use all 64 bits.
+    UInt(u64),
     /// A string, unescaped.
     Str(String),
     /// An array.
@@ -58,10 +62,26 @@ impl Json {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(n) => Some(*n),
+            Json::UInt(n) => Some(*n as f64),
+            _ => None,
+        }
+    }
+
+    /// The exact value if this is a non-negative integer: a
+    /// [`Json::UInt`], or a [`Json::Num`] no larger than 2^53.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            Json::UInt(n) => Some(*n),
+            Json::Num(n) if n.fract() == 0.0 && (0.0..=MAX_EXACT as f64).contains(n) => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
 }
+
+/// 2^53: every integer up to here is exact as an `f64`.
+const MAX_EXACT: u64 = 1 << 53;
 
 /// Parse a complete JSON document. Trailing non-whitespace is an error.
 pub fn parse(text: &str) -> Result<Json, String> {
@@ -224,6 +244,10 @@ fn number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
         *pos += 1;
     }
     let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
+    match text.parse::<u64>() {
+        Ok(n) if n > MAX_EXACT => return Ok(Json::UInt(n)),
+        _ => {}
+    }
     text.parse::<f64>()
         .map(Json::Num)
         .map_err(|_| format!("invalid number {text:?} at byte {start}"))
@@ -249,6 +273,7 @@ fn emit(v: &Json, indent: usize, out: &mut String) {
                 out.push_str(&format!("{n}"));
             }
         }
+        Json::UInt(n) => out.push_str(&n.to_string()),
         Json::Str(s) => emit_str(s, out),
         Json::Arr(items) => {
             if items.is_empty() {
@@ -337,6 +362,37 @@ mod tests {
         assert_eq!(parse("true").unwrap(), Json::Bool(true));
         assert_eq!(parse(" -12.5e2 ").unwrap(), Json::Num(-1250.0));
         assert_eq!(parse("\"a\\nb\"").unwrap(), Json::Str("a\nb".into()));
+    }
+
+    #[test]
+    fn integers_past_2_53_parse_exactly() {
+        let big = "[9007199254740992,9007199254740993,11400714819323198485,18446744073709551615]";
+        let v = parse(big).unwrap();
+        let got: Vec<Option<u64>> = v.as_array().unwrap().iter().map(Json::as_u64).collect();
+        assert_eq!(
+            got,
+            [
+                Some(1 << 53),
+                Some((1 << 53) + 1),
+                Some(11_400_714_819_323_198_485),
+                Some(u64::MAX)
+            ]
+            .to_vec()
+        );
+        // Up to 2^53 a number stays a `Num`; past it, only integer
+        // literals become exact.
+        assert_eq!(
+            parse("9007199254740992").unwrap(),
+            Json::Num(9007199254740992.0)
+        );
+        assert_eq!(parse("-9007199254740993").unwrap().as_u64(), None);
+        assert!(matches!(parse("1e19").unwrap(), Json::Num(_)));
+        assert!(matches!(
+            parse("18446744073709551616").unwrap(),
+            Json::Num(_)
+        ));
+        assert_eq!(parse("2.5").unwrap().as_u64(), None);
+        assert_eq!(to_string(&v).replace([' ', '\n'], ""), big);
     }
 
     #[test]

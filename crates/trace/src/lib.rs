@@ -10,9 +10,11 @@
 //!   When tracing is disabled the handle holds a [`NullSink`] and a
 //!   cached `enabled: false`, so the hot path pays one branch and zero
 //!   allocations per would-be span.
-//! * [`RingBuffer`] / [`RingSink`] — bounded storage that grows with
-//!   the events it holds, keeps the *most recent* ones once full and
-//!   counts what it dropped, so tracing a long run cannot exhaust memory.
+//! * [`RingBuffer`] / [`RingSink`] — bounded storage that grows in
+//!   fixed chunks with the events it holds, keeps the *most recent* ones
+//!   once full and counts what it dropped, so tracing a long run cannot
+//!   exhaust memory. Analyses read it in place
+//!   ([`RingSink::with_events`]).
 //! * [`MetricsRegistry`] / [`Counter`] — a process-wide named-counter
 //!   registry, the one place every subsystem's counters are read from
 //!   (`metrics().get("fs.bytes_read")`) and reset

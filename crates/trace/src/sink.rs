@@ -57,9 +57,18 @@ impl RingSink {
         }
     }
 
-    /// Snapshot of the recorded events, oldest first.
+    /// A copy of the recorded events, oldest first. Analyses that only
+    /// read the events should borrow them with
+    /// [`RingSink::with_events`] instead.
     pub fn events(&self) -> Vec<TraceEvent> {
         self.ring.borrow().to_vec()
+    }
+
+    /// Lend the ring to `f` without copying it: iterating the
+    /// [`RingBuffer`] yields the recorded events by reference, oldest
+    /// first. Nothing may be recorded into this sink while `f` runs.
+    pub fn with_events<R>(&self, f: impl FnOnce(&RingBuffer) -> R) -> R {
+        f(&self.ring.borrow())
     }
 
     /// Maximum number of events the ring can hold.

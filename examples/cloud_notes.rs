@@ -128,7 +128,7 @@ pub fn run() -> Notes {
     // The protocol ordering the journal exists for, checked on the
     // causal graph: every replication ack happens after (and causally
     // downstream of) a journal append.
-    let graph = CausalGraph::build(&sink.events(), sink.dropped());
+    let graph = sink.with_events(|ring| CausalGraph::build(ring, ring.dropped()));
     let query = TraceQuery::new(&graph);
     query
         .assert_happens_before("storage.journal.append", "storage.repl.ack")

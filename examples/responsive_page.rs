@@ -177,7 +177,7 @@ fn main() {
         std::fs::write(path, &doc).expect("write trace file");
         println!(
             "wrote {} trace events to {path} (open in ui.perfetto.dev, {} dropped)",
-            sink.events().len(),
+            sink.len(),
             sink.dropped()
         );
     }

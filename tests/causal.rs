@@ -16,7 +16,7 @@ use doppio::minijava::compile_to_bytes;
 use doppio::scale::run_sharded;
 use doppio::sockets::Network;
 use doppio::storage::{StorageCluster, StorageConfig, WriteOp};
-use doppio::trace::{chrome, CausalGraph, CausalReport, RingSink, TraceQuery};
+use doppio::trace::{chrome, ArgValue, CausalGraph, CausalReport, RingSink, TraceQuery};
 use doppio::{BuildOnKernel, EngineBuilder, Kernel, SpawnOptions};
 
 const PRODUCER: &str = r#"
@@ -245,6 +245,22 @@ fn chrome_round_trip_preserves_the_critical_path() {
     let doc = chrome::export_sink(&sink);
     let (events, dropped) = chrome::import(&doc).expect("strict import");
     assert_eq!(dropped, sink.dropped());
+    // Every id and integer arg comes back exact: trace, span, parent
+    // and flow ids use all 64 bits.
+    let original = sink.events();
+    assert_eq!(events.len(), original.len());
+    let mut big = 0;
+    for (got, want) in events.iter().zip(&original) {
+        assert_eq!(got.id, want.id, "id of {}", want.name);
+        for (key, value) in &want.args {
+            let ArgValue::U64(n) = value else { continue };
+            if let Some((_, back)) = got.args.iter().find(|(k, _)| k == key) {
+                assert_eq!(back, &ArgValue::U64(*n), "{key} of {}", want.name);
+                big += usize::from(*n > 1 << 53);
+            }
+        }
+    }
+    assert!(big > 100, "only {big} integer args past 2^53 checked");
     let reimported = CausalReport::analyze(&events, dropped);
 
     assert_eq!(
