@@ -1,26 +1,30 @@
 //! The multi-process kernel, end-to-end: JVM guests as processes on
 //! one [`Kernel`], connected by real pipes — EOF and backpressure,
 //! SIGKILL mid-stream, zombie reaping through `waitpid`, exit-code
-//! propagation, and schedule exploration finding (then shrinking and
-//! replaying) a cross-process pipe/waitpid deadlock.
+//! propagation, schedule exploration finding (then shrinking and
+//! replaying) a cross-process pipe/waitpid deadlock, and a golden
+//! transcript of seeded guest and host pipe calls.
 
 mod common;
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use common::check_golden_seeds;
-use doppio::core::{KernelError, PipeRead, PipeWrite, Scheduler, ThreadStep, WaitPid};
+use common::{check_golden, check_golden_seeds, digest};
+use doppio::core::{
+    KernelError, PipeId, PipeRead, PipeWrite, Scheduler, ThreadContext, ThreadStep, WaitPid,
+};
 use doppio::faults::{FaultConfig, FaultPlan, FaultRecord};
 use doppio::fs::{backends, FileSystem};
 use doppio::jsengine::Browser;
 use doppio::jvm::{fsutil, spawn_jvm};
 use doppio::minijava::compile_to_bytes;
+use doppio::prng::SplitMix64;
 use doppio::schedtest::{
     explore, explore_parallel, ExploreConfig, PickLog, RecordingScheduler, ReplayFile,
 };
-use doppio::trace::RingSink;
-use doppio::{BuildOnKernel, EngineBuilder, ExitStatus, Kernel, Signal, SpawnOptions};
+use doppio::trace::{chrome, RingSink};
+use doppio::{BuildOnKernel, EngineBuilder, ExitStatus, Kernel, Pid, Signal, SpawnOptions};
 
 /// Master seed for the exploration test; fixed so the in-tree run is
 /// deterministic (CI's fuzz matrix varies it separately).
@@ -591,4 +595,448 @@ fn explore_parallel_matches_serial_explore_on_the_canary() {
             "threads={threads}"
         );
     }
+}
+
+/// A transcript of kernel pipe calls, shared by a run's guests and its
+/// host.
+type Log = Rc<RefCell<String>>;
+
+/// `n` bytes for a write: `first`, `first + 1`, ... cycling through
+/// `span` letters, so every read shows whose bytes it got, in order.
+fn letters(counter: &mut u8, first: u8, span: u8, n: usize) -> Vec<u8> {
+    (0..n)
+        .map(|_| {
+            *counter = (*counter + 1) % span;
+            first + *counter
+        })
+        .collect()
+}
+
+fn show_read(r: &Result<PipeRead, KernelError>) -> String {
+    match r {
+        Ok(PipeRead::Data(d)) => format!("{:?}", String::from_utf8_lossy(d)),
+        other => format!("{other:?}"),
+    }
+}
+
+fn show_bytes(r: &Result<Vec<u8>, KernelError>) -> String {
+    match r {
+        Ok(d) => format!("Ok({:?})", String::from_utf8_lossy(d)),
+        Err(e) => format!("Err({e:?})"),
+    }
+}
+
+/// One guest of [`pipe_ops_run`]: each slice makes one or two seeded
+/// `read_pipe`/`write_pipe` calls on any of `pipes`, sized from 0 to
+/// 3 past the pipe's capacity, and logs the slice and every outcome.
+/// It blocks on the first `WouldBlock` and finishes after `life`
+/// slices, unless the host ends it first.
+fn spawn_pipe_script(
+    kernel: &Kernel,
+    opts: SpawnOptions,
+    pipes: Vec<(PipeId, usize)>,
+    mut rng: SplitMix64,
+    life: u32,
+    log: Log,
+) -> Pid {
+    let k = kernel.clone();
+    let name = opts.name.clone();
+    let first = b'a' + 5 * (name.len() as u8 % 5);
+    let mut counter = 0;
+    let mut slice = 0;
+    let script = move |ctx: &mut ThreadContext<'_>| {
+        slice += 1;
+        let mut line = format!(
+            "{:>10} {name} t{} #{slice}:",
+            k.engine().now_ns(),
+            ctx.thread_id().0
+        );
+        let mut step = ThreadStep::Yielded;
+        for _ in 0..rng.gen_range(1..=2u32) {
+            let (pipe, cap) = pipes[rng.gen_range(0..pipes.len())];
+            let size = rng.gen_range(0..=cap + 3);
+            let blocked = if rng.gen_bool(0.5) {
+                let r = k.read_pipe(ctx, pipe, size);
+                line += &format!(" read({pipe},{size})={}", show_read(&r));
+                matches!(r, Ok(PipeRead::WouldBlock))
+            } else {
+                let data = letters(&mut counter, first, 5, size);
+                let r = k.write_pipe(ctx, pipe, &data);
+                line += &format!(" write({pipe},{size})={r:?}");
+                matches!(r, Ok(PipeWrite::WouldBlock))
+            };
+            if blocked {
+                step = ThreadStep::Blocked;
+                break;
+            }
+        }
+        if step == ThreadStep::Yielded && slice >= life {
+            step = ThreadStep::Finished;
+        }
+        line += &format!(" -> {step:?}\n");
+        log.borrow_mut().push_str(&line);
+        step
+    };
+    kernel.spawn_fn(opts, script).pid()
+}
+
+/// One host call of [`pipe_ops_run`], chosen by `rng`: a host write,
+/// read or close, a `feed_pipe` on behalf of a guest, an `exit` or a
+/// signal, or a write to a pipe that does not exist. Logs the outcome
+/// and, for a pipe call, the bytes left in the pipe.
+fn host_pipe_call(
+    kernel: &Kernel,
+    rng: &mut SplitMix64,
+    pipes: &[(PipeId, usize)],
+    pids: &[Pid],
+    counter: &mut u8,
+    log: &Log,
+) {
+    let (pipe, cap) = pipes[rng.gen_range(0..pipes.len())];
+    let size = rng.gen_range(0..=cap + 3);
+    let pid = pids[rng.gen_range(0..pids.len())];
+    let call = match rng.gen_range(0..18u32) {
+        0..=4 => {
+            let data = letters(counter, b'0', 10, size);
+            format!(
+                "host_write({pipe},{size})={:?}",
+                kernel.host_write(pipe, &data)
+            )
+        }
+        5..=8 => format!("host_read({pipe})={}", show_bytes(&kernel.host_read(pipe))),
+        9 => format!(
+            "host_close_write({pipe})={:?}",
+            kernel.host_close_write(pipe)
+        ),
+        10 => format!("host_close_read({pipe})={:?}", kernel.host_close_read(pipe)),
+        11..=14 => {
+            let data = letters(counter, b'A', 26, size);
+            let r = kernel.feed_pipe(pid, pipe, &data);
+            format!("feed_pipe(pid {pid},{pipe},{size})={r:?}")
+        }
+        15 => {
+            let signal =
+                [Signal::Int, Signal::Term, Signal::Kill, Signal::Pipe][rng.gen_range(0..4usize)];
+            let r = kernel.kill(pid, signal);
+            log.borrow_mut().push_str(&format!(
+                "{:>10} host kill(pid {pid},{signal})={r:?}\n",
+                kernel.engine().now_ns()
+            ));
+            return;
+        }
+        16 => {
+            let code = rng.gen_range(1..=9i32);
+            let r = kernel.exit(pid, code);
+            log.borrow_mut().push_str(&format!(
+                "{:>10} host exit(pid {pid},{code})={r:?}\n",
+                kernel.engine().now_ns()
+            ));
+            return;
+        }
+        _ => {
+            let forged = PipeId(99);
+            format!(
+                "host_write({forged},1)={:?}",
+                kernel.host_write(forged, b"?")
+            )
+        }
+    };
+    let len = kernel.pipe_len(pipe);
+    log.borrow_mut().push_str(&format!(
+        "{:>10} host {call} len({pipe})={len:?}\n",
+        kernel.engine().now_ns()
+    ));
+}
+
+/// Four closure guests and the host share three pipes of 1 to 8 bytes.
+/// Between single steps of the event loop the host makes seeded pipe
+/// calls, ends guests or does nothing. The transcript records every
+/// call's outcome, the pipe's length after each host call, every slice
+/// in the order it ran (so who woke whom shows), the final pipe lengths
+/// and process table, and a digest of the causal trace.
+fn pipe_ops_run(seed: u64) -> String {
+    let kernel = Kernel::new();
+    let ring = Rc::new(RingSink::default());
+    let engine = EngineBuilder::new(Browser::Chrome)
+        .rng_seed(seed)
+        .trace_sink(ring.clone())
+        .build_on(&kernel);
+    let log: Log = Rc::new(RefCell::new(format!("--- seed {seed}\n")));
+    let mut rng = SplitMix64::new(seed);
+    let pipes: Vec<(PipeId, usize)> = (0..3)
+        .map(|_| {
+            let cap = rng.gen_range(1..=8usize);
+            (kernel.pipe_with_capacity(cap), cap)
+        })
+        .collect();
+    for (pipe, cap) in &pipes {
+        log.borrow_mut()
+            .push_str(&format!("{pipe} capacity {cap}\n"));
+    }
+    let mut pids = Vec::new();
+    for name in ["g", "gg", "ggg", "gggg"] {
+        let mut opts = SpawnOptions::new(name);
+        if rng.gen_bool(0.5) {
+            opts = opts.stdin(pipes[rng.gen_range(0..pipes.len())].0);
+        }
+        if rng.gen_bool(0.5) {
+            opts = opts.stdout(pipes[rng.gen_range(0..pipes.len())].0);
+        }
+        let life = rng.gen_range(4..=16u32);
+        log.borrow_mut().push_str(&format!(
+            "spawn {name} stdin={:?} stdout={:?} life={life}\n",
+            opts.stdin, opts.stdout
+        ));
+        let script = rng.split();
+        pids.push(spawn_pipe_script(
+            &kernel,
+            opts,
+            pipes.clone(),
+            script,
+            life,
+            log.clone(),
+        ));
+    }
+    let mut counter = 0;
+    for _ in 0..200 {
+        if kernel.all_exited() {
+            break;
+        }
+        if rng.gen_bool(0.3) {
+            host_pipe_call(&kernel, &mut rng, &pipes, &pids, &mut counter, &log);
+        }
+        engine.run_one();
+    }
+    // Whatever is still running is killed, and the wakes that follow
+    // run out.
+    for &pid in &pids {
+        if kernel.status(pid).is_none() {
+            let r = kernel.kill(pid, Signal::Kill);
+            log.borrow_mut().push_str(&format!(
+                "{:>10} host kill(pid {pid},SIGKILL)={r:?}\n",
+                engine.now_ns()
+            ));
+        }
+    }
+    while engine.run_one() {}
+    let mut out = log.take();
+    for (pipe, _) in &pipes {
+        out += &format!("{pipe} len {:?}\n", kernel.pipe_len(*pipe));
+    }
+    for p in kernel.process_table() {
+        out += &format!(
+            "pid {} {} {} slices={} in={} out={} spawned={} exited={:?}\n",
+            p.pid,
+            p.name,
+            p.status,
+            p.slices,
+            p.pipe_in,
+            p.pipe_out,
+            p.spawned_at_ns,
+            p.exited_at_ns
+        );
+    }
+    out += &format!("trace {}\n", digest(&chrome::export_sink(&ring)));
+    out
+}
+
+/// The edges of the pipe semantics, one directed case each: the host
+/// writes into a pipe with no readers left; `feed_pipe` drops what it
+/// feeds once every read end is closed and does not count it; a
+/// zero-byte write into a pipe with room wakes a blocked reader; a read
+/// that leaves an overfilled pipe at capacity wakes no writer; and a
+/// host read wakes a blocked writer, while the host read of the empty
+/// pipe after it returns nothing.
+fn pipe_edges() -> String {
+    let kernel = Kernel::new();
+    let engine = kernel.engine();
+    let log: Log = Rc::new(RefCell::new(String::from("--- edges\n")));
+    let host = |call: String, pipe: PipeId| {
+        log.borrow_mut().push_str(&format!(
+            "{:>10} host {call} len({pipe})={:?}\n",
+            engine.now_ns(),
+            kernel.pipe_len(pipe)
+        ));
+    };
+    // A guest that makes the calls in `script`, one per slice, logging
+    // each; a read or write that would block parks it until woken.
+    let spawn = |opts: SpawnOptions, script: Vec<(PipeId, Option<&'static [u8]>, usize)>| {
+        let k = kernel.clone();
+        let log = log.clone();
+        let name = opts.name.clone();
+        let mut next = 0;
+        kernel
+            .spawn_fn(opts, move |ctx| {
+                let Some(&(pipe, write, max)) = script.get(next) else {
+                    return ThreadStep::Finished;
+                };
+                let (shown, blocked) = match write {
+                    Some(data) => {
+                        let r = k.write_pipe(ctx, pipe, data);
+                        (
+                            format!("write({pipe},{:?})={r:?}", String::from_utf8_lossy(data)),
+                            r == Ok(PipeWrite::WouldBlock),
+                        )
+                    }
+                    None => {
+                        let r = k.read_pipe(ctx, pipe, max);
+                        (
+                            format!("read({pipe},{max})={}", show_read(&r)),
+                            r == Ok(PipeRead::WouldBlock),
+                        )
+                    }
+                };
+                log.borrow_mut().push_str(&format!(
+                    "{:>10} {name} t{}: {shown}\n",
+                    k.engine().now_ns(),
+                    ctx.thread_id().0
+                ));
+                if blocked {
+                    return ThreadStep::Blocked;
+                }
+                next += 1;
+                ThreadStep::Yielded
+            })
+            .pid()
+    };
+
+    // The host writes into a pipe whose only reader has exited; a
+    // guest's write there is broken.
+    let orphan = kernel.pipe_with_capacity(4);
+    spawn(SpawnOptions::new("short-reader").stdin(orphan), vec![]);
+    while engine.run_one() {}
+    host(
+        format!(
+            "host_write({orphan},\"xyz\")={:?}",
+            kernel.host_write(orphan, b"xyz")
+        ),
+        orphan,
+    );
+    host(
+        format!(
+            "host_write({orphan},\"pqrs\")={:?}",
+            kernel.host_write(orphan, b"pqrs")
+        ),
+        orphan,
+    );
+    spawn(
+        SpawnOptions::new("late-writer"),
+        vec![(orphan, Some(b"w"), 0)],
+    );
+    while engine.run_one() {}
+
+    // feed_pipe counts bytes while a read end is open and drops them,
+    // uncounted, once none is.
+    let fed = kernel.pipe_with_capacity(4);
+    let feeder = spawn(SpawnOptions::new("feeder").stdout(fed), vec![]);
+    host(
+        format!(
+            "feed_pipe(pid {feeder},{fed},\"ab\")={:?}",
+            kernel.feed_pipe(feeder, fed, b"ab")
+        ),
+        fed,
+    );
+    host(
+        format!("host_close_read({fed})={:?}", kernel.host_close_read(fed)),
+        fed,
+    );
+    host(
+        format!(
+            "feed_pipe(pid {feeder},{fed},\"cde\")={:?}",
+            kernel.feed_pipe(feeder, fed, b"cde")
+        ),
+        fed,
+    );
+    while engine.run_one() {}
+
+    // A zero-byte write into a pipe with room wakes the blocked reader.
+    let zero = kernel.pipe_with_capacity(4);
+    spawn(
+        SpawnOptions::new("reader").stdin(zero),
+        vec![(zero, None, 4), (zero, None, 4), (zero, None, 4)],
+    );
+    while engine.run_one() {}
+    spawn(
+        SpawnOptions::new("writer").stdout(zero),
+        vec![(zero, Some(b""), 0), (zero, Some(b"hi"), 0)],
+    );
+    while engine.run_one() {}
+
+    // A read that leaves an overfilled pipe at capacity wakes no
+    // writer; the host read that empties it does, and a host read of
+    // the empty pipe returns nothing.
+    let full = kernel.pipe_with_capacity(2);
+    spawn(
+        SpawnOptions::new("blocked-writer"),
+        vec![
+            (full, Some(b"abc"), 0),
+            (full, Some(b"de"), 0),
+            (full, Some(b"f"), 0),
+        ],
+    );
+    while engine.run_one() {}
+    host(
+        format!(
+            "host_write({full},\"123\")={:?}",
+            kernel.host_write(full, b"123")
+        ),
+        full,
+    );
+    spawn(SpawnOptions::new("partial-reader"), vec![(full, None, 1)]);
+    while engine.run_one() {}
+    for _ in 0..4 {
+        host(
+            format!("host_read({full})={}", show_bytes(&kernel.host_read(full))),
+            full,
+        );
+        while engine.run_one() {}
+    }
+
+    // A process whose stdout is at capacity when its slice ends parks
+    // until the host drains the pipe, and wakes when the host closes
+    // its read end.
+    let stdout = kernel.pipe_with_capacity(2);
+    spawn(
+        SpawnOptions::new("chatty").stdout(stdout),
+        vec![
+            (stdout, Some(b"ab"), 0),
+            (stdout, Some(b"cd"), 0),
+            (stdout, Some(b"e"), 0),
+        ],
+    );
+    while engine.run_one() {}
+    host(
+        format!(
+            "host_read({stdout})={}",
+            show_bytes(&kernel.host_read(stdout))
+        ),
+        stdout,
+    );
+    while engine.run_one() {}
+    host(
+        format!(
+            "host_close_read({stdout})={:?}",
+            kernel.host_close_read(stdout)
+        ),
+        stdout,
+    );
+    while engine.run_one() {}
+
+    let mut out = log.take();
+    for p in kernel.process_table() {
+        out += &format!(
+            "pid {} {} {} slices={} in={} out={}\n",
+            p.pid, p.name, p.status, p.slices, p.pipe_in, p.pipe_out
+        );
+    }
+    out
+}
+
+#[test]
+fn pipe_ops_match_their_golden() {
+    check_golden("kernel/pipe_ops", || {
+        let mut out: String = [1, 2, 3].into_iter().map(pipe_ops_run).collect();
+        out += &pipe_edges();
+        out
+    });
 }
