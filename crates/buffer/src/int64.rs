@@ -9,9 +9,11 @@
 //!
 //! This module is that software implementation: every operation is
 //! expressed in terms of 32-bit halves, exactly as the JavaScript
-//! version must compute it. The JVM interpreter routes `long` bytecodes
-//! through it when hosted in a browser profile, and charges
-//! [`Cost::LongOp`](doppio_jsengine::Cost) accordingly.
+//! version must compute it, and a property test checks it against
+//! native `i64`. The JVM interpreter does not use it: it runs `long`
+//! bytecodes on native `i64` and charges
+//! [`Cost::LongOp`](doppio_jsengine::Cost), so the virtual clock still
+//! prices §8's software longs.
 
 use std::cmp::Ordering;
 use std::fmt;

@@ -8,8 +8,8 @@
 //! becomes just one kind of [`Process`] spawned on it:
 //!
 //! * [`Kernel::spawn`] starts a guest (any [`GuestThread`] — a JVM
-//!   main thread, a JS-style closure) with a pid, argv, and
-//!   environment. Threads the guest spawns inherit its pid.
+//!   main thread, a JS-style closure) with a pid and argv. Threads the
+//!   guest spawns inherit its pid.
 //! * [`Kernel::pipe`] creates a bounded byte pipe; [`SpawnOptions`]
 //!   wires pipes as a process's stdin/stdout. Reads block on empty,
 //!   writes block on full (backpressure), closing the write end
@@ -181,30 +181,27 @@ impl fmt::Display for PipeId {
     }
 }
 
-/// What a process is spawned with: its name, argv, environment, the
-/// process group whose FS namespace it shares, and stdin/stdout pipe
-/// wiring.
+/// What a process is spawned with: its name, argv, the process group
+/// whose FS namespace it shares, and stdin/stdout pipe wiring.
 #[derive(Debug, Clone, Default)]
 pub struct SpawnOptions {
     /// Process name (shows up in trace lanes, blame lines, reports).
     pub name: String,
     /// Arguments (`args` of the guest's `main`).
     pub argv: Vec<String>,
-    /// Environment variables.
-    pub env: Vec<(String, String)>,
     /// Process group. Processes in one group share a mountable FS
     /// namespace (see `doppio_fs::FsNamespaces`).
     pub group: Option<String>,
     /// Pipe to read standard input from. The process becomes a holder
-    /// of the read end (the host's implicit read end is released).
+    /// of the read end, and the host's hold on it is released.
     pub stdin: Option<PipeId>,
     /// Pipe standard output writes to. The process becomes a holder
-    /// of the write end (the host's implicit write end is released).
+    /// of the write end, and the host's hold on it is released.
     pub stdout: Option<PipeId>,
 }
 
 impl SpawnOptions {
-    /// Options for a process called `name`, no argv/env/wiring.
+    /// Options for a process called `name`, no argv or wiring.
     pub fn new(name: impl Into<String>) -> SpawnOptions {
         SpawnOptions {
             name: name.into(),
@@ -215,12 +212,6 @@ impl SpawnOptions {
     /// Append one argument.
     pub fn arg(mut self, a: impl Into<String>) -> SpawnOptions {
         self.argv.push(a.into());
-        self
-    }
-
-    /// Set an environment variable.
-    pub fn env(mut self, k: impl Into<String>, v: impl Into<String>) -> SpawnOptions {
-        self.env.push((k.into(), v.into()));
         self
     }
 
@@ -310,8 +301,6 @@ type ExitProbe = Rc<dyn Fn() -> Option<ExitStatus>>;
 struct Proc {
     name: String,
     argv: Vec<String>,
-    #[allow(dead_code)]
-    env: Vec<(String, String)>,
     group: Option<String>,
     main: ThreadId,
     status: Option<ExitStatus>,
@@ -321,7 +310,7 @@ struct Proc {
     /// Exit code requested via [`Kernel::exit`] before all threads
     /// finished (closure guests have no other channel for it).
     exit_code: Option<i32>,
-    stdout: Option<u64>,
+    stdout: Option<PipeId>,
     slices: u64,
     pipe_in: u64,
     pipe_out: u64,
@@ -339,24 +328,31 @@ struct Proc {
     exit_flow: Option<u64>,
 }
 
+/// The host's pid as a pipe-end holder: it holds both ends of a pipe
+/// it creates, as a process holds the ends it is wired to. Process pids
+/// start at 1.
+const HOST: u32 = 0;
+
+/// One end of a pipe.
+#[derive(Clone, Copy)]
+enum End {
+    Read,
+    Write,
+}
+
 struct PipeState {
     buf: VecDeque<u8>,
     capacity: usize,
-    /// Pids holding the write end.
+    /// Who holds the write end ([`HOST`] or pids), in the order they
+    /// came to hold it. Readers see EOF once it is empty.
     writers: Vec<u32>,
-    /// Pids holding the read end.
+    /// Who holds the read end, likewise. Writes break once it is empty.
     readers: Vec<u32>,
-    /// The host still holds this end (true until a process claims it
-    /// via spawn wiring, or the host closes it explicitly).
-    host_write: bool,
-    host_read: bool,
     read_waiters: Vec<ThreadId>,
     write_waiters: Vec<ThreadId>,
-    /// Bytes ever written (diagnostics).
-    total_in: u64,
-    /// Pending causal flow tokens: one per traced write, consumed (in
+    /// Pending causal flow ids: one per traced write, consumed (in
     /// order) by reads. Bounded so a never-read pipe cannot grow it.
-    flows: VecDeque<(u64, SpanContext)>,
+    flows: VecDeque<u64>,
 }
 
 /// Cap on un-consumed causal flow tokens per pipe; beyond it new
@@ -364,12 +360,52 @@ struct PipeState {
 const PIPE_FLOW_TOKEN_CAP: usize = 64;
 
 impl PipeState {
-    fn write_closed(&self) -> bool {
-        self.writers.is_empty() && !self.host_write
+    /// Append up to `limit` bytes of `data`, returning how many went in
+    /// and the read waiters, who may now make progress.
+    fn put(&mut self, data: &[u8], limit: usize) -> (usize, Vec<ThreadId>) {
+        let n = limit.min(data.len());
+        self.buf.extend(&data[..n]);
+        (n, std::mem::take(&mut self.read_waiters))
     }
 
-    fn read_closed(&self) -> bool {
-        self.readers.is_empty() && !self.host_read
+    /// Drain up to `limit` bytes, with the write waiters once the
+    /// buffer has room.
+    fn take(&mut self, limit: usize) -> (Vec<u8>, Vec<ThreadId>) {
+        let n = limit.min(self.buf.len());
+        let data = self.buf.drain(..n).collect();
+        let wakes = if self.buf.len() < self.capacity {
+            std::mem::take(&mut self.write_waiters)
+        } else {
+            Vec::new()
+        };
+        (data, wakes)
+    }
+
+    /// Drop one of `holder`'s holds on `end`; `None` if it holds none.
+    /// Once the end has no holders left, the other side's waiters come
+    /// back, to see EOF or a broken pipe.
+    fn release(&mut self, holder: u32, end: End) -> Option<Vec<ThreadId>> {
+        let (holders, waiters) = match end {
+            End::Read => (&mut self.readers, &mut self.write_waiters),
+            End::Write => (&mut self.writers, &mut self.read_waiters),
+        };
+        let i = holders.iter().position(|&h| h == holder)?;
+        holders.remove(i);
+        Some(if holders.is_empty() {
+            std::mem::take(waiters)
+        } else {
+            Vec::new()
+        })
+    }
+
+    /// Spawn wiring: process `pid` takes over the host's hold on `end`.
+    fn wire(&mut self, pid: u32, end: End) {
+        match end {
+            End::Read => self.readers.push(pid),
+            End::Write => self.writers.push(pid),
+        }
+        // The end keeps a holder, so no waiter comes back.
+        self.release(HOST, end);
     }
 }
 
@@ -517,13 +553,14 @@ impl Kernel {
                 // change, the delay itself is what it waits for. The
                 // Async resource has no owner, so the wait-for graph
                 // never sees a spurious deadlock cycle.
-                ctx.note_block(
+                self.park(
+                    ctx,
                     Resource::Async(format!("pipe.fault({pipe})")),
                     format!("pipe.{op}({pipe})"),
+                    "wait.fault",
                 );
                 let rt = ctx.runtime().clone();
                 let me = ctx.thread_id();
-                self.note_wait_reason(me, "wait.fault");
                 self.engine()
                     .set_timeout(ns as f64 / 1e6, move |_| rt.wake(me));
                 Ok(true)
@@ -550,17 +587,44 @@ impl Kernel {
             PipeState {
                 buf: VecDeque::new(),
                 capacity,
-                writers: Vec::new(),
-                readers: Vec::new(),
-                host_write: true,
-                host_read: true,
+                writers: vec![HOST],
+                readers: vec![HOST],
                 read_waiters: Vec::new(),
                 write_waiters: Vec::new(),
-                total_in: 0,
                 flows: VecDeque::new(),
             },
         );
         PipeId(id)
+    }
+
+    /// Apply `op` to `pipe` and the process table under one kernel
+    /// borrow, then wake the threads it returns, in order. Errors on a
+    /// pipe id this kernel never created.
+    fn pipe_op<R>(
+        &self,
+        pipe: PipeId,
+        op: impl FnOnce(&mut PipeState, &mut BTreeMap<u32, Proc>) -> (R, Vec<ThreadId>),
+    ) -> Result<R, KernelError> {
+        let (result, wakes, rt) = {
+            let mut inner = self.inner.borrow_mut();
+            let inner = &mut *inner;
+            let p = inner
+                .pipes
+                .get_mut(&pipe.0)
+                .ok_or(KernelError::UnknownPipe(pipe))?;
+            let (result, wakes) = op(p, &mut inner.procs);
+            (
+                result,
+                wakes,
+                inner.host.as_ref().map(|h| h.runtime.clone()),
+            )
+        };
+        if let Some(rt) = rt {
+            for w in wakes {
+                rt.wake(w);
+            }
+        }
+        Ok(result)
     }
 
     /// Guest-side pipe read (called from inside a slice). On
@@ -579,55 +643,38 @@ impl Kernel {
         if self.draw_pipe_fault(ctx, "read", pipe)? {
             return Ok(PipeRead::WouldBlock);
         }
-        let (result, wakes, flow_tokens) = {
-            let mut inner = self.inner.borrow_mut();
-            let p = inner
-                .pipes
-                .get_mut(&pipe.0)
-                .ok_or(KernelError::UnknownPipe(pipe))?;
+        let (result, flows) = self.pipe_op(pipe, |p, procs| {
             if !p.buf.is_empty() {
-                let n = max.min(p.buf.len());
-                let data: Vec<u8> = p.buf.drain(..n).collect();
+                let (data, wakes) = p.take(max);
+                if let Some(proc) = my_pid.and_then(|pid| procs.get_mut(&(pid as u32))) {
+                    proc.pipe_in += data.len() as u64;
+                }
                 // The read consumes every pending causal write token:
                 // byte-precise matching is not worth tracking — any
                 // writer whose bytes are still buffered happened-before
                 // this read.
-                let tokens: Vec<(u64, SpanContext)> = p.flows.drain(..).collect();
-                let wakes = if p.buf.len() < p.capacity {
-                    std::mem::take(&mut p.write_waiters)
-                } else {
-                    Vec::new()
-                };
-                if let Some(pid) = my_pid {
-                    if let Some(proc) = inner.procs.get_mut(&(pid as u32)) {
-                        proc.pipe_in += n as u64;
-                    }
-                }
-                (PipeRead::Data(data), wakes, tokens)
-            } else if p.write_closed() {
-                (PipeRead::Eof, Vec::new(), Vec::new())
+                let flows: Vec<u64> = p.flows.drain(..).collect();
+                ((PipeRead::Data(data), flows), wakes)
+            } else if p.writers.is_empty() {
+                ((PipeRead::Eof, Vec::new()), Vec::new())
             } else {
                 p.read_waiters.push(me);
-                (PipeRead::WouldBlock, Vec::new(), Vec::new())
+                ((PipeRead::WouldBlock, Vec::new()), Vec::new())
             }
-        };
-        if matches!(result, PipeRead::WouldBlock) {
-            ctx.note_block(Resource::PipeRead(pipe.0), format!("pipe.read({pipe})"));
-            self.note_wait_reason(me, "wait.pipe.read");
+        })?;
+        if result == PipeRead::WouldBlock {
+            let site = format!("pipe.read({pipe})");
+            self.park(ctx, Resource::PipeRead(pipe.0), site, "wait.pipe.read");
         }
-        if !flow_tokens.is_empty() {
+        if !flows.is_empty() {
             let engine = self.engine();
             let causal = engine.causal();
             if let Some(dst) = causal.current() {
                 let now = engine.now_ns();
-                for (fid, _src) in flow_tokens {
+                for fid in flows {
                     causal.flow_end("pipe", fid, dst, now, me.0 as u32 + 2);
                 }
             }
-        }
-        let rt = ctx.runtime().clone();
-        for w in wakes {
-            rt.wake(w);
         }
         Ok(result)
     }
@@ -649,43 +696,28 @@ impl Kernel {
         if self.draw_pipe_fault(ctx, "write", pipe)? {
             return Ok(PipeWrite::WouldBlock);
         }
-        let (result, wakes) = {
-            let mut inner = self.inner.borrow_mut();
-            let p = inner
-                .pipes
-                .get_mut(&pipe.0)
-                .ok_or(KernelError::UnknownPipe(pipe))?;
-            if p.read_closed() {
+        let result = self.pipe_op(pipe, |p, procs| {
+            let space = p.capacity.saturating_sub(p.buf.len());
+            if p.readers.is_empty() {
                 (PipeWrite::Broken, Vec::new())
+            } else if space == 0 {
+                p.write_waiters.push(me);
+                (PipeWrite::WouldBlock, Vec::new())
             } else {
-                let space = p.capacity.saturating_sub(p.buf.len());
-                if space == 0 {
-                    p.write_waiters.push(me);
-                    (PipeWrite::WouldBlock, Vec::new())
-                } else {
-                    let n = space.min(data.len());
-                    p.buf.extend(&data[..n]);
-                    p.total_in += n as u64;
-                    let wakes = std::mem::take(&mut p.read_waiters);
-                    if let Some(pid) = my_pid {
-                        if let Some(proc) = inner.procs.get_mut(&(pid as u32)) {
-                            proc.pipe_out += n as u64;
-                        }
-                    }
-                    (PipeWrite::Wrote(n), wakes)
+                let (n, wakes) = p.put(data, space);
+                if let Some(proc) = my_pid.and_then(|pid| procs.get_mut(&(pid as u32))) {
+                    proc.pipe_out += n as u64;
                 }
+                (PipeWrite::Wrote(n), wakes)
             }
-        };
-        if matches!(result, PipeWrite::WouldBlock) {
-            ctx.note_block(Resource::PipeWrite(pipe.0), format!("pipe.write({pipe})"));
-            self.note_wait_reason(me, "wait.pipe.write");
-        }
-        if matches!(result, PipeWrite::Wrote(n) if n > 0) {
-            self.push_pipe_flow(pipe, me.0 as u32 + 2);
-        }
-        let rt = ctx.runtime().clone();
-        for w in wakes {
-            rt.wake(w);
+        })?;
+        match result {
+            PipeWrite::WouldBlock => {
+                let site = format!("pipe.write({pipe})");
+                self.park(ctx, Resource::PipeWrite(pipe.0), site, "wait.pipe.write");
+            }
+            PipeWrite::Wrote(n) if n > 0 => self.push_pipe_flow(pipe, me.0 as u32 + 2),
+            _ => {}
         }
         Ok(result)
     }
@@ -713,7 +745,7 @@ impl Kernel {
         }
         let fid = causal.flow_start("pipe", src, engine.now_ns(), lane);
         if let Some(p) = self.inner.borrow_mut().pipes.get_mut(&pipe.0) {
-            p.flows.push_back((fid, src));
+            p.flows.push_back(fid);
         }
     }
 
@@ -721,35 +753,22 @@ impl Kernel {
     /// stdout hooks that run mid-interpretation and cannot yield).
     /// The buffer may transiently exceed capacity; backpressure is
     /// applied at the next slice boundary of the feeding process.
+    /// Once every read end is closed the bytes are dropped.
     /// Errors on a pipe id this kernel never created.
     pub fn feed_pipe(&self, pid: Pid, pipe: PipeId, data: &[u8]) -> Result<(), KernelError> {
-        let (wakes, rt) = {
-            let mut inner = self.inner.borrow_mut();
-            let p = inner
-                .pipes
-                .get_mut(&pipe.0)
-                .ok_or(KernelError::UnknownPipe(pipe))?;
-            if p.read_closed() {
-                // Nobody will ever read it; drop the bytes.
-                return Ok(());
+        let fed = self.pipe_op(pipe, |p, procs| {
+            if p.readers.is_empty() {
+                return (false, Vec::new());
             }
-            p.buf.extend(data);
-            p.total_in += data.len() as u64;
-            let wakes = std::mem::take(&mut p.read_waiters);
-            if let Some(proc) = inner.procs.get_mut(&pid.0) {
+            if let Some(proc) = procs.get_mut(&pid.0) {
                 proc.pipe_out += data.len() as u64;
             }
-            (wakes, inner.host.as_ref().map(|h| h.runtime.clone()))
-        };
-        if !data.is_empty() {
+            (true, p.put(data, usize::MAX).1)
+        })?;
+        if fed && !data.is_empty() {
             // The stdout hook runs inside the feeding process's slice,
             // so the ambient context is that slice's span.
             self.push_pipe_flow(pipe, 1);
-        }
-        if let Some(rt) = rt {
-            for w in wakes {
-                rt.wake(w);
-            }
         }
         Ok(())
     }
@@ -759,57 +778,19 @@ impl Kernel {
     /// unknown, or the host's write end was closed or released to a
     /// process.
     pub fn host_write(&self, pipe: PipeId, data: &[u8]) -> Result<(), KernelError> {
-        let (wakes, rt) = {
-            let mut inner = self.inner.borrow_mut();
-            let p = inner
-                .pipes
-                .get_mut(&pipe.0)
-                .ok_or(KernelError::UnknownPipe(pipe))?;
-            if !p.host_write {
-                return Err(KernelError::PipeEndClosed(pipe));
+        self.pipe_op(pipe, |p, _| {
+            if !p.writers.contains(&HOST) {
+                return (Err(KernelError::PipeEndClosed(pipe)), Vec::new());
             }
-            p.buf.extend(data);
-            p.total_in += data.len() as u64;
-            (
-                std::mem::take(&mut p.read_waiters),
-                inner.host.as_ref().map(|h| h.runtime.clone()),
-            )
-        };
-        if let Some(rt) = rt {
-            for w in wakes {
-                rt.wake(w);
-            }
-        }
-        Ok(())
+            (Ok(()), p.put(data, usize::MAX).1)
+        })?
     }
 
     /// Close the host's write end. When no process holds one either,
     /// readers see EOF. Errors if the pipe is unknown or the end was
     /// already closed/released (the double-close case).
     pub fn host_close_write(&self, pipe: PipeId) -> Result<(), KernelError> {
-        let (wakes, rt) = {
-            let mut inner = self.inner.borrow_mut();
-            let p = inner
-                .pipes
-                .get_mut(&pipe.0)
-                .ok_or(KernelError::UnknownPipe(pipe))?;
-            if !p.host_write {
-                return Err(KernelError::PipeEndClosed(pipe));
-            }
-            p.host_write = false;
-            let wakes = if p.write_closed() {
-                std::mem::take(&mut p.read_waiters)
-            } else {
-                Vec::new()
-            };
-            (wakes, inner.host.as_ref().map(|h| h.runtime.clone()))
-        };
-        if let Some(rt) = rt {
-            for w in wakes {
-                rt.wake(w);
-            }
-        }
-        Ok(())
+        self.host_close(pipe, End::Write)
     }
 
     /// Close the host's read end. When no process holds one either,
@@ -817,58 +798,26 @@ impl Kernel {
     /// unknown or the end was already closed/released (the
     /// double-close case).
     pub fn host_close_read(&self, pipe: PipeId) -> Result<(), KernelError> {
-        let (wakes, rt) = {
-            let mut inner = self.inner.borrow_mut();
-            let p = inner
-                .pipes
-                .get_mut(&pipe.0)
-                .ok_or(KernelError::UnknownPipe(pipe))?;
-            if !p.host_read {
-                return Err(KernelError::PipeEndClosed(pipe));
-            }
-            p.host_read = false;
-            let wakes = if p.read_closed() {
-                // Blocked writers must wake to observe Broken.
-                std::mem::take(&mut p.write_waiters)
-            } else {
-                Vec::new()
-            };
-            (wakes, inner.host.as_ref().map(|h| h.runtime.clone()))
-        };
-        if let Some(rt) = rt {
-            for w in wakes {
-                rt.wake(w);
-            }
-        }
-        Ok(())
+        self.host_close(pipe, End::Read)
+    }
+
+    fn host_close(&self, pipe: PipeId, end: End) -> Result<(), KernelError> {
+        self.pipe_op(pipe, |p, _| match p.release(HOST, end) {
+            Some(wakes) => (Ok(()), wakes),
+            None => (Err(KernelError::PipeEndClosed(pipe)), Vec::new()),
+        })?
     }
 
     /// Drain everything currently buffered (host-side collection of a
     /// pipeline's final output). Wakes blocked writers. Errors on a
     /// pipe id this kernel never created.
     pub fn host_read(&self, pipe: PipeId) -> Result<Vec<u8>, KernelError> {
-        let (data, wakes, rt) = {
-            let mut inner = self.inner.borrow_mut();
-            let p = inner
-                .pipes
-                .get_mut(&pipe.0)
-                .ok_or(KernelError::UnknownPipe(pipe))?;
-            let data: Vec<u8> = p.buf.drain(..).collect();
+        self.pipe_op(pipe, |p, _| {
             // The host has no causal context; pending write tokens are
             // consumed without an edge rather than left to dangle.
             p.flows.clear();
-            (
-                data,
-                std::mem::take(&mut p.write_waiters),
-                inner.host.as_ref().map(|h| h.runtime.clone()),
-            )
-        };
-        if let Some(rt) = rt {
-            for w in wakes {
-                rt.wake(w);
-            }
-        }
-        Ok(data)
+            p.take(usize::MAX)
+        })
     }
 
     /// Bytes currently buffered in `pipe`.
@@ -881,22 +830,12 @@ impl Kernel {
             .ok_or(KernelError::UnknownPipe(pipe))
     }
 
-    /// Whether every write end of `pipe` is closed (readers see EOF
-    /// once the buffer drains).
-    pub fn pipe_write_closed(&self, pipe: PipeId) -> Result<bool, KernelError> {
-        self.inner
-            .borrow()
-            .pipes
-            .get(&pipe.0)
-            .map(|p| p.write_closed())
-            .ok_or(KernelError::UnknownPipe(pipe))
-    }
-
     /// Re-derive the wait-graph owner edges of one pipe from its
     /// current end holders: the write-end holder's main thread
     /// resolves blocked reads, the read-end holder's resolves blocked
-    /// writes. (With several holders the first — lowest-pid — is
-    /// blamed; any of them could resolve the wait.)
+    /// writes. (With several holders the first live process — the
+    /// lowest pid — is blamed; any of them could resolve the wait. The
+    /// host is no process and is never blamed.)
     fn refresh_pipe_owners(&self, pipe: u64) {
         let (rt, read_owner, write_owner) = {
             let inner = self.inner.borrow();
@@ -969,15 +908,11 @@ impl Kernel {
             let pid = inner.next_pid;
             inner.next_pid += 1;
             // Transfer pipe ends from the host to the process.
-            if let Some(p) = opts.stdin {
-                let pipe = inner.pipes.get_mut(&p.0).expect("validated above");
-                pipe.readers.push(pid);
-                pipe.host_read = false;
-            }
-            if let Some(p) = opts.stdout {
-                let pipe = inner.pipes.get_mut(&p.0).expect("validated above");
-                pipe.writers.push(pid);
-                pipe.host_write = false;
+            for (p, end) in [(opts.stdin, End::Read), (opts.stdout, End::Write)] {
+                if let Some(p) = p {
+                    let pipe = inner.pipes.get_mut(&p.0).expect("validated above");
+                    pipe.wire(pid, end);
+                }
             }
             let host = inner.host.as_ref().unwrap();
             (host.runtime.clone(), host.engine.clone(), pid)
@@ -1002,16 +937,10 @@ impl Kernel {
         } else {
             (None, None)
         };
-        let wrapper = ProcThread {
-            kernel: self.clone(),
-            pid,
-            name: opts.name.clone(),
-            inner: main,
-        };
         let tid = rt.spawn_tagged(
             format!("pid {pid} {}", opts.name),
             pid as u64,
-            Box::new(wrapper),
+            Box::new(SliceThread::new(self, pid, true, main)),
         );
         {
             let mut inner = self.inner.borrow_mut();
@@ -1020,7 +949,6 @@ impl Kernel {
                 Proc {
                     name: opts.name.clone(),
                     argv: opts.argv.clone(),
-                    env: opts.env.clone(),
                     group: opts.group.clone(),
                     main: tid,
                     status: None,
@@ -1028,7 +956,7 @@ impl Kernel {
                     wait_waiters: Vec::new(),
                     exit_probe: None,
                     exit_code: None,
-                    stdout: opts.stdout.map(|p| p.0),
+                    stdout: opts.stdout,
                     slices: 0,
                     pipe_in: 0,
                     pipe_out: 0,
@@ -1078,8 +1006,7 @@ impl Kernel {
         opts: SpawnOptions,
         f: impl FnMut(&mut ThreadContext<'_>) -> ThreadStep + 'static,
     ) -> Process {
-        let name = opts.name.clone();
-        self.spawn(opts, Box::new(crate::FnThread::named(name, f)))
+        self.spawn(opts, Box::new(crate::FnThread::new(f)))
     }
 
     /// Add an auxiliary thread to an existing process (e.g. an stdin
@@ -1092,26 +1019,11 @@ impl Kernel {
         name: impl Into<String>,
         thread: Box<dyn GuestThread>,
     ) -> ThreadId {
-        let rt = self.runtime();
-        let name = name.into();
-        let wrapper = AuxSliceThread {
-            kernel: self.clone(),
-            pid: pid.0,
-            inner: thread,
-            last: None,
-        };
-        rt.spawn_tagged(format!("pid {pid} {name}"), pid.0 as u64, Box::new(wrapper))
-    }
-
-    /// [`spawn_aux`](Self::spawn_aux) for a closure thread.
-    pub fn spawn_fn_aux(
-        &self,
-        pid: Pid,
-        name: impl Into<String>,
-        f: impl FnMut(&mut ThreadContext<'_>) -> ThreadStep + 'static,
-    ) -> ThreadId {
-        let name = name.into();
-        self.spawn_aux(pid, name.clone(), Box::new(crate::FnThread::named(name, f)))
+        self.runtime().spawn_tagged(
+            format!("pid {pid} {}", name.into()),
+            pid.0 as u64,
+            Box::new(SliceThread::new(self, pid.0, false, thread)),
+        )
     }
 
     /// Install the process's exit probe: consulted after every
@@ -1232,9 +1144,9 @@ impl Kernel {
                 }
             }
         };
-        if matches!(result, WaitPid::WouldBlock) {
-            ctx.note_block(Resource::Child(pid.0 as u64), format!("waitpid({pid})"));
-            self.note_wait_reason(ctx.thread_id(), "wait.child");
+        if result == WaitPid::WouldBlock {
+            let site = format!("waitpid({pid})");
+            self.park(ctx, Resource::Child(pid.0 as u64), site, "wait.child");
         }
         if let Some(fid) = exit_flow {
             // The reap closes the child's exit flow at the waiter: the
@@ -1333,15 +1245,25 @@ impl Kernel {
     // Lifecycle internals
     // ------------------------------------------------------------
 
-    /// Record why `tid` is about to block; its next slice span carries
-    /// the reason, so the critical-path walk can attribute the gap.
-    fn note_wait_reason(&self, tid: ThreadId, reason: &'static str) {
-        let inner = self.inner.borrow();
-        if let Some(host) = inner.host.as_ref() {
-            if host.engine.causal().enabled() {
-                drop(inner);
-                self.inner.borrow_mut().wait_reasons.insert(tid.0, reason);
-            }
+    /// Record that the calling thread is about to block on `resource`
+    /// at guest site `site`: its wait-for edge, and why it waits. Its
+    /// next slice span carries the reason, so the critical-path walk
+    /// can attribute the gap.
+    fn park(
+        &self,
+        ctx: &mut ThreadContext<'_>,
+        resource: Resource,
+        site: impl Into<String>,
+        reason: &'static str,
+    ) {
+        ctx.note_block(resource, site);
+        let mut inner = self.inner.borrow_mut();
+        if inner
+            .host
+            .as_ref()
+            .is_some_and(|h| h.engine.causal().enabled())
+        {
+            inner.wait_reasons.insert(ctx.thread_id().0, reason);
         }
     }
 
@@ -1452,24 +1374,20 @@ impl Kernel {
             }
         }
         if step == ThreadStep::Yielded {
-            let park_on = {
+            let parked = {
                 let mut inner = self.inner.borrow_mut();
+                let inner = &mut *inner;
                 let stdout = inner.procs.get(&pid).and_then(|p| p.stdout);
-                match stdout.and_then(|out| inner.pipes.get_mut(&out).map(|p| (out, p))) {
-                    Some((out, p)) => {
-                        if p.buf.len() >= p.capacity && !p.read_closed() {
-                            p.write_waiters.push(ctx.thread_id());
-                            Some(out)
-                        } else {
-                            None
-                        }
+                match stdout.and_then(|out| inner.pipes.get_mut(&out.0)) {
+                    Some(p) if p.buf.len() >= p.capacity && !p.readers.is_empty() => {
+                        p.write_waiters.push(ctx.thread_id());
+                        stdout
                     }
-                    None => None,
+                    _ => None,
                 }
             };
-            if let Some(out) = park_on {
-                ctx.note_block(Resource::PipeWrite(out), "stdout");
-                self.note_wait_reason(ctx.thread_id(), "wait.pipe.write");
+            if let Some(out) = parked {
+                self.park(ctx, Resource::PipeWrite(out.0), "stdout", "wait.pipe.write");
                 return ThreadStep::Blocked;
             }
         }
@@ -1513,7 +1431,7 @@ impl Kernel {
     /// kill its remaining threads, release its pipe ends (EOF for
     /// readers, broken pipe for writers), and wake `waitpid` waiters.
     fn finish_process(&self, pid: Pid, status: ExitStatus) {
-        let Some((rt, engine, threads, wait_waiters, pipe_wakes, touched_pipes, causal_tail)) = ({
+        let Some((rt, engine, threads, wait_waiters, held_pipes, causal_tail)) = ({
             let mut inner = self.inner.borrow_mut();
             let Some(host) = inner.host.as_ref() else {
                 return;
@@ -1531,36 +1449,13 @@ impl Kernel {
             let causal_tail = proc.ctx.map(|root| (root, proc.last_span.unwrap_or(root)));
             let wait_waiters = std::mem::take(&mut proc.wait_waiters);
             let threads = rt.tagged_threads(pid.0 as u64);
-            // Release the process's pipe ends.
-            let mut pipe_wakes = Vec::new();
-            let mut touched = Vec::new();
-            for (id, p) in inner.pipes.iter_mut() {
-                let held_w = p.writers.contains(&pid.0);
-                let held_r = p.readers.contains(&pid.0);
-                if !held_w && !held_r {
-                    continue;
-                }
-                p.writers.retain(|&w| w != pid.0);
-                p.readers.retain(|&r| r != pid.0);
-                touched.push(*id);
-                if held_w && p.write_closed() {
-                    // Blocked readers must wake to observe EOF.
-                    pipe_wakes.append(&mut p.read_waiters);
-                }
-                if held_r && p.read_closed() {
-                    // Blocked writers must wake to observe Broken.
-                    pipe_wakes.append(&mut p.write_waiters);
-                }
-            }
-            Some((
-                rt,
-                engine,
-                threads,
-                wait_waiters,
-                pipe_wakes,
-                touched,
-                causal_tail,
-            ))
+            let held_pipes: Vec<u64> = inner
+                .pipes
+                .iter()
+                .filter(|(_, p)| p.writers.contains(&pid.0) || p.readers.contains(&pid.0))
+                .map(|(id, _)| *id)
+                .collect();
+            Some((rt, engine, threads, wait_waiters, held_pipes, causal_tail))
         }) else {
             return;
         };
@@ -1581,11 +1476,14 @@ impl Kernel {
             rt.kill(t);
         }
         rt.clear_resource_owner(&Resource::Child(pid.0 as u64));
-        for p in touched_pipes {
-            self.refresh_pipe_owners(p);
-        }
-        for w in pipe_wakes {
-            rt.wake(w);
+        for id in held_pipes {
+            // Pipes are never deleted, so the lookup cannot fail.
+            let _ = self.pipe_op(PipeId(id), |p, _| {
+                let mut wakes = p.release(pid.0, End::Write).unwrap_or_default();
+                wakes.extend(p.release(pid.0, End::Read).unwrap_or_default());
+                ((), wakes)
+            });
+            self.refresh_pipe_owners(id);
         }
         for w in wait_waiters {
             rt.wake(w);
@@ -1631,54 +1529,43 @@ struct SliceSpan {
     main: bool,
 }
 
-/// The wrapper every process main thread runs in: delegates the slice
-/// to the guest, then lets the kernel do per-slice bookkeeping.
-struct ProcThread {
+/// The wrapper every thread of a process runs in. Each slice gets its
+/// own attributed causal span: a main thread's chain off the process
+/// root lives in the process table, an auxiliary thread's (stdin pumps
+/// and the like) here. After a main-thread slice the kernel does its
+/// per-slice bookkeeping.
+struct SliceThread {
     kernel: Kernel,
     pid: u32,
-    name: String,
-    inner: Box<dyn GuestThread>,
-}
-
-impl GuestThread for ProcThread {
-    fn run(&mut self, ctx: &mut ThreadContext<'_>) -> ThreadStep {
-        let slice = self
-            .kernel
-            .causal_slice_begin(self.pid, None, ctx.thread_id(), true);
-        let step = self.inner.run(ctx);
-        let step = self.kernel.after_main_slice(self.pid, ctx, step);
-        self.kernel.causal_slice_end(self.pid, slice, &mut None);
-        step
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// The wrapper for auxiliary process threads (stdin pumps and the
-/// like): each slice gets its own attributed causal span, chained
-/// per-thread off the process root.
-struct AuxSliceThread {
-    kernel: Kernel,
-    pid: u32,
+    main: bool,
     inner: Box<dyn GuestThread>,
     last: Option<SpanContext>,
 }
 
-impl GuestThread for AuxSliceThread {
+impl SliceThread {
+    fn new(kernel: &Kernel, pid: u32, main: bool, inner: Box<dyn GuestThread>) -> SliceThread {
+        SliceThread {
+            kernel: kernel.clone(),
+            pid,
+            main,
+            inner,
+            last: None,
+        }
+    }
+}
+
+impl GuestThread for SliceThread {
     fn run(&mut self, ctx: &mut ThreadContext<'_>) -> ThreadStep {
         let slice = self
             .kernel
-            .causal_slice_begin(self.pid, self.last, ctx.thread_id(), false);
-        let step = self.inner.run(ctx);
+            .causal_slice_begin(self.pid, self.last, ctx.thread_id(), self.main);
+        let mut step = self.inner.run(ctx);
+        if self.main {
+            step = self.kernel.after_main_slice(self.pid, ctx, step);
+        }
         self.kernel
             .causal_slice_end(self.pid, slice, &mut self.last);
         step
-    }
-
-    fn name(&self) -> &str {
-        self.inner.name()
     }
 }
 
@@ -2051,10 +1938,6 @@ mod tests {
             Err(KernelError::UnknownPipe(bogus))
         );
         assert_eq!(kernel.pipe_len(bogus), Err(KernelError::UnknownPipe(bogus)));
-        assert_eq!(
-            kernel.pipe_write_closed(bogus),
-            Err(KernelError::UnknownPipe(bogus))
-        );
         assert_eq!(
             kernel.feed_pipe(Pid(1), bogus, b"x"),
             Err(KernelError::UnknownPipe(bogus))

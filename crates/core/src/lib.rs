@@ -78,34 +78,18 @@ pub use waitgraph::{
 /// explicit-stack requirement of §4.1).
 pub struct FnThread<F: FnMut(&mut ThreadContext<'_>) -> ThreadStep> {
     f: F,
-    name: String,
 }
 
 impl<F: FnMut(&mut ThreadContext<'_>) -> ThreadStep> FnThread<F> {
     /// Wrap a closure as a guest thread.
     pub fn new(f: F) -> FnThread<F> {
-        FnThread {
-            f,
-            name: "fn-thread".to_string(),
-        }
-    }
-
-    /// Wrap a closure with a diagnostic name.
-    pub fn named(name: impl Into<String>, f: F) -> FnThread<F> {
-        FnThread {
-            f,
-            name: name.into(),
-        }
+        FnThread { f }
     }
 }
 
 impl<F: FnMut(&mut ThreadContext<'_>) -> ThreadStep> GuestThread for FnThread<F> {
     fn run(&mut self, ctx: &mut ThreadContext<'_>) -> ThreadStep {
         (self.f)(ctx)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 }
 

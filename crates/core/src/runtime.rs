@@ -67,11 +67,6 @@ pub enum ThreadStep {
 pub trait GuestThread {
     /// Run one slice.
     fn run(&mut self, ctx: &mut ThreadContext<'_>) -> ThreadStep;
-
-    /// Human-readable name for diagnostics.
-    fn name(&self) -> &str {
-        "guest"
-    }
 }
 
 /// Picks which ready thread runs next (§4.3: "Language implementations
@@ -489,14 +484,16 @@ impl DoppioRuntime {
     pub fn note_block(&self, id: ThreadId, resource: Resource, site: impl Into<String>) {
         let report = {
             let mut inner = self.inner.borrow_mut();
+            let inner = &mut *inner;
             inner.waits.note_block(id.0, resource, site.into());
             if inner.deadlock.is_some() {
                 None
             } else {
-                let names: Vec<String> = inner.threads.iter().map(|s| s.name.clone()).collect();
-                let found = inner
-                    .waits
-                    .find_cycle(id.0, &|t| names.get(t).cloned().unwrap_or_default());
+                // Only the threads of a cycle, which is rare, are named.
+                let threads = &inner.threads;
+                let found = inner.waits.find_cycle(id.0, &|t| {
+                    threads.get(t).map(|s| s.name.clone()).unwrap_or_default()
+                });
                 inner.deadlock = found.clone();
                 found
             }

@@ -12,7 +12,7 @@
 //! of them participates in the kernel's cross-process deadlock blame.
 
 use doppio_core::kernel::{Kernel, PipeRead, Process, SpawnOptions};
-use doppio_core::ThreadStep;
+use doppio_core::{FnThread, ThreadStep};
 use doppio_fs::FileSystem;
 
 use crate::jvm::Jvm;
@@ -63,19 +63,18 @@ pub fn spawn_jvm(
     if let Some(pipe) = stdin {
         let k = kernel.clone();
         let handle = jvm.stdin_handle();
-        kernel.spawn_fn_aux(pid, "stdin-pump", move |ctx| {
-            match k.read_pipe(ctx, pipe, STDIN_CHUNK) {
-                Ok(PipeRead::Data(d)) => {
-                    handle.push(&d);
-                    ThreadStep::Yielded
-                }
-                Ok(PipeRead::WouldBlock) => ThreadStep::Blocked,
-                Ok(PipeRead::Eof) | Err(_) => {
-                    handle.close();
-                    ThreadStep::Finished
-                }
+        let pump = FnThread::new(move |ctx| match k.read_pipe(ctx, pipe, STDIN_CHUNK) {
+            Ok(PipeRead::Data(d)) => {
+                handle.push(&d);
+                ThreadStep::Yielded
+            }
+            Ok(PipeRead::WouldBlock) => ThreadStep::Blocked,
+            Ok(PipeRead::Eof) | Err(_) => {
+                handle.close();
+                ThreadStep::Finished
             }
         });
+        kernel.spawn_aux(pid, "stdin-pump", Box::new(pump));
     }
     kernel
         .set_exit_probe(pid, jvm.exit_probe())

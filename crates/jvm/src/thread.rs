@@ -174,10 +174,6 @@ impl GuestThread for JvmThread {
             }
         }
     }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
 }
 
 /// Virtual-clock sampling profiler hook: when a suspend check fires at

@@ -461,7 +461,7 @@ impl CausalGraph {
                     node.wait = arg_str(ev, "wait").cloned();
                     node.parent = arg_u64(ev, "parent").unwrap_or(0);
                     node.start_ns = node.start_ns.min(ev.ts_ns);
-                    node.end_ns = node.end_ns.max(ev.ts_ns + ev.dur_ns);
+                    node.end_ns = node.end_ns.max(ev.ts_ns.saturating_add(ev.dur_ns));
                 }
                 Phase::FlowStart => {
                     g.touch(trace, span, ev.ts_ns);
@@ -606,7 +606,12 @@ impl CausalGraph {
         // Start from the terminal node: the latest-ending span of the
         // request's trace.
         let Some(&terminal) = self.terminal.get(&req.trace_id) else {
-            push_step(&mut steps, "", UNATTRIBUTED, end - req.begin_ns);
+            push_step(
+                &mut steps,
+                "",
+                UNATTRIBUTED,
+                end.saturating_sub(req.begin_ns),
+            );
             return steps;
         };
 
@@ -801,8 +806,7 @@ impl ClassStats {
         self.attributed
             .iter()
             .filter(|(k, _)| k.as_str() != UNATTRIBUTED)
-            .map(|(_, v)| v)
-            .sum()
+            .fold(0u64, |sum, (_, v)| sum.saturating_add(*v))
     }
 }
 
@@ -850,13 +854,16 @@ impl CausalReport {
                 report.in_flight += 1;
                 continue;
             };
-            let wall = end - req.begin_ns;
+            // An imported trace may end a request before it begins, or
+            // sum past u64::MAX: the arithmetic saturates.
+            let wall = end.saturating_sub(req.begin_ns);
             let path = graph.critical_path(req);
             let stats = slot(&mut report.classes, &req.class);
             stats.requests += 1;
-            stats.wall_ns += wall;
+            stats.wall_ns = stats.wall_ns.saturating_add(wall);
             for (cat, ns) in &path {
-                *slot(&mut stats.attributed, cat) += ns;
+                let sum = slot(&mut stats.attributed, cat);
+                *sum = sum.saturating_add(*ns);
             }
             if (wall, req.trace_id) >= (stats.slowest_wall_ns, stats.slowest_trace) {
                 stats.slowest_wall_ns = wall;
@@ -868,19 +875,20 @@ impl CausalReport {
     }
 
     /// Merge per-tenant reports (order-independent: counters sum,
-    /// slowest request is the max by `(wall, trace_id)`, truncation is
-    /// sticky).
+    /// saturating, slowest request is the max by `(wall, trace_id)`,
+    /// truncation is sticky).
     pub fn merge(reports: &[CausalReport]) -> CausalReport {
         let mut out = CausalReport::default();
         for r in reports {
-            out.truncated += r.truncated;
-            out.in_flight += r.in_flight;
+            out.truncated = out.truncated.saturating_add(r.truncated);
+            out.in_flight = out.in_flight.saturating_add(r.in_flight);
             for (class, s) in &r.classes {
                 let slot = out.classes.entry(class.clone()).or_default();
-                slot.requests += s.requests;
-                slot.wall_ns += s.wall_ns;
+                slot.requests = slot.requests.saturating_add(s.requests);
+                slot.wall_ns = slot.wall_ns.saturating_add(s.wall_ns);
                 for (cat, ns) in &s.attributed {
-                    *slot.attributed.entry(cat.clone()).or_insert(0) += ns;
+                    let sum = slot.attributed.entry(cat.clone()).or_insert(0);
+                    *sum = sum.saturating_add(*ns);
                 }
                 if (s.slowest_wall_ns, s.slowest_trace)
                     >= (slot.slowest_wall_ns, slot.slowest_trace)
@@ -1135,6 +1143,74 @@ mod tests {
         let q = TraceQuery::new(&graph);
         let err = q.assert_happens_before("a", "b").unwrap_err();
         assert!(err.contains("[truncated:"), "{err}");
+    }
+
+    /// A Chrome trace document holding `events`, each a JSON object's
+    /// members without `pid` and `tid`.
+    fn chrome_doc(events: &[&str]) -> String {
+        let events: Vec<String> = events
+            .iter()
+            .map(|e| format!("{{{e},\"pid\":1,\"tid\":0}}"))
+            .collect();
+        format!(
+            "{{\"traceEvents\":[{}],\"metadata\":{{\"dropped_events\":0}}}}",
+            events.join(",")
+        )
+    }
+
+    /// Import `doc` and analyze it, render the report both ways and
+    /// merge it with itself: nothing on the way may panic.
+    fn analyze_imported(doc: &str) -> CausalReport {
+        let (events, dropped) = crate::chrome::import(doc).expect("valid document");
+        let report = CausalReport::analyze(&events, dropped);
+        report.to_markdown();
+        report.to_json_string();
+        CausalReport::merge(&[report.clone(), report.clone()]);
+        report
+    }
+
+    #[test]
+    fn an_imported_request_that_ends_before_it_begins_has_no_wall() {
+        let doc = chrome_doc(&[
+            r#""name":"req.begin","cat":"causal","ph":"i","ts":5,"args":{"trace":1,"span":1,"class":"c"}"#,
+            r#""name":"req.end","cat":"causal","ph":"i","ts":2,"args":{"trace":1,"span":1}"#,
+        ]);
+        let s = &analyze_imported(&doc).classes["c"];
+        assert_eq!((s.requests, s.wall_ns, s.slowest_wall_ns), (1, 0, 0));
+    }
+
+    #[test]
+    fn imported_walls_past_u64_max_saturate() {
+        // ts 1e17 us is 1e20 ns, which imports as u64::MAX: each
+        // request's wall is u64::MAX. The second request's span ends at
+        // a sum past u64::MAX, and its `interp` time adds to the
+        // first's.
+        let request = |id: u32, span: &str| {
+            [
+                format!(
+                    r#""name":"req.begin","cat":"causal","ph":"i","ts":0,"args":{{"trace":{id},"span":{id},"class":"c"}}"#
+                ),
+                format!(r#"{span},"cat":"causal","ph":"X","args":{{"trace":{id},"span":{id}}}"#),
+                format!(
+                    r#""name":"req.end","cat":"causal","ph":"i","ts":1e17,"args":{{"trace":{id},"span":{id}}}"#
+                ),
+            ]
+        };
+        let events: Vec<String> = [
+            request(1, r#""name":"interp","ts":0,"dur":1e17"#),
+            request(2, r#""name":"interp","ts":1e16,"dur":1e16"#),
+            request(3, r#""name":"io","ts":0,"dur":1e17"#),
+        ]
+        .concat();
+        let events: Vec<&str> = events.iter().map(String::as_str).collect();
+        let report = analyze_imported(&chrome_doc(&events));
+        let s = &report.classes["c"];
+        assert_eq!((s.requests, s.wall_ns), (3, u64::MAX));
+        assert_eq!(s.attributed["interp"], u64::MAX);
+        assert_eq!(s.named_ns(), u64::MAX);
+        let merged = CausalReport::merge(&[report.clone(), report]);
+        assert_eq!(merged.classes["c"].requests, 6);
+        assert_eq!(merged.classes["c"].wall_ns, u64::MAX);
     }
 
     #[test]
