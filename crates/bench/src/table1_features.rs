@@ -16,14 +16,16 @@ use doppio_fs::{backends, FileSystem};
 use doppio_heap::UnmanagedHeap;
 use doppio_jsengine::{Browser, Engine};
 use doppio_jvm::{fsutil, Jvm};
-use doppio_sockets::{DoppioSocket, Network, ServerConn, SocketState, TcpServerApp, Websockify};
+use doppio_sockets::{
+    DoppioSocket, Network, Segment, ServerConn, SocketState, TcpServerApp, Websockify,
+};
 
 use crate::rule;
 
 struct Echo;
 impl TcpServerApp for Echo {
     fn on_connect(&self, _: &Engine, _: ServerConn) {}
-    fn on_data(&self, _: &Engine, c: ServerConn, d: Vec<u8>) {
+    fn on_data(&self, _: &Engine, c: ServerConn, d: Segment) {
         c.send(d);
     }
     fn on_close(&self, _: &Engine, _: doppio_sockets::ConnId) {}

@@ -630,7 +630,9 @@ impl Kernel {
     /// Guest-side pipe read (called from inside a slice). On
     /// [`PipeRead::WouldBlock`] the calling thread has been registered
     /// as a waiter and its wait-for edge recorded; it must return
-    /// [`ThreadStep::Blocked`]. Errors on a pipe id this kernel never
+    /// [`ThreadStep::Blocked`]. A read of `max == 0` bytes returns at
+    /// once, as in POSIX: no bytes, or [`PipeRead::Eof`] on an empty
+    /// pipe with no writers. Errors on a pipe id this kernel never
     /// created.
     pub fn read_pipe(
         &self,
@@ -638,6 +640,20 @@ impl Kernel {
         pipe: PipeId,
         max: usize,
     ) -> Result<PipeRead, KernelError> {
+        if max == 0 {
+            // Nothing moves, so nothing is faulted, parked or woken,
+            // and the pending flow tokens stay for the read that takes
+            // the bytes.
+            return self.pipe_op(pipe, |p, _| {
+                let eof = p.buf.is_empty() && p.writers.is_empty();
+                let read = if eof {
+                    PipeRead::Eof
+                } else {
+                    PipeRead::Data(Vec::new())
+                };
+                (read, Vec::new())
+            });
+        }
         let me = ctx.thread_id();
         let my_pid = ctx.runtime().thread_tag(me);
         if self.draw_pipe_fault(ctx, "read", pipe)? {
@@ -809,15 +825,20 @@ impl Kernel {
     }
 
     /// Drain everything currently buffered (host-side collection of a
-    /// pipeline's final output). Wakes blocked writers. Errors on a
-    /// pipe id this kernel never created.
+    /// pipeline's final output). Wakes blocked writers. Errors if the
+    /// pipe is unknown, or the host's read end was closed or released
+    /// to a process.
     pub fn host_read(&self, pipe: PipeId) -> Result<Vec<u8>, KernelError> {
         self.pipe_op(pipe, |p, _| {
+            if !p.readers.contains(&HOST) {
+                return (Err(KernelError::PipeEndClosed(pipe)), Vec::new());
+            }
             // The host has no causal context; pending write tokens are
             // consumed without an edge rather than left to dangle.
             p.flows.clear();
-            p.take(usize::MAX)
-        })
+            let (data, wakes) = p.take(usize::MAX);
+            (Ok(data), wakes)
+        })?
     }
 
     /// Bytes currently buffered in `pipe`.
@@ -1984,6 +2005,71 @@ mod tests {
             kernel.host_write(stdout, b"x"),
             Err(KernelError::PipeEndClosed(stdout))
         );
+    }
+
+    /// `host_read` mirrors `host_write`: once the host no longer holds
+    /// the read end it drains nothing, whoever holds the bytes.
+    #[test]
+    fn host_read_needs_the_hosts_read_end() {
+        let kernel = stock_kernel();
+        let closed = kernel.pipe();
+        kernel.host_write(closed, b"left").unwrap();
+        kernel.host_close_read(closed).unwrap();
+        assert_eq!(
+            kernel.host_read(closed),
+            Err(KernelError::PipeEndClosed(closed))
+        );
+        // Wired as a process's stdin, the bytes are the process's.
+        let stdin = kernel.pipe();
+        kernel.host_write(stdin, b"theirs").unwrap();
+        let _p = kernel.spawn_fn(SpawnOptions::new("r").stdin(stdin), |_| {
+            ThreadStep::Finished
+        });
+        assert_eq!(
+            kernel.host_read(stdin),
+            Err(KernelError::PipeEndClosed(stdin))
+        );
+        assert_eq!(kernel.pipe_len(stdin), Ok(6));
+        // The host still reads a process's stdout.
+        let stdout = kernel.pipe();
+        let w = kernel.spawn_fn(SpawnOptions::new("w").stdout(stdout), |_| {
+            ThreadStep::Finished
+        });
+        kernel.feed_pipe(w.pid(), stdout, b"out").unwrap();
+        assert_eq!(kernel.host_read(stdout), Ok(b"out".to_vec()));
+    }
+
+    /// A zero-byte read returns at once: no bytes from a pipe with
+    /// writers, buffered bytes or not, and EOF from an empty pipe with
+    /// none. It never parks.
+    #[test]
+    fn zero_byte_reads_return_at_once() {
+        let kernel = stock_kernel();
+        let empty = kernel.pipe();
+        let full = kernel.pipe();
+        kernel.host_write(full, b"kept").unwrap();
+        let done = kernel.pipe();
+        kernel.host_close_write(done).unwrap();
+        let k = kernel.clone();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let s = seen.clone();
+        kernel.spawn_fn(SpawnOptions::new("zero"), move |ctx| {
+            for pipe in [empty, full, done] {
+                s.borrow_mut()
+                    .push(k.read_pipe(ctx, pipe, 0).expect("live pipe"));
+            }
+            ThreadStep::Finished
+        });
+        kernel.run().unwrap();
+        assert_eq!(
+            *seen.borrow(),
+            [
+                PipeRead::Data(Vec::new()),
+                PipeRead::Data(Vec::new()),
+                PipeRead::Eof
+            ]
+        );
+        assert_eq!(kernel.host_read(full), Ok(b"kept".to_vec()));
     }
 
     #[test]

@@ -9,18 +9,26 @@
 //! WebSockets route through the Websockify **Flash shim**
 //! automatically.
 //!
+//! Underneath both sits a simulated TCP [`Network`] that carries every
+//! transmission as a [`Segment`]: an ordered list of shared [`Bytes`]
+//! parts (scatter-gather, like an iovec). A sender hands over buffers
+//! it already holds, a `Split` fault cuts a segment by slicing a part,
+//! and receivers get the parts themselves, so a payload crosses every
+//! hop as one host allocation. Receivers that want contiguous bytes
+//! call [`Segment::to_vec`].
+//!
 //! # Example: echo through the bridge
 //!
 //! ```
 //! use doppio_jsengine::{Browser, Engine};
-//! use doppio_sockets::{DoppioSocket, Network, ServerConn, TcpServerApp, Websockify};
+//! use doppio_sockets::{DoppioSocket, Network, Segment, ServerConn, TcpServerApp, Websockify};
 //! use std::rc::Rc;
 //!
 //! struct Echo;
 //! impl TcpServerApp for Echo {
 //!     fn on_connect(&self, _: &Engine, _: ServerConn) {}
-//!     fn on_data(&self, _: &Engine, c: ServerConn, data: Vec<u8>) {
-//!         c.send(data); // an unmodified TCP echo server
+//!     fn on_data(&self, _: &Engine, c: ServerConn, data: Segment) {
+//!         c.send(data); // an unmodified TCP echo server: the same parts go back
 //!     }
 //!     fn on_close(&self, _: &Engine, _: doppio_sockets::ConnId) {}
 //! }
@@ -37,6 +45,7 @@
 //! assert_eq!(sock.recv(64), b"hello");
 //! ```
 
+pub mod bytes;
 pub mod frames;
 pub mod handshake;
 pub mod network;
@@ -45,6 +54,7 @@ pub mod socket;
 pub mod websocket;
 pub mod websockify;
 
+pub use bytes::{Bytes, Segment};
 pub use frames::{Frame, FrameDecoder, FrameError, Opcode};
 pub use network::{ClientHandlers, ConnId, NetError, Network, ServerConn, TcpServerApp};
 pub use socket::{DoppioSocket, SocketConfig, SocketState};
@@ -70,7 +80,7 @@ mod tests {
     struct Echo;
     impl TcpServerApp for Echo {
         fn on_connect(&self, _: &Engine, _: ServerConn) {}
-        fn on_data(&self, _: &Engine, c: ServerConn, data: Vec<u8>) {
+        fn on_data(&self, _: &Engine, c: ServerConn, data: Segment) {
             c.send(data);
         }
         fn on_close(&self, _: &Engine, _: ConnId) {}
@@ -83,8 +93,8 @@ mod tests {
     }
     impl TcpServerApp for Recorder {
         fn on_connect(&self, _: &Engine, _: ServerConn) {}
-        fn on_data(&self, _: &Engine, _c: ServerConn, data: Vec<u8>) {
-            self.got.borrow_mut().extend(data);
+        fn on_data(&self, _: &Engine, _c: ServerConn, data: Segment) {
+            self.got.borrow_mut().extend(data.to_vec());
         }
         fn on_close(&self, _: &Engine, _: ConnId) {}
     }
@@ -143,7 +153,7 @@ mod tests {
         struct Slammer;
         impl TcpServerApp for Slammer {
             fn on_connect(&self, _: &Engine, _: ServerConn) {}
-            fn on_data(&self, _: &Engine, c: ServerConn, _d: Vec<u8>) {
+            fn on_data(&self, _: &Engine, c: ServerConn, _d: Segment) {
                 c.close();
             }
             fn on_close(&self, _: &Engine, _: ConnId) {}
@@ -293,7 +303,7 @@ mod tests {
         struct BlackHole;
         impl TcpServerApp for BlackHole {
             fn on_connect(&self, _: &Engine, _: ServerConn) {}
-            fn on_data(&self, _: &Engine, _: ServerConn, _d: Vec<u8>) {}
+            fn on_data(&self, _: &Engine, _: ServerConn, _d: Segment) {}
             fn on_close(&self, _: &Engine, _: ConnId) {}
         }
         let engine = Engine::new(Browser::Chrome);
@@ -345,7 +355,7 @@ mod tests {
         struct BlackHole;
         impl TcpServerApp for BlackHole {
             fn on_connect(&self, _: &Engine, _: ServerConn) {}
-            fn on_data(&self, _: &Engine, _: ServerConn, _d: Vec<u8>) {}
+            fn on_data(&self, _: &Engine, _: ServerConn, _d: Segment) {}
             fn on_close(&self, _: &Engine, _: ConnId) {}
         }
         let engine = Engine::new(Browser::Chrome);
@@ -379,7 +389,7 @@ mod tests {
                 8080,
                 ClientHandlers {
                     on_connect: None,
-                    on_data: Some(Box::new(move |_, d| r.borrow_mut().extend(d))),
+                    on_data: Some(Box::new(move |_, d| r.borrow_mut().extend(d.to_vec()))),
                     on_close: None,
                 },
             )

@@ -7,6 +7,11 @@
 //! engine's event loop. Both the WebSocket client emulation and the
 //! Websockify bridge run over this fabric.
 //!
+//! Every transmission is a [`Segment`]: an ordered list of shared
+//! [`Bytes`](crate::Bytes) parts. Senders hand over buffers they already
+//! hold, and the fabric delivers the same parts, so a payload crosses
+//! any number of hops without being copied.
+//!
 //! The fabric is perfectly reliable by default. Attach a seeded
 //! [`FaultPlan`] with [`Network::set_faults`] and every transmission
 //! becomes a deterministic fault-decision point: segments can be
@@ -21,6 +26,8 @@ use std::rc::Rc;
 use doppio_faults::{FaultPlan, NetFault};
 use doppio_jsengine::Engine;
 use doppio_trace::Histogram;
+
+use crate::bytes::Segment;
 
 /// Identifies one TCP connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,7 +59,7 @@ pub trait TcpServerApp {
     /// A new connection was accepted.
     fn on_connect(&self, engine: &Engine, conn: ServerConn);
     /// Bytes arrived from the client.
-    fn on_data(&self, engine: &Engine, conn: ServerConn, data: Vec<u8>);
+    fn on_data(&self, engine: &Engine, conn: ServerConn, data: Segment);
     /// The connection closed (client-initiated, server-initiated, or a
     /// fabric reset) — fired exactly once per established connection.
     fn on_close(&self, engine: &Engine, conn: ConnId);
@@ -65,7 +72,7 @@ pub struct ClientHandlers {
     /// Connection established.
     pub on_connect: Option<Box<dyn FnOnce(&Engine)>>,
     /// Bytes arrived from the server.
-    pub on_data: Option<Box<dyn FnMut(&Engine, Vec<u8>)>>,
+    pub on_data: Option<Box<dyn FnMut(&Engine, Segment)>>,
     /// The connection closed (server-initiated or a fabric reset).
     pub on_close: Option<Box<dyn FnOnce(&Engine)>>,
 }
@@ -294,7 +301,7 @@ impl Network {
     /// Deliver one client→server segment after `delay` (flushes even if
     /// the connection closes meanwhile — TCP delivers queued segments
     /// before FIN).
-    fn deliver_to_server(&self, id: ConnId, app: Rc<dyn TcpServerApp>, delay: u64, data: Vec<u8>) {
+    fn deliver_to_server(&self, id: ConnId, app: Rc<dyn TcpServerApp>, delay: u64, data: Segment) {
         self.schedule(id, delay, move |e, net| {
             app.on_data(
                 e,
@@ -308,7 +315,8 @@ impl Network {
     }
 
     /// Send client→server bytes.
-    pub fn client_send(&self, id: ConnId, data: Vec<u8>) -> Result<(), NetError> {
+    pub fn client_send(&self, id: ConnId, data: impl Into<Segment>) -> Result<(), NetError> {
+        let data = data.into();
         let (app, engine) = {
             let inner = self.inner.borrow();
             let conn = inner.conns.get(&id).ok_or(NetError::Closed(id))?;
@@ -336,7 +344,7 @@ impl Network {
             Some(NetFault::Split(at)) => {
                 // Partial delivery: the segment arrives in two pieces,
                 // each paying its own transfer time.
-                let (head, tail) = (data[..at].to_vec(), data[at..].to_vec());
+                let (head, tail) = data.split_at(at);
                 let d1 = self.transfer_delay(head.len());
                 let d2 = d1 + self.transfer_delay(tail.len());
                 self.deliver_to_server(id, app.clone(), d1, head);
@@ -350,7 +358,7 @@ impl Network {
     }
 
     /// Deliver one server→client segment after `delay`.
-    fn deliver_to_client(&self, id: ConnId, delay: u64, data: Vec<u8>) {
+    fn deliver_to_client(&self, id: ConnId, delay: u64, data: Segment) {
         self.schedule(id, delay, move |e, net| {
             // Take the handler out, call it, put it back: it must not
             // be invoked while the fabric is borrowed.
@@ -372,7 +380,7 @@ impl Network {
     }
 
     /// Send server→client bytes.
-    fn server_send(&self, id: ConnId, data: Vec<u8>) {
+    fn server_send(&self, id: ConnId, data: Segment) {
         let (engine, open) = {
             let inner = self.inner.borrow();
             let open = inner.conns.get(&id).map(|c| c.open).unwrap_or(false);
@@ -393,7 +401,7 @@ impl Network {
             }
             Some(NetFault::LatencySpike(extra)) => delay += extra,
             Some(NetFault::Split(at)) => {
-                let (head, tail) = (data[..at].to_vec(), data[at..].to_vec());
+                let (head, tail) = data.split_at(at);
                 let d1 = self.transfer_delay(head.len());
                 let d2 = d1 + self.transfer_delay(tail.len());
                 self.deliver_to_client(id, d1, head);
@@ -532,8 +540,8 @@ impl ServerConn {
     }
 
     /// Send bytes to the client.
-    pub fn send(&self, data: Vec<u8>) {
-        self.net.server_send(self.id, data);
+    pub fn send(&self, data: impl Into<Segment>) {
+        self.net.server_send(self.id, data.into());
     }
 
     /// Close the connection.
@@ -545,6 +553,7 @@ impl ServerConn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Bytes;
     use doppio_faults::FaultConfig;
     use doppio_jsengine::Browser;
 
@@ -552,7 +561,7 @@ mod tests {
     struct Echo;
     impl TcpServerApp for Echo {
         fn on_connect(&self, _e: &Engine, _c: ServerConn) {}
-        fn on_data(&self, _e: &Engine, c: ServerConn, data: Vec<u8>) {
+        fn on_data(&self, _e: &Engine, c: ServerConn, data: Segment) {
             c.send(data);
         }
         fn on_close(&self, _e: &Engine, _c: ConnId) {}
@@ -569,8 +578,8 @@ mod tests {
         fn on_connect(&self, _e: &Engine, c: ServerConn) {
             self.connects.borrow_mut().push(c.id());
         }
-        fn on_data(&self, _e: &Engine, _c: ServerConn, data: Vec<u8>) {
-            self.data.borrow_mut().extend(data);
+        fn on_data(&self, _e: &Engine, _c: ServerConn, data: Segment) {
+            self.data.borrow_mut().extend(data.to_vec());
         }
         fn on_close(&self, _e: &Engine, c: ConnId) {
             self.closes.borrow_mut().push(c);
@@ -583,7 +592,7 @@ mod tests {
     }
     impl TcpServerApp for Slammer {
         fn on_connect(&self, _e: &Engine, _c: ServerConn) {}
-        fn on_data(&self, _e: &Engine, c: ServerConn, _d: Vec<u8>) {
+        fn on_data(&self, _e: &Engine, c: ServerConn, _d: Segment) {
             c.close();
         }
         fn on_close(&self, _e: &Engine, c: ConnId) {
@@ -604,7 +613,7 @@ mod tests {
                 7,
                 ClientHandlers {
                     on_connect: None,
-                    on_data: Some(Box::new(move |_, d| r.borrow_mut().extend(d))),
+                    on_data: Some(Box::new(move |_, d| r.borrow_mut().extend(d.to_vec()))),
                     on_close: None,
                 },
             )
@@ -871,5 +880,77 @@ mod tests {
         net.client_send(id, b"abcdefgh".to_vec()).unwrap();
         engine.run_until_idle();
         assert_eq!(app.data.borrow().as_slice(), b"abcdefgh");
+    }
+
+    /// Whether every part of `seg` lies inside one of `parts`' buffers
+    /// (it was sliced from them, not copied).
+    fn shares_buffers(seg: &Segment, parts: &[Bytes]) -> bool {
+        seg.parts().iter().all(|p| {
+            let r = p.as_ptr_range();
+            parts.iter().any(|q| {
+                let q = q.as_ptr_range();
+                q.start <= r.start && r.end <= q.end
+            })
+        })
+    }
+
+    /// Cutting a multi-part segment at any offset gives the same bytes
+    /// as slicing the contiguous vector there, and copies nothing.
+    #[test]
+    fn segment_split_matches_vec_slicing_at_every_offset() {
+        let parts: Vec<Bytes> = [&b"head"[..], b"", b"a-payload", b"z"]
+            .into_iter()
+            .map(Bytes::copy_from_slice)
+            .collect();
+        let seg: Segment = parts.iter().cloned().collect();
+        let flat = seg.to_vec();
+        assert_eq!(flat, b"heada-payloadz");
+        for at in 0..=flat.len() {
+            let (head, tail) = seg.clone().split_at(at);
+            assert_eq!(head.to_vec(), &flat[..at], "head at {at}");
+            assert_eq!(tail.to_vec(), &flat[at..], "tail at {at}");
+            assert_eq!((head.len(), tail.len()), (at, flat.len() - at));
+            assert!(head
+                .parts()
+                .iter()
+                .chain(tail.parts())
+                .all(|p| !p.is_empty()));
+            assert!(shares_buffers(&head, &parts) && shares_buffers(&tail, &parts));
+        }
+    }
+
+    /// A split fault delivers the sender's own parts, sliced.
+    #[test]
+    fn injected_split_delivers_slices_of_the_senders_parts() {
+        struct Parts(RefCell<Vec<Segment>>);
+        impl TcpServerApp for Parts {
+            fn on_connect(&self, _e: &Engine, _c: ServerConn) {}
+            fn on_data(&self, _e: &Engine, _c: ServerConn, data: Segment) {
+                self.0.borrow_mut().push(data);
+            }
+            fn on_close(&self, _e: &Engine, _c: ConnId) {}
+        }
+        let engine = Engine::new(Browser::Chrome);
+        let net = Network::new(&engine);
+        let app = Rc::new(Parts(RefCell::new(Vec::new())));
+        net.listen(7, app.clone());
+        let id = net.connect(7, ClientHandlers::default()).unwrap();
+        engine.run_until_idle();
+        net.set_faults(FaultPlan::new(
+            5,
+            FaultConfig {
+                net_split_p: 1.0,
+                max_net_faults: 1,
+                ..FaultConfig::default()
+            },
+        ));
+        let parts = [Bytes::from(b"head".to_vec()), Bytes::from(vec![7; 3000])];
+        let sent: Segment = parts.iter().cloned().collect();
+        net.client_send(id, sent.clone()).unwrap();
+        engine.run_until_idle();
+        let got = app.0.borrow();
+        assert_eq!(got.len(), 2, "one segment, delivered in two pieces");
+        assert_eq!([got[0].to_vec(), got[1].to_vec()].concat(), sent.to_vec());
+        assert!(got.iter().all(|seg| shares_buffers(seg, &parts)));
     }
 }

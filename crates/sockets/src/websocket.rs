@@ -15,6 +15,7 @@ use std::rc::Rc;
 use doppio_jsengine::{Cost, Engine};
 use doppio_trace::{cat, ArgValue};
 
+use crate::bytes::Segment;
 use crate::frames::{encode, Frame, FrameDecoder, Opcode};
 use crate::handshake;
 use crate::network::{ClientHandlers, ConnId, NetError, Network};
@@ -154,7 +155,9 @@ impl WebSocket {
                         }
                         let _ = e2;
                     })),
-                    on_data: Some(Box::new(move |e2, data| ws4.on_bytes(e2, data))),
+                    on_data: Some(Box::new(move |e2, data: Segment| {
+                        ws4.on_bytes(e2, data.to_vec())
+                    })),
                     on_close: Some(Box::new({
                         let ws5 = ws2.clone();
                         move |e2: &Engine| ws5.handle_close(e2)

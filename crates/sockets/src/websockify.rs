@@ -16,6 +16,7 @@ use std::rc::Rc;
 
 use doppio_jsengine::Engine;
 
+use crate::bytes::Segment;
 use crate::frames::{encode, Frame, FrameDecoder, Opcode};
 use crate::handshake;
 use crate::network::{ClientHandlers, ConnId, Network, ServerConn, TcpServerApp};
@@ -71,9 +72,9 @@ impl Websockify {
             self.target_port,
             ClientHandlers {
                 on_connect: None,
-                on_data: Some(Box::new(move |_e, bytes| {
+                on_data: Some(Box::new(move |_e, bytes: Segment| {
                     // Target → client: wrap in an unmasked binary frame.
-                    outer_for_data.send(encode(&Frame::binary(bytes), None));
+                    outer_for_data.send(encode(&Frame::binary(bytes.to_vec()), None));
                 })),
                 on_close: Some(Box::new(move |_e: &Engine| {
                     outer_for_close.send(encode(&Frame::close(), None));
@@ -164,7 +165,8 @@ impl TcpServerApp for Websockify {
         );
     }
 
-    fn on_data(&self, engine: &Engine, conn: ServerConn, data: Vec<u8>) {
+    fn on_data(&self, engine: &Engine, conn: ServerConn, data: Segment) {
+        let data = data.to_vec();
         enum Next {
             Wait,
             Handshake { key: String, extra: Vec<u8> },

@@ -23,7 +23,7 @@ use std::rc::Rc;
 use doppio_fs::backend::FsCallback;
 use doppio_fs::backends::replicated::ObjectStoreClient;
 use doppio_jsengine::Engine;
-use doppio_sockets::{ClientHandlers, ConnId, Network};
+use doppio_sockets::{Bytes, ClientHandlers, ConnId, Network, Segment};
 use doppio_trace::SpanContext;
 
 use crate::history::{HistoryRecorder, OpKind};
@@ -37,7 +37,7 @@ const RECONNECT_NS: u64 = 2_000_000;
 
 /// Completion callback for a raw request: `None` means not-found (get)
 /// or, for writes, is ignored.
-type DoneFn = Box<dyn FnOnce(&Engine, Option<Vec<u8>>)>;
+type DoneFn = Box<dyn FnOnce(&Engine, Option<Bytes>)>;
 
 /// What a pending request asks of the primary. A write shares its op,
 /// payload included, with the write-through cache.
@@ -60,7 +60,7 @@ struct Pending {
 
 impl Pending {
     /// The request frame for this op under correlation id `req_id`.
-    fn frame(&self, req_id: u64) -> Vec<u8> {
+    fn frame(&self, req_id: u64) -> Segment {
         let ctx = self.trace.as_ref().map(|t| t.ctx);
         match &self.op {
             PendingOp::Get(key) => encode_get(req_id, key, ctx),
@@ -192,8 +192,9 @@ impl StorageClient {
         &self.inner.label
     }
 
-    /// Fetch the blob at `key` (`Ok(None)` if absent).
-    pub fn kv_get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
+    /// Fetch the blob at `key` (`Ok(None)` if absent). The blob is the
+    /// primary's, shared, not a copy.
+    pub fn kv_get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Bytes>>) {
         let hist = self.begin_history(engine, key, OpKind::Read);
         let trace = begin_op(engine, "storage:get");
         let inner = self.inner.clone();
@@ -204,14 +205,14 @@ impl StorageClient {
                 .borrow()
                 .cache
                 .get(key)
-                .map(|op| op.data().map(<[u8]>::to_vec));
+                .map(|op| op.data().cloned());
             if let Some(value) = cached {
                 counter(engine, "storage.cache.hit");
                 let ctx = trace.as_ref().map(|t| t.ctx);
                 engine.with_causal_ctx(ctx, || {
                     engine.complete_async_after(CACHE_HIT_NS, move |e| {
                         finish_op(e, &trace, false);
-                        complete_history(&inner, hist, e, observed(&value));
+                        complete_history(&inner, hist, e, value.clone());
                         cb(e, Ok(value));
                     });
                 });
@@ -236,7 +237,7 @@ impl StorageClient {
                     };
                     inner.state.borrow_mut().cache.insert(key, Rc::new(read));
                 }
-                complete_history(&inner, hist, e, observed(&value));
+                complete_history(&inner, hist, e, value.clone());
                 cb(e, Ok(value));
             }),
         );
@@ -244,13 +245,7 @@ impl StorageClient {
 
     /// Execute a journaled, replicated write.
     pub fn kv_write(&self, engine: &Engine, op: WriteOp, cb: FsCallback<()>) {
-        let kind = match &op {
-            WriteOp::Put { data, .. } => {
-                OpKind::Write(Some(String::from_utf8_lossy(data).into_owned()))
-            }
-            WriteOp::Delete { .. } => OpKind::Write(None),
-        };
-        let hist = self.begin_history(engine, op.key(), kind);
+        let hist = self.begin_history(engine, op.key(), OpKind::Write(op.data().cloned()));
         let trace = begin_op(
             engine,
             match &op {
@@ -289,17 +284,11 @@ impl StorageClient {
     }
 }
 
-fn observed(value: &Option<Vec<u8>>) -> Option<String> {
-    value
-        .as_ref()
-        .map(|v| String::from_utf8_lossy(v).into_owned())
-}
-
 fn complete_history(
     inner: &Rc<ClientInner>,
     token: Option<usize>,
     engine: &Engine,
-    obs: Option<String>,
+    obs: Option<Bytes>,
 ) {
     if let (Some(t), Some(h)) = (token, inner.history.borrow().as_ref()) {
         h.complete(t, engine.now_ns(), obs);
@@ -373,7 +362,7 @@ fn attempt_connect(inner: &Rc<ClientInner>, engine: &Engine) {
         on_connect: None,
         on_data: Some(Box::new(move |e, data| {
             let Some(inner) = w.upgrade() else { return };
-            for frame in buf.push(&data) {
+            for frame in buf.push(data) {
                 handle_frame(&inner, e, frame);
             }
         })),
@@ -410,7 +399,7 @@ fn attempt_connect(inner: &Rc<ClientInner>, engine: &Engine) {
 /// Re-send every pending request on a (re)established connection.
 /// Safe: gets are read-only, writes are idempotent whole-blob ops.
 fn flush_pending(inner: &Rc<ClientInner>, engine: &Engine, conn: ConnId) {
-    let frames: Vec<(u64, Vec<u8>, bool, Option<SpanContext>)> = {
+    let frames: Vec<(u64, Segment, bool, Option<SpanContext>)> = {
         let st = inner.state.borrow();
         st.pending
             .iter()
@@ -490,16 +479,23 @@ impl ObjectStoreClient for StorageClient {
         1_200
     }
 
+    /// The fs owns what it reads: the shared blob is copied out here.
     fn get(&self, engine: &Engine, key: &str, cb: FsCallback<Option<Vec<u8>>>) {
-        self.kv_get(engine, key, cb);
+        self.kv_get(
+            engine,
+            key,
+            Box::new(move |e, r| cb(e, r.map(|v| v.map(|b| b.to_vec())))),
+        );
     }
 
+    /// The fs hands its buffer over: it becomes the blob every node
+    /// shares, without a copy.
     fn put(&self, engine: &Engine, key: &str, data: Vec<u8>, cb: FsCallback<()>) {
         self.kv_write(
             engine,
             WriteOp::Put {
                 key: key.to_string(),
-                data,
+                data: data.into(),
             },
             cb,
         );
@@ -530,7 +526,7 @@ mod tests {
             e,
             WriteOp::Put {
                 key: key.into(),
-                data: data.to_vec(),
+                data: data.to_vec().into(),
             },
             Box::new(move |_, r| {
                 r.unwrap();
@@ -547,7 +543,7 @@ mod tests {
         c.kv_get(
             e,
             key,
-            Box::new(move |_, r| *o.borrow_mut() = Some(r.unwrap())),
+            Box::new(move |_, r| *o.borrow_mut() = Some(r.unwrap().map(|b| b.to_vec()))),
         );
         e.run_until_idle();
         let v = out.borrow_mut().take().unwrap();
@@ -612,7 +608,7 @@ mod tests {
             Box::new(move |_, r| *o.borrow_mut() = Some(r.unwrap())),
         );
         engine.run_until_idle();
-        assert_eq!(out.borrow().clone().unwrap().unwrap(), b"v");
+        assert_eq!(out.borrow().clone().unwrap().unwrap().to_vec(), b"v");
         assert!(engine.metrics().counter("storage.client.reconnect").get() >= 1);
     }
 }

@@ -26,12 +26,13 @@ use std::rc::{Rc, Weak};
 
 use doppio_faults::{FaultPlan, StorageFault};
 use doppio_jsengine::Engine;
-use doppio_sockets::{ConnId, Network, ServerConn, TcpServerApp};
+use doppio_sockets::{ConnId, Network, Segment, ServerConn, TcpServerApp};
 use doppio_trace::SpanContext;
 
 use crate::client::StorageClient;
 use crate::proto::{
-    encode_invalidate, encode_replicate, encode_response, Frame, FrameBuffer, RequestOp, WriteOp,
+    encode_ack, encode_invalidate, encode_replicate, encode_response, Frame, FrameBuffer,
+    RequestOp, WriteOp,
 };
 
 /// Cluster shape and protocol knobs.
@@ -68,7 +69,8 @@ struct Node {
     up: Cell<bool>,
     /// Volatile object map — lost on crash, rebuilt from the journal.
     /// Each key maps to the journaled put that wrote it, so the map and
-    /// the journal share one copy of the blob.
+    /// the journal share one op, whose blob is the allocation the
+    /// client wrote.
     objects: RefCell<BTreeMap<String, Rc<WriteOp>>>,
     /// Durable write-back journal: `(op, ctx)` in sequence order. It is
     /// dense and 1-based, so the record for sequence number `seq` sits
@@ -79,6 +81,7 @@ struct Node {
     /// Highest sequence number applied to `objects` (volatile).
     applied: Cell<u64>,
     /// Out-of-order replicate frames awaiting their gap (volatile).
+    /// Their blobs are still the primary's, shared.
     holdback: RefCell<BTreeMap<u64, WriteOp>>,
     /// All live server-side connections.
     conns: RefCell<HashMap<u64, ServerConn>>,
@@ -207,7 +210,7 @@ impl StorageCluster {
         objects
             .get(key)
             .and_then(|op| op.data())
-            .map(<[u8]>::to_vec)
+            .map(|data| data.to_vec())
     }
 
     /// Number of journal records on node `idx`.
@@ -250,7 +253,7 @@ impl TcpServerApp for NodeApp {
         node.conns.borrow_mut().insert(conn.id().0, conn);
     }
 
-    fn on_data(&self, engine: &Engine, conn: ServerConn, data: Vec<u8>) {
+    fn on_data(&self, engine: &Engine, conn: ServerConn, data: Segment) {
         let Some(inner) = self.cluster.upgrade() else {
             return;
         };
@@ -266,7 +269,7 @@ impl TcpServerApp for NodeApp {
             .borrow_mut()
             .entry(conn.id().0)
             .or_default()
-            .push(&data);
+            .push(data);
         for frame in frames {
             if !node.up.get() {
                 return; // a frame crashed the node; drop the rest
@@ -569,12 +572,7 @@ fn handle_replicate(
         node.applied.set(applied);
     }
     // Ack the contiguous durable prefix (duplicates just re-ack).
-    conn.send(
-        Frame::Ack {
-            seq: node.applied.get(),
-        }
-        .encode(),
-    );
+    conn.send(encode_ack(node.applied.get()));
 }
 
 fn crash_node(inner: &Rc<ClusterInner>, idx: usize, restart_after_ns: u64) {
@@ -675,7 +673,7 @@ fn attempt_dial(inner: &Rc<ClusterInner>, l: usize) {
         on_connect: None,
         on_data: Some(Box::new(move |e, data| {
             let Some(inner) = w.upgrade() else { return };
-            for frame in buf.push(&data) {
+            for frame in buf.push(data) {
                 if let Frame::Ack { seq } = frame {
                     // The replication ack's arrival at the primary is
                     // the causal effect the journal append must
@@ -729,7 +727,9 @@ fn attempt_dial(inner: &Rc<ClusterInner>, l: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::history::{HistoryRecorder, OpKind};
     use doppio_jsengine::Browser;
+    use doppio_sockets::Bytes;
 
     fn put(client: &StorageClient, engine: &Engine, key: &str, data: &[u8]) {
         let done = Rc::new(Cell::new(false));
@@ -738,7 +738,7 @@ mod tests {
             engine,
             WriteOp::Put {
                 key: key.into(),
-                data: data.to_vec(),
+                data: data.to_vec().into(),
             },
             Box::new(move |_, r| {
                 r.unwrap();
@@ -755,7 +755,7 @@ mod tests {
         client.kv_get(
             engine,
             key,
-            Box::new(move |_, r| *o.borrow_mut() = Some(r.unwrap())),
+            Box::new(move |_, r| *o.borrow_mut() = Some(r.unwrap().map(|b| b.to_vec()))),
         );
         engine.run_until_idle();
         let v = out.borrow_mut().take().expect("get completed");
@@ -797,7 +797,7 @@ mod tests {
             &engine,
             WriteOp::Put {
                 key: "/b".into(),
-                data: b"2".to_vec(),
+                data: b"2".to_vec().into(),
             },
             Box::new(move |_, r| {
                 r.unwrap();
@@ -827,6 +827,73 @@ mod tests {
         assert_eq!(cluster.object(0, "/a").unwrap(), b"durable");
         // The client reconnects transparently for the next op.
         assert_eq!(get(&client, &engine, "/a").unwrap(), b"durable");
+    }
+
+    /// A payload is one host allocation across the cluster: the
+    /// client's op, every node's journal and object map, the recovery
+    /// resend the backups drop as a duplicate, a get's answer and the
+    /// history all share the buffer the client wrote.
+    #[test]
+    fn a_payload_is_one_allocation_on_every_node() {
+        let engine = Engine::new(Browser::Chrome);
+        let net = Network::new(&engine);
+        let cluster = StorageCluster::launch(&engine, &net, StorageConfig::default(), None);
+        let history = HistoryRecorder::new();
+        let writer = cluster.client("w", true);
+        writer.set_history(history.clone());
+        let data = Bytes::from(vec![7; 13_000]);
+        writer.kv_write(
+            &engine,
+            WriteOp::Put {
+                key: "/a".into(),
+                data: data.clone(),
+            },
+            Box::new(|_, r| r.unwrap()),
+        );
+        engine.run_until_idle();
+        cluster.crash(0, 5_000_000);
+        engine.run_until_idle();
+        let metrics = engine.metrics();
+        assert_eq!(metrics.counter("storage.replicate.sent").get(), 2);
+        assert_eq!(
+            metrics.counter("storage.replicate.resent").get(),
+            2,
+            "recovery resent the whole journal to both backups"
+        );
+        assert_eq!(metrics.counter("storage.replicate.applied").get(), 2);
+
+        let reader = cluster.client("r", true);
+        reader.set_history(history.clone());
+        let got = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        reader.kv_get(
+            &engine,
+            "/a",
+            Box::new(move |_, r| *g.borrow_mut() = r.unwrap()),
+        );
+        engine.run_until_idle();
+
+        let shared = |b: &Bytes| Bytes::ptr_eq(b, &data);
+        for (i, node) in cluster.inner.nodes.iter().enumerate() {
+            let journal = node.journal.borrow();
+            assert_eq!(journal.len(), 1, "node{i}");
+            let op = &journal[0].0;
+            assert!(shared(op.data().unwrap()), "node{i}'s journal");
+            assert!(
+                Rc::ptr_eq(&node.objects.borrow()["/a"], op),
+                "node{i}'s object map holds its journal's op"
+            );
+        }
+        assert!(shared(got.borrow().as_ref().unwrap()), "the get's answer");
+        let events = history.events();
+        let OpKind::Write(Some(written)) = &events[0].kind else {
+            panic!("{:?}", events[0]);
+        };
+        assert!(shared(written), "the history's write");
+        assert!(
+            shared(events[1].observed.as_ref().unwrap()),
+            "the history's read"
+        );
     }
 
     #[test]

@@ -17,10 +17,16 @@
 //! The rendered history ([`HistoryRecorder::render`]) is the artifact
 //! CI uploads when a check fails, so violations are diagnosable from
 //! the transcript alone.
+//!
+//! Values are recorded as the shared [`Bytes`] the client already
+//! holds, so a history keeps no copy of what was written or read; the
+//! oracles compare bytes, and `render` turns them into text.
 
 use std::cell::RefCell;
 use std::collections::HashSet;
 use std::rc::Rc;
+
+use doppio_sockets::Bytes;
 
 /// What an operation did.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,7 +34,7 @@ pub enum OpKind {
     /// A get; `observed` on the event records what it returned.
     Read,
     /// A put (`Some(value)`) or delete (`None`).
-    Write(Option<String>),
+    Write(Option<Bytes>),
 }
 
 /// One recorded operation.
@@ -45,7 +51,7 @@ pub struct HistEvent {
     /// Virtual time the op completed (`None` while pending).
     pub complete_ns: Option<u64>,
     /// For reads: the value observed (`None` = key absent).
-    pub observed: Option<String>,
+    pub observed: Option<Bytes>,
 }
 
 /// A shared, append-only history of client operations.
@@ -75,7 +81,7 @@ impl HistoryRecorder {
     }
 
     /// Record a completion. `observed` is the value a read returned.
-    pub fn complete(&self, token: usize, now_ns: u64, observed: Option<String>) {
+    pub fn complete(&self, token: usize, now_ns: u64, observed: Option<Bytes>) {
         let mut ev = self.events.borrow_mut();
         let e = &mut ev[token];
         e.complete_ns = Some(now_ns);
@@ -98,13 +104,19 @@ impl HistoryRecorder {
     }
 
     /// The history as deterministic text (the CI failure artifact).
+    /// Values render as UTF-8, invalid sequences replaced.
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (i, e) in self.events.borrow().iter().enumerate() {
             let (op, val) = match &e.kind {
-                OpKind::Read => ("get", e.observed.clone().unwrap_or_else(|| "∅".into())),
-                OpKind::Write(Some(v)) => ("put", v.clone()),
-                OpKind::Write(None) => ("del", String::new()),
+                OpKind::Read => (
+                    "get",
+                    e.observed
+                        .as_deref()
+                        .map_or("∅".into(), String::from_utf8_lossy),
+                ),
+                OpKind::Write(Some(v)) => ("put", String::from_utf8_lossy(v)),
+                OpKind::Write(None) => ("del", "".into()),
             };
             let complete = e
                 .complete_ns
@@ -128,7 +140,7 @@ impl HistoryRecorder {
     pub fn check_read_your_writes(&self) -> Result<(), String> {
         use std::collections::HashMap;
         let events = self.events.borrow();
-        let mut last: HashMap<(String, String), Option<String>> = HashMap::new();
+        let mut last: HashMap<(String, String), Option<Bytes>> = HashMap::new();
         for (i, e) in events.iter().enumerate() {
             if e.complete_ns.is_none() {
                 return Err(format!(
@@ -153,7 +165,10 @@ impl HistoryRecorder {
                             return Err(format!(
                                 "read-your-writes violated: op #{i} {} get {} observed {:?}, \
                                  expected {:?}",
-                                e.client, e.key, e.observed, expected
+                                e.client,
+                                e.key,
+                                e.observed.as_deref().map(String::from_utf8_lossy),
+                                expected.as_deref().map(String::from_utf8_lossy)
                             ));
                         }
                     }
@@ -192,8 +207,8 @@ fn linearizable(ops: &[&HistEvent]) -> bool {
     fn dfs(
         ops: &[&HistEvent],
         taken: u64,
-        state: &Option<String>,
-        seen: &mut HashSet<(u64, Option<String>)>,
+        state: &Option<Bytes>,
+        seen: &mut HashSet<(u64, Option<Bytes>)>,
     ) -> bool {
         if taken.count_ones() as usize == ops.len() {
             return true;
@@ -243,7 +258,7 @@ mod tests {
         let h = HistoryRecorder::new();
         for (client, key, kind, inv, comp, obs) in events {
             let t = h.begin(client, key, kind.clone(), *inv);
-            h.complete(t, *comp, obs.map(|s| s.to_string()));
+            h.complete(t, *comp, obs.map(Bytes::from));
         }
         h
     }

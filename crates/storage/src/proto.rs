@@ -7,12 +7,21 @@
 //! payload), so a [`FrameBuffer`] can reassemble them from arbitrarily
 //! fragmented deliveries.
 //!
+//! A stored payload — a put's data, a get's value — is a shared
+//! [`Bytes`] and the last field of its frame. The encoders send it as a
+//! [`Segment`] part of its own after the frame's small header, and
+//! [`FrameBuffer`] decodes it as a slice of the part it arrived in, so
+//! one allocation serves every hop, replica and resend.
+//!
 //! `Request` and `Replicate` frames carry an optional causal
 //! [`SpanContext`] so traces cross the storage wire. The context is
 //! encoded at a fixed width (a flag byte plus two u64s, zeros when
 //! absent), which keeps frame lengths — and therefore simulated
 //! transfer delays — independent of whether tracing is enabled.
 
+use std::collections::VecDeque;
+
+use doppio_sockets::{Bytes, Segment};
 use doppio_trace::SpanContext;
 
 /// A mutating operation: the unit of journaling and replication.
@@ -23,7 +32,7 @@ pub enum WriteOp {
         /// Object key.
         key: String,
         /// Full contents.
-        data: Vec<u8>,
+        data: Bytes,
     },
     /// Remove `key` (missing is fine — deletes are idempotent).
     Delete {
@@ -49,7 +58,7 @@ impl WriteOp {
     }
 
     /// The blob a put stores (`None` for a delete).
-    pub(crate) fn data(&self) -> Option<&[u8]> {
+    pub(crate) fn data(&self) -> Option<&Bytes> {
         match self {
             WriteOp::Put { data, .. } => Some(data),
             WriteOp::Delete { .. } => None,
@@ -87,7 +96,7 @@ pub enum Frame {
         /// Echoed correlation id.
         req_id: u64,
         /// Get result.
-        value: Option<Vec<u8>>,
+        value: Option<Bytes>,
     },
     /// Primary → client push: drop `key` from the cache tier.
     Invalidate {
@@ -124,39 +133,105 @@ fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
     buf.extend_from_slice(b);
 }
 
+/// Reads one frame's payload through a cursor over the parts it
+/// arrived in, never past the payload's end.
 struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+    parts: &'a VecDeque<Bytes>,
+    /// The part the cursor is in, and the offset within it.
+    part: usize,
+    off: usize,
+    /// Payload bytes not read yet.
+    left: usize,
 }
 
 impl<'a> Reader<'a> {
+    /// A cursor at the start of `parts`, bounded to `left` bytes.
+    fn new(parts: &'a VecDeque<Bytes>, left: usize) -> Reader<'a> {
+        Reader {
+            parts,
+            part: 0,
+            off: 0,
+            left,
+        }
+    }
+
+    /// Claim the next `n` bytes: the part they start in and the offset
+    /// there.
+    fn advance(&mut self, n: usize) -> Option<(usize, usize)> {
+        if n > self.left {
+            return None;
+        }
+        self.left -= n;
+        // At least `n` bytes lie ahead, so neither loop runs off the
+        // last part.
+        while self.off == self.parts[self.part].len() {
+            self.part += 1;
+            self.off = 0;
+        }
+        let at = (self.part, self.off);
+        self.off += n;
+        while self.off > self.parts[self.part].len() {
+            self.off -= self.parts[self.part].len();
+            self.part += 1;
+        }
+        Some(at)
+    }
+
+    /// Fill `out` from offset `off` of part `part` on, across parts.
+    fn copy(&self, mut part: usize, mut off: usize, out: &mut [u8]) {
+        let mut done = 0;
+        while done < out.len() {
+            let p = &self.parts[part];
+            let n = (p.len() - off).min(out.len() - done);
+            out[done..done + n].copy_from_slice(&p[off..off + n]);
+            done += n;
+            part += 1;
+            off = 0;
+        }
+    }
+
+    /// The next `n` bytes: a slice of the part they arrived in, or, if
+    /// they span parts, a copy.
+    fn take(&mut self, n: usize) -> Option<Bytes> {
+        if n == 0 {
+            return Some(Bytes::new());
+        }
+        let (part, off) = self.advance(n)?;
+        let first = &self.parts[part];
+        if off + n <= first.len() {
+            return Some(first.slice(off..off + n));
+        }
+        let mut out = vec![0; n];
+        self.copy(part, off, &mut out);
+        Some(Bytes::from(out))
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (part, off) = self.advance(N)?;
+        let mut out = [0; N];
+        self.copy(part, off, &mut out);
+        Some(out)
+    }
+
     fn u8(&mut self) -> Option<u8> {
-        let v = *self.buf.get(self.pos)?;
-        self.pos += 1;
-        Some(v)
+        Some(self.array::<1>()?[0])
     }
 
     fn u32(&mut self) -> Option<u32> {
-        let b = self.buf.get(self.pos..self.pos + 4)?;
-        self.pos += 4;
-        Some(u32::from_le_bytes(b.try_into().unwrap()))
+        self.array().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Option<u64> {
-        let b = self.buf.get(self.pos..self.pos + 8)?;
-        self.pos += 8;
-        Some(u64::from_le_bytes(b.try_into().unwrap()))
+        self.array().map(u64::from_le_bytes)
     }
 
-    fn bytes(&mut self) -> Option<Vec<u8>> {
+    fn bytes(&mut self) -> Option<Bytes> {
         let n = self.u32()? as usize;
-        let b = self.buf.get(self.pos..self.pos + n)?;
-        self.pos += n;
-        Some(b.to_vec())
+        self.take(n)
     }
 
     fn string(&mut self) -> Option<String> {
-        String::from_utf8(self.bytes()?).ok()
+        String::from_utf8(self.bytes()?.to_vec()).ok()
     }
 }
 
@@ -182,12 +257,14 @@ fn read_ctx(r: &mut Reader) -> Option<Option<SpanContext>> {
     Some((flag == 1).then_some(SpanContext { trace_id, span_id }))
 }
 
+/// Write `op` up to its payload: a put's data, with its length prefix
+/// written here, follows as a part of its own.
 fn encode_write(buf: &mut Vec<u8>, op: &WriteOp) {
     match op {
         WriteOp::Put { key, data } => {
             buf.push(1);
             put_bytes(buf, key.as_bytes());
-            put_bytes(buf, data);
+            put_u32(buf, data.len() as u32);
         }
         WriteOp::Delete { key } => {
             buf.push(2);
@@ -211,22 +288,28 @@ fn write_len(op: &WriteOp) -> usize {
     }
 }
 
-/// A complete frame whose payload `fill` writes in one pass into a
-/// buffer allocated at its exact size, `len` payload bytes.
-fn frame(len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + len);
-    put_u32(&mut out, len as u32);
-    fill(&mut out);
-    debug_assert_eq!(out.len(), 4 + len, "payload length mismatch");
-    out
+/// A complete frame of `len` payload bytes: its header, which `fill`
+/// writes in one pass into a buffer allocated at its exact size, then
+/// `payload`, shared, as a part of its own.
+fn frame(len: usize, payload: Option<&Bytes>, fill: impl FnOnce(&mut Vec<u8>)) -> Segment {
+    let tail = payload.map_or(0, |p| p.len());
+    let mut head = Vec::with_capacity(4 + len - tail);
+    put_u32(&mut head, len as u32);
+    fill(&mut head);
+    debug_assert_eq!(head.len() + tail, 4 + len, "payload length mismatch");
+    let mut seg = Segment::from(head);
+    if let Some(p) = payload {
+        seg.push(p.clone());
+    }
+    seg
 }
 
 // The encoders below borrow what they send, so the storage tier builds
-// a frame without cloning its payload. `Frame::encode` is made of them.
+// a frame without copying its payload. `Frame::encode` is made of them.
 
 /// A `Request` frame asking for the blob at `key`.
-pub(crate) fn encode_get(req_id: u64, key: &str, ctx: Option<SpanContext>) -> Vec<u8> {
-    frame(1 + 8 + CTX_LEN + 1 + bytes_len(key.as_bytes()), |p| {
+pub(crate) fn encode_get(req_id: u64, key: &str, ctx: Option<SpanContext>) -> Segment {
+    frame(1 + 8 + CTX_LEN + 1 + bytes_len(key.as_bytes()), None, |p| {
         p.push(1);
         put_u64(p, req_id);
         put_ctx(p, ctx);
@@ -236,8 +319,8 @@ pub(crate) fn encode_get(req_id: u64, key: &str, ctx: Option<SpanContext>) -> Ve
 }
 
 /// A `Request` frame carrying the write `op`.
-pub(crate) fn encode_write_request(req_id: u64, op: &WriteOp, ctx: Option<SpanContext>) -> Vec<u8> {
-    frame(1 + 8 + CTX_LEN + 1 + write_len(op), |p| {
+pub(crate) fn encode_write_request(req_id: u64, op: &WriteOp, ctx: Option<SpanContext>) -> Segment {
+    frame(1 + 8 + CTX_LEN + 1 + write_len(op), op.data(), |p| {
         p.push(1);
         put_u64(p, req_id);
         put_ctx(p, ctx);
@@ -247,14 +330,14 @@ pub(crate) fn encode_write_request(req_id: u64, op: &WriteOp, ctx: Option<SpanCo
 }
 
 /// A `Response` frame answering `req_id` with `value`.
-pub(crate) fn encode_response(req_id: u64, value: Option<&[u8]>) -> Vec<u8> {
-    frame(1 + 8 + 1 + value.map_or(0, bytes_len), |p| {
+pub(crate) fn encode_response(req_id: u64, value: Option<&Bytes>) -> Segment {
+    frame(1 + 8 + 1 + value.map_or(0, |v| bytes_len(v)), value, |p| {
         p.push(2);
         put_u64(p, req_id);
         match value {
             Some(v) => {
                 p.push(1);
-                put_bytes(p, v);
+                put_u32(p, v.len() as u32);
             }
             None => p.push(0),
         }
@@ -262,16 +345,16 @@ pub(crate) fn encode_response(req_id: u64, value: Option<&[u8]>) -> Vec<u8> {
 }
 
 /// An `Invalidate` frame for `key`.
-pub(crate) fn encode_invalidate(key: &str) -> Vec<u8> {
-    frame(1 + bytes_len(key.as_bytes()), |p| {
+pub(crate) fn encode_invalidate(key: &str) -> Segment {
+    frame(1 + bytes_len(key.as_bytes()), None, |p| {
         p.push(3);
         put_bytes(p, key.as_bytes());
     })
 }
 
 /// A `Replicate` frame carrying `op` as sequence number `seq`.
-pub(crate) fn encode_replicate(seq: u64, op: &WriteOp, ctx: Option<SpanContext>) -> Vec<u8> {
-    frame(1 + 8 + CTX_LEN + write_len(op), |p| {
+pub(crate) fn encode_replicate(seq: u64, op: &WriteOp, ctx: Option<SpanContext>) -> Segment {
+    frame(1 + 8 + CTX_LEN + write_len(op), op.data(), |p| {
         p.push(4);
         put_u64(p, seq);
         put_ctx(p, ctx);
@@ -279,8 +362,9 @@ pub(crate) fn encode_replicate(seq: u64, op: &WriteOp, ctx: Option<SpanContext>)
     })
 }
 
-fn encode_ack(seq: u64) -> Vec<u8> {
-    frame(1 + 8, |p| {
+/// An `Ack` frame for `seq`.
+pub(crate) fn encode_ack(seq: u64) -> Segment {
+    frame(1 + 8, None, |p| {
         p.push(5);
         put_u64(p, seq);
     })
@@ -297,9 +381,49 @@ fn decode_write(r: &mut Reader) -> Option<WriteOp> {
     }
 }
 
+/// Decode the payload `r` is bounded to; `None` unless it is one
+/// well-formed frame, exactly.
+fn decode(r: &mut Reader) -> Option<Frame> {
+    let frame = match r.u8()? {
+        1 => {
+            let req_id = r.u64()?;
+            let ctx = read_ctx(r)?;
+            let op = match r.u8()? {
+                1 => RequestOp::Get { key: r.string()? },
+                2 => RequestOp::Write(decode_write(r)?),
+                _ => return None,
+            };
+            Frame::Request { req_id, op, ctx }
+        }
+        2 => {
+            let req_id = r.u64()?;
+            let value = match r.u8()? {
+                0 => None,
+                1 => Some(r.bytes()?),
+                _ => return None,
+            };
+            Frame::Response { req_id, value }
+        }
+        3 => Frame::Invalidate { key: r.string()? },
+        4 => {
+            let seq = r.u64()?;
+            let ctx = read_ctx(r)?;
+            Frame::Replicate {
+                seq,
+                op: decode_write(r)?,
+                ctx,
+            }
+        }
+        5 => Frame::Ack { seq: r.u64()? },
+        _ => return None,
+    };
+    (r.left == 0).then_some(frame)
+}
+
 impl Frame {
-    /// Serialize to a complete length-prefixed frame.
-    pub fn encode(&self) -> Vec<u8> {
+    /// The complete length-prefixed frame as a segment: the header,
+    /// then any payload as a shared part of its own.
+    pub(crate) fn segment(&self) -> Segment {
         match self {
             Frame::Request {
                 req_id,
@@ -311,68 +435,34 @@ impl Frame {
                 op: RequestOp::Write(w),
                 ctx,
             } => encode_write_request(*req_id, w, *ctx),
-            Frame::Response { req_id, value } => encode_response(*req_id, value.as_deref()),
+            Frame::Response { req_id, value } => encode_response(*req_id, value.as_ref()),
             Frame::Invalidate { key } => encode_invalidate(key),
             Frame::Replicate { seq, op, ctx } => encode_replicate(*seq, op, *ctx),
             Frame::Ack { seq } => encode_ack(*seq),
         }
     }
 
-    /// Parse one payload (the bytes after the length prefix).
-    pub fn decode_payload(payload: &[u8]) -> Option<Frame> {
-        let mut r = Reader {
-            buf: payload,
-            pos: 0,
-        };
-        let frame = match r.u8()? {
-            1 => {
-                let req_id = r.u64()?;
-                let ctx = read_ctx(&mut r)?;
-                let op = match r.u8()? {
-                    1 => RequestOp::Get { key: r.string()? },
-                    2 => RequestOp::Write(decode_write(&mut r)?),
-                    _ => return None,
-                };
-                Frame::Request { req_id, op, ctx }
-            }
-            2 => {
-                let req_id = r.u64()?;
-                let value = match r.u8()? {
-                    0 => None,
-                    1 => Some(r.bytes()?),
-                    _ => return None,
-                };
-                Frame::Response { req_id, value }
-            }
-            3 => Frame::Invalidate { key: r.string()? },
-            4 => {
-                let seq = r.u64()?;
-                let ctx = read_ctx(&mut r)?;
-                Frame::Replicate {
-                    seq,
-                    op: decode_write(&mut r)?,
-                    ctx,
-                }
-            }
-            5 => Frame::Ack { seq: r.u64()? },
-            _ => return None,
-        };
-        (r.pos == payload.len()).then_some(frame)
+    /// Serialize to a complete length-prefixed frame, in one buffer.
+    pub fn encode(&self) -> Vec<u8> {
+        self.segment().to_vec()
     }
-}
 
-/// Total length (prefix included) of the frame `buf` starts with, once
-/// its length prefix is complete.
-fn frame_len(buf: &[u8]) -> Option<usize> {
-    let prefix: [u8; 4] = buf.get(..4)?.try_into().ok()?;
-    Some(4 + u32::from_le_bytes(prefix) as usize)
+    /// Parse one payload (the bytes after the length prefix). A
+    /// payload in the frame comes back as a copy.
+    pub fn decode_payload(payload: &[u8]) -> Option<Frame> {
+        let parts = VecDeque::from([Bytes::copy_from_slice(payload)]);
+        decode(&mut Reader::new(&parts, payload.len()))
+    }
 }
 
 /// Reassembles frames from a fragmented byte stream.
 #[derive(Default)]
 pub struct FrameBuffer {
-    /// The start of a frame whose remainder has not arrived yet.
-    partial: Vec<u8>,
+    /// Delivered bytes not decoded yet, in the parts they arrived in:
+    /// the start of a frame whose remainder has not arrived.
+    parts: VecDeque<Bytes>,
+    /// Total bytes across `parts`.
+    len: usize,
 }
 
 impl FrameBuffer {
@@ -381,35 +471,42 @@ impl FrameBuffer {
         FrameBuffer::default()
     }
 
-    /// Feed raw bytes; returns every complete frame now available.
+    /// Feed one delivery; returns every complete frame now available.
     /// Malformed payloads are dropped (the length prefix still bounds
     /// them, so the stream stays in sync).
     ///
-    /// Whole frames decode straight from `data`; only a frame split
-    /// across deliveries is copied, into the partial-frame buffer.
-    pub fn push(&mut self, mut data: &[u8]) -> Vec<Frame> {
+    /// Headers are read through a cursor over the parts. A payload is
+    /// a slice of the part it arrived in; only one that spans parts,
+    /// as after a delivery split inside it, is copied.
+    pub fn push(&mut self, data: impl Into<Segment>) -> Vec<Frame> {
+        for part in data.into() {
+            self.len += part.len();
+            self.parts.push_back(part);
+        }
         let mut frames = Vec::new();
-        while !self.partial.is_empty() {
-            // Top the partial frame up to its length prefix, then to
-            // its whole length.
-            let want = frame_len(&self.partial).unwrap_or(4);
-            let take = (want - self.partial.len()).min(data.len());
-            self.partial.extend_from_slice(&data[..take]);
-            data = &data[take..];
-            if self.partial.len() < want {
+        loop {
+            let mut r = Reader::new(&self.parts, self.len);
+            let Some(n) = r.u32().map(|n| n as usize).filter(|&n| n <= r.left) else {
                 return frames;
-            }
-            if frame_len(&self.partial) == Some(self.partial.len()) {
-                frames.extend(Frame::decode_payload(&self.partial[4..]));
-                self.partial.clear();
-            }
+            };
+            r.left = n;
+            frames.extend(decode(&mut r));
+            self.consume(4 + n);
         }
-        while let Some(n) = frame_len(data).filter(|&n| n <= data.len()) {
-            frames.extend(Frame::decode_payload(&data[4..n]));
-            data = &data[n..];
+    }
+
+    /// Drop the first `n` buffered bytes.
+    fn consume(&mut self, mut n: usize) {
+        self.len -= n;
+        while n > 0 {
+            let front = self.parts.front_mut().expect("consume within the buffer");
+            if n < front.len() {
+                *front = front.slice(n..);
+                return;
+            }
+            n -= front.len();
+            self.parts.pop_front();
         }
-        self.partial.extend_from_slice(data);
-        frames
     }
 }
 
@@ -428,7 +525,7 @@ mod tests {
                 req_id: 8,
                 op: RequestOp::Write(WriteOp::Put {
                     key: "/b".into(),
-                    data: b"blob".to_vec(),
+                    data: b"blob".to_vec().into(),
                 }),
                 ctx: Some(SpanContext {
                     trace_id: 0xDEAD,
@@ -437,7 +534,7 @@ mod tests {
             },
             Frame::Response {
                 req_id: 7,
-                value: Some(b"x".to_vec()),
+                value: Some(b"x".to_vec().into()),
             },
             Frame::Response {
                 req_id: 8,
@@ -505,7 +602,7 @@ mod tests {
     fn big_samples() -> Vec<(Frame, &'static str)> {
         let put = WriteOp::Put {
             key: "/big".into(),
-            data: big_data(),
+            data: big_data().into(),
         };
         vec![
             (
@@ -530,7 +627,7 @@ mod tests {
             (
                 Frame::Response {
                     req_id: 10,
-                    value: Some(big_data()),
+                    value: Some(big_data().into()),
                 },
                 "96130000020a000000000000000188130000",
             ),
@@ -567,9 +664,9 @@ mod tests {
     }
 
     /// `f` through the crate's borrowing encoders, as the client and
-    /// the cluster build their frames.
+    /// the cluster build their frames, in one buffer.
     fn borrowed_encode(f: &Frame) -> Vec<u8> {
-        match f {
+        let seg = match f {
             Frame::Request {
                 req_id,
                 op: RequestOp::Get { key },
@@ -580,10 +677,45 @@ mod tests {
                 op: RequestOp::Write(w),
                 ctx,
             } => encode_write_request(*req_id, w, *ctx),
-            Frame::Response { req_id, value } => encode_response(*req_id, value.as_deref()),
+            Frame::Response { req_id, value } => encode_response(*req_id, value.as_ref()),
             Frame::Invalidate { key } => encode_invalidate(key),
             Frame::Replicate { seq, op, ctx } => encode_replicate(*seq, op, *ctx),
-            Frame::Ack { .. } => f.encode(),
+            Frame::Ack { seq } => encode_ack(*seq),
+        };
+        seg.to_vec()
+    }
+
+    /// The stored payload a frame carries, if any.
+    fn payload(f: &Frame) -> Option<&Bytes> {
+        match f {
+            Frame::Request {
+                op: RequestOp::Write(op),
+                ..
+            }
+            | Frame::Replicate { op, .. } => op.data(),
+            Frame::Response { value, .. } => value.as_ref(),
+            _ => None,
+        }
+    }
+
+    /// The encoders send a payload as a part of its own, after the
+    /// frame's header.
+    #[test]
+    fn encoders_send_the_payload_as_its_own_part() {
+        for f in samples().iter().chain(
+            &big_samples()
+                .into_iter()
+                .map(|(f, _)| f)
+                .collect::<Vec<_>>(),
+        ) {
+            let seg = f.segment();
+            match payload(f) {
+                Some(p) => {
+                    assert_eq!(seg.parts().len(), 2, "{f:?}");
+                    assert!(Bytes::ptr_eq(&seg.parts()[1], p), "{f:?}");
+                }
+                None => assert_eq!(seg.parts().len(), 1, "{f:?}"),
+            }
         }
     }
 
@@ -593,18 +725,21 @@ mod tests {
         // Deliver the stream one byte at a time: worst-case framing.
         let mut fb = FrameBuffer::new();
         let mut got = Vec::new();
-        for b in &all {
-            got.extend(fb.push(std::slice::from_ref(b)));
+        for &b in &all {
+            got.extend(fb.push(vec![b]));
         }
         assert_eq!(got, samples());
         // And in one burst.
         let mut fb = FrameBuffer::new();
-        assert_eq!(fb.push(&all), samples());
+        assert_eq!(fb.push(all), samples());
     }
 
     /// Every way to cut a stream in two (and many in three) yields the
     /// same frames, whether a cut falls in a length prefix, inside a
-    /// payload, or on a frame boundary.
+    /// payload, or on a frame boundary. Cut as the encoders send it,
+    /// header and payload in parts of their own, the stream also yields
+    /// each payload as the sender's allocation, unless the cut fell
+    /// inside it.
     #[test]
     fn buffer_reassembles_across_every_cut() {
         let mut frames = samples();
@@ -612,17 +747,43 @@ mod tests {
         let all: Vec<u8> = frames.iter().flat_map(|f| f.encode()).collect();
         for cut in 0..=all.len() {
             let mut fb = FrameBuffer::new();
-            let mut got = fb.push(&all[..cut]);
-            got.extend(fb.push(&all[cut..]));
+            let mut got = fb.push(all[..cut].to_vec());
+            got.extend(fb.push(all[cut..].to_vec()));
             assert_eq!(got, frames, "cut at {cut}");
         }
         for a in (0..all.len()).step_by(97) {
             for b in (a..all.len()).step_by(89) {
                 let mut fb = FrameBuffer::new();
-                let mut got = fb.push(&all[..a]);
-                got.extend(fb.push(&all[a..b]));
-                got.extend(fb.push(&all[b..]));
+                let mut got = fb.push(all[..a].to_vec());
+                got.extend(fb.push(all[a..b].to_vec()));
+                got.extend(fb.push(all[b..].to_vec()));
                 assert_eq!(got, frames, "cuts at {a} and {b}");
+            }
+        }
+
+        let stream: Segment = frames.iter().flat_map(Frame::segment).collect();
+        assert_eq!(stream.to_vec(), all);
+        // Each frame's payload, sent, and the stream offsets it spans:
+        // a payload is the last field of its frame.
+        let mut end = 0;
+        let sent: Vec<Option<(&Bytes, usize, usize)>> = frames
+            .iter()
+            .map(|f| {
+                end += f.encode().len();
+                payload(f).map(|p| (p, end - p.len(), end))
+            })
+            .collect();
+        for cut in 0..=all.len() {
+            let (a, b) = stream.clone().split_at(cut);
+            let mut fb = FrameBuffer::new();
+            let mut got = fb.push(a);
+            got.extend(fb.push(b));
+            assert_eq!(got, frames, "segment cut at {cut}");
+            for (g, s) in got.iter().zip(&sent) {
+                if let (Some(p), Some((sent, start, end))) = (payload(g), s) {
+                    let spans = *start < cut && cut < *end;
+                    assert_eq!(Bytes::ptr_eq(p, sent), !spans, "cut at {cut}: {g:?}");
+                }
             }
         }
     }
@@ -630,8 +791,10 @@ mod tests {
     #[test]
     fn malformed_payload_is_skipped_without_desync() {
         let mut stream = vec![2, 0, 0, 0, 99, 99]; // bad tag, valid length
+                                                   // A response whose value claims 100 bytes its frame lacks.
+        stream.extend([14, 0, 0, 0, 2, 7, 0, 0, 0, 0, 0, 0, 0, 1, 100, 0, 0, 0]);
         stream.extend(Frame::Ack { seq: 1 }.encode());
         let mut fb = FrameBuffer::new();
-        assert_eq!(fb.push(&stream), vec![Frame::Ack { seq: 1 }]);
+        assert_eq!(fb.push(stream), vec![Frame::Ack { seq: 1 }]);
     }
 }

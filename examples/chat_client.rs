@@ -17,7 +17,7 @@ use doppio::fs::{backends, FileSystem};
 use doppio::jsengine::{Browser, Engine};
 use doppio::jvm::{fsutil, Jvm};
 use doppio::minijava::compile_to_bytes;
-use doppio::sockets::{ConnId, Network, ServerConn, TcpServerApp, Websockify};
+use doppio::sockets::{ConnId, Network, Segment, ServerConn, TcpServerApp, Websockify};
 
 /// An unmodified TCP chat daemon: greets, then upcases every line.
 struct ChatDaemon {
@@ -28,8 +28,8 @@ impl TcpServerApp for ChatDaemon {
     fn on_connect(&self, _e: &Engine, c: ServerConn) {
         c.send(b"WELCOME to portal-chat\n".to_vec());
     }
-    fn on_data(&self, _e: &Engine, c: ServerConn, data: Vec<u8>) {
-        let text = String::from_utf8_lossy(&data).into_owned();
+    fn on_data(&self, _e: &Engine, c: ServerConn, data: Segment) {
+        let text = String::from_utf8_lossy(&data.to_vec()).into_owned();
         self.log.borrow_mut().push(text.trim_end().to_string());
         let reply = format!("ECHO {}\n", text.trim_end().to_uppercase());
         c.send(reply.into_bytes());

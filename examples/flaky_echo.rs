@@ -19,7 +19,8 @@ use std::rc::Rc;
 use doppio::faults::{FaultConfig, FaultPlan};
 use doppio::jsengine::{Browser, Engine};
 use doppio::sockets::{
-    ConnId, DoppioSocket, Network, ServerConn, SocketConfig, SocketState, TcpServerApp, Websockify,
+    ConnId, DoppioSocket, Network, Segment, ServerConn, SocketConfig, SocketState, TcpServerApp,
+    Websockify,
 };
 use doppio::trace::{chrome, RingSink};
 
@@ -27,7 +28,7 @@ use doppio::trace::{chrome, RingSink};
 struct Echo;
 impl TcpServerApp for Echo {
     fn on_connect(&self, _: &Engine, _: ServerConn) {}
-    fn on_data(&self, _: &Engine, c: ServerConn, data: Vec<u8>) {
+    fn on_data(&self, _: &Engine, c: ServerConn, data: Segment) {
         c.send(data);
     }
     fn on_close(&self, _: &Engine, _: ConnId) {}

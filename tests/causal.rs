@@ -95,7 +95,7 @@ fn traced_storage(seed: u64) -> Rc<RingSink> {
             &engine,
             WriteOp::Put {
                 key: "/a".into(),
-                data: vec![round as u8],
+                data: vec![round as u8].into(),
             },
             Box::new(|_, _| {}),
         );

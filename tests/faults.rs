@@ -17,7 +17,8 @@ use doppio::faults::{FaultConfig, FaultPlan, RetryPolicy};
 use doppio::fs::{backends, FileSystem};
 use doppio::jsengine::{Browser, Engine};
 use doppio::sockets::{
-    ConnId, DoppioSocket, Network, ServerConn, SocketConfig, SocketState, TcpServerApp, Websockify,
+    ConnId, DoppioSocket, Network, Segment, ServerConn, SocketConfig, SocketState, TcpServerApp,
+    Websockify,
 };
 use doppio::trace::json::{self, Json};
 use doppio::trace::{chrome, RingSink};
@@ -30,7 +31,7 @@ const SEED: u64 = 1;
 struct Echo;
 impl TcpServerApp for Echo {
     fn on_connect(&self, _: &Engine, _: ServerConn) {}
-    fn on_data(&self, _: &Engine, c: ServerConn, data: Vec<u8>) {
+    fn on_data(&self, _: &Engine, c: ServerConn, data: Segment) {
         c.send(data);
     }
     fn on_close(&self, _: &Engine, _: ConnId) {}

@@ -28,7 +28,7 @@ use doppio::report::RunReport;
 use doppio::schedtest::{
     explore, explore_parallel, ExploreConfig, PickLog, RecordingScheduler, ReplayFile,
 };
-use doppio::sockets::Network;
+use doppio::sockets::{Bytes, Network};
 use doppio::storage::{HistoryRecorder, StorageClient, StorageCluster, StorageConfig, WriteOp};
 use doppio::trace::RingSink;
 use doppio::{EngineBuilder, Kernel, SpawnOptions};
@@ -101,7 +101,7 @@ fn canary_workload(sched: Box<dyn Scheduler>) -> Result<(), String> {
     let ms = mixer_slices;
     let probe_done = Rc::new(Cell::new(false));
     let put_done = Rc::new(Cell::new(false));
-    let verify: Rc<RefCell<Option<Option<Vec<u8>>>>> = Rc::new(RefCell::new(None));
+    let verify: Rc<RefCell<Option<Option<Bytes>>>> = Rc::new(RefCell::new(None));
     let mut impatient: Option<bool> = None;
     let mut stage = 0u32;
     kernel.spawn_fn(SpawnOptions::new("teller"), move |_| {
@@ -130,7 +130,7 @@ fn canary_workload(sched: Box<dyn Scheduler>) -> Result<(), String> {
                     &e,
                     WriteOp::Put {
                         key: "/t/balance".into(),
-                        data: b"100".to_vec(),
+                        data: b"100".to_vec().into(),
                     },
                     Box::new(move |_, _| d.set(true)),
                 );
@@ -296,7 +296,7 @@ fn journal_replay_scenario(seed: u64) -> ReplayOutcome {
         &engine,
         WriteOp::Put {
             key: "/ledger".into(),
-            data: b"42".to_vec(),
+            data: b"42".to_vec().into(),
         },
         Box::new(move |_, _| d.set(true)),
     );
@@ -389,7 +389,7 @@ fn chaos_run(seed: u64, engine_seed: u64, traced: bool) -> (String, u32) {
             &engine,
             WriteOp::Put {
                 key: key.into(),
-                data: val.to_vec(),
+                data: val.to_vec().into(),
             },
             Box::new(|_, _| {}),
         );
