@@ -868,8 +868,7 @@ impl ClassBuilder {
                 _ => {
                     let Some(d) = cur else { continue };
                     let delta = self.ins_delta(i)?;
-                    let peak = d + self.ins_peak_extra(i);
-                    max = max.max(peak).max(d + delta);
+                    max = max.max(d).max(d + delta);
                     let next = d + delta;
                     // Record depth at branch targets.
                     match i {
@@ -950,10 +949,6 @@ impl ClassBuilder {
             Ins::MultiANewArray { dims, .. } => 1 - *dims as i32,
             Ins::TableSwitch { .. } | Ins::LookupSwitch { .. } => -1,
         })
-    }
-
-    fn ins_peak_extra(&self, _i: &Ins) -> i32 {
-        0
     }
 }
 

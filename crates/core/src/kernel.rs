@@ -699,8 +699,10 @@ impl Kernel {
     /// ([`PipeWrite::Wrote`] may be a short count — loop to finish).
     /// On [`PipeWrite::WouldBlock`] the thread must return
     /// [`ThreadStep::Blocked`]; it is woken when a reader drains the
-    /// buffer. [`PipeWrite::Broken`] means every read end is closed.
-    /// Errors on a pipe id this kernel never created.
+    /// buffer. A write of empty `data` never parks: it returns
+    /// `Wrote(0)` even on a full pipe, as in POSIX.
+    /// [`PipeWrite::Broken`] means every read end is closed. Errors on
+    /// a pipe id this kernel never created.
     pub fn write_pipe(
         &self,
         ctx: &mut ThreadContext<'_>,
@@ -716,7 +718,7 @@ impl Kernel {
             let space = p.capacity.saturating_sub(p.buf.len());
             if p.readers.is_empty() {
                 (PipeWrite::Broken, Vec::new())
-            } else if space == 0 {
+            } else if space == 0 && !data.is_empty() {
                 p.write_waiters.push(me);
                 (PipeWrite::WouldBlock, Vec::new())
             } else {
@@ -2070,6 +2072,29 @@ mod tests {
             ]
         );
         assert_eq!(kernel.host_read(full), Ok(b"kept".to_vec()));
+    }
+
+    /// A zero-byte write returns `Wrote(0)` at once, on a full pipe
+    /// too. It never parks.
+    #[test]
+    fn zero_byte_writes_never_park() {
+        let kernel = stock_kernel();
+        let open = kernel.pipe();
+        let full = kernel.pipe_with_capacity(4);
+        kernel.host_write(full, b"full").unwrap();
+        let k = kernel.clone();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let s = seen.clone();
+        kernel.spawn_fn(SpawnOptions::new("zero"), move |ctx| {
+            for pipe in [open, full] {
+                s.borrow_mut()
+                    .push(k.write_pipe(ctx, pipe, &[]).expect("live pipe"));
+            }
+            ThreadStep::Finished
+        });
+        kernel.run().unwrap();
+        assert_eq!(*seen.borrow(), [PipeWrite::Wrote(0), PipeWrite::Wrote(0)]);
+        assert_eq!(kernel.host_read(full), Ok(b"full".to_vec()));
     }
 
     #[test]

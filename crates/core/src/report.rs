@@ -701,7 +701,7 @@ mod tests {
 
     #[test]
     fn trace_section_reports_truncation() {
-        use doppio_trace::{cat, Phase, TraceEvent, TraceSink};
+        use doppio_trace::{cat, Phase, TraceEvent};
         let sink = RingSink::with_capacity(4);
         for i in 0..9u64 {
             sink.record(TraceEvent {

@@ -20,7 +20,7 @@ use doppio_jsengine::Engine;
 use doppio_trace::{cat, ArgValue, Histogram};
 
 use crate::suspend::{SuspendTimer, DEFAULT_TIME_SLICE_NS};
-use crate::waitgraph::{BlockEdge, DeadlockReport, LockOrderWarning, Resource, WaitGraph};
+use crate::waitgraph::{DeadlockReport, LockOrderWarning, Resource, WaitGraph};
 
 /// Trace lane for runtime-wide events (suspension intervals, timer
 /// adjustments). Lane 0 is the browser event loop; guest threads get
@@ -452,11 +452,6 @@ impl DoppioRuntime {
         self.inner.borrow_mut().waits.clear_owner(resource);
     }
 
-    /// Current state of a thread.
-    pub fn thread_state(&self, id: ThreadId) -> ThreadState {
-        self.inner.borrow().threads[id.0].state
-    }
-
     /// Wake a blocked thread (asynchronous completions and monitor
     /// notifies call this). Waking a Ready or Finished thread records a
     /// pending wake so a block that races with its own completion does
@@ -546,11 +541,6 @@ impl DoppioRuntime {
     /// Lock-order inversions observed so far.
     pub fn lock_order_warnings(&self) -> Vec<LockOrderWarning> {
         self.inner.borrow().waits.warnings().to_vec()
-    }
-
-    /// What a thread is currently blocked on, per the wait-for graph.
-    pub fn blocked_edge(&self, id: ThreadId) -> Option<BlockEdge> {
-        self.inner.borrow().waits.blocked_on(id.0).cloned()
     }
 
     /// Build the deadlock error for the current blocked set (used here
@@ -939,21 +929,6 @@ impl ThreadContext<'_> {
         cell
     }
 
-    /// [`block_on`](Self::block_on) that also records a labeled
-    /// `Async` edge in the wait-for graph, so deadlock blame can say
-    /// *what* asynchronous completion a thread is stuck on (e.g.
-    /// `fs.read(/data/log)`). The edge is cleared by the wake.
-    pub fn block_on_labeled<T: 'static>(
-        &mut self,
-        label: impl Into<String>,
-        site: impl Into<String>,
-        start: impl FnOnce(&Engine, AsyncResolver<T>),
-    ) -> AsyncCell<T> {
-        self.runtime
-            .note_block(self.thread_id, Resource::Async(label.into()), site);
-        self.block_on(start)
-    }
-
     /// Record a wait-for edge for this thread (see
     /// [`DoppioRuntime::note_block`]).
     pub fn note_block(&self, resource: Resource, site: impl Into<String>) {
@@ -1093,11 +1068,6 @@ impl<T> Clone for AsyncCell<T> {
 }
 
 impl<T> AsyncCell<T> {
-    /// Whether the value has been delivered.
-    pub fn is_ready(&self) -> bool {
-        self.0.borrow().is_some()
-    }
-
     /// Take the delivered value, if present.
     pub fn take(&self) -> Option<T> {
         self.0.borrow_mut().take()

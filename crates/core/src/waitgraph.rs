@@ -162,11 +162,6 @@ impl WaitGraph {
         self.blocked.remove(&thread);
     }
 
-    /// The thread's current blocked edge, if any.
-    pub fn blocked_on(&self, thread: usize) -> Option<&BlockEdge> {
-        self.blocked.get(&thread)
-    }
-
     /// Record that `thread` acquired `resource` (outermost acquisition
     /// only — recursion is the guest's business). Feeds ownership and
     /// the acquisition-order graph; returns a new inversion warning if

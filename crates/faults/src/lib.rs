@@ -28,10 +28,10 @@
 //! `fault`-category instant through `doppio-trace`, so a Perfetto trace
 //! shows exactly which fault fired and how the stack recovered.
 //!
-//! The crate also hosts the client-side recovery policies the paper
-//! assumes the source language provides: [`BackoffPolicy`] (seeded
+//! The crate also hosts the client-side recovery schedule the paper
+//! assumes the source language provides: [`backoff_delay_ns`] (seeded
 //! exponential backoff with jitter, shared by `DoppioSocket` reconnect
-//! and the fs frontend) and [`RetryPolicy`].
+//! and the fs frontend's retry) and [`RETRY_ATTEMPTS`].
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -536,74 +536,29 @@ impl std::fmt::Debug for FaultPlan {
     }
 }
 
-/// Seeded exponential backoff with jitter.
+/// First-attempt backoff delay, virtual ns.
+const BACKOFF_BASE_NS: u64 = 10_000_000;
+
+/// Ceiling on any backoff delay, virtual ns.
+const BACKOFF_MAX_NS: u64 = 2_000_000_000;
+
+/// Total attempts a retrying fs operation makes, the first included.
+pub const RETRY_ATTEMPTS: u32 = 5;
+
+/// Seeded exponential backoff with jitter: the delay before retry
+/// number `attempt` (0-based), using `rand` as the jitter draw.
 ///
-/// `delay_ns(attempt, rand)` is a pure function of its inputs: callers
-/// pass a draw from a deterministic stream (typically
-/// `Engine::random_u64`), so backoff schedules replay exactly under the
-/// same seed. The delay for attempt *n* (0-based) is drawn uniformly
-/// from `[cap·(1−jitter), cap]` where
-/// `cap = min(base·multiplier^n, max)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackoffPolicy {
-    /// First-attempt delay, virtual ns.
-    pub base_ns: u64,
-    /// Ceiling on any delay, virtual ns.
-    pub max_ns: u64,
-    /// Exponential growth factor per attempt.
-    pub multiplier: u32,
-    /// Jitter fraction in `[0, 1]`: 0 = fixed schedule, 1 = full jitter.
-    pub jitter: f64,
-}
-
-impl Default for BackoffPolicy {
-    /// 10 ms virtual base, doubling, 2 s cap, half jitter.
-    fn default() -> BackoffPolicy {
-        BackoffPolicy {
-            base_ns: 10_000_000,
-            max_ns: 2_000_000_000,
-            multiplier: 2,
-            jitter: 0.5,
-        }
-    }
-}
-
-impl BackoffPolicy {
-    /// The delay before retry number `attempt` (0-based), using `rand`
-    /// as the jitter draw.
-    pub fn delay_ns(&self, attempt: u32, rand: u64) -> u64 {
-        let cap = self
-            .base_ns
-            .saturating_mul((self.multiplier as u64).saturating_pow(attempt))
-            .min(self.max_ns);
-        let jitter = self.jitter.clamp(0.0, 1.0);
-        let span = (cap as f64 * jitter) as u64;
-        if span == 0 {
-            cap
-        } else {
-            cap - span + rand % (span + 1)
-        }
-    }
-}
-
-/// Retry policy for transient failures: how many total attempts to
-/// make, and how to space them.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (1 = no retries).
-    pub max_attempts: u32,
-    /// Spacing between attempts.
-    pub backoff: BackoffPolicy,
-}
-
-impl Default for RetryPolicy {
-    /// Five attempts on the default backoff schedule.
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 5,
-            backoff: BackoffPolicy::default(),
-        }
-    }
+/// A pure function of its inputs: callers pass a draw from a
+/// deterministic stream (typically `Engine::random_u64`), so backoff
+/// schedules replay exactly under the same seed. The delay is drawn
+/// uniformly from `[cap/2, cap]`, where `cap = min(10 ms · 2^attempt,
+/// 2 s)`.
+pub fn backoff_delay_ns(attempt: u32, rand: u64) -> u64 {
+    let cap = BACKOFF_BASE_NS
+        .saturating_mul(2u64.saturating_pow(attempt))
+        .min(BACKOFF_MAX_NS);
+    let span = cap / 2;
+    cap - span + rand % (span + 1)
 }
 
 #[cfg(test)]
@@ -798,26 +753,21 @@ mod tests {
 
     #[test]
     fn backoff_grows_caps_and_jitters_deterministically() {
-        let p = BackoffPolicy {
-            base_ns: 1_000,
-            max_ns: 16_000,
-            multiplier: 2,
-            jitter: 0.0,
-        };
-        assert_eq!(p.delay_ns(0, 0), 1_000);
-        assert_eq!(p.delay_ns(1, 0), 2_000);
-        assert_eq!(p.delay_ns(3, 0), 8_000);
-        assert_eq!(p.delay_ns(10, 0), 16_000, "capped at max");
-
-        let j = BackoffPolicy { jitter: 1.0, ..p };
-        for attempt in 0..8 {
-            let cap = p.delay_ns(attempt, 0);
-            for rand in [0u64, 1, 999, u64::MAX] {
-                let d = j.delay_ns(attempt, rand);
-                assert!(d <= cap, "jittered {d} above cap {cap}");
+        let ms = 1_000_000;
+        let caps = [10, 20, 40, 80, 160, 320, 640, 1280, 2000, 2000, 2000];
+        for (attempt, cap) in caps.into_iter().enumerate() {
+            let attempt = attempt as u32;
+            let cap = cap * ms;
+            // The draw spans [cap/2, cap]: 0 lands on the floor, cap/2
+            // on the cap itself.
+            assert_eq!(backoff_delay_ns(attempt, 0), cap / 2);
+            assert_eq!(backoff_delay_ns(attempt, cap / 2), cap);
+            for rand in [1u64, 999, cap, u64::MAX] {
+                let d = backoff_delay_ns(attempt, rand);
+                assert!((cap / 2..=cap).contains(&d), "{d} outside [cap/2, {cap}]");
                 assert_eq!(
                     d,
-                    j.delay_ns(attempt, rand),
+                    backoff_delay_ns(attempt, rand),
                     "same draw, same delay (deterministic)"
                 );
             }
@@ -826,13 +776,13 @@ mod tests {
 
     #[test]
     fn overflow_saturates_at_max() {
-        let p = BackoffPolicy {
-            base_ns: u64::MAX / 2,
-            max_ns: u64::MAX,
-            multiplier: 3,
-            jitter: 0.0,
-        };
-        // multiplier^attempt overflows; delay must saturate, not wrap.
-        assert_eq!(p.delay_ns(60, 0), u64::MAX);
+        // 2^attempt overflows from attempt 64 on; the delay must
+        // saturate at the 2 s cap, not wrap.
+        let cap = 2_000_000_000;
+        for attempt in [63, 64, 1_000, u32::MAX] {
+            assert_eq!(backoff_delay_ns(attempt, 0), cap / 2);
+            assert_eq!(backoff_delay_ns(attempt, cap / 2), cap);
+            assert!(backoff_delay_ns(attempt, u64::MAX) <= cap);
+        }
     }
 }

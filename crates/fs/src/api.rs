@@ -26,7 +26,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use doppio_faults::RetryPolicy;
+use doppio_faults::{backoff_delay_ns, RETRY_ATTEMPTS};
 use doppio_jsengine::{Cost, Engine};
 use doppio_trace::{cat, ArgValue, Counter, MetricsRegistry};
 
@@ -90,7 +90,7 @@ struct FsInner {
     next_fd: u32,
     cwd: String,
     counters: FsCounters,
-    retry: Option<RetryPolicy>,
+    retry: bool,
 }
 
 /// The file system frontend. Cheaply cloneable handle.
@@ -164,7 +164,6 @@ fn retry_attempt<T: 'static>(
     fs: FileSystem,
     op: &'static str,
     run: RetryableOp<T>,
-    policy: RetryPolicy,
     attempt: u32,
     engine: &Engine,
     cb: FsCallback<T>,
@@ -174,8 +173,8 @@ fn retry_attempt<T: 'static>(
     run(
         engine,
         Box::new(move |e, r| match r {
-            Err(err) if err.errno.is_transient() && attempt + 1 < policy.max_attempts => {
-                let delay = policy.backoff.delay_ns(attempt, e.random_u64());
+            Err(err) if err.errno.is_transient() && attempt + 1 < RETRY_ATTEMPTS => {
+                let delay = backoff_delay_ns(attempt, e.random_u64());
                 fs2.inner.borrow().counters.retries.inc();
                 let tracer = e.tracer();
                 if tracer.enabled() {
@@ -193,7 +192,7 @@ fn retry_attempt<T: 'static>(
                     );
                 }
                 e.complete_async_after(delay, move |e2| {
-                    retry_attempt(fs2, op, run2, policy, attempt + 1, e2, cb)
+                    retry_attempt(fs2, op, run2, attempt + 1, e2, cb)
                 });
             }
             other => cb(e, other),
@@ -213,18 +212,19 @@ impl FileSystem {
                 next_fd: 3, // 0-2 notionally stdin/stdout/stderr
                 cwd: "/".to_string(),
                 counters,
-                retry: None,
+                retry: false,
             })),
         }
     }
 
-    /// Retry transient backend failures (`EIO`, `ENOSPC`) under
-    /// `policy`, spacing attempts with its seeded backoff. `None`
-    /// (the default) surfaces every backend error directly. Each
-    /// re-issued attempt bumps the `fs.retries` counter and emits a
-    /// `fault`-category `fs_retry` trace instant.
-    pub fn set_retry_policy(&self, policy: Option<RetryPolicy>) {
-        self.inner.borrow_mut().retry = policy;
+    /// Retry transient backend failures (`EIO`, `ENOSPC`), making up
+    /// to [`RETRY_ATTEMPTS`] attempts spaced by the seeded
+    /// [`backoff_delay_ns`] schedule. Off (the default) surfaces every
+    /// backend error directly. Each re-issued attempt bumps the
+    /// `fs.retries` counter and emits a `fault`-category `fs_retry`
+    /// trace instant.
+    pub fn set_retry(&self, on: bool) {
+        self.inner.borrow_mut().retry = on;
     }
 
     /// The backend serving this file system.
@@ -259,8 +259,8 @@ impl FileSystem {
         (inner.engine.clone(), inner.backend.clone())
     }
 
-    /// Run a (re-issuable) backend operation under the retry policy,
-    /// if one is set.
+    /// Run a (re-issuable) backend operation, retrying it if retry is
+    /// on.
     fn run_op<T: 'static>(
         &self,
         engine: &Engine,
@@ -269,9 +269,10 @@ impl FileSystem {
         cb: FsCallback<T>,
     ) {
         let retry = self.inner.borrow().retry;
-        match retry {
-            None => run(engine, cb),
-            Some(policy) => retry_attempt(self.clone(), op, run, policy, 0, engine, cb),
+        if retry {
+            retry_attempt(self.clone(), op, run, 0, engine, cb);
+        } else {
+            run(engine, cb);
         }
     }
 

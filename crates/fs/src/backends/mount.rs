@@ -71,11 +71,6 @@ impl MountableFs {
             .ok_or_else(|| FsError::new(Errno::Enoent, point).with_detail("not a mount point"))
     }
 
-    /// The mount points, sorted.
-    pub fn mount_points(&self) -> Vec<String> {
-        self.mounts.borrow().keys().cloned().collect()
-    }
-
     /// Resolve `p` to `(backend, path-within-backend, mount-point)`.
     /// The longest mount point that is a prefix of `p` wins; otherwise
     /// the root backend serves it.

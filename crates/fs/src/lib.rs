@@ -393,7 +393,7 @@ mod tests {
 
     #[test]
     fn retry_policy_recovers_from_a_transient_eio() {
-        use doppio_faults::{FaultConfig, FaultPlan, RetryPolicy};
+        use doppio_faults::{FaultConfig, FaultPlan};
         let engine = Engine::new(Browser::Chrome);
         // Every op fails with EIO until the single-fault budget runs out.
         let plan = FaultPlan::new(
@@ -408,7 +408,7 @@ mod tests {
             &engine,
             backends::faulty(backends::in_memory(&engine), plan.clone()),
         );
-        fs.set_retry_policy(Some(RetryPolicy::default()));
+        fs.set_retry(true);
         wait!(engine, |cb| fs.write_file("/f", b"persisted".to_vec(), cb)).unwrap();
         assert_eq!(
             wait!(engine, |cb| fs.read_file("/f", cb)).unwrap(),
@@ -423,9 +423,8 @@ mod tests {
 
     #[test]
     fn retry_policy_gives_up_on_permanent_errors() {
-        use doppio_faults::RetryPolicy;
         let (engine, fs) = mem_fs();
-        fs.set_retry_policy(Some(RetryPolicy::default()));
+        fs.set_retry(true);
         let err = wait!(engine, |cb| fs.read_file("/nope", cb)).unwrap_err();
         assert_eq!(err.errno, Errno::Enoent);
         assert_eq!(

@@ -7,7 +7,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use doppio_trace::{
-    cat, ArgValue, Causal, Counter, Histogram, MetricsRegistry, Profiler, SpanContext, TraceSink,
+    cat, ArgValue, Causal, Counter, Histogram, MetricsRegistry, Profiler, RingSink, SpanContext,
     Tracer,
 };
 
@@ -58,7 +58,6 @@ struct Inner {
     rng_state: Cell<u64>,
     memory: RefCell<MemoryModel>,
     storage: RefCell<StorageSet>,
-    event_depth: Cell<u32>,
     /// Kind of the event whose callback is currently running; the
     /// profiler uses it as the stack root for attribution.
     current_event: Cell<Option<EventKind>>,
@@ -110,26 +109,23 @@ impl EngineCounters {
 
 /// Configures and constructs an [`Engine`].
 ///
-/// Replaces positional construction: profile, trace sink, watchdog
-/// threshold, RNG seed, latency histograms and the sampling profiler
-/// are all independent knobs, so adding one no longer ripples a
-/// parameter through every call site. Every engine gets its own fresh
-/// [`MetricsRegistry`].
+/// Replaces positional construction: profile, trace sink, RNG seed,
+/// latency histograms and the sampling profiler are all independent
+/// knobs, so adding one no longer ripples a parameter through every
+/// call site. Every engine gets its own fresh [`MetricsRegistry`].
 ///
 /// ```
-/// use doppio_jsengine::{Browser, EngineBuilder};
+/// use doppio_jsengine::{Browser, BrowserProfile, EngineBuilder};
 ///
-/// let engine = EngineBuilder::new(Browser::Chrome)
-///     .rng_seed(7)
-///     .watchdog_limit_ns(None) // disable the watchdog
-///     .build();
+/// let mut profile = BrowserProfile::of(Browser::Chrome);
+/// profile.watchdog_limit_ns = None; // disable the watchdog
+/// let engine = EngineBuilder::with_profile(profile).rng_seed(7).build();
 /// assert_eq!(engine.browser(), Browser::Chrome);
 /// ```
 #[derive(Debug)]
 pub struct EngineBuilder {
     profile: BrowserProfile,
     tracer: Tracer,
-    watchdog_override: Option<Option<u64>>,
     rng_seed: u64,
     histograms: bool,
     profiler: Option<Profiler>,
@@ -146,7 +142,6 @@ impl EngineBuilder {
         EngineBuilder {
             profile,
             tracer: Tracer::disabled(),
-            watchdog_override: None,
             rng_seed: 0,
             histograms: false,
             profiler: None,
@@ -154,15 +149,8 @@ impl EngineBuilder {
     }
 
     /// Record trace events into `sink`.
-    pub fn trace_sink(mut self, sink: Rc<dyn TraceSink>) -> EngineBuilder {
+    pub fn trace_sink(mut self, sink: Rc<RingSink>) -> EngineBuilder {
         self.tracer = Tracer::new(sink);
-        self
-    }
-
-    /// Override the profile's watchdog threshold: `Some(ns)` to set a
-    /// limit, `None` to disable the watchdog entirely.
-    pub fn watchdog_limit_ns(mut self, limit: Option<u64>) -> EngineBuilder {
-        self.watchdog_override = Some(limit);
         self
     }
 
@@ -199,10 +187,7 @@ impl EngineBuilder {
     /// metrics, and wait-for graph. `build()` remains fully supported
     /// for single-guest embeddings.
     pub fn build(self) -> Engine {
-        let mut profile = self.profile;
-        if let Some(limit) = self.watchdog_override {
-            profile.watchdog_limit_ns = limit;
-        }
+        let profile = self.profile;
         let memory = MemoryModel::new(profile.leaks_typed_arrays, profile.paging_threshold_bytes);
         let storage = StorageSet::for_profile(&profile);
         let metrics = MetricsRegistry::new();
@@ -226,7 +211,6 @@ impl EngineBuilder {
                 rng_state: Cell::new(self.rng_seed),
                 memory: RefCell::new(memory),
                 storage: RefCell::new(storage),
-                event_depth: Cell::new(0),
                 current_event: Cell::new(None),
                 profiler: self.profiler,
             }),
@@ -502,7 +486,6 @@ impl Engine {
             counters.event_latency.record(latency);
             counters.event_latency_by_kind[ev.kind.index()].record(latency);
         }
-        self.inner.event_depth.set(self.inner.event_depth.get() + 1);
         let prev_event = self.inner.current_event.replace(Some(ev.kind));
         // Carry the causal context across the queue hop: the callback
         // runs as a child span of whatever scheduled it.
@@ -547,7 +530,6 @@ impl Engine {
         }
         causal.set_current(prev_ctx);
         self.inner.current_event.set(prev_event);
-        self.inner.event_depth.set(self.inner.event_depth.get() - 1);
         let elapsed = self.now_ns() - start;
 
         counters.events_run.inc();
@@ -599,11 +581,6 @@ impl Engine {
             }
         }
         true
-    }
-
-    /// Whether the loop is currently inside an event callback.
-    pub fn in_event(&self) -> bool {
-        self.inner.event_depth.get() > 0
     }
 
     /// Kind of the event whose callback is currently running, if any.
@@ -821,10 +798,9 @@ mod tests {
 
     #[test]
     fn builder_watchdog_override_and_seed() {
-        let e = EngineBuilder::new(Browser::Chrome)
-            .watchdog_limit_ns(None)
-            .rng_seed(99)
-            .build();
+        let mut profile = BrowserProfile::of(Browser::Chrome);
+        profile.watchdog_limit_ns = None;
+        let e = EngineBuilder::with_profile(profile).rng_seed(99).build();
         e.send_message(|eng| eng.advance_ns(600_000_000_000));
         e.run_until_idle();
         assert_eq!(

@@ -30,11 +30,6 @@ impl JsString {
         &self.0
     }
 
-    /// Consume into the code units.
-    pub fn into_units(self) -> Vec<u16> {
-        self.0
-    }
-
     /// Length in code units (JavaScript's `.length`).
     pub fn len(&self) -> usize {
         self.0.len()

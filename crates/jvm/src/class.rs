@@ -122,14 +122,6 @@ pub struct RuntimeClass {
 }
 
 impl RuntimeClass {
-    /// Whether this is an interface.
-    pub fn is_interface(&self) -> bool {
-        self.cf
-            .as_ref()
-            .map(|cf| cf.access_flags & access::ACC_INTERFACE != 0)
-            .unwrap_or(false)
-    }
-
     /// The slot of instance field `key` (`"DeclaringClass.fieldName"`)
     /// in this class's layout: the by-name lookup for the natives that
     /// touch a field they know by name.

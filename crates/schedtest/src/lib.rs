@@ -251,6 +251,13 @@ impl fmt::Display for ScheduleDesc {
 // The explore driver
 // ----------------------------------------------------------------
 
+/// PCT bug depth for the PCT half of [`ExploreConfig::schedules`].
+const PCT_DEPTH: u32 = 3;
+
+/// PCT step estimate for the PCT half of [`ExploreConfig::schedules`]
+/// (an overestimate just dilutes change points).
+const PCT_EXPECTED_STEPS: u64 = 200;
+
 /// Parameters for [`explore`].
 #[derive(Debug, Clone)]
 pub struct ExploreConfig {
@@ -258,22 +265,13 @@ pub struct ExploreConfig {
     pub n_schedules: u32,
     /// Master seed; every per-schedule seed derives from it.
     pub seed: u64,
-    /// PCT bug depth for the PCT half of the schedule mix.
-    pub pct_depth: u32,
-    /// PCT step estimate (an overestimate just dilutes change points).
-    pub pct_expected_steps: u64,
 }
 
 impl ExploreConfig {
-    /// `explore(n_schedules, seed)` with default PCT parameters
-    /// (depth 3, 200 expected scheduling points).
+    /// `explore(n_schedules, seed)`. Its PCT schedules look for bugs
+    /// of depth 3 in runs of about 200 scheduling points.
     pub fn new(n_schedules: u32, seed: u64) -> ExploreConfig {
-        ExploreConfig {
-            n_schedules,
-            seed,
-            pct_depth: 3,
-            pct_expected_steps: 200,
-        }
+        ExploreConfig { n_schedules, seed }
     }
 
     /// The deterministic schedule list this config explores: schedule 0
@@ -291,8 +289,8 @@ impl ExploreConfig {
                 } else {
                     ScheduleDesc::Pct {
                         seed: s,
-                        depth: self.pct_depth,
-                        expected_steps: self.pct_expected_steps,
+                        depth: PCT_DEPTH,
+                        expected_steps: PCT_EXPECTED_STEPS,
                     }
                 }
             })

@@ -98,13 +98,22 @@ struct NetInner {
     servers: HashMap<u16, Rc<dyn TcpServerApp>>,
     conns: HashMap<ConnId, ConnState>,
     next_id: u64,
-    latency_ns: u64,
-    ns_per_kib: u64,
     faults: Option<FaultPlan>,
     /// `net.delivery_ns`: issue-to-delivery latency of every fabric
     /// event (segments, connects, closes), including fault-injected
     /// spikes and event-loop queuing.
     delivery_hist: Histogram,
+}
+
+/// One-way latency of every transmission, virtual ns.
+const LATENCY_NS: u64 = 400_000;
+
+/// Bandwidth cost per started KiB of payload, virtual ns (~60 MB/s).
+const NS_PER_KIB: u64 = 16_000;
+
+/// Virtual time for `bytes` of payload to cross the fabric one way.
+fn transfer_delay(bytes: usize) -> u64 {
+    LATENCY_NS + NS_PER_KIB * (bytes as u64).div_ceil(1024)
 }
 
 /// The network fabric. Cheaply cloneable handle.
@@ -125,22 +134,15 @@ impl fmt::Debug for Network {
 }
 
 impl Network {
-    /// A fabric with LAN-ish defaults (0.4 ms one-way latency,
-    /// ~60 MB/s).
+    /// A fabric with LAN-ish latency and bandwidth: 0.4 ms one way
+    /// plus 16 µs per KiB (~60 MB/s).
     pub fn new(engine: &Engine) -> Network {
-        Network::with_latency(engine, 400_000, 16_000)
-    }
-
-    /// A fabric with an explicit latency/bandwidth model.
-    pub fn with_latency(engine: &Engine, latency_ns: u64, ns_per_kib: u64) -> Network {
         Network {
             inner: Rc::new(RefCell::new(NetInner {
                 engine: engine.clone(),
                 servers: HashMap::new(),
                 conns: HashMap::new(),
                 next_id: 1,
-                latency_ns,
-                ns_per_kib,
                 faults: None,
                 delivery_hist: engine.metrics().histogram("net.delivery_ns"),
             })),
@@ -150,11 +152,6 @@ impl Network {
     /// Attach a fault plan: every subsequent transmission consults it.
     pub fn set_faults(&self, plan: FaultPlan) {
         self.inner.borrow_mut().faults = Some(plan);
-    }
-
-    /// Detach the fault plan; the fabric becomes reliable again.
-    pub fn clear_faults(&self) {
-        self.inner.borrow_mut().faults = None;
     }
 
     /// Register a server application listening on `port`.
@@ -172,11 +169,6 @@ impl Network {
     /// returns to zero on an idle fabric with everything closed.
     pub fn conn_count(&self) -> usize {
         self.inner.borrow().conns.len()
-    }
-
-    fn transfer_delay(&self, bytes: usize) -> u64 {
-        let inner = self.inner.borrow();
-        inner.latency_ns + inner.ns_per_kib * (bytes as u64).div_ceil(1024)
     }
 
     /// Schedule a delivery tied to `id`: the connection's in-flight
@@ -260,7 +252,7 @@ impl Network {
             );
             (id, app)
         };
-        let delay = self.transfer_delay(0);
+        let delay = transfer_delay(0);
         self.schedule(id, delay, move |e, net| {
             // Check liveness at delivery time: a close issued during
             // the connect latency must not surface as an established
@@ -330,7 +322,7 @@ impl Network {
                 .ok_or(NetError::Closed(id))?;
             (app, inner.engine.clone())
         };
-        let mut delay = self.transfer_delay(data.len());
+        let mut delay = transfer_delay(data.len());
         match self
             .faults()
             .and_then(|f| f.net_fault(&engine, "c2s", data.len()))
@@ -345,8 +337,8 @@ impl Network {
                 // Partial delivery: the segment arrives in two pieces,
                 // each paying its own transfer time.
                 let (head, tail) = data.split_at(at);
-                let d1 = self.transfer_delay(head.len());
-                let d2 = d1 + self.transfer_delay(tail.len());
+                let d1 = transfer_delay(head.len());
+                let d2 = d1 + transfer_delay(tail.len());
                 self.deliver_to_server(id, app.clone(), d1, head);
                 self.deliver_to_server(id, app, d2, tail);
                 return Ok(());
@@ -389,7 +381,7 @@ impl Network {
         if !open {
             return; // sender-side check: no writes after close
         }
-        let mut delay = self.transfer_delay(data.len());
+        let mut delay = transfer_delay(data.len());
         match self
             .faults()
             .and_then(|f| f.net_fault(&engine, "s2c", data.len()))
@@ -402,8 +394,8 @@ impl Network {
             Some(NetFault::LatencySpike(extra)) => delay += extra,
             Some(NetFault::Split(at)) => {
                 let (head, tail) = data.split_at(at);
-                let d1 = self.transfer_delay(head.len());
-                let d2 = d1 + self.transfer_delay(tail.len());
+                let d1 = transfer_delay(head.len());
+                let d2 = d1 + transfer_delay(tail.len());
                 self.deliver_to_client(id, d1, head);
                 self.deliver_to_client(id, d2, tail);
                 return;
@@ -470,7 +462,7 @@ impl Network {
         if !self.mark_closed(id) {
             return;
         }
-        let remote = self.transfer_delay(0);
+        let remote = transfer_delay(0);
         self.notify_server_close(id, remote);
         self.notify_client_close(id, 0);
         self.reap_if_drained(id);
@@ -485,7 +477,7 @@ impl Network {
         if !self.mark_closed(id) {
             return;
         }
-        let remote = self.transfer_delay(0);
+        let remote = transfer_delay(0);
         self.notify_client_close(id, remote);
         self.notify_server_close(id, 0);
         self.reap_if_drained(id);
@@ -497,7 +489,7 @@ impl Network {
         if !self.mark_closed(id) {
             return;
         }
-        let delay = self.transfer_delay(0);
+        let delay = transfer_delay(0);
         self.notify_client_close(id, delay);
         self.notify_server_close(id, delay);
         self.reap_if_drained(id);
@@ -649,7 +641,7 @@ mod tests {
     #[test]
     fn transfers_cost_latency_and_bandwidth() {
         let engine = Engine::new(Browser::Chrome);
-        let net = Network::with_latency(&engine, 1_000_000, 10_000);
+        let net = Network::new(&engine);
         net.listen(7, Rc::new(Echo));
         let done_at = Rc::new(RefCell::new(0u64));
         let d = done_at.clone();
@@ -665,7 +657,7 @@ mod tests {
             .unwrap();
         net.client_send(id, vec![0; 100 * 1024]).unwrap();
         engine.run_until_idle();
-        // Round trip: 2 × (1 ms + 100 KiB × 10 µs/KiB) = 2 × 2 ms.
+        // Round trip: 2 × (0.4 ms + 100 KiB × 16 µs/KiB) = 2 × 2 ms.
         assert!(*done_at.borrow() >= 4_000_000);
     }
 
@@ -830,7 +822,7 @@ mod tests {
     #[test]
     fn injected_spike_delays_delivery() {
         let engine = Engine::new(Browser::Chrome);
-        let net = Network::with_latency(&engine, 1_000_000, 0);
+        let net = Network::new(&engine);
         net.listen(7, Rc::new(Echo));
         let done_at = Rc::new(RefCell::new(0u64));
         let d = done_at.clone();
@@ -857,8 +849,9 @@ mod tests {
         let t0 = engine.now_ns();
         net.client_send(id, vec![7]).unwrap();
         engine.run_until_idle();
-        // One spiked leg (≥50 ms) plus the normal return leg.
-        assert!(*done_at.borrow() >= t0 + 50_000_000 + 2_000_000);
+        // The spiked leg pays 50 ms on top of its transfer time, the
+        // return leg only its own: 2 × (0.4 ms + 16 µs for one KiB).
+        assert!(*done_at.borrow() >= t0 + 50_000_000 + 2 * 416_000);
     }
 
     #[test]

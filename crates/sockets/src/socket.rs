@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
-use doppio_faults::BackoffPolicy;
+use doppio_faults::backoff_delay_ns;
 use doppio_jsengine::Engine;
 use doppio_trace::{cat, ArgValue};
 
@@ -55,12 +55,11 @@ pub struct SocketConfig {
     pub connect_timeout_ns: Option<u64>,
     /// How many times to automatically re-dial after an unexpected
     /// close (0: the paper's behaviour — the socket dies with its
-    /// transport).
+    /// transport). Attempts are spaced by
+    /// [`doppio_faults::backoff_delay_ns`], its jitter drawn from the
+    /// engine's seeded stream, so reconnect timing is deterministic
+    /// per engine seed.
     pub max_reconnects: u32,
-    /// Backoff schedule between reconnect attempts. Jitter randomness
-    /// comes from the engine's seeded stream, so reconnect timing is
-    /// deterministic per engine seed.
-    pub backoff: BackoffPolicy,
     /// Queue sends issued while the transport is (re)connecting and
     /// flush them on open, instead of failing with
     /// [`WsError::NotOpen`].
@@ -72,13 +71,11 @@ pub struct SocketConfig {
 
 impl SocketConfig {
     /// A policy suited to a faulty fabric: 1 s connect timeout, up to
-    /// eight reconnects with default backoff, queued sends bounded by
-    /// a 10 s send timeout.
+    /// eight reconnects, queued sends bounded by a 10 s send timeout.
     pub fn robust() -> SocketConfig {
         SocketConfig {
             connect_timeout_ns: Some(1_000_000_000),
             max_reconnects: 8,
-            backoff: BackoffPolicy::default(),
             queue_while_connecting: true,
             send_timeout_ns: Some(10_000_000_000),
         }
@@ -273,10 +270,7 @@ impl DoppioSocket {
             } else {
                 inner.attempts += 1;
                 inner.reconnects += 1;
-                let delay = inner
-                    .config
-                    .backoff
-                    .delay_ns(inner.attempts - 1, engine.random_u64());
+                let delay = backoff_delay_ns(inner.attempts - 1, engine.random_u64());
                 Some((inner.attempts, delay, inner.port))
             }
         };
@@ -335,11 +329,6 @@ impl DoppioSocket {
     /// wake their guest thread.
     pub fn set_data_waker(&self, waker: Box<dyn FnMut(&Engine)>) {
         self.inner.borrow_mut().waker = Some(waker);
-    }
-
-    /// Remove the waker.
-    pub fn clear_data_waker(&self) {
-        self.inner.borrow_mut().waker = None;
     }
 
     /// Current state.

@@ -32,8 +32,9 @@ use crate::proto::{encode_get, encode_write_request, Frame, FrameBuffer, WriteOp
 /// Virtual latency of a cache hit (no network round trip).
 const CACHE_HIT_NS: u64 = 2_000;
 
-/// Backoff between reconnect attempts.
-const RECONNECT_NS: u64 = 2_000_000;
+/// Backoff between reconnect attempts: a client's re-dial of the
+/// primary and a replication link's re-dial of its backup.
+pub(crate) const RECONNECT_NS: u64 = 2_000_000;
 
 /// Completion callback for a raw request: `None` means not-found (get)
 /// or, for writes, is ignored.

@@ -29,36 +29,33 @@ use doppio_jsengine::Engine;
 use doppio_sockets::{ConnId, Network, Segment, ServerConn, TcpServerApp};
 use doppio_trace::SpanContext;
 
-use crate::client::StorageClient;
+use crate::client::{StorageClient, RECONNECT_NS};
 use crate::proto::{
     encode_ack, encode_invalidate, encode_replicate, encode_response, Frame, FrameBuffer,
     RequestOp, WriteOp,
 };
 
-/// Cluster shape and protocol knobs.
+/// Node `i` listens on `BASE_PORT + i`; clients dial `BASE_PORT`.
+const BASE_PORT: u16 = 7100;
+
+/// Retransmission interval for unacked replication records.
+const RESEND_NS: u64 = 5_000_000;
+
+/// Cluster shape and the canary's bug switch.
 #[derive(Debug, Clone)]
 pub struct StorageConfig {
     /// Total nodes including the primary (≥ 1).
     pub replicas: usize,
-    /// Node `i` listens on `base_port + i`; clients use `base_port`.
-    pub base_port: u16,
     /// **Bug switch** for the canary: acknowledge writes before the
     /// journal append, so a crash in between loses an acked write.
     pub ack_before_journal: bool,
-    /// Retransmission interval for unacked replication records.
-    pub resend_ns: u64,
-    /// Backoff before re-dialing a lost replication link.
-    pub reconnect_ns: u64,
 }
 
 impl Default for StorageConfig {
     fn default() -> StorageConfig {
         StorageConfig {
             replicas: 3,
-            base_port: 7100,
             ack_before_journal: false,
-            resend_ns: 5_000_000,
-            reconnect_ns: 2_000_000,
         }
     }
 }
@@ -146,7 +143,7 @@ impl StorageCluster {
         let nodes = (0..cfg.replicas)
             .map(|i| Node {
                 name: format!("node{i}"),
-                port: cfg.base_port + i as u16,
+                port: BASE_PORT + i as u16,
                 up: Cell::new(true),
                 objects: RefCell::new(BTreeMap::new()),
                 journal: RefCell::new(Vec::new()),
@@ -189,7 +186,7 @@ impl StorageCluster {
     /// A new client session (own connection, cache, and request ids)
     /// talking to the primary.
     pub fn client(&self, label: &str, cache: bool) -> StorageClient {
-        let client = StorageClient::new(&self.inner.net, self.inner.cfg.base_port, label, cache);
+        let client = StorageClient::new(&self.inner.net, BASE_PORT, label, cache);
         client.hold_world(self.inner.clone());
         client
     }
@@ -527,7 +524,7 @@ fn arm_resend(inner: &Rc<ClusterInner>, engine: &Engine) {
     }
     inner.resend_armed.set(true);
     let w = Rc::downgrade(inner);
-    engine.complete_async_after(inner.cfg.resend_ns, move |e| {
+    engine.complete_async_after(RESEND_NS, move |e| {
         let Some(inner) = w.upgrade() else { return };
         inner.resend_armed.set(false);
         if !inner.nodes[0].up.get() {
@@ -698,7 +695,7 @@ fn attempt_dial(inner: &Rc<ClusterInner>, l: usize) {
             // Re-dial after backoff (the backup may be restarting).
             link.dialing.set(true);
             let w = Rc::downgrade(&inner);
-            e.complete_async_after(inner.cfg.reconnect_ns, move |_e| {
+            e.complete_async_after(RECONNECT_NS, move |_e| {
                 let Some(inner) = w.upgrade() else { return };
                 attempt_dial(&inner, l);
             });
@@ -714,12 +711,10 @@ fn attempt_dial(inner: &Rc<ClusterInner>, l: usize) {
         Err(_) => {
             // Backup is down; retry after backoff.
             let w = Rc::downgrade(inner);
-            inner
-                .engine
-                .complete_async_after(inner.cfg.reconnect_ns, move |_e| {
-                    let Some(inner) = w.upgrade() else { return };
-                    attempt_dial(&inner, l);
-                });
+            inner.engine.complete_async_after(RECONNECT_NS, move |_e| {
+                let Some(inner) = w.upgrade() else { return };
+                attempt_dial(&inner, l);
+            });
         }
     }
 }

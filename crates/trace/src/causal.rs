@@ -57,14 +57,6 @@ pub const WAIT_SCHED: &str = "wait.sched";
 /// The catch-all for request time the walk could not attribute.
 pub const UNATTRIBUTED: &str = "other";
 
-fn split_mix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 struct CausalInner {
     tracer: Tracer,
     rng: Cell<u64>,
@@ -109,7 +101,7 @@ impl Causal {
 
     fn mint(&self) -> u64 {
         let mut s = self.inner.rng.get();
-        let id = split_mix64(&mut s);
+        let id = doppio_prng::split_mix64(&mut s);
         self.inner.rng.set(s);
         // Zero is the wire encoding of "no context"; skip it.
         if id == 0 {

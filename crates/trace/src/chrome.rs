@@ -57,9 +57,9 @@ fn write_event(out: &mut String, ev: &TraceEvent) {
         Phase::FlowEnd => "f",
     };
     out.push_str("{\"name\":");
-    write_str(out, &ev.name);
+    json::emit_str(&ev.name, out);
     out.push_str(",\"cat\":");
-    write_str(out, ev.cat);
+    json::emit_str(ev.cat, out);
     let _ = write!(out, ",\"ph\":\"{ph}\",\"ts\":");
     write_micros(out, ev.ts_ns);
     if ev.phase == Phase::Complete {
@@ -85,7 +85,7 @@ fn write_event(out: &mut String, ev: &TraceEvent) {
             if i > 0 {
                 out.push(',');
             }
-            write_str(out, k);
+            json::emit_str(k, out);
             out.push(':');
             write_arg(out, v);
         }
@@ -119,30 +119,12 @@ fn write_arg(out: &mut String, v: &ArgValue) {
         }
         // JSON has no NaN/Inf; stringify them rather than corrupt
         // the document.
-        ArgValue::F64(x) => write_str(out, &x.to_string()),
+        ArgValue::F64(x) => json::emit_str(&x.to_string(), out),
         ArgValue::Bool(b) => {
             let _ = write!(out, "{b}");
         }
-        ArgValue::Str(s) => write_str(out, s),
+        ArgValue::Str(s) => json::emit_str(s, out),
     }
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Convenience: export straight from a [`RingSink`](crate::RingSink),

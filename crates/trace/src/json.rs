@@ -11,6 +11,7 @@
 //! `RunReport`s) are deterministic and diffable across runs.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -316,7 +317,9 @@ fn emit(v: &Json, indent: usize, out: &mut String) {
     }
 }
 
-fn emit_str(s: &str, out: &mut String) {
+/// Write `s` as a JSON string literal, quotes included; the Chrome
+/// exporter shares it.
+pub(crate) fn emit_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -325,7 +328,9 @@ fn emit_str(s: &str, out: &mut String) {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

@@ -6,10 +6,9 @@
 //! makes that attribution possible across the workspace:
 //!
 //! * [`Tracer`] — a cheaply-cloneable handle that records [`TraceEvent`]s
-//!   (complete spans, instants, counter samples) into a [`TraceSink`].
-//!   When tracing is disabled the handle holds a [`NullSink`] and a
-//!   cached `enabled: false`, so the hot path pays one branch and zero
-//!   allocations per would-be span.
+//!   (complete spans, instants, counter samples) into a [`RingSink`].
+//!   When tracing is disabled the handle holds no sink, so the hot path
+//!   pays one branch and zero allocations per would-be span.
 //! * [`RingBuffer`] / [`RingSink`] — bounded storage that grows in
 //!   fixed chunks with the events it holds, keeps the *most recent* ones
 //!   once full and counts what it dropped, so tracing a long run cannot
@@ -56,7 +55,7 @@ pub use hist::{Histogram, HistogramSnapshot};
 pub use metrics::{Counter, MetricsRegistry};
 pub use profiler::Profiler;
 pub use ring::RingBuffer;
-pub use sink::{NullSink, RingSink, TraceSink};
+pub use sink::RingSink;
 
 /// Well-known category names, one per instrumented subsystem. The
 /// integration tests key off these, so emitters should prefer them over
@@ -183,10 +182,10 @@ pub struct TraceEvent {
 /// Handle through which subsystems record events.
 ///
 /// `Tracer` is `Clone` (it is an `Rc` under the hood) and is stored by
-/// value inside `Engine`, `FileSystem`, the runtime, etc. The
-/// `enabled` flag is cached at construction: emitters guard argument
-/// construction with [`Tracer::enabled`] so a disabled tracer costs one
-/// predictable branch per site and never allocates.
+/// value inside `Engine`, `FileSystem`, the runtime, etc. It is enabled
+/// exactly when it holds a sink: emitters guard argument construction
+/// with [`Tracer::enabled`] so a disabled tracer costs one predictable
+/// branch per site and never allocates.
 ///
 /// Lane (`tid`) conventions used by the workspace emitters: lane 0 is
 /// the browser event loop (engine, fs, net, jvm events all happen
@@ -194,33 +193,26 @@ pub struct TraceEvent {
 /// thread's slices render as their own track in Perfetto.
 #[derive(Clone)]
 pub struct Tracer {
-    enabled: bool,
-    sink: Rc<dyn TraceSink>,
+    /// Where events go; `None` when tracing is off.
+    sink: Option<Rc<RingSink>>,
 }
 
 impl Tracer {
     /// A tracer that records nothing and reports `enabled() == false`.
     pub fn disabled() -> Tracer {
-        Tracer {
-            enabled: false,
-            sink: Rc::new(NullSink),
-        }
+        Tracer { sink: None }
     }
 
-    /// A tracer backed by `sink`. The sink's [`TraceSink::enabled`]
-    /// answer is cached here, once, for the life of the handle.
-    pub fn new(sink: Rc<dyn TraceSink>) -> Tracer {
-        Tracer {
-            enabled: sink.enabled(),
-            sink,
-        }
+    /// A tracer recording into `sink`.
+    pub fn new(sink: Rc<RingSink>) -> Tracer {
+        Tracer { sink: Some(sink) }
     }
 
     /// Whether events will actually be recorded. Emitters must check
     /// this before building names or args for a span.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.enabled
+        self.sink.is_some()
     }
 
     /// Record a fully-formed event. Prefer the shaped helpers
@@ -229,8 +221,8 @@ impl Tracer {
     /// flow phases or correlation ids the helpers do not cover.
     #[inline]
     pub fn record(&self, ev: TraceEvent) {
-        if self.enabled {
-            self.sink.record(ev);
+        if let Some(sink) = &self.sink {
+            sink.record(ev);
         }
     }
 
@@ -246,8 +238,8 @@ impl Tracer {
         tid: u32,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if self.enabled {
-            self.sink.record(TraceEvent {
+        if let Some(sink) = &self.sink {
+            sink.record(TraceEvent {
                 name: name.into(),
                 cat: category,
                 phase: Phase::Complete,
@@ -270,8 +262,8 @@ impl Tracer {
         tid: u32,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if self.enabled {
-            self.sink.record(TraceEvent {
+        if let Some(sink) = &self.sink {
+            sink.record(TraceEvent {
                 name: name.into(),
                 cat: category,
                 phase: Phase::Instant,
@@ -294,8 +286,8 @@ impl Tracer {
         ts_ns: u64,
         value: u64,
     ) {
-        if self.enabled {
-            self.sink.record(TraceEvent {
+        if let Some(sink) = &self.sink {
+            sink.record(TraceEvent {
                 name: name.into(),
                 cat: category,
                 phase: Phase::Counter,
@@ -311,8 +303,8 @@ impl Tracer {
     /// Name lane `tid` in the exported trace (`ph: "M"`,
     /// `thread_name` metadata).
     pub fn name_lane(&self, tid: u32, name: impl Into<Cow<'static, str>>) {
-        if self.enabled {
-            self.sink.record(TraceEvent {
+        if let Some(sink) = &self.sink {
+            sink.record(TraceEvent {
                 name: Cow::Borrowed("thread_name"),
                 cat: "__metadata",
                 phase: Phase::Metadata,
@@ -329,7 +321,7 @@ impl Tracer {
 impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
-            .field("enabled", &self.enabled)
+            .field("enabled", &self.enabled())
             .finish_non_exhaustive()
     }
 }

@@ -1,9 +1,8 @@
 //! Where recorded events go.
 //!
-//! [`Tracer`](crate::Tracer) writes through an `Rc<dyn TraceSink>`. Two
-//! implementations cover the workspace's needs: [`NullSink`] (tracing
-//! off — the common case, and the one the bench suite proves is free)
-//! and [`RingSink`] (tracing on, bounded memory).
+//! [`Tracer`](crate::Tracer) writes into an `Rc<RingSink>`, or nowhere
+//! when it has none (tracing off — the common case, and the one the
+//! bench suite proves is free).
 
 use std::cell::RefCell;
 
@@ -11,33 +10,8 @@ use crate::metrics::Counter;
 use crate::ring::RingBuffer;
 use crate::TraceEvent;
 
-/// Destination for trace events.
-pub trait TraceSink {
-    /// Store one event.
-    fn record(&self, ev: TraceEvent);
-
-    /// Whether this sink wants events at all. `Tracer` caches this
-    /// answer at construction, so a sink cannot toggle mid-run.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// Discards everything; `enabled()` is `false` so tracers built on it
-/// skip event construction entirely.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&self, _ev: TraceEvent) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
-
-/// Records into a bounded [`RingBuffer`]; the default sink for
-/// `--trace` runs.
+/// Records into a bounded [`RingBuffer`]: the sink of every traced
+/// run.
 #[derive(Debug)]
 pub struct RingSink {
     ring: RefCell<RingBuffer>,
@@ -91,21 +65,20 @@ impl RingSink {
         self.ring.borrow().dropped()
     }
 
-    /// Mirror future evictions into `counter` (conventionally the
-    /// registry's `trace.dropped`), seeding it with drops so far.
-    pub fn set_drop_counter(&self, counter: Counter) {
-        counter.set(self.dropped());
-        *self.drop_counter.borrow_mut() = Some(counter);
-    }
-}
-
-impl TraceSink for RingSink {
-    fn record(&self, ev: TraceEvent) {
+    /// Store one event, evicting the oldest once the ring is full.
+    pub fn record(&self, ev: TraceEvent) {
         if self.ring.borrow_mut().push(ev) {
             if let Some(c) = self.drop_counter.borrow().as_ref() {
                 c.inc();
             }
         }
+    }
+
+    /// Mirror future evictions into `counter` (conventionally the
+    /// registry's `trace.dropped`), seeding it with drops so far.
+    pub fn set_drop_counter(&self, counter: Counter) {
+        counter.set(self.dropped());
+        *self.drop_counter.borrow_mut() = Some(counter);
     }
 }
 

@@ -13,7 +13,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use common::{check_golden, digest};
-use doppio::faults::{FaultConfig, FaultPlan, RetryPolicy};
+use doppio::faults::{FaultConfig, FaultPlan};
 use doppio::fs::{backends, FileSystem};
 use doppio::jsengine::{Browser, Engine};
 use doppio::sockets::{
@@ -123,7 +123,7 @@ fn run_faulty_replay(seed: u64) -> String {
     }
     let plan = FaultPlan::new(seed, FaultConfig::light());
     let fs = FileSystem::new(&engine, backends::faulty(inner, plan.clone()));
-    fs.set_retry_policy(Some(RetryPolicy::default()));
+    fs.set_retry(true);
     let stats = fstrace::replay(&engine, &fs, &trace);
 
     // Recovery: despite the injected faults, the replay ran every op to
@@ -232,7 +232,7 @@ fn fs_retry_recovers_and_traces_the_faults() {
         &engine,
         backends::faulty(backends::in_memory(&engine), plan.clone()),
     );
-    fs.set_retry_policy(Some(RetryPolicy::default()));
+    fs.set_retry(true);
 
     let ok = Rc::new(RefCell::new(false));
     let ok2 = ok.clone();

@@ -6,6 +6,14 @@
 //! works: an AB-BA deadlock, a lost-update race, and a lost-wakeup
 //! latch, each survived by round-robin but caught by exploration, each
 //! shrunk to a minimal pick trace that replays byte-identically.
+//!
+//! Their healthy counterparts (a synchronized counter, and a bounded
+//! buffer and a latch that wait under the monitor) are swept at three
+//! master seeds, 48 schedules each, sharded over one OS thread per
+//! core. A sweep that fails writes its shrunk schedule to
+//! `target/tmp/schedule-replay-<workload>-<seed>.txt` before the test
+//! panics; every run is deterministic, so rerunning the test reproduces
+//! the failure.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -15,15 +23,22 @@ use doppio::fs::{backends, FileSystem};
 use doppio::jsengine::{Browser, Engine};
 use doppio::jvm::{fsutil, Jvm};
 use doppio::minijava::compile_to_bytes;
+use doppio::scale::default_threads;
 use doppio::schedtest::{
-    explore, ExploreConfig, PickLog, RecordingScheduler, ReplayFile, ReplayScheduler,
+    explore, explore_parallel, ExploreConfig, PickLog, RecordingScheduler, ReplayFile,
+    ReplayScheduler,
 };
 use doppio::trace::{chrome, RingSink};
 
-/// The master seed for every exploration in this file; the CI matrix
-/// overrides it for the fuzz job, this fixed value keeps the in-tree
-/// tests deterministic.
+/// The master seed for the single-seed explorations in this file.
 const SEED: u64 = 0x00D0_FF10;
+
+/// The master seeds of the healthy sweeps and the AB-BA canary.
+const SEEDS: [u64; 3] = [SEED, 1, 2];
+
+/// Schedules explored per seed by the healthy sweeps and the AB-BA
+/// canary.
+const SCHEDULES: u32 = 48;
 
 /// Build a workload closure for `explore`: each call makes a fresh
 /// engine + JVM, installs the scheduler, runs `Main`, and fails on
@@ -51,6 +66,31 @@ fn guest_workload(
                 }
             }
         }
+    }
+}
+
+/// Explore [`SCHEDULES`] schedules of a healthy workload at each of
+/// [`SEEDS`], sharded over one OS thread per core: every schedule must
+/// pass. A failure writes its replay file to
+/// `target/tmp/schedule-replay-<name>-<seed>.txt`, then panics.
+fn sweep_healthy(name: &str, src: &str, expect_stdout: &'static str) {
+    let classes = compile_to_bytes(src).unwrap();
+    for seed in SEEDS {
+        let cfg = ExploreConfig::new(SCHEDULES, seed);
+        let report = explore_parallel(&cfg, default_threads(), || {
+            Box::new(guest_workload(classes.clone(), expect_stdout))
+        });
+        if let Some(failure) = report.failure {
+            let dir = env!("CARGO_TARGET_TMPDIR");
+            let path = format!("{dir}/schedule-replay-{name}-{seed:#x}.txt");
+            std::fs::create_dir_all(dir).expect("create the replay directory");
+            failure.replay.save(&path).expect("write the replay file");
+            panic!(
+                "workload '{name}' failed under {} at seed {seed:#x}; replay file {path}:\n{}",
+                failure.schedule, failure.message
+            );
+        }
+        assert_eq!(report.runs.len(), SCHEDULES as usize);
     }
 }
 
@@ -99,55 +139,58 @@ const AB_BA: &str = r#"
 #[test]
 fn explore_finds_the_ab_ba_deadlock_and_replays_it_byte_identically() {
     let classes = compile_to_bytes(AB_BA).unwrap();
-    let cfg = ExploreConfig::new(24, SEED);
-    let mut workload = guest_workload(classes, "no deadlock\n");
-    let report = explore(&cfg, &mut workload);
+    for seed in SEEDS {
+        let cfg = ExploreConfig::new(SCHEDULES, seed);
+        let mut workload = guest_workload(classes.clone(), "no deadlock\n");
+        let report = explore(&cfg, &mut workload);
 
-    // The baseline round-robin schedule survives the canary...
-    assert!(
-        report.runs[0].failure.is_none(),
-        "round-robin should pass: {:?}",
-        report.runs[0].failure
-    );
-    // ...but exploration finds the deadlock within the seed budget.
-    let failure = report
-        .failure
-        .expect("exploration finds the AB-BA deadlock");
-
-    // The report names the cycle's threads and resources.
-    assert!(failure.message.contains("deadlock"), "{}", failure.message);
-    assert!(
-        failure.message.contains("wait-for cycle"),
-        "{}",
-        failure.message
-    );
-    for needle in ["Thread-0", "Thread-1", "monitor #"] {
+        // The baseline round-robin schedule survives the canary...
         assert!(
-            failure.message.contains(needle),
-            "missing {needle:?} in: {}",
+            report.runs[0].failure.is_none(),
+            "round-robin should pass: {:?}",
+            report.runs[0].failure
+        );
+        // ...but exploration finds the deadlock within the seed budget.
+        let failure = report
+            .failure
+            .unwrap_or_else(|| panic!("seed {seed:#x}: exploration finds the AB-BA deadlock"));
+
+        // The report names the cycle's threads and resources.
+        assert!(failure.message.contains("deadlock"), "{}", failure.message);
+        assert!(
+            failure.message.contains("wait-for cycle"),
+            "{}",
             failure.message
         );
+        for needle in ["Thread-0", "Thread-1", "monitor #"] {
+            assert!(
+                failure.message.contains(needle),
+                "missing {needle:?} in: {}",
+                failure.message
+            );
+        }
+
+        // The shrunk schedule replays byte-identically: a
+        // ReplayScheduler over the shrunk trace makes exactly those
+        // picks and reproduces exactly that failure.
+        assert!(!failure.shrunk.is_empty());
+        assert!(failure.shrunk.len() <= failure.picks.len());
+        let log: PickLog = Rc::new(RefCell::new(Vec::new()));
+        let rec = RecordingScheduler::new(
+            Box::new(ReplayScheduler::new(failure.shrunk.clone())),
+            log.clone(),
+        );
+        let replayed = workload(Box::new(rec)).expect_err("replay reproduces the deadlock");
+        assert_eq!(replayed, failure.message);
+        assert_eq!(*log.borrow(), failure.shrunk, "replay diverged from trace");
+
+        // The serialized replay file round-trips and still reproduces.
+        let parsed = ReplayFile::from_text(&failure.replay.to_text()).unwrap();
+        assert_eq!(parsed.seed, seed);
+        assert_eq!(parsed.picks, failure.shrunk);
+        let again = workload(parsed.scheduler()).expect_err("file replay reproduces");
+        assert_eq!(again, failure.message);
     }
-
-    // The shrunk schedule replays byte-identically: a ReplayScheduler
-    // over the shrunk trace makes exactly those picks and reproduces
-    // exactly that failure.
-    assert!(!failure.shrunk.is_empty());
-    assert!(failure.shrunk.len() <= failure.picks.len());
-    let log: PickLog = Rc::new(RefCell::new(Vec::new()));
-    let rec = RecordingScheduler::new(
-        Box::new(ReplayScheduler::new(failure.shrunk.clone())),
-        log.clone(),
-    );
-    let replayed = workload(Box::new(rec)).expect_err("replay reproduces the deadlock");
-    assert_eq!(replayed, failure.message);
-    assert_eq!(*log.borrow(), failure.shrunk, "replay diverged from trace");
-
-    // The serialized replay file round-trips and still reproduces.
-    let parsed = ReplayFile::from_text(&failure.replay.to_text()).unwrap();
-    assert_eq!(parsed.picks, failure.shrunk);
-    let again = workload(parsed.scheduler()).expect_err("file replay reproduces");
-    assert_eq!(again, failure.message);
 }
 
 /// Lost-update race: read, yield, write — no synchronization. Two
@@ -221,22 +264,12 @@ const SYNC_COUNTER: &str = r#"
 fn mutual_exclusion_holds_when_synchronized_and_breaks_when_not() {
     // Property: the synchronized counter reaches exactly 10 under every
     // explored schedule.
-    let cfg = ExploreConfig::new(12, SEED);
-    let good = explore(
-        &cfg,
-        guest_workload(compile_to_bytes(SYNC_COUNTER).unwrap(), "n=10\n"),
-    );
-    assert!(
-        good.all_passed(),
-        "synchronized counter must be schedule-independent: {:?}",
-        good.failure.map(|f| f.message)
-    );
-    assert_eq!(good.runs.len(), 12);
+    sweep_healthy("counter", SYNC_COUNTER, "n=10\n");
 
     // Canary: the racy counter loses an update under some schedule, and
     // the shrunk trace replays to the same wrong answer.
     let mut workload = guest_workload(compile_to_bytes(RACY_COUNTER).unwrap(), "n=10\n");
-    let racy = explore(&cfg, &mut workload);
+    let racy = explore(&ExploreConfig::new(12, SEED), &mut workload);
     let failure = racy.failure.expect("exploration catches the lost update");
     assert!(
         failure.message.contains("stdout"),
@@ -330,20 +363,49 @@ const SAFE_BUFFER: &str = r#"
     }
 "#;
 
+/// A latch whose three waiters re-check its predicate under the
+/// monitor: every waiter gets through, whatever the schedule.
+const SAFE_LATCH: &str = r#"
+    class Latch {
+        boolean open;
+        int through;
+        synchronized void await() {
+            while (!open) { this.wait(); }
+            through += 1;
+        }
+        synchronized void release() {
+            open = true;
+            this.notifyAll();
+        }
+        synchronized int count() { return through; }
+    }
+    class Waiter extends Thread {
+        Latch l;
+        Waiter(Latch l) { this.l = l; }
+        void run() { l.await(); }
+    }
+    class Main {
+        static void main(String[] args) {
+            Latch l = new Latch();
+            Waiter[] ws = new Waiter[3];
+            for (int i = 0; i < 3; i++) {
+                ws[i] = new Waiter(l);
+                ws[i].start();
+            }
+            Thread.yield();
+            l.release();
+            for (int i = 0; i < 3; i++) { ws[i].join(); }
+            System.out.println("through=" + l.count());
+        }
+    }
+"#;
+
 #[test]
 fn no_lost_wakeup_with_monitor_predicates_and_canary_without() {
-    // Property: the while-under-monitor buffer completes under every
-    // explored schedule — no wakeup is ever lost.
-    let cfg = ExploreConfig::new(12, SEED);
-    let good = explore(
-        &cfg,
-        guest_workload(compile_to_bytes(SAFE_BUFFER).unwrap(), "sum=21\n"),
-    );
-    assert!(
-        good.all_passed(),
-        "safe buffer must never hang: {:?}",
-        good.failure.map(|f| f.message)
-    );
+    // Property: the while-under-monitor buffer and latch complete
+    // under every explored schedule — no wakeup is ever lost.
+    sweep_healthy("buffer", SAFE_BUFFER, "sum=21\n");
+    sweep_healthy("latch", SAFE_LATCH, "through=3\n");
 
     // Canary: the check-yield-park latch loses the wakeup under some
     // schedule; the waiter parks forever and the wait-for graph blames
