@@ -264,6 +264,243 @@ fn subclass_swap_misses_the_inline_cache_at_the_swap() {
     );
 }
 
+/// Every kind of call and return the interpreter makes, with the
+/// places where it must hand its tallied charges to the engine or run
+/// the §6.1 suspend check:
+/// - `deep` recurses 60 frames down, 800 times, so the suspend timer
+///   fires many times with a long chain on the stack; its `byte[]`
+///   blocks make Safari's leaking memory model page partway through;
+/// - the first chain to reach the bottom calls `Lazy.bump`, whose
+///   `invokestatic` pushes `Lazy`'s `<clinit>` mid-chain;
+/// - `shapes` alternates its call site's receiver class, so the inline
+///   cache misses on every call;
+/// - `text` calls `String.charAt` and `StringBuilder.append` (native,
+///   on receivers that are not instances) and reads `System.nanoTime`
+///   on both sides of bytecode calls, printing what the clock moved;
+/// - `locks` returns from a synchronized static and a synchronized
+///   instance method;
+/// - in `contend`, two threads call one synchronized method that makes
+///   calls, so the suspend check fires while one holds the monitor,
+///   the other blocks on it, and the holder's return wakes the other.
+///
+/// MiniJava has no `try`, so [`call_path_main`] assembles `Main`, whose
+/// handlers catch what `Calls.mid` (thrown two frames further down, in
+/// `Calls.leaf`), `Tally.share` and `Tally.add` (the synchronized pair,
+/// left by an exception) throw.
+const CALL_PATH: &str = r#"
+    class Shape {
+        int area(int k) { return k; }
+    }
+    class Square extends Shape {
+        int area(int k) { return k * k; }
+    }
+    class Tri extends Shape {
+        int area(int k) { return k * (k + 1) / 2; }
+    }
+    class Lazy {
+        static int seed = 6 * 7;
+        static int bump(int x) { return seed + x; }
+    }
+    class Tally {
+        int total;
+        synchronized int add(int x) { total = total + 100 / x; return total; }
+        static synchronized int share(int a, int b) { return a / b; }
+        synchronized int hold(int n) {
+            int sum = 0;
+            for (int i = 0; i < n; i++) { sum = sum + Calls.chain(20); }
+            return sum;
+        }
+    }
+    class Worker extends Thread {
+        Tally tally;
+        int got;
+        Worker(Tally t) { tally = t; }
+        void run() { got = tally.hold(1000); }
+    }
+    class Calls {
+        static int chain(int n) {
+            if (n == 0) { return Lazy.bump(0); }
+            return chain(n - 1) + 1;
+        }
+        static int deep(int rounds, int n) {
+            int sum = 0;
+            for (int r = 0; r < rounds; r++) {
+                byte[] block = new byte[128];
+                sum = sum + chain(n) + block.length;
+            }
+            return sum;
+        }
+        static int shapes(int n) {
+            Shape a = new Square();
+            Shape b = new Tri();
+            int sum = 0;
+            for (int i = 0; i < n; i++) {
+                Shape s = a;
+                if (i % 2 == 1) { s = b; }
+                sum = sum + s.area(i);
+            }
+            return sum;
+        }
+        static String text(int n) {
+            String word = "doppio";
+            StringBuilder sb = new StringBuilder();
+            long moved = 0;
+            for (int i = 0; i < n; i++) {
+                sb.append(word.charAt(i % 6));
+                long t0 = System.nanoTime();
+                int k = chain(3);
+                long t1 = System.nanoTime();
+                moved = moved + (t1 - t0) + k;
+            }
+            return sb.toString() + " " + moved;
+        }
+        static int locks(int n) {
+            Tally t = new Tally();
+            int sum = 0;
+            for (int i = 1; i <= n; i++) {
+                sum = sum + Tally.share(100, i) + t.add(i);
+            }
+            return sum;
+        }
+        static int contend() {
+            Tally t = new Tally();
+            Worker w1 = new Worker(t);
+            Worker w2 = new Worker(t);
+            w1.start();
+            w2.start();
+            w1.join();
+            w2.join();
+            return w1.got + w2.got;
+        }
+        static int leaf(int a, int b) { return a / b; }
+        static int mid(int a, int b) { return leaf(a, b) + 1; }
+        static void say(String s) { System.out.println(s); }
+        static void run() {
+            System.out.println("deep=" + deep(800, 60));
+            System.out.println("shapes=" + shapes(40));
+            System.out.println("text=" + text(12));
+            System.out.println("locks=" + locks(5));
+            System.out.println("contend=" + contend());
+        }
+    }
+"#;
+
+/// `Main.main`: `Calls.run()`, then three calls that throw
+/// `ArithmeticException` into a handler in `main`, each followed by a
+/// call that returns normally.
+fn call_path_main() -> doppio::classfile::ClassFile {
+    use doppio::classfile::access::{ACC_PUBLIC, ACC_STATIC};
+    use doppio::classfile::builder::{ClassBuilder, MethodBuilder};
+
+    const ARITH: &str = "java/lang/ArithmeticException";
+    let mut m = MethodBuilder::new(ACC_PUBLIC | ACC_STATIC, "main", "([Ljava/lang/String;)V", 2);
+    m.invokestatic("Calls", "run", "()V");
+    // `guarded` pushes its call's arguments and makes the call.
+    let guard = |m: &mut MethodBuilder, what: &str, guarded: &dyn Fn(&mut MethodBuilder)| {
+        let (start, end, handler, after) =
+            (m.new_label(), m.new_label(), m.new_label(), m.new_label());
+        m.bind(start);
+        guarded(m);
+        m.pop();
+        m.bind(end);
+        m.goto_(after);
+        m.bind(handler);
+        m.pop();
+        m.ldc_string(&format!("{what} threw"));
+        m.invokestatic("Calls", "say", "(Ljava/lang/String;)V");
+        m.bind(after);
+        m.add_exception_handler(start, end, handler, Some(ARITH));
+    };
+    guard(&mut m, "mid", &|m| {
+        m.ldc_int(7);
+        m.ldc_int(0);
+        m.invokestatic("Calls", "mid", "(II)I");
+    });
+    guard(&mut m, "share", &|m| {
+        m.ldc_int(7);
+        m.ldc_int(0);
+        m.invokestatic("Tally", "share", "(II)I");
+    });
+    guard(&mut m, "add", &|m| {
+        m.new_object("Tally");
+        m.dup();
+        m.invokespecial("Tally", "<init>", "()V");
+        m.ldc_int(0);
+        m.invokevirtual("Tally", "add", "(I)I");
+    });
+    // The monitors the throws left are free again.
+    m.invokestatic("Calls", "run", "()V");
+    m.return_void();
+    let mut b = ClassBuilder::new("Main", "java/lang/Object");
+    b.add_method(m);
+    b.finish()
+}
+
+/// One run of the call-path guest on `engine`, in golden form: the four
+/// observables, plus the folded profile and the trace's digest and
+/// per-event counts when `engine` has them.
+fn call_path_run(title: &str, engine: &Engine, ring: Option<&RingSink>) -> String {
+    let mut classes = doppio::minijava::compile(CALL_PATH).unwrap();
+    classes.push(call_path_main());
+    let fs = FileSystem::new(engine, backends::in_memory(engine));
+    fsutil::mount_classes(engine, &fs, "/classes", &classes);
+    let jvm = Jvm::new(engine, fs);
+    jvm.launch("Main", &[]);
+    let r = jvm.run_to_completion().unwrap();
+    assert!(r.uncaught.is_none(), "uncaught: {:?}", r.uncaught);
+    let report = RunReport::collect(title, engine).to_json_string();
+    let mut out = format!(
+        "=== {title}\nsuspensions: {}\n{}",
+        r.runtime.suspensions,
+        render(&r.stdout, r.wall_ns, r.instructions, &report)
+    );
+    if let Some(profiler) = engine.profiler() {
+        out.push_str(&format!("--- folded\n{}", profiler.folded()));
+    }
+    if let Some(ring) = ring {
+        assert_eq!(ring.dropped(), 0, "the ring must hold the whole trace");
+        let mut counts = std::collections::BTreeMap::new();
+        for ev in ring.events() {
+            *counts.entry((ev.cat, ev.name.to_string())).or_insert(0u64) += 1;
+        }
+        out.push_str(&format!(
+            "--- trace.json\n{}\n--- trace events\n",
+            digest(&chrome::export_sink(ring))
+        ));
+        for ((cat, name), n) in counts {
+            out.push_str(&format!("{cat} {name} {n}\n"));
+        }
+    }
+    out
+}
+
+#[test]
+fn call_path_matches_its_golden() {
+    check_golden("jvm/call_path", || {
+        // Chrome with every observer: the trace pins the `icache_miss`,
+        // `cp_quicken` and `jvm` method-sample instants.
+        let ring = Rc::new(RingSink::default());
+        let chrome = EngineBuilder::new(Browser::Chrome)
+            .trace_sink(ring.clone())
+            .histograms(true)
+            .profiler(doppio::trace::Profiler::new(1_000_000))
+            .build();
+        let mut out = call_path_run("chrome", &chrome, Some(&ring));
+        // Safari pages once the `byte[]` blocks leak past 16 KiB.
+        let mut profile = BrowserProfile::of(Browser::Safari);
+        profile.paging_threshold_bytes = 16 * 1024;
+        let safari = EngineBuilder::with_profile(profile)
+            .histograms(true)
+            .build();
+        out.push_str(&call_path_run("safari_paging", &safari, None));
+        assert!(safari.is_paging(), "the blocks must leak past 16 KiB");
+        // No watchdog: no suspend check runs at all.
+        let native = Engine::new(Browser::Native);
+        out.push_str(&call_path_run("native", &native, None));
+        out
+    });
+}
+
 /// Two workers yielding between bursts, so the scheduler has real
 /// choices to make.
 const THREADED_HOT: &str = r#"
