@@ -9,7 +9,8 @@
 //! * keep their call stacks in explicit heap objects,
 //! * periodically perform **suspend checks** driven by an adaptive
 //!   counter ([`suspend::SuspendTimer`]), and yield the JavaScript
-//!   thread when one fires — *automatic event segmentation* (§4.1),
+//!   thread when one fires — *automatic event segmentation* (§4.1);
+//!   only the check that runs the counter out reads the clock,
 //! * emulate **synchronous source-language APIs** over asynchronous
 //!   browser APIs by blocking the *guest* thread while the JavaScript
 //!   thread keeps servicing events (§4.2), and

@@ -62,8 +62,9 @@ pub enum ThreadStep {
 /// Implementations must keep all resumption state in `self` (the
 /// explicit call stack requirement of §4.1) and call
 /// [`ThreadContext::should_suspend`] periodically — DoppioJVM does so
-/// at method call boundaries (§6.1) — returning
-/// [`ThreadStep::Yielded`] when it fires.
+/// at method call boundaries (§6.1), through
+/// [`ThreadContext::should_suspend_with`] since it defers its clock
+/// charges — returning [`ThreadStep::Yielded`] when it fires.
 pub trait GuestThread {
     /// Run one slice.
     fn run(&mut self, ctx: &mut ThreadContext<'_>) -> ThreadStep;
@@ -876,9 +877,23 @@ impl ThreadContext<'_> {
     /// One suspend check (§4.1). When this returns `true` the thread
     /// must save its state and return [`ThreadStep::Yielded`].
     pub fn should_suspend(&mut self) -> bool {
-        let now = self.runtime.engine.now_ns();
+        self.should_suspend_with(|| {})
+    }
+
+    /// [`should_suspend`](Self::should_suspend) for a thread that
+    /// defers its virtual-clock charges. Most checks only count down
+    /// the adaptive counter; the one that takes it to zero reads the
+    /// clock, and `sync` runs just before that read, so the thread can
+    /// hand over what it owes the clock there and nowhere else.
+    pub fn should_suspend_with(&mut self, sync: impl FnOnce()) -> bool {
+        let engine = &self.runtime.engine;
+        let mut now = 0;
         let mut inner = self.runtime.inner.borrow_mut();
-        let fired = inner.timer.check(now);
+        let fired = inner.timer.check_with(|| {
+            sync();
+            now = engine.now_ns();
+            now
+        });
         if fired {
             // The timer just recalibrated its counter; record the
             // adjustment so traces and the counter-trajectory

@@ -9,6 +9,13 @@
 //! program checks whether or not it should suspend. This new value,
 //! along with a preconfigured time slice duration, is then used to set
 //! the new counter value."
+//!
+//! Only the check that takes the counter to zero reads the clock. A
+//! guest that defers its virtual-clock charges (DoppioJVM tallies them)
+//! calls [`ThreadContext::should_suspend_with`], which hands those
+//! charges over just before that one read and at no other check.
+//!
+//! [`ThreadContext::should_suspend_with`]: crate::ThreadContext::should_suspend_with
 
 /// Default time-slice duration: how long a program may run between
 /// suspensions. 10 ms keeps the page responsive with comfortable margin
@@ -79,6 +86,13 @@ impl SuspendTimer {
     /// suspend (the counter reached zero); the counter recalibrates on
     /// that boundary.
     pub fn check(&mut self, now_ns: u64) -> bool {
+        self.check_with(|| now_ns)
+    }
+
+    /// [`check`](Self::check), reading the clock through `now` only
+    /// when the counter reaches zero: the one check in a window that
+    /// uses the time.
+    pub(crate) fn check_with(&mut self, now: impl FnOnce() -> u64) -> bool {
         self.checks_total += 1;
         self.counter -= 1;
         if self.counter > 0 {
@@ -87,6 +101,7 @@ impl SuspendTimer {
 
         // The counter ticked to zero: measure how long the window took
         // and fold it into the cumulative moving average.
+        let now_ns = now();
         let elapsed = now_ns.saturating_sub(self.window_start_ns).max(1);
         let sample = elapsed as f64 / self.counter_initial as f64;
         self.windows_observed += 1;

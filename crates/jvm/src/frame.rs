@@ -32,12 +32,24 @@ pub struct Frame {
 impl Frame {
     /// A frame for `code`, locals zero-initialized.
     pub fn new(code: Rc<CodeBlob>) -> Frame {
-        let locals = vec![Value::Int(0); code.max_locals as usize];
+        Frame::reuse(code, Vec::new(), Vec::with_capacity(8))
+    }
+
+    /// [`new`](Self::new), over the vectors of a popped frame: they
+    /// keep their capacity, so a frame that fits allocates nothing.
+    pub(crate) fn reuse(
+        code: Rc<CodeBlob>,
+        mut locals: Vec<Value>,
+        mut stack: Vec<Value>,
+    ) -> Frame {
+        locals.clear();
+        locals.resize(code.max_locals as usize, Value::Int(0));
+        stack.clear();
         Frame {
             code,
             pc: 0,
             locals,
-            stack: Vec::with_capacity(8),
+            stack,
             held_monitor: None,
         }
     }
@@ -129,6 +141,7 @@ mod tests {
             class: 0,
             method_index: 0,
             name: "t".into(),
+            is_clinit: false,
             descriptor: "()V".into(),
             exceptions: vec![],
             max_locals: 6,

@@ -15,12 +15,20 @@
 //! machinery: [`dispatch_exception`] walks the virtual frame stack for
 //! a handler, exactly as the paper describes.
 //!
+//! Calls and returns stay inside [`run`]: an invoke pushes the callee's
+//! frame, a return pops one, and the loop makes the §6.1 suspend check
+//! itself and goes on at the new top frame. It leaves only when the
+//! check fires or the thread must block, finish or exit.
+//!
 //! Each instruction costs a `Cost::Dispatch` plus its own category on
 //! the engine's virtual clock. [`run`] counts these per category and
 //! charges the counts with one engine call wherever anything can
 //! observe the clock, the `engine.*` counters or typed-array residency,
 //! so every transcript reads as if each instruction had charged on its
-//! own (see `docs/performance.md`, "Charging").
+//! own (see `docs/performance.md`, "Charging"). A call or return on the
+//! fast path charges nothing: the suspend check reads the clock only
+//! when its counter reaches zero, and the tally is handed over just
+//! before that read.
 
 use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
@@ -37,7 +45,7 @@ use crate::loader;
 use crate::natives::{self, NativeCtx, PendingNative};
 use crate::object::HeapObj;
 use crate::rtlib;
-use crate::state::{CallSite, JvmState};
+use crate::state::{CallSite, CodeBlob, JvmState};
 use crate::value::{ObjRef, Value};
 
 /// Outcome of executing one instruction.
@@ -46,7 +54,12 @@ pub enum StepResult {
     /// caught).
     Continue,
     /// A frame was pushed or popped: the §6.1 suspend-check boundary.
+    /// [`run`] makes the check itself and never returns this; the
+    /// hosting thread sees it only when a native it resumed returns.
     CallBoundary,
+    /// The §6.1 suspend check fired at a call boundary: end the slice,
+    /// with the thread still ready.
+    Suspend,
     /// A class must be loaded before the instruction can retry.
     NeedClass(String),
     /// A native method blocked on an asynchronous API (§4.2); resume
@@ -106,16 +119,17 @@ impl Tally {
     }
 }
 
-/// Run the top frame until the thread must leave the interpreter: a
-/// frame push or pop (the §6.1 suspend-check boundary), a block, an
-/// uncaught exception, or the end of the thread. The hosting thread's
-/// slice loop calls this instead of single-stepping.
+/// Run the thread's frames until it must leave the interpreter: the
+/// §6.1 suspend check fired (`Suspend`), it must block, an exception
+/// unwound past the last frame, or the thread finished or exited. The
+/// hosting thread's slice loop calls this instead of single-stepping.
 ///
-/// The loop executes the frame's pre-decoded ops (`decode.rs`).
+/// The loop executes the top frame's pre-decoded ops (`decode.rs`).
 /// It keeps the op index in a local and writes the bytecode pc back to
 /// the frame only where something can observe it: before an op throws,
 /// blocks, calls, or pushes a frame. Its virtual-clock charges go into a
-/// `Tally` that is handed to the engine on the same terms.
+/// `Tally` that is handed to the engine on the same terms, and whenever
+/// `run` returns.
 pub fn run(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
@@ -123,20 +137,62 @@ pub fn run(
     tid: ThreadId,
 ) -> StepResult {
     let mut tally = Tally::default();
+    let sr = run_frames(state, frames, ctx, tid, &mut tally);
+    debug_assert_eq!(tally.touched, 0, "run returned with charges tallied");
+    debug_assert!(!matches!(
+        sr,
+        StepResult::Continue | StepResult::CallBoundary
+    ));
+    sr
+}
+
+/// [`run`]'s loop, over the caller's `tally`. Every return hands the
+/// tally to the engine first.
+fn run_frames(
+    state: &mut JvmState,
+    frames: &mut Vec<Frame>,
+    ctx: &mut ThreadContext<'_>,
+    tid: ThreadId,
+    tally: &mut Tally,
+) -> StepResult {
+    // §6.1: hosted profiles (those with a watchdog) make a suspend check
+    // at every call boundary; the native baseline makes none.
+    let hosted = state.engine.profile().watchdog_limit_ns.is_some();
+    // Set at a call boundary on a hosted profile: a frame was just
+    // pushed or popped, and the new top frame runs next unless the
+    // check at the loop head fires.
+    let mut check = false;
     'frame: loop {
+        // The one suspend check. It reads the clock only when its
+        // counter reaches zero, so that is where the tally is handed
+        // over.
+        if std::mem::take(&mut check) && ctx.should_suspend_with(|| tally.flush(state)) {
+            return StepResult::Suspend;
+        }
+        // Go on at the top frame after a call boundary.
+        macro_rules! boundary {
+            () => {{
+                check = hosted;
+                continue 'frame;
+            }};
+        }
         // Leave the loop with a sub-call's result; `Continue` re-enters
-        // at the (possibly different) top frame's pc.
+        // at the (possibly different) top frame's pc, and a call
+        // boundary first makes its suspend check.
         macro_rules! leave {
             ($sr:expr) => {
                 match $sr {
                     StepResult::Continue => continue 'frame,
-                    other => return other,
+                    StepResult::CallBoundary => boundary!(),
+                    other => {
+                        tally.flush(state);
+                        return other;
+                    }
                 }
             };
         }
-        // Every way back here flushed first.
-        debug_assert_eq!(tally.touched, 0);
         let Some(frame) = frames.last() else {
+            tally.flush(state);
             return StepResult::Finished;
         };
         let blob = frame.code.clone();
@@ -145,6 +201,7 @@ pub fn run(
             Err(e) => {
                 // Code that does not decode never runs: the invocation
                 // throws in the caller.
+                tally.flush(state);
                 let class = &state.registry.get(blob.class).name;
                 let msg = format!("{class}.{}{}: {e}", blob.name, blob.descriptor);
                 pop_frame(state, frames, ctx, tid);
@@ -213,8 +270,7 @@ pub fn run(
                 if target < $from && state.check_backedges {
                     top!().pc = code.pc(target);
                     tally.charge(Cost::IntOp);
-                    flush!();
-                    return StepResult::CallBoundary;
+                    boundary!();
                 }
                 ip = target;
                 continue;
@@ -661,8 +717,12 @@ pub fn run(
                 }
                 Op::Return { value } => {
                     let v = if *value { Some(top!().pop()) } else { None };
-                    flush!();
-                    return do_return(state, frames, ctx, tid, v);
+                    if top!().held_monitor.is_some() {
+                        // Releasing the monitor may wake a waiter, which
+                        // schedules on the clock.
+                        flush!();
+                    }
+                    leave!(do_return(state, frames, ctx, tid, v));
                 }
 
                 // ---- fields ----
@@ -712,9 +772,9 @@ pub fn run(
                         }
                     };
                     let done = if matches!(op, Op::GetField { .. }) {
-                        get_field(state, &mut tally, top!(), f)
+                        get_field(state, tally, top!(), f)
                     } else {
-                        put_field(state, &mut tally, top!(), f)
+                        put_field(state, tally, top!(), f)
                     };
                     if let Err((class, msg)) = done {
                         throw!(class, &msg);
@@ -725,20 +785,22 @@ pub fn run(
                 Op::Invoke { opcode, idx, site } => {
                     sync!();
                     tally.charge(Cost::Call);
-                    flush!();
                     let site = match site.get() {
                         Some(site) => {
                             state.perf.cp_hit.inc();
                             site
                         }
-                        None => match call_site(state, ctx, blob.class, *idx) {
-                            Ok(s) => site.get_or_init(|| Box::new(s)),
-                            Err(msg) => throw!("java/lang/InternalError", &msg),
-                        },
+                        None => {
+                            flush!();
+                            match call_site(state, ctx, blob.class, *idx) {
+                                Ok(s) => site.get_or_init(|| Box::new(s)),
+                                Err(msg) => throw!("java/lang/InternalError", &msg),
+                            }
+                        }
                     };
                     let next_pc = code.pc(ip + 1);
                     leave!(invoke_with_site(
-                        state, frames, ctx, tid, *opcode, next_pc, site
+                        state, tally, frames, ctx, tid, *opcode, next_pc, site
                     ));
                 }
 
@@ -1060,23 +1122,28 @@ fn fp_cmp(a: f64, b: f64, greater_on_nan: bool) -> i32 {
 
 /// The runtime class id of a heap object.
 pub fn runtime_class_of(state: &mut JvmState, obj: ObjRef) -> Result<ClassId, StepResult> {
-    let name = match state.heap.get(obj) {
+    let (known, name) = match state.heap.get(obj) {
         HeapObj::Instance { class, .. } => return Ok(*class),
-        HeapObj::JavaString(_) => "java/lang/String".to_string(),
-        HeapObj::StringBuilder(_) => "java/lang/StringBuilder".to_string(),
-        other => other.array_class_name().expect("array"),
+        HeapObj::JavaString(_) => (0, "java/lang/String"),
+        HeapObj::StringBuilder(_) => (1, "java/lang/StringBuilder"),
+        other => {
+            let name = other.array_class_name().expect("array");
+            return state
+                .registry
+                .ensure_array_class(&name)
+                .map_err(|_| StepResult::NeedClass(name));
+        }
     };
-    if name.starts_with('[') {
-        state
-            .registry
-            .ensure_array_class(&name)
-            .map_err(|_| StepResult::NeedClass(name))
-    } else {
-        state
-            .registry
-            .lookup(&name)
-            .ok_or(StepResult::NeedClass(name))
+    if let Some(id) = state.string_classes[known] {
+        return Ok(id);
     }
+    // Classes are never redefined, so the id is final once defined.
+    let id = state
+        .registry
+        .lookup(name)
+        .ok_or_else(|| StepResult::NeedClass(name.to_string()))?;
+    state.string_classes[known] = Some(id);
+    Ok(id)
 }
 
 /// Look up a class, requesting a load if undefined.
@@ -1488,7 +1555,7 @@ fn ensure_initialized(
                 };
                 if let Some(midx) = clinit {
                     let blob = state.code_blob(id, midx).expect("clinit has code");
-                    frames.push(Frame::new(blob));
+                    frames.push(state.new_frame(blob));
                     return InitAction::Pushed;
                 }
             }
@@ -1749,7 +1816,8 @@ pub fn dispatch_exception(
 // ----------------------------------------------------------------
 
 /// Pop the top frame: a finished `<clinit>` marks its class
-/// initialized, and a synchronized method's monitor is released.
+/// initialized, a synchronized method's monitor is released, and the
+/// frame's vectors go to the spare list.
 fn pop_frame(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
@@ -1757,12 +1825,28 @@ fn pop_frame(
     tid: ThreadId,
 ) {
     let popped = frames.pop().expect("frame");
-    if popped.code.name == "<clinit>" {
+    if popped.code.is_clinit {
         state.registry.get_mut(popped.code.class).clinit = ClinitState::Initialized;
     }
     if let Some(mon) = popped.held_monitor {
         let _ = exit_monitor(state, ctx, mon, tid);
     }
+    state.recycle_frame(popped);
+}
+
+/// Why `blob`'s locals cannot take `slots` argument slots, when its
+/// `max_locals` is smaller (malformed code, which then throws
+/// `java/lang/InternalError` in the caller).
+pub(crate) fn locals_overflow(state: &JvmState, blob: &CodeBlob, slots: usize) -> Option<String> {
+    (usize::from(blob.max_locals) < slots).then(|| {
+        format!(
+            "{}.{}{}: max_locals {} is smaller than its {slots}-slot arguments",
+            state.registry.get(blob.class).name,
+            blob.name,
+            blob.descriptor,
+            blob.max_locals
+        )
+    })
 }
 
 /// Pop a frame, delivering `value` to the caller.
@@ -1789,8 +1873,14 @@ pub fn do_return(
 /// synchronization, argument transfer and the frame push. The top
 /// frame's pc is the invoke's own, so a throw or a blocked monitor
 /// resolves against it; `next_pc` is where the call returns.
+///
+/// A call to a bytecode method through a site that hits its cache
+/// leaves `tally` alone. Every other path hands it to the engine before
+/// it traces, takes a monitor, calls a native or throws.
+#[allow(clippy::too_many_arguments)]
 fn invoke_with_site(
     state: &mut JvmState,
+    tally: &mut Tally,
     frames: &mut Vec<Frame>,
     ctx: &mut ThreadContext<'_>,
     tid: ThreadId,
@@ -1808,6 +1898,7 @@ fn invoke_with_site(
         let recv = match frame.peek(arg_slots) {
             Value::Ref(Some(r)) => *r,
             Value::Ref(None) => {
+                tally.flush(state);
                 let msg = format!("invoke {}", site.name);
                 return throw_vm(
                     state,
@@ -1819,6 +1910,7 @@ fn invoke_with_site(
                 );
             }
             other => {
+                tally.flush(state);
                 let msg = format!("receiver is {other:?}");
                 return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg);
             }
@@ -1837,6 +1929,7 @@ fn invoke_with_site(
                 (t, flags)
             }
             _ => {
+                tally.flush(state);
                 note_ic_miss(state, ctx, &site.name);
                 if site.ref_class.get().is_none() {
                     match ensure_class(state, &site.cname) {
@@ -1863,6 +1956,7 @@ fn invoke_with_site(
             // invokespecial still null-checks its receiver.
             let frame = frames.last().expect("frame");
             if matches!(frame.peek(arg_slots), Value::Ref(None)) {
+                tally.flush(state);
                 let msg = format!("invokespecial {}", site.name);
                 return throw_vm(
                     state,
@@ -1882,6 +1976,7 @@ fn invoke_with_site(
                 (t, flags)
             }
             None => {
+                tally.flush(state);
                 note_ic_miss(state, ctx, &site.name);
                 let ref_class = match site.ref_class.get() {
                     Some(id) => id,
@@ -1926,6 +2021,7 @@ fn invoke_with_site(
     // Synchronized methods: acquire the monitor before popping args.
     let mut acquired_monitor = None;
     if method_flags & access::ACC_SYNCHRONIZED != 0 && &*site.name != "<clinit>" {
+        tally.flush(state);
         let lock_obj = if method_flags & access::ACC_STATIC != 0 {
             let cls_name = state.registry.get(target.class).name.clone();
             class_object(state, &cls_name)
@@ -1961,6 +2057,7 @@ fn invoke_with_site(
 
     // Native?
     if method_flags & access::ACC_NATIVE != 0 {
+        tally.flush(state);
         // Natives see logical values, not stack slots: drop the
         // padding slots of wide arguments.
         let args = caller
@@ -1986,6 +2083,7 @@ fn invoke_with_site(
     // A throw here clears or pops the caller's operand stack, arguments
     // included.
     if frames.len() >= 8192 {
+        tally.flush(state);
         return throw_vm(
             state,
             frames,
@@ -1996,6 +2094,7 @@ fn invoke_with_site(
         );
     }
     let Some(blob) = state.code_blob(target.class, target.index) else {
+        tally.flush(state);
         return throw_vm(
             state,
             frames,
@@ -2005,7 +2104,11 @@ fn invoke_with_site(
             &format!("{}.{}{}", site.cname, site.name, site.desc),
         );
     };
-    let mut new_frame = Frame::new(blob);
+    if let Some(msg) = locals_overflow(state, &blob, arg_slots + usize::from(has_receiver)) {
+        tally.flush(state);
+        return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg);
+    }
+    let mut new_frame = state.new_frame(blob);
     new_frame.held_monitor = acquired_monitor;
     // Move the argument slots verbatim (they are already slot-expanded).
     let caller = frames.last_mut().expect("frame");

@@ -1398,6 +1398,56 @@ mod malformed_code_tests {
     }
 
     #[test]
+    fn arguments_past_max_locals_throw_internal_error() {
+        let mut b = ClassBuilder::new("Bad", "java/lang/Object");
+        let mut m = MethodBuilder::new(PUB_STATIC, "main", MAIN_DESC, 1);
+        m.ldc_int(7);
+        m.invokestatic("Bad", "bad", "(I)V");
+        m.return_void();
+        b.add_method(m);
+        // One int argument, no local slot to receive it.
+        let mut bad = MethodBuilder::new(PUB_STATIC, "bad", "(I)V", 0);
+        bad.return_void();
+        b.add_method(bad);
+        assert_eq!(
+            run_bad(b.finish()).as_deref(),
+            Some(
+                "java.lang.InternalError: Bad.bad(I)V: max_locals 0 is smaller than its \
+                 1-slot arguments"
+            )
+        );
+    }
+
+    #[test]
+    fn thread_start_on_a_run_without_locals_throws_internal_error() {
+        const THREAD: &str = "java/lang/Thread";
+        let mut b = ClassBuilder::new("Bad", THREAD);
+        let mut init = MethodBuilder::new(ACC_PUBLIC, "<init>", "()V", 1);
+        init.aload(0);
+        init.invokespecial(THREAD, "<init>", "()V");
+        init.return_void();
+        b.add_method(init);
+        // `run` has a receiver but no local slot for it.
+        let mut run = MethodBuilder::new(ACC_PUBLIC, "run", "()V", 0);
+        run.return_void();
+        b.add_method(run);
+        let mut m = MethodBuilder::new(PUB_STATIC, "main", MAIN_DESC, 1);
+        m.new_object("Bad");
+        m.dup();
+        m.invokespecial("Bad", "<init>", "()V");
+        m.invokevirtual(THREAD, "start", "()V");
+        m.return_void();
+        b.add_method(m);
+        assert_eq!(
+            run_bad(b.finish()).as_deref(),
+            Some(
+                "java.lang.InternalError: Bad.run()V: max_locals 0 is smaller than its \
+                 1-slot arguments"
+            )
+        );
+    }
+
+    #[test]
     fn multianewarray_deeper_than_its_class_throws_internal_error() {
         assert_eq!(
             multianewarray_of("[", 2).as_deref(),

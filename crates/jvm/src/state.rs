@@ -14,9 +14,14 @@ use doppio_trace::Counter;
 
 use crate::class::{ClassId, ClassRegistry, MethodRef};
 use crate::decode::{decode, DecodeError, Decoded};
+use crate::frame::Frame;
 use crate::loader::LoaderState;
 use crate::object::{Heap, HeapObj};
 use crate::value::{ObjRef, Value};
+
+/// The most popped frames whose vectors a JVM keeps for reuse: deeper
+/// call chains than this allocate again on their way back down.
+const SPARE_FRAMES: usize = 256;
 
 /// A JVM monitor (the lock behind `monitorenter`/`synchronized`).
 #[derive(Debug, Default)]
@@ -70,6 +75,9 @@ pub struct CodeBlob {
     pub method_index: usize,
     /// Method name (for traces).
     pub name: String,
+    /// Whether this is a class initializer (`<clinit>`): popping its
+    /// frame marks the class initialized.
+    pub is_clinit: bool,
     /// Method descriptor.
     pub descriptor: String,
     /// Exception handlers.
@@ -153,8 +161,15 @@ pub struct JvmState {
     pub loader: LoaderState,
     /// Classpath entries (directories on `fs`).
     pub classpath: Vec<String>,
-    /// Method-code cache.
-    pub code_cache: HashMap<(ClassId, usize), Rc<CodeBlob>>,
+    /// Built method code, indexed by class and then method index.
+    code_cache: Vec<Vec<Option<Rc<CodeBlob>>>>,
+    /// The locals and operand-stack vectors of popped frames, kept for
+    /// the next frames to be pushed (at most [`SPARE_FRAMES`]).
+    spare_frames: Vec<(Vec<Value>, Vec<Value>)>,
+    /// The ids of `java/lang/String` and `java/lang/StringBuilder`,
+    /// once defined: the classes of the heap's string and builder
+    /// objects, which are not instances.
+    pub(crate) string_classes: [Option<ClassId>; 2],
     /// `System.exit` code, if called.
     pub exit_code: Option<i32>,
     /// JavaScript-interop hook (§6.8 `eval`).
@@ -207,7 +222,9 @@ impl JvmState {
             sockets: Vec::new(),
             loader: LoaderState::default(),
             classpath: vec!["/classes".to_string()],
-            code_cache: HashMap::new(),
+            code_cache: Vec::new(),
+            spare_frames: Vec::new(),
+            string_classes: [None; 2],
             exit_code: None,
             js_eval: None,
             instructions: 0,
@@ -278,7 +295,8 @@ impl JvmState {
     /// The code blob for a method, building (and decoding) it on first
     /// use.
     pub fn code_blob(&mut self, class: ClassId, method_index: usize) -> Option<Rc<CodeBlob>> {
-        if let Some(b) = self.code_cache.get(&(class, method_index)) {
+        let built = self.code_cache.get(class).and_then(|t| t.get(method_index));
+        if let Some(Some(b)) = built {
             return Some(b.clone());
         }
         let rc = self.registry.get(class);
@@ -289,6 +307,7 @@ impl JvmState {
             class,
             method_index,
             name: m.name.clone(),
+            is_clinit: m.name == "<clinit>",
             descriptor: m.descriptor.clone(),
             exceptions: code.exception_table.clone(),
             max_locals: code.max_locals,
@@ -298,7 +317,30 @@ impl JvmState {
             line_numbers: code.line_numbers.clone(),
             code: decode(&code.bytecode, &code.exception_table),
         });
-        self.code_cache.insert((class, method_index), blob.clone());
+        if self.code_cache.len() <= class {
+            self.code_cache.resize_with(class + 1, Vec::new);
+        }
+        let table = &mut self.code_cache[class];
+        if table.len() <= method_index {
+            table.resize(cf.methods.len(), None);
+        }
+        table[method_index] = Some(blob.clone());
         Some(blob)
+    }
+
+    /// A frame for `code`, over a popped frame's vectors when the spare
+    /// list has some.
+    pub(crate) fn new_frame(&mut self, code: Rc<CodeBlob>) -> Frame {
+        match self.spare_frames.pop() {
+            Some((locals, stack)) => Frame::reuse(code, locals, stack),
+            None => Frame::new(code),
+        }
+    }
+
+    /// Keep a popped frame's vectors for [`new_frame`](Self::new_frame).
+    pub(crate) fn recycle_frame(&mut self, frame: Frame) {
+        if self.spare_frames.len() < SPARE_FRAMES {
+            self.spare_frames.push((frame.locals, frame.stack));
+        }
     }
 }

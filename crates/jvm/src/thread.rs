@@ -68,7 +68,6 @@ impl GuestThread for JvmThread {
         let tid = ctx.thread_id();
         let state_rc = self.state.clone();
         let mut state = state_rc.borrow_mut();
-        let hosted = state.engine.profile().watchdog_limit_ns.is_some();
 
         // Resume whatever we were blocked on.
         if let Some(pending) = self.pending.take() {
@@ -153,24 +152,14 @@ impl GuestThread for JvmThread {
             }
         }
 
-        // The interpreter loop: run until something yields control.
-        // `interp::run` only surfaces non-Continue results.
+        // The interpreter makes calls and returns, and their suspend
+        // checks, itself: it comes back when the slice must end, or
+        // for a class whose load already failed, which throws here.
         loop {
             let sr = interp::run(&mut state, &mut self.frames, ctx, tid);
-            match sr {
-                StepResult::Continue => {}
-                StepResult::CallBoundary => {
-                    // §6.1: suspend checks at method call boundaries.
-                    if hosted && ctx.should_suspend() {
-                        profiler_sample(&state, &self.frames, &self.name);
-                        trace_method_sample(&state, &self.frames, ctx);
-                        return ThreadStep::Yielded;
-                    }
-                }
-                other => match self.after_step(other, &mut state, ctx) {
-                    ControlFlow::Go => {}
-                    ControlFlow::Out(step) => return step,
-                },
+            match self.after_step(sr, &mut state, ctx) {
+                ControlFlow::Go => {}
+                ControlFlow::Out(step) => return step,
             }
         }
     }
@@ -243,6 +232,13 @@ enum ControlFlow {
 }
 
 impl JvmThread {
+    /// The §6.1 suspend check fired: sample the stack and end the slice.
+    fn suspend(&self, state: &JvmState, ctx: &ThreadContext<'_>) -> ControlFlow {
+        profiler_sample(state, &self.frames, &self.name);
+        trace_method_sample(state, &self.frames, ctx);
+        ControlFlow::Out(ThreadStep::Yielded)
+    }
+
     fn after_step(
         &mut self,
         sr: StepResult,
@@ -253,15 +249,16 @@ impl JvmThread {
         match sr {
             StepResult::Continue => ControlFlow::Go,
             StepResult::CallBoundary => {
+                // A native that blocked has returned: the §6.1 check
+                // `interp::run` makes at every other call boundary.
                 let hosted = state.engine.profile().watchdog_limit_ns.is_some();
                 if hosted && ctx.should_suspend() {
-                    profiler_sample(state, &self.frames, &self.name);
-                    trace_method_sample(state, &self.frames, ctx);
-                    ControlFlow::Out(ThreadStep::Yielded)
+                    self.suspend(state, ctx)
                 } else {
                     ControlFlow::Go
                 }
             }
+            StepResult::Suspend => self.suspend(state, ctx),
             StepResult::NeedClass(name) => {
                 if let Some(reason) = state.loader.failed.get(&name).cloned() {
                     let sr2 = interp::throw_vm(
@@ -366,6 +363,12 @@ pub fn spawn_java_thread(n: &mut NativeCtx<'_, '_, '_>, thread_obj: ObjRef) -> N
             message: "run()V".into(),
         };
     };
+    if let Some(message) = interp::locals_overflow(n.state, &blob, 1) {
+        return NativeOutcome::Throw {
+            class: "java/lang/InternalError".into(),
+            message,
+        };
+    }
     let mut frame = Frame::new(blob);
     frame.locals[0] = Value::Ref(Some(thread_obj));
     let name = format!("Thread-{}", n.state.thread_objs.len());
