@@ -65,7 +65,7 @@ pub use kernel::{
 pub use report::RunReport;
 pub use runtime::{
     AsyncCell, AsyncResolver, BlockTimeout, DoppioRuntime, GuestThread, RoundRobinScheduler,
-    RuntimeError, RuntimeStats, Scheduler, ThreadContext, ThreadId, ThreadState, ThreadStep,
+    RuntimeError, RuntimeStats, Scheduler, ThreadContext, ThreadId, ThreadStep,
 };
 pub use suspend::{SuspendTimer, DEFAULT_TIME_SLICE_NS};
 pub use waitgraph::{

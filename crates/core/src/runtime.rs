@@ -35,7 +35,7 @@ pub struct ThreadId(pub usize);
 
 /// Lifecycle state of a guest thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadState {
+enum ThreadState {
     /// Eligible to run.
     Ready,
     /// Waiting on an asynchronous completion or a monitor.
