@@ -26,6 +26,7 @@ use doppio_jsengine::Engine;
 use doppio_sockets::{Bytes, ClientHandlers, ConnId, Network, Segment};
 use doppio_trace::SpanContext;
 
+use crate::cluster::BASE_PORT;
 use crate::history::{HistoryRecorder, OpKind};
 use crate::proto::{encode_get, encode_write_request, Frame, FrameBuffer, WriteOp};
 
@@ -134,7 +135,6 @@ struct ClientState {
 
 struct ClientInner {
     net: Network,
-    port: u16,
     label: String,
     cache_enabled: bool,
     state: RefCell<ClientState>,
@@ -157,12 +157,12 @@ fn counter(engine: &Engine, name: &str) {
 }
 
 impl StorageClient {
-    /// A fresh session dialing `port` lazily on first use.
-    pub fn new(net: &Network, port: u16, label: &str, cache: bool) -> StorageClient {
+    /// A fresh session dialing the primary (at the cluster's
+    /// `BASE_PORT`) lazily on first use.
+    pub fn new(net: &Network, label: &str, cache: bool) -> StorageClient {
         StorageClient {
             inner: Rc::new(ClientInner {
                 net: net.clone(),
-                port,
                 label: label.to_string(),
                 cache_enabled: cache,
                 state: RefCell::new(ClientState {
@@ -374,7 +374,7 @@ fn attempt_connect(inner: &Rc<ClientInner>, engine: &Engine) {
             }
         })),
     };
-    match inner.net.connect(inner.port, handlers) {
+    match inner.net.connect(BASE_PORT, handlers) {
         Ok(id) => {
             my_conn.set(Some(id));
             {

@@ -36,7 +36,7 @@ use crate::proto::{
 };
 
 /// Node `i` listens on `BASE_PORT + i`; clients dial `BASE_PORT`.
-const BASE_PORT: u16 = 7100;
+pub(crate) const BASE_PORT: u16 = 7100;
 
 /// Retransmission interval for unacked replication records.
 const RESEND_NS: u64 = 5_000_000;
@@ -186,7 +186,7 @@ impl StorageCluster {
     /// A new client session (own connection, cache, and request ids)
     /// talking to the primary.
     pub fn client(&self, label: &str, cache: bool) -> StorageClient {
-        let client = StorageClient::new(&self.inner.net, BASE_PORT, label, cache);
+        let client = StorageClient::new(&self.inner.net, label, cache);
         client.hold_world(self.inner.clone());
         client
     }
