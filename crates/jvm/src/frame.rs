@@ -139,14 +139,11 @@ mod tests {
     fn blob() -> Rc<CodeBlob> {
         Rc::new(CodeBlob {
             class: 0,
-            method_index: 0,
             name: "t".into(),
             is_clinit: false,
             descriptor: "()V".into(),
             exceptions: vec![],
             max_locals: 6,
-            synchronized: false,
-            is_static: true,
             line_numbers: vec![],
             code: crate::decode::decode(&[], &[]),
         })

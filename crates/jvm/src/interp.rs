@@ -13,12 +13,16 @@
 //!
 //! Exception handling (§6.6) never touches the JavaScript exception
 //! machinery: [`dispatch_exception`] walks the virtual frame stack for
-//! a handler, exactly as the paper describes.
+//! a handler, exactly as the paper describes. A frame's pc always names
+//! the instruction it is executing: a caller's stays on its invoke until
+//! the call completes, so an exception the call raises is matched at the
+//! invoke, and stack traces name the invoke's line.
 //!
 //! Calls and returns stay inside [`run`]: an invoke pushes the callee's
-//! frame, a return pops one, and the loop makes the §6.1 suspend check
-//! itself and goes on at the new top frame. It leaves only when the
-//! check fires or the thread must block, finish or exit.
+//! frame (every callee frame comes from `callee_frame`), a return pops
+//! one and steps the caller past its invoke, and the loop makes the §6.1
+//! suspend check itself and goes on at the new top frame. It leaves only
+//! when the check fires or the thread must block, finish or exit.
 //!
 //! Each instruction costs a `Cost::Dispatch` plus its own category on
 //! the engine's virtual clock. [`run`] counts these per category and
@@ -38,11 +42,11 @@ use doppio_core::{Resource, ThreadContext, ThreadId};
 use doppio_jsengine::{Cost, COST_CATEGORIES};
 use doppio_trace::cat;
 
-use crate::class::{ClassConst, ClassId, ClinitState, CpEntry, ResolvedField};
+use crate::class::{ClassConst, ClassId, ClinitState, CpEntry, MethodRef, ResolvedField};
 use crate::decode::Op;
 use crate::frame::Frame;
 use crate::loader;
-use crate::natives::{self, NativeCtx, PendingNative};
+use crate::natives::{self, NativeCtx};
 use crate::object::HeapObj;
 use crate::rtlib;
 use crate::state::{CallSite, CodeBlob, JvmState};
@@ -62,9 +66,9 @@ pub enum StepResult {
     Suspend,
     /// A class must be loaded before the instruction can retry.
     NeedClass(String),
-    /// A native method blocked on an asynchronous API (§4.2); resume
-    /// the pending computation when woken.
-    NativeBlocked(PendingNative),
+    /// The thread blocked (§4.2): a class download or a native waiting
+    /// on an asynchronous API. Poll the continuation when woken.
+    Blocked(Continuation),
     /// The thread is queued on the monitor of this object; retry the
     /// instruction when woken (§6.2 context-switch point).
     MonitorBlocked(ObjRef),
@@ -79,6 +83,11 @@ pub enum StepResult {
     /// `System.exit` was called.
     Exit(i32),
 }
+
+/// What a blocked thread waits on. The thread polls it each time it is
+/// woken: `None` while it still waits, or else the step to go on with.
+pub type Continuation =
+    Box<dyn FnMut(&mut JvmState, &mut Vec<Frame>, &mut ThreadContext<'_>) -> Option<StepResult>>;
 
 /// The virtual-clock charges [`run`] has counted since it last handed
 /// them to the engine: a count per cost category, and a bitmask of the
@@ -798,9 +807,8 @@ fn run_frames(
                             }
                         }
                     };
-                    let next_pc = code.pc(ip + 1);
                     leave!(invoke_with_site(
-                        state, tally, frames, ctx, tid, *opcode, next_pc, site
+                        state, tally, frames, ctx, tid, *opcode, site
                     ));
                 }
 
@@ -1306,10 +1314,9 @@ fn ldc(
 
 /// Resolve field reference `idx` of `class` through the constant-pool
 /// cache, filling `slot` when the entry is quickened. A static field's
-/// class is initialized first (`Err(CallBoundary)` after pushing its
-/// `<clinit>`; the instruction retries), and its entry is quickened only
-/// once that class is `Initialized`, so the hit path may skip the
-/// initialization protocol. A field of the other kind than the op's
+/// class is initialized first (see [`ensure_initialized`]), and its
+/// entry is quickened only once that class is `Initialized`, so the hit
+/// path may skip the initialization protocol. A field of the other kind than the op's
 /// (`is_static`) is an `IncompatibleClassChangeError` and never fills
 /// `slot`, so the hit paths only ever see fields of their own kind.
 #[allow(clippy::too_many_arguments)]
@@ -1347,9 +1354,7 @@ fn resolve_field(
             };
             let class_id = ensure_class(state, &cname)?;
             if is_static {
-                if let InitAction::Pushed = ensure_initialized(state, frames, tid, class_id) {
-                    return Err(StepResult::CallBoundary);
-                }
+                ensure_initialized(state, frames, ctx, tid, class_id)?;
             }
             let Some(resolved) = state.registry.resolve_field(class_id, &fname) else {
                 let msg = format!("{cname}.{fname}");
@@ -1419,9 +1424,8 @@ fn call_site(
 }
 
 /// `new` of class constant `idx` of `class`: resolve and initialize the
-/// class (`Err(CallBoundary)` after pushing its `<clinit>`; the
-/// instruction retries), then allocate. `slot` is filled once the class
-/// is `Initialized`.
+/// class (see [`ensure_initialized`]), then allocate. `slot` is filled
+/// once the class is `Initialized`.
 fn new_instance(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
@@ -1462,9 +1466,7 @@ fn new_instance(
         },
     };
     let class_id = ensure_class(state, &cc.name)?;
-    if let InitAction::Pushed = ensure_initialized(state, frames, tid, class_id) {
-        return Err(StepResult::CallBoundary);
-    }
+    ensure_initialized(state, frames, ctx, tid, class_id)?;
     if state.registry.get(class_id).clinit == ClinitState::Initialized {
         cc.init_id.set(Some(class_id));
         let _ = slot.set(class_id);
@@ -1473,7 +1475,7 @@ fn new_instance(
 }
 
 /// The access flags of a resolved method.
-fn method_flags_of(state: &JvmState, target: crate::class::MethodRef) -> u16 {
+fn method_flags_of(state: &JvmState, target: MethodRef) -> u16 {
     state
         .registry
         .get(target.class)
@@ -1516,20 +1518,19 @@ fn note_ic_miss(state: &JvmState, ctx: &ThreadContext<'_>, method: &Rc<str>) {
     }
 }
 
-enum InitAction {
-    Ready,
-    Pushed,
-}
-
-/// Ensure a class (and its superclasses) are initialized; pushes the
-/// outermost pending `<clinit>` frame if needed (the caller's current
-/// instruction retries afterwards).
+/// Ensure a class and its superclasses are initialized: `Ok` once none
+/// is left to start, else the step to leave with. That is a call
+/// boundary after the outermost pending `<clinit>`'s frame was pushed
+/// (the instruction that wants the class retries when it returns), or
+/// the throw of a `<clinit>` that cannot run; its class stays
+/// uninitialized.
 fn ensure_initialized(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
+    ctx: &mut ThreadContext<'_>,
     tid: ThreadId,
     class: ClassId,
-) -> InitAction {
+) -> Result<(), StepResult> {
     // Find the outermost un-initialized ancestor.
     let mut chain = Vec::new();
     let mut cur = Some(class);
@@ -1538,30 +1539,29 @@ fn ensure_initialized(
         cur = state.registry.get(id).super_id;
     }
     for &id in chain.iter().rev() {
-        match state.registry.get(id).clinit {
-            ClinitState::Initialized => continue,
-            ClinitState::InProgress(owner) if owner == tid.0 => continue,
-            ClinitState::InProgress(_) => continue, // simplification: no cross-thread wait
-            ClinitState::NotStarted => {
-                // Look for a <clinit>.
-                let clinit = state.registry.get(id).cf.as_ref().and_then(|cf| {
-                    cf.methods
-                        .iter()
-                        .position(|m| m.name == "<clinit>" && m.descriptor == "()V")
-                });
-                state.registry.get_mut(id).clinit = match clinit {
-                    None => ClinitState::Initialized,
-                    Some(_) => ClinitState::InProgress(tid.0),
-                };
-                if let Some(midx) = clinit {
-                    let blob = state.code_blob(id, midx).expect("clinit has code");
-                    frames.push(state.new_frame(blob));
-                    return InitAction::Pushed;
-                }
-            }
+        // An initialization in progress, on this thread or (a
+        // simplification: no cross-thread wait) another, is left alone.
+        if state.registry.get(id).clinit != ClinitState::NotStarted {
+            continue;
         }
+        let clinit = state.registry.get(id).cf.as_ref().and_then(|cf| {
+            cf.methods
+                .iter()
+                .position(|m| m.name == "<clinit>" && m.descriptor == "()V")
+        });
+        let Some(index) = clinit else {
+            state.registry.get_mut(id).clinit = ClinitState::Initialized;
+            continue;
+        };
+        let frame = match callee_frame(state, MethodRef { class: id, index }, 0) {
+            Ok(frame) => frame,
+            Err((class, msg)) => return Err(throw_vm(state, frames, ctx, tid, class, &msg)),
+        };
+        state.registry.get_mut(id).clinit = ClinitState::InProgress(tid.0);
+        frames.push(frame);
+        return Err(StepResult::CallBoundary);
     }
-    InitAction::Ready
+    Ok(())
 }
 
 /// Allocate an instance: charged as §6.7's field dictionary (one map
@@ -1834,22 +1834,66 @@ fn pop_frame(
     state.recycle_frame(popped);
 }
 
-/// Why `blob`'s locals cannot take `slots` argument slots, when its
-/// `max_locals` is smaller (malformed code, which then throws
-/// `java/lang/InternalError` in the caller).
-pub(crate) fn locals_overflow(state: &JvmState, blob: &CodeBlob, slots: usize) -> Option<String> {
-    (usize::from(blob.max_locals) < slots).then(|| {
-        format!(
-            "{}.{}{}: max_locals {} is smaller than its {slots}-slot arguments",
-            state.registry.get(blob.class).name,
-            blob.name,
-            blob.descriptor,
-            blob.max_locals
-        )
-    })
+/// The frame a call to `target` runs in, drawn from the spare list, with
+/// room for `arg_slots` argument slots (the receiver's included) that
+/// the caller fills. `Err` carries the exception class and message the
+/// call throws instead: a method without code is an
+/// `AbstractMethodError`, and one whose `max_locals` is smaller than its
+/// arguments (malformed code) an `InternalError`.
+#[inline]
+pub(crate) fn callee_frame(
+    state: &mut JvmState,
+    target: MethodRef,
+    arg_slots: usize,
+) -> Result<Frame, (&'static str, String)> {
+    match state.code_blob(target.class, target.index) {
+        Some(blob) if usize::from(blob.max_locals) >= arg_slots => Ok(state.new_frame(blob)),
+        blob => Err(callee_error(state, target, arg_slots, blob.as_deref())),
+    }
 }
 
-/// Pop a frame, delivering `value` to the caller.
+/// [`callee_frame`]'s error for `target`, whose code is `blob`.
+#[cold]
+fn callee_error(
+    state: &JvmState,
+    target: MethodRef,
+    arg_slots: usize,
+    blob: Option<&CodeBlob>,
+) -> (&'static str, String) {
+    let class = state.registry.get(target.class);
+    let name = match class
+        .cf
+        .as_ref()
+        .and_then(|cf| cf.methods.get(target.index))
+    {
+        Some(m) => format!("{}.{}{}", class.name, m.name, m.descriptor),
+        None => class.name.clone(),
+    };
+    match blob {
+        None => ("java/lang/AbstractMethodError", name),
+        Some(blob) => {
+            let msg = format!(
+                "{name}: max_locals {} is smaller than its {arg_slots}-slot arguments",
+                blob.max_locals
+            );
+            ("java/lang/InternalError", msg)
+        }
+    }
+}
+
+/// Step `frame` past the invoke it is executing: its call completed.
+#[inline]
+pub(crate) fn step_past_invoke(frame: &mut Frame) {
+    if let Ok(code) = &frame.code.code {
+        if let Some(ip) = code.ip(frame.pc) {
+            frame.pc = code.pc(ip + 1);
+        }
+    }
+}
+
+/// Pop a frame, delivering `value` to the caller, which steps past its
+/// invoke. A finished `<clinit>` leaves its caller's pc in place, so the
+/// instruction that pushed it retries.
 pub fn do_return(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
@@ -1857,10 +1901,14 @@ pub fn do_return(
     tid: ThreadId,
     value: Option<Value>,
 ) -> StepResult {
+    let clinit = frames.last().is_some_and(|f| f.code.is_clinit);
     pop_frame(state, frames, ctx, tid);
     match frames.last_mut() {
         None => StepResult::Finished,
         Some(caller) => {
+            if !clinit {
+                step_past_invoke(caller);
+            }
             if let Some(v) = value {
                 caller.push(v);
             }
@@ -1869,15 +1917,51 @@ pub fn do_return(
     }
 }
 
+/// Take a synchronized callee's monitor: the class's for a static
+/// method, else the receiver's. `Err` carries the step to leave with
+/// when it is contended (the thread queues on it and retries the invoke
+/// when woken).
+fn lock_callee(
+    state: &mut JvmState,
+    tally: &mut Tally,
+    frames: &mut Vec<Frame>,
+    ctx: &mut ThreadContext<'_>,
+    site: &CallSite,
+    target: MethodRef,
+    flags: u16,
+) -> Result<ObjRef, StepResult> {
+    tally.flush(state);
+    let tid = ctx.thread_id();
+    let lock_obj = if flags & access::ACC_STATIC != 0 {
+        let cls_name = state.registry.get(target.class).name.clone();
+        class_object(state, &cls_name)
+    } else {
+        match frames.last().expect("frame").peek(site.arg_slots) {
+            Value::Ref(Some(r)) => *r,
+            _ => {
+                let npe = "java/lang/NullPointerException";
+                return Err(throw_vm(state, frames, ctx, tid, npe, "sync"));
+            }
+        }
+    };
+    if try_enter_monitor(state, ctx, lock_obj, tid) {
+        Ok(lock_obj)
+    } else {
+        queue_on_monitor(state, lock_obj, tid);
+        Err(StepResult::MonitorBlocked(lock_obj))
+    }
+}
+
 /// The body of an invoke once its call site is decoded: dispatch,
-/// synchronization, argument transfer and the frame push. The top
-/// frame's pc is the invoke's own, so a throw or a blocked monitor
-/// resolves against it; `next_pc` is where the call returns.
+/// synchronization, argument transfer and the frame push. The caller's
+/// pc stays on the invoke until the call completes, so a throw, a
+/// blocked monitor or a blocked native resolves against the invoke; a
+/// native that returns or yields steps it past, as a bytecode return
+/// does.
 ///
 /// A call to a bytecode method through a site that hits its cache
 /// leaves `tally` alone. Every other path hands it to the engine before
 /// it traces, takes a monitor, calls a native or throws.
-#[allow(clippy::too_many_arguments)]
 fn invoke_with_site(
     state: &mut JvmState,
     tally: &mut Tally,
@@ -1885,7 +1969,6 @@ fn invoke_with_site(
     ctx: &mut ThreadContext<'_>,
     tid: ThreadId,
     opcode: u8,
-    next_pc: usize,
     site: &CallSite,
 ) -> StepResult {
     let arg_slots = site.arg_slots;
@@ -1989,9 +2072,8 @@ fn invoke_with_site(
                     },
                 };
                 if opcode == op::INVOKESTATIC {
-                    match ensure_initialized(state, frames, tid, ref_class) {
-                        InitAction::Ready => {}
-                        InitAction::Pushed => return StepResult::CallBoundary,
+                    if let Err(sr) = ensure_initialized(state, frames, ctx, tid, ref_class) {
+                        return sr;
                     }
                 }
                 let Some(t) = state
@@ -2018,48 +2100,26 @@ fn invoke_with_site(
         }
     };
 
-    // Synchronized methods: acquire the monitor before popping args.
-    let mut acquired_monitor = None;
-    if method_flags & access::ACC_SYNCHRONIZED != 0 && &*site.name != "<clinit>" {
-        tally.flush(state);
-        let lock_obj = if method_flags & access::ACC_STATIC != 0 {
-            let cls_name = state.registry.get(target.class).name.clone();
-            class_object(state, &cls_name)
-        } else {
-            let frame = frames.last().expect("frame");
-            match frame.peek(arg_slots) {
-                Value::Ref(Some(r)) => *r,
-                _ => {
-                    return throw_vm(
-                        state,
-                        frames,
-                        ctx,
-                        tid,
-                        "java/lang/NullPointerException",
-                        "sync",
-                    )
-                }
-            }
-        };
-        if try_enter_monitor(state, ctx, lock_obj, tid) {
-            acquired_monitor = Some(lock_obj);
-        } else {
-            queue_on_monitor(state, lock_obj, tid);
-            return StepResult::MonitorBlocked(lock_obj);
-        }
-    }
+    // The arguments and the receiver: the top `slots` of the caller's
+    // operand stack.
+    let slots = arg_slots + usize::from(has_receiver);
+    let synchronized = method_flags & access::ACC_SYNCHRONIZED != 0 && &*site.name != "<clinit>";
 
-    // The arguments (and receiver) leave the caller's operand stack
-    // from `base` up; the call returns past the invoke.
-    let caller = frames.last_mut().expect("frame");
-    let base = caller.stack.len() - (arg_slots + usize::from(has_receiver));
-    caller.pc = next_pc;
-
-    // Native?
+    // A synchronized native holds its monitor until it returns or
+    // throws, also across a block.
     if method_flags & access::ACC_NATIVE != 0 {
         tally.flush(state);
+        let mut monitor = None;
+        if synchronized {
+            match lock_callee(state, tally, frames, ctx, site, target, method_flags) {
+                Ok(obj) => monitor = Some(obj),
+                Err(sr) => return sr,
+            }
+        }
         // Natives see logical values, not stack slots: drop the
         // padding slots of wide arguments.
+        let caller = frames.last_mut().expect("frame");
+        let base = caller.stack.len() - slots;
         let args = caller
             .stack
             .drain(base..)
@@ -2077,44 +2137,44 @@ fn invoke_with_site(
             &site.desc,
             args,
         );
-        return natives::apply_outcome(state, frames, ctx, tid, outcome);
+        return natives::apply_outcome(state, frames, ctx, monitor, outcome);
     }
 
     // A throw here clears or pops the caller's operand stack, arguments
     // included.
     if frames.len() >= 8192 {
         tally.flush(state);
+        let msg = format!("invoking {}", site.name);
         return throw_vm(
             state,
             frames,
             ctx,
             tid,
             "java/lang/StackOverflowError",
-            &format!("invoking {}", site.name),
+            &msg,
         );
     }
-    let Some(blob) = state.code_blob(target.class, target.index) else {
-        tally.flush(state);
-        return throw_vm(
-            state,
-            frames,
-            ctx,
-            tid,
-            "java/lang/AbstractMethodError",
-            &format!("{}.{}{}", site.cname, site.name, site.desc),
-        );
+    let mut callee = match callee_frame(state, target, slots) {
+        Ok(frame) => frame,
+        Err((class, msg)) => {
+            tally.flush(state);
+            return throw_vm(state, frames, ctx, tid, class, &msg);
+        }
     };
-    if let Some(msg) = locals_overflow(state, &blob, arg_slots + usize::from(has_receiver)) {
-        tally.flush(state);
-        return throw_vm(state, frames, ctx, tid, "java/lang/InternalError", &msg);
+    if synchronized {
+        match lock_callee(state, tally, frames, ctx, site, target, method_flags) {
+            Ok(obj) => callee.held_monitor = Some(obj),
+            Err(sr) => {
+                state.recycle_frame(callee);
+                return sr;
+            }
+        }
     }
-    let mut new_frame = state.new_frame(blob);
-    new_frame.held_monitor = acquired_monitor;
     // Move the argument slots verbatim (they are already slot-expanded).
     let caller = frames.last_mut().expect("frame");
-    let args = &caller.stack[base..];
-    new_frame.locals[..args.len()].copy_from_slice(args);
+    let base = caller.stack.len() - slots;
+    callee.locals[..slots].copy_from_slice(&caller.stack[base..]);
     caller.stack.truncate(base);
-    frames.push(new_frame);
+    frames.push(callee);
     StepResult::CallBoundary
 }

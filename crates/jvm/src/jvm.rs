@@ -18,7 +18,8 @@ use doppio_classfile::access::{ACC_PUBLIC, ACC_STATIC};
 use doppio_classfile::builder::{ClassBuilder, MethodBuilder};
 use doppio_classfile::opcodes::AASTORE;
 
-use crate::frame::Frame;
+use crate::class::MethodRef;
+use crate::interp;
 use crate::loader;
 use crate::natives::{NativeCtx, NativeOutcome};
 use crate::rtlib;
@@ -208,11 +209,15 @@ impl Jvm {
             .iter()
             .position(|mm| mm.name == "boot")
             .expect("boot method");
-        let blob = state.code_blob(boot_id, boot_idx).expect("boot blob");
+        let boot = MethodRef {
+            class: boot_id,
+            index: boot_idx,
+        };
+        let frame = interp::callee_frame(&mut state, boot, 0).expect("boot frame");
         state.live_threads += 1;
         drop(state);
 
-        let thread = JvmThread::new(self.state.clone(), "main", Frame::new(blob));
+        let thread = JvmThread::new(self.state.clone(), "main", frame);
         *self.main_uncaught.borrow_mut() = Some(thread.uncaught.clone());
         Box::new(thread)
     }

@@ -1187,7 +1187,7 @@ mod opcode_coverage_tests {
 #[cfg(test)]
 mod malformed_code_tests {
     use super::*;
-    use doppio_classfile::access::{ACC_PUBLIC, ACC_STATIC};
+    use doppio_classfile::access::{ACC_NATIVE, ACC_PUBLIC, ACC_STATIC};
     use doppio_classfile::builder::{ClassBuilder, MethodBuilder};
     use doppio_classfile::opcodes as op;
     use doppio_classfile::ClassFile;
@@ -1455,5 +1455,392 @@ mod malformed_code_tests {
         );
         // As deep as the class still allocates.
         assert_eq!(multianewarray_of("[[I", 2), None);
+    }
+
+    #[test]
+    fn a_clinit_without_code_throws_like_an_invoke_of_a_method_without_code() {
+        let mut codeless = bad_class(|m| m.return_void());
+        let bad = codeless
+            .methods
+            .iter_mut()
+            .find(|m| m.name == "bad")
+            .unwrap();
+        bad.code = None;
+        assert_eq!(
+            run_bad(codeless).as_deref(),
+            Some("java.lang.AbstractMethodError: Bad.bad()V")
+        );
+        // `Bad` declares `static native <clinit>()V`: its first use, the
+        // bootstrap's invoke of `Bad.main`, must initialize it.
+        let mut b = ClassBuilder::new("Bad", "java/lang/Object");
+        b.add_method(MethodBuilder::new(
+            ACC_STATIC | ACC_NATIVE,
+            "<clinit>",
+            "()V",
+            0,
+        ));
+        let mut m = MethodBuilder::new(PUB_STATIC, "main", MAIN_DESC, 1);
+        m.return_void();
+        b.add_method(m);
+        assert_eq!(
+            run_bad(b.finish()).as_deref(),
+            Some("java.lang.AbstractMethodError: Bad.<clinit>()V")
+        );
+    }
+}
+
+/// However a call ends, the caller sees it at the invoke: an exception
+/// is matched against the handlers that cover the invoke that raised it,
+/// and a synchronized callee's monitor is released.
+#[cfg(test)]
+mod call_exit_tests {
+    use super::*;
+    use doppio_classfile::access::{ACC_NATIVE, ACC_PUBLIC, ACC_STATIC, ACC_SYNCHRONIZED};
+    use doppio_classfile::builder::{ClassBuilder, MethodBuilder};
+    use doppio_classfile::opcodes as op;
+    use doppio_classfile::ClassFile;
+    use doppio_fs::{backends, FileSystem};
+    use doppio_jsengine::{Browser, Engine};
+
+    const PUB_STATIC: u16 = ACC_PUBLIC | ACC_STATIC;
+    const MAIN_DESC: &str = "([Ljava/lang/String;)V";
+    const THREAD: &str = "java/lang/Thread";
+    const THROWABLE: &str = "Ljava/lang/Throwable;";
+
+    /// Run `Main.main` over `classes`, after `setup` has seen the JVM.
+    fn run(classes: Vec<ClassFile>, setup: impl FnOnce(&Jvm)) -> JvmRunResult {
+        let engine = Engine::new(Browser::Chrome);
+        let fs = FileSystem::new(&engine, backends::in_memory(&engine));
+        fsutil::mount_classes(&engine, &fs, "/classes", &classes);
+        let jvm = Jvm::new(&engine, fs);
+        setup(&jvm);
+        jvm.launch("Main", &[]);
+        jvm.run_to_completion().unwrap()
+    }
+
+    /// `System.out.println("caught: " + t.getMessage())`, where `load`
+    /// pushes `t`.
+    fn println_caught(m: &mut MethodBuilder, load: impl FnOnce(&mut MethodBuilder)) {
+        m.getstatic("java/lang/System", "out", "Ljava/io/PrintStream;");
+        m.ldc_string("caught: ");
+        load(m);
+        m.invokevirtual("java/lang/Throwable", "getMessage", "()Ljava/lang/String;");
+        m.invokevirtual(
+            "java/lang/String",
+            "concat",
+            "(Ljava/lang/String;)Ljava/lang/String;",
+        );
+        m.invokevirtual("java/io/PrintStream", "println", "(Ljava/lang/String;)V");
+    }
+
+    /// Class `Main`, whose `main` runs `call` (ending in an invoke that
+    /// leaves `result_slots` on the stack) in a `try` range that ends
+    /// right after the invoke, as javac emits `try { f(); } catch (E e)
+    /// { .. }`. The handler for `catch` prints the exception's message.
+    fn catch_around(
+        call: impl FnOnce(&mut MethodBuilder),
+        result_slots: usize,
+        catch: &str,
+    ) -> ClassFile {
+        let mut b = ClassBuilder::new("Main", "java/lang/Object");
+        let mut m = MethodBuilder::new(PUB_STATIC, "main", MAIN_DESC, 2);
+        let (start, end, handler, out) =
+            (m.new_label(), m.new_label(), m.new_label(), m.new_label());
+        m.bind(start);
+        call(&mut m);
+        m.bind(end);
+        for _ in 0..result_slots {
+            m.pop();
+        }
+        m.goto_(out);
+        m.bind(handler);
+        m.astore(1);
+        println_caught(&mut m, |m| m.aload(1));
+        m.bind(out);
+        m.return_void();
+        m.add_exception_handler(start, end, handler, Some(catch));
+        b.add_method(m);
+        b.finish()
+    }
+
+    fn caught(r: &JvmRunResult, message: &str) {
+        assert_eq!(r.uncaught, None, "{}", r.stderr);
+        assert_eq!(r.stdout, format!("caught: {message}\n"));
+    }
+
+    #[test]
+    fn an_exception_from_a_bytecode_callee_is_caught_at_its_invoke() {
+        let mut thrower = ClassBuilder::new("Thrower", "java/lang/Object");
+        let mut boom = MethodBuilder::new(PUB_STATIC, "boom", "()V", 0);
+        boom.ldc_int(1);
+        boom.ldc_int(0);
+        boom.simple(op::IDIV);
+        boom.pop();
+        boom.return_void();
+        thrower.add_method(boom);
+        let main = catch_around(
+            |m| m.invokestatic("Thrower", "boom", "()V"),
+            0,
+            "java/lang/ArithmeticException",
+        );
+        caught(&run(vec![thrower.finish(), main], |_| {}), "/ by zero");
+    }
+
+    #[test]
+    fn an_exception_from_a_native_is_caught_at_its_invoke() {
+        let main = catch_around(
+            |m| {
+                m.ldc_string("abc");
+                m.ldc_int(5);
+                m.invokevirtual("java/lang/String", "charAt", "(I)C");
+            },
+            1,
+            "java/lang/StringIndexOutOfBoundsException",
+        );
+        caught(&run(vec![main], |_| {}), "5");
+    }
+
+    #[test]
+    fn an_exception_from_a_native_after_it_blocked_is_caught_at_its_invoke() {
+        let main = catch_around(
+            |m| {
+                m.ldc_string("/nope");
+                m.invokestatic(
+                    "doppio/runtime/FileSystem",
+                    "readFileBytes",
+                    "(Ljava/lang/String;)[B",
+                );
+            },
+            1,
+            "java/io/IOException",
+        );
+        caught(&run(vec![main], |_| {}), "ENOENT: /nope");
+    }
+
+    #[test]
+    fn a_stack_overflow_is_caught_at_the_invoke_that_overflows() {
+        // static void f() { try { f(); } catch (StackOverflowError e) { caught = e; } }
+        let mut b = ClassBuilder::new("Main", "java/lang/Object");
+        b.add_field(PUB_STATIC, "caught", THROWABLE);
+        let mut f = MethodBuilder::new(PUB_STATIC, "f", "()V", 0);
+        let (start, end, handler) = (f.new_label(), f.new_label(), f.new_label());
+        f.bind(start);
+        f.invokestatic("Main", "f", "()V");
+        f.bind(end);
+        f.return_void();
+        f.bind(handler);
+        f.putstatic("Main", "caught", THROWABLE);
+        f.return_void();
+        f.add_exception_handler(start, end, handler, Some("java/lang/StackOverflowError"));
+        b.add_method(f);
+        let mut m = MethodBuilder::new(PUB_STATIC, "main", MAIN_DESC, 1);
+        m.invokestatic("Main", "f", "()V");
+        println_caught(&mut m, |m| m.getstatic("Main", "caught", THROWABLE));
+        m.return_void();
+        b.add_method(m);
+        caught(&run(vec![b.finish()], |_| {}), "invoking f");
+    }
+
+    /// Class `Sync` with `static synchronized void other()`, which prints
+    /// "other", and `extra`, and `Main.main`, which starts a `Worker`
+    /// thread whose `run` invokes `Sync.work()V`, then does `rest`.
+    fn sync_program(
+        extra: impl FnOnce(&mut ClassBuilder),
+        rest: impl FnOnce(&mut MethodBuilder),
+    ) -> Vec<ClassFile> {
+        let mut sync = ClassBuilder::new("Sync", "java/lang/Object");
+        let mut other = MethodBuilder::new(PUB_STATIC | ACC_SYNCHRONIZED, "other", "()V", 0);
+        other.getstatic("java/lang/System", "out", "Ljava/io/PrintStream;");
+        other.ldc_string("other");
+        other.invokevirtual("java/io/PrintStream", "println", "(Ljava/lang/String;)V");
+        other.return_void();
+        sync.add_method(other);
+        extra(&mut sync);
+
+        let mut worker = ClassBuilder::new("Worker", THREAD);
+        let mut init = MethodBuilder::new(ACC_PUBLIC, "<init>", "()V", 1);
+        init.aload(0);
+        init.invokespecial(THREAD, "<init>", "()V");
+        init.return_void();
+        worker.add_method(init);
+        let mut run = MethodBuilder::new(ACC_PUBLIC, "run", "()V", 1);
+        run.invokestatic("Sync", "work", "()V");
+        run.return_void();
+        worker.add_method(run);
+
+        let mut main = ClassBuilder::new("Main", "java/lang/Object");
+        let mut m = MethodBuilder::new(PUB_STATIC, "main", MAIN_DESC, 2);
+        m.new_object("Worker");
+        m.dup();
+        m.invokespecial("Worker", "<init>", "()V");
+        m.astore(1);
+        m.aload(1);
+        m.invokevirtual(THREAD, "start", "()V");
+        rest(&mut m);
+        m.return_void();
+        main.add_method(m);
+        vec![sync.finish(), worker.finish(), main.finish()]
+    }
+
+    /// `Worker.join(); Sync.other();`
+    fn join_then_other(m: &mut MethodBuilder) {
+        m.aload(1);
+        m.invokevirtual(THREAD, "join", "()V");
+        m.invokestatic("Sync", "other", "()V");
+    }
+
+    /// A `static synchronized native void work()`.
+    fn native_work(sync: &mut ClassBuilder) {
+        let flags = PUB_STATIC | ACC_SYNCHRONIZED | ACC_NATIVE;
+        sync.add_method(MethodBuilder::new(flags, "work", "()V", 0));
+    }
+
+    /// Register `Sync.work` as a native that sleeps `ms` on the virtual
+    /// clock and then completes with `done`.
+    fn register_sleeping_work(jvm: &Jvm, ms: f64, done: fn(&mut NativeCtx) -> NativeOutcome) {
+        jvm.register_native("Sync", "work", "()V", move |n, _| {
+            let cell = n.ctx.block_on(move |engine, resolver| {
+                engine.set_timeout(ms, move |_| resolver.resolve(()));
+            });
+            NativeOutcome::Block(Box::new(move |n2| cell.take().map(|()| done(n2))))
+        });
+    }
+
+    #[test]
+    fn a_synchronized_method_releases_its_monitor_when_stack_overflow_kills_the_thread() {
+        let classes = sync_program(
+            |sync| {
+                // static synchronized void work() { work(); }
+                let mut work = MethodBuilder::new(PUB_STATIC | ACC_SYNCHRONIZED, "work", "()V", 0);
+                work.invokestatic("Sync", "work", "()V");
+                work.return_void();
+                sync.add_method(work);
+            },
+            join_then_other,
+        );
+        let r = run(classes, |_| {});
+        assert_eq!((r.stdout.as_str(), r.uncaught), ("other\n", None));
+        assert!(
+            r.stderr.contains("java.lang.StackOverflowError"),
+            "{}",
+            r.stderr
+        );
+    }
+
+    #[test]
+    fn a_synchronized_native_releases_its_monitor_when_it_throws_after_a_block() {
+        let classes = sync_program(native_work, join_then_other);
+        let r = run(classes, |jvm| {
+            register_sleeping_work(jvm, 5.0, |_| NativeOutcome::Throw {
+                class: "java/io/IOException".into(),
+                message: "work failed".into(),
+            })
+        });
+        assert_eq!((r.stdout.as_str(), r.uncaught), ("other\n", None));
+        assert!(r.stderr.contains("work failed"), "{}", r.stderr);
+    }
+
+    #[test]
+    fn a_synchronized_native_holds_its_monitor_until_it_returns() {
+        // Main sleeps while the worker's native holds `Sync`'s monitor
+        // across its own, longer sleep; `other` must wait for it.
+        let classes = sync_program(native_work, |m| {
+            m.ldc_long(50);
+            m.invokestatic(THREAD, "sleep", "(J)V");
+            m.invokestatic("Sync", "other", "()V");
+            m.aload(1);
+            m.invokevirtual(THREAD, "join", "()V");
+        });
+        let r = run(classes, |jvm| {
+            register_sleeping_work(jvm, 200.0, |n| {
+                n.state.write_stdout("work\n");
+                NativeOutcome::Return(None)
+            })
+        });
+        assert_eq!((r.stdout.as_str(), r.uncaught), ("work\nother\n", None));
+    }
+}
+
+/// The `doppio/net/Socket` natives over a Websockify-bridged echo server.
+#[cfg(test)]
+mod socket_tests {
+    use super::*;
+    use doppio_classfile::access::{ACC_PUBLIC, ACC_STATIC};
+    use doppio_classfile::builder::{ClassBuilder, MethodBuilder};
+    use doppio_fs::{backends, FileSystem};
+    use doppio_jsengine::{Browser, Engine};
+    use doppio_sockets::{ConnId, Network, Segment, ServerConn, TcpServerApp, Websockify};
+
+    const SOCKET: &str = "doppio/net/Socket";
+    const MAIN_DESC: &str = "([Ljava/lang/String;)V";
+
+    /// A plain TCP server that sends every segment back.
+    struct Echo;
+
+    impl TcpServerApp for Echo {
+        fn on_connect(&self, _: &Engine, _: ServerConn) {}
+        fn on_data(&self, _: &Engine, conn: ServerConn, data: Segment) {
+            conn.send(data.to_vec());
+        }
+        fn on_close(&self, _: &Engine, _: ConnId) {}
+    }
+
+    /// Run class `Main`, whose `main` is `body`, with an echo server on
+    /// TCP port 7000 behind Websockify on port 8080.
+    fn run_main(body: impl FnOnce(&mut MethodBuilder)) -> JvmRunResult {
+        let mut b = ClassBuilder::new("Main", "java/lang/Object");
+        let mut m = MethodBuilder::new(ACC_PUBLIC | ACC_STATIC, "main", MAIN_DESC, 2);
+        body(&mut m);
+        m.return_void();
+        b.add_method(m);
+        let engine = Engine::new(Browser::Chrome);
+        let net = Network::new(&engine);
+        net.listen(7000, std::rc::Rc::new(Echo));
+        Websockify::listen(&net, 8080, 7000);
+        let fs = FileSystem::new(&engine, backends::in_memory(&engine));
+        fsutil::mount_classes(&engine, &fs, "/classes", &[b.finish()]);
+        let jvm = Jvm::new(&engine, fs);
+        jvm.set_network(net);
+        jvm.launch("Main", &[]);
+        jvm.run_to_completion().unwrap()
+    }
+
+    #[test]
+    fn a_write_comes_back_through_a_blocking_read() {
+        let r = run_main(|m| {
+            m.ldc_string("echo.example.com");
+            m.ldc_int(8080);
+            m.invokestatic(SOCKET, "connect", "(Ljava/lang/String;I)I");
+            m.istore(1);
+            m.iload(1);
+            m.ldc_string("ping");
+            m.invokevirtual("java/lang/String", "getBytes", "()[B");
+            m.invokestatic(SOCKET, "write", "(I[B)V");
+            m.getstatic("java/lang/System", "out", "Ljava/io/PrintStream;");
+            m.new_object("java/lang/String");
+            m.dup();
+            m.iload(1);
+            m.ldc_int(16);
+            m.invokestatic(SOCKET, "read", "(II)[B");
+            m.invokespecial("java/lang/String", "<init>", "([B)V");
+            m.invokevirtual("java/io/PrintStream", "println", "(Ljava/lang/String;)V");
+            m.iload(1);
+            m.invokestatic(SOCKET, "close", "(I)V");
+        });
+        assert_eq!((r.stdout.as_str(), r.uncaught), ("ping\n", None));
+    }
+
+    #[test]
+    fn a_read_of_a_descriptor_that_is_not_open_throws() {
+        let r = run_main(|m| {
+            m.ldc_int(5);
+            m.ldc_int(10);
+            m.invokestatic(SOCKET, "read", "(II)[B");
+            m.pop();
+        });
+        assert_eq!(
+            r.uncaught.as_deref(),
+            Some("java.io.IOException: bad socket")
+        );
     }
 }

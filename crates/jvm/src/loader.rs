@@ -14,9 +14,11 @@ use std::collections::{HashMap, VecDeque};
 use std::rc::Rc;
 
 use doppio_classfile::{parse, ClassFile, Constant};
-use doppio_core::{AsyncCell, AsyncResolver, ThreadContext};
+use doppio_core::{AsyncCell, AsyncResolver, Resource, ThreadContext};
 use doppio_fs::FileSystem;
 
+use crate::frame::Frame;
+use crate::interp::{self, StepResult};
 use crate::state::JvmState;
 use crate::value::Value;
 
@@ -31,9 +33,65 @@ pub struct LoaderState {
     pub fetches: u64,
 }
 
+/// Load class `want` for the calling thread: the step it leaves with. A
+/// class that already failed to load throws `NoClassDefFoundError`.
+/// Otherwise the thread blocks on the class's download, and then on
+/// those of the superclasses and interfaces it needs first, until the
+/// class is defined and the instruction that wants it retries (with no
+/// suspend check), or its loading fails and throws.
+pub(crate) fn load_class(
+    state: &mut JvmState,
+    frames: &mut Vec<Frame>,
+    ctx: &mut ThreadContext<'_>,
+    want: String,
+) -> StepResult {
+    if let Some(reason) = state.loader.failed.get(&want).cloned() {
+        return no_class_def(state, frames, ctx, &reason);
+    }
+    let mut cell = start_fetch(state, ctx, &want);
+    note_class_wait(state, frames, ctx, &want);
+    let mut fetching = want.clone();
+    StepResult::Blocked(Box::new(move |state, frames, ctx| {
+        let Some(result) = cell.take() else {
+            note_class_wait(state, frames, ctx, &fetching);
+            return None;
+        };
+        match after_fetch(state, &fetching, result) {
+            AfterFetch::Fail(e) => return Some(no_class_def(state, frames, ctx, &e)),
+            AfterFetch::Fetch(dep) => fetching = dep,
+            AfterFetch::Ready if state.registry.lookup(&want).is_none() => {
+                fetching = want.clone();
+            }
+            // Defined: the instruction retries.
+            AfterFetch::Ready => return Some(StepResult::Continue),
+        }
+        cell = start_fetch(state, ctx, &fetching);
+        None
+    }))
+}
+
+/// Throw `NoClassDefFoundError` for a class that cannot load.
+fn no_class_def(
+    state: &mut JvmState,
+    frames: &mut Vec<Frame>,
+    ctx: &mut ThreadContext<'_>,
+    reason: &str,
+) -> StepResult {
+    let tid = ctx.thread_id();
+    let class = "java/lang/NoClassDefFoundError";
+    interp::throw_vm(state, frames, ctx, tid, class, reason)
+}
+
+/// Record the calling thread's wait for class `name`'s download in the
+/// wait-for graph.
+fn note_class_wait(state: &JvmState, frames: &[Frame], ctx: &ThreadContext<'_>, name: &str) {
+    let site = interp::current_site(state, frames);
+    ctx.note_block(Resource::Async(format!("classload({name})")), site);
+}
+
 /// Result of a fetch completion.
 #[derive(Debug, PartialEq, Eq)]
-pub enum AfterFetch {
+enum AfterFetch {
     /// The requested class (and possibly parked dependents) is defined.
     Ready,
     /// Another class must be fetched first (a superclass/interface).
@@ -44,7 +102,7 @@ pub enum AfterFetch {
 
 /// Begin fetching `.class` bytes for `name`, trying each classpath
 /// entry in order. The calling thread must block on the returned cell.
-pub fn start_fetch(
+fn start_fetch(
     state: &mut JvmState,
     ctx: &mut ThreadContext<'_>,
     name: &str,
@@ -82,11 +140,7 @@ fn try_candidates(
 
 /// Feed fetched bytes (or the fetch error) back into the loader and
 /// drive definition as far as possible.
-pub fn after_fetch(
-    state: &mut JvmState,
-    name: &str,
-    result: Result<Vec<u8>, String>,
-) -> AfterFetch {
+fn after_fetch(state: &mut JvmState, name: &str, result: Result<Vec<u8>, String>) -> AfterFetch {
     // Another thread may have loaded the class while our fetch was in
     // flight (§6.2 threads share one class registry): that's success.
     if state.registry.lookup(name).is_some() {

@@ -17,8 +17,11 @@
 //! registered with DoppioJVM") register through
 //! [`crate::jvm::Jvm::register_native`].
 
-use doppio_core::{Resource, ThreadContext, ThreadId};
-use doppio_jsengine::Cost;
+use std::fmt::Display;
+
+use doppio_core::{AsyncResolver, Resource, ThreadContext, ThreadId};
+use doppio_fs::FileSystem;
+use doppio_jsengine::{Cost, Engine};
 
 use crate::class::ClassId;
 use crate::frame::Frame;
@@ -85,7 +88,7 @@ impl NativeCtx<'_, '_, '_> {
     }
 }
 
-fn throw(class: &str, message: impl Into<String>) -> NativeOutcome {
+pub(crate) fn throw(class: &str, message: impl Into<String>) -> NativeOutcome {
     NativeOutcome::Throw {
         class: class.to_string(),
         message: message.into(),
@@ -122,34 +125,80 @@ fn block_labeled(
     }))
 }
 
-/// Turn a native outcome into a step result (pushing return values
-/// onto the caller's frame).
-pub fn apply_outcome(
+/// Block on an asynchronous browser API (§4.2), labeled `label` in the
+/// wait-for graph: `start` begins the operation, as in
+/// [`ThreadContext::block_on`], and `done` turns the value it delivers
+/// into the native's outcome.
+fn await_async<T: 'static>(
+    n: &mut NativeCtx<'_, '_, '_>,
+    label: String,
+    start: impl FnOnce(&Engine, AsyncResolver<T>),
+    mut done: impl FnMut(&mut NativeCtx<'_, '_, '_>, T) -> NativeOutcome + 'static,
+) -> NativeOutcome {
+    let cell = n.ctx.block_on(start);
+    block_labeled(
+        n,
+        label,
+        Box::new(move |n2| cell.take().map(|v| done(n2, v))),
+    )
+}
+
+/// A file-system result without a value: `IOException` on error.
+fn io_void(r: Result<(), impl Display>) -> NativeOutcome {
+    match r {
+        Ok(()) => NativeOutcome::Return(None),
+        Err(e) => throw("java/io/IOException", e.to_string()),
+    }
+}
+
+/// Turn a native call's outcome into a step result. A return or a yield
+/// steps the caller past its invoke (a return pushes its value first); a
+/// throw is matched at the invoke. `monitor`, a synchronized native's,
+/// is released as the call completes. A blocked native becomes the
+/// thread's continuation, whose completed poll comes back here.
+pub(crate) fn apply_outcome(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
     ctx: &mut ThreadContext<'_>,
-    tid: ThreadId,
+    monitor: Option<ObjRef>,
     outcome: NativeOutcome,
 ) -> StepResult {
+    let tid = ctx.thread_id();
+    if let (Some(obj), false) = (monitor, matches!(outcome, NativeOutcome::Block(_))) {
+        let _ = interp::exit_monitor(state, ctx, obj, tid);
+    }
     match outcome {
-        NativeOutcome::Return(v) => {
-            if let (Some(frame), Some(v)) = (frames.last_mut(), v) {
-                frame.push(v);
-            }
-            if frames.is_empty() {
-                StepResult::Finished
-            } else {
+        NativeOutcome::Block(mut poll) => {
+            StepResult::Blocked(Box::new(move |state, frames, ctx| {
+                let outcome = poll(&mut NativeCtx {
+                    state: &mut *state,
+                    frames: &mut *frames,
+                    ctx: &mut *ctx,
+                    tid,
+                })?;
+                Some(apply_outcome(state, frames, ctx, monitor, outcome))
+            }))
+        }
+        NativeOutcome::Return(v) => match frames.last_mut() {
+            Some(caller) => {
+                interp::step_past_invoke(caller);
+                if let Some(v) = v {
+                    caller.push(v);
+                }
                 StepResult::CallBoundary
             }
-        }
+            None => StepResult::Finished,
+        },
         NativeOutcome::Throw { class, message } => {
             interp::throw_vm(state, frames, ctx, tid, &class, &message)
         }
-        NativeOutcome::Block(p) => StepResult::NativeBlocked(p),
         NativeOutcome::Yield => {
-            // The instruction already completed (no return value); the
-            // thread ends its slice unconditionally so yields are real
-            // context-switch points for schedule exploration.
+            // The call completed without a value; the thread ends its
+            // slice unconditionally so yields are real context-switch
+            // points for schedule exploration.
+            if let Some(caller) = frames.last_mut() {
+                interp::step_past_invoke(caller);
+            }
             StepResult::VoluntaryYield
         }
         NativeOutcome::Exit(code) => StepResult::Exit(code),
@@ -1040,13 +1089,13 @@ fn thread_native(
         ("yield", "()V") => NativeOutcome::Yield,
         ("sleep", "(J)V") => {
             let ms = args[0].as_long().max(0) as f64;
-            let cell = n.ctx.block_on(move |engine, resolver| {
-                engine.set_timeout(ms, move |_| resolver.resolve(()));
-            });
-            block_labeled(
+            await_async(
                 n,
                 format!("thread.sleep({}ms)", ms as u64),
-                Box::new(move |_| cell.take().map(|_| NativeOutcome::Return(None))),
+                move |engine, resolver| {
+                    engine.set_timeout(ms, move |_| resolver.resolve(()));
+                },
+                |_, ()| NativeOutcome::Return(None),
             )
         }
         ("currentThread", "()Ljava/lang/Thread;") => {
@@ -1305,38 +1354,27 @@ fn fs_native(
     desc: &str,
     args: Vec<Value>,
 ) -> NativeOutcome {
-    let fs = n.state.fs.clone();
     match (name, desc) {
-        ("readFileBytes", "(Ljava/lang/String;)[B") => {
-            let path = match n.string_arg(&args[0]) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
-            let label = doppio_fs::wait_label("read", &path);
-            let cell = n.ctx.block_on(move |_, resolver| {
-                fs.read_file(&path, move |_, r| resolver.resolve(r));
-            });
-            block_labeled(
-                n,
-                label,
-                Box::new(move |n2| {
-                    cell.take().map(|r| match r {
-                        Ok(bytes) => {
-                            // The JVM-side byte[] is a typed array in the
-                            // browser — visible to the Safari leak model.
-                            if n2.state.engine.profile().has_typed_arrays {
-                                n2.state.engine.typed_array_alloc(bytes.len());
-                                n2.state.engine.typed_array_free(bytes.len());
-                            }
-                            let data: Vec<i8> = bytes.into_iter().map(|b| b as i8).collect();
-                            let arr = n2.state.heap.alloc(HeapObj::ArrayByte(data));
-                            NativeOutcome::Return(Some(Value::Ref(Some(arr))))
-                        }
-                        Err(e) => throw("java/io/IOException", e.to_string()),
-                    })
-                }),
-            )
-        }
+        ("readFileBytes", "(Ljava/lang/String;)[B") => fs_call(
+            n,
+            &args,
+            "read",
+            |fs, path, resolver| fs.read_file(&path, move |_, r| resolver.resolve(r)),
+            |n2, r| match r {
+                Ok(bytes) => {
+                    // The JVM-side byte[] is a typed array in the
+                    // browser — visible to the Safari leak model.
+                    if n2.state.engine.profile().has_typed_arrays {
+                        n2.state.engine.typed_array_alloc(bytes.len());
+                        n2.state.engine.typed_array_free(bytes.len());
+                    }
+                    let data: Vec<i8> = bytes.into_iter().map(|b| b as i8).collect();
+                    let arr = n2.state.heap.alloc(HeapObj::ArrayByte(data));
+                    NativeOutcome::Return(Some(Value::Ref(Some(arr))))
+                }
+                Err(e) => throw("java/io/IOException", e.to_string()),
+            },
+        ),
         ("writeFileBytes", "(Ljava/lang/String;[B)V") => {
             let path = match n.string_arg(&args[0]) {
                 Ok(p) => p,
@@ -1349,134 +1387,89 @@ fn fs_native(
                 HeapObj::ArrayByte(v) => v.iter().map(|&b| b as u8).collect(),
                 _ => return throw("java/lang/InternalError", "expected byte[]"),
             };
-            let label = doppio_fs::wait_label("write", &path);
-            let cell = n.ctx.block_on(move |_, resolver| {
-                fs.write_file(&path, bytes, move |_, r| resolver.resolve(r));
-            });
-            block_labeled(
+            let fs = n.state.fs.clone();
+            await_async(
                 n,
-                label,
-                Box::new(move |_| {
-                    cell.take().map(|r| match r {
-                        Ok(()) => NativeOutcome::Return(None),
-                        Err(e) => throw("java/io/IOException", e.to_string()),
-                    })
-                }),
+                doppio_fs::wait_label("write", &path),
+                move |_, resolver| fs.write_file(&path, bytes, move |_, r| resolver.resolve(r)),
+                |_, r| io_void(r),
             )
         }
-        ("listDir", "(Ljava/lang/String;)[Ljava/lang/String;") => {
-            let path = match n.string_arg(&args[0]) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
-            let label = doppio_fs::wait_label("readdir", &path);
-            let cell = n.ctx.block_on(move |_, resolver| {
-                fs.readdir(&path, move |_, r| resolver.resolve(r));
-            });
-            block_labeled(
-                n,
-                label,
-                Box::new(move |n2| {
-                    cell.take().map(|r| match r {
-                        Ok(names) => {
-                            let refs: Vec<Option<ObjRef>> = names
-                                .into_iter()
-                                .map(|s| Some(n2.state.heap.alloc_string(s)))
-                                .collect();
-                            let arr = n2.state.heap.alloc(HeapObj::ArrayRef {
-                                component: "java/lang/String".to_string(),
-                                data: refs,
-                            });
-                            NativeOutcome::Return(Some(Value::Ref(Some(arr))))
-                        }
-                        Err(e) => throw("java/io/IOException", e.to_string()),
-                    })
-                }),
-            )
-        }
-        ("exists", "(Ljava/lang/String;)Z") => {
-            let path = match n.string_arg(&args[0]) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
-            let label = doppio_fs::wait_label("exists", &path);
-            let cell = n.ctx.block_on(move |_, resolver| {
-                fs.exists(&path, move |_, ok| resolver.resolve(ok));
-            });
-            block_labeled(
-                n,
-                label,
-                Box::new(move |_| {
-                    cell.take()
-                        .map(|ok| NativeOutcome::Return(Some(Value::Int(i32::from(ok)))))
-                }),
-            )
-        }
-        ("fileSize", "(Ljava/lang/String;)I") => {
-            let path = match n.string_arg(&args[0]) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
-            let label = doppio_fs::wait_label("stat", &path);
-            let cell = n.ctx.block_on(move |_, resolver| {
-                fs.stat(&path, move |_, r| resolver.resolve(r));
-            });
-            block_labeled(
-                n,
-                label,
-                Box::new(move |_| {
-                    cell.take().map(|r| match r {
-                        Ok(st) => NativeOutcome::Return(Some(Value::Int(st.size as i32))),
-                        Err(e) => throw("java/io/IOException", e.to_string()),
-                    })
-                }),
-            )
-        }
-        ("mkdir", "(Ljava/lang/String;)V") => {
-            let path = match n.string_arg(&args[0]) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
-            let label = doppio_fs::wait_label("mkdir", &path);
-            let cell = n.ctx.block_on(move |_, resolver| {
-                fs.mkdir(&path, move |_, r| resolver.resolve(r));
-            });
-            block_labeled(
-                n,
-                label,
-                Box::new(move |_| {
-                    cell.take().map(|r| match r {
-                        Ok(()) => NativeOutcome::Return(None),
-                        Err(e) => throw("java/io/IOException", e.to_string()),
-                    })
-                }),
-            )
-        }
-        ("unlink", "(Ljava/lang/String;)V") => {
-            let path = match n.string_arg(&args[0]) {
-                Ok(p) => p,
-                Err(e) => return e,
-            };
-            let label = doppio_fs::wait_label("unlink", &path);
-            let cell = n.ctx.block_on(move |_, resolver| {
-                fs.unlink(&path, move |_, r| resolver.resolve(r));
-            });
-            block_labeled(
-                n,
-                label,
-                Box::new(move |_| {
-                    cell.take().map(|r| match r {
-                        Ok(()) => NativeOutcome::Return(None),
-                        Err(e) => throw("java/io/IOException", e.to_string()),
-                    })
-                }),
-            )
-        }
+        ("listDir", "(Ljava/lang/String;)[Ljava/lang/String;") => fs_call(
+            n,
+            &args,
+            "readdir",
+            |fs, path, resolver| fs.readdir(&path, move |_, r| resolver.resolve(r)),
+            |n2, r| match r {
+                Ok(names) => {
+                    let refs: Vec<Option<ObjRef>> = names
+                        .into_iter()
+                        .map(|s| Some(n2.state.heap.alloc_string(s)))
+                        .collect();
+                    let arr = n2.state.heap.alloc(HeapObj::ArrayRef {
+                        component: "java/lang/String".to_string(),
+                        data: refs,
+                    });
+                    NativeOutcome::Return(Some(Value::Ref(Some(arr))))
+                }
+                Err(e) => throw("java/io/IOException", e.to_string()),
+            },
+        ),
+        ("exists", "(Ljava/lang/String;)Z") => fs_call(
+            n,
+            &args,
+            "exists",
+            |fs, path, resolver| fs.exists(&path, move |_, ok| resolver.resolve(ok)),
+            |_, ok| NativeOutcome::Return(Some(Value::Int(i32::from(ok)))),
+        ),
+        ("fileSize", "(Ljava/lang/String;)I") => fs_call(
+            n,
+            &args,
+            "stat",
+            |fs, path, resolver| fs.stat(&path, move |_, r| resolver.resolve(r)),
+            |_, r| match r {
+                Ok(st) => NativeOutcome::Return(Some(Value::Int(st.size as i32))),
+                Err(e) => throw("java/io/IOException", e.to_string()),
+            },
+        ),
+        ("mkdir", "(Ljava/lang/String;)V") => fs_call(
+            n,
+            &args,
+            "mkdir",
+            |fs, path, resolver| fs.mkdir(&path, move |_, r| resolver.resolve(r)),
+            |_, r| io_void(r),
+        ),
+        ("unlink", "(Ljava/lang/String;)V") => fs_call(
+            n,
+            &args,
+            "unlink",
+            |fs, path, resolver| fs.unlink(&path, move |_, r| resolver.resolve(r)),
+            |_, r| io_void(r),
+        ),
         _ => throw(
             "java/lang/UnsatisfiedLinkError",
             format!("FileSystem.{name}{desc}"),
         ),
     }
+}
+
+/// File-system operation `op` on the path in `args[0]`: `start` begins
+/// it on the Doppio file system, and the thread blocks until `done`
+/// turns its result into the native's outcome.
+fn fs_call<T: 'static>(
+    n: &mut NativeCtx<'_, '_, '_>,
+    args: &[Value],
+    op: &str,
+    start: impl FnOnce(FileSystem, String, AsyncResolver<T>),
+    done: impl FnMut(&mut NativeCtx<'_, '_, '_>, T) -> NativeOutcome + 'static,
+) -> NativeOutcome {
+    let path = match n.string_arg(&args[0]) {
+        Ok(p) => p,
+        Err(e) => return e,
+    };
+    let fs = n.state.fs.clone();
+    let label = doppio_fs::wait_label(op, &path);
+    await_async(n, label, move |_, resolver| start(fs, path, resolver), done)
 }
 
 fn console_native(
@@ -1486,58 +1479,52 @@ fn console_native(
     _args: Vec<Value>,
 ) -> NativeOutcome {
     match (name, desc) {
-        // Blocking line read over asynchronous keyboard input — the
-        // exact scenario of §3.2's C++ example.
-        ("readLine", "()Ljava/lang/String;") => {
-            if let Some(line) = take_stdin_line(n.state) {
-                return n.ret_string(line);
-            }
-            if n.state.stdin_closed {
-                return NativeOutcome::Return(Some(Value::null()));
-            }
-            enlist_stdin_waiter(n);
-            block_labeled(
-                n,
-                "stdin.readLine".to_string(),
-                Box::new(move |n2| {
-                    if let Some(line) = take_stdin_line(n2.state) {
-                        Some(n2.ret_string(line))
-                    } else if n2.state.stdin_closed {
-                        Some(NativeOutcome::Return(Some(Value::null())))
-                    } else {
-                        enlist_stdin_waiter(n2);
-                        None
-                    }
-                }),
-            )
-        }
-        ("readByte", "()I") => {
-            if let Some(b) = n.state.stdin.pop_front() {
-                return NativeOutcome::Return(Some(Value::Int(i32::from(b))));
-            }
-            if n.state.stdin_closed {
-                return NativeOutcome::Return(Some(Value::Int(-1)));
-            }
-            enlist_stdin_waiter(n);
-            block_labeled(
-                n,
-                "stdin.readByte".to_string(),
-                Box::new(move |n2| {
-                    if let Some(b) = n2.state.stdin.pop_front() {
-                        Some(NativeOutcome::Return(Some(Value::Int(i32::from(b)))))
-                    } else if n2.state.stdin_closed {
-                        Some(NativeOutcome::Return(Some(Value::Int(-1))))
-                    } else {
-                        enlist_stdin_waiter(n2);
-                        None
-                    }
-                }),
-            )
-        }
+        ("readLine", "()Ljava/lang/String;") => read_stdin(
+            n,
+            "stdin.readLine",
+            |n| take_stdin_line(n.state).map(|line| n.ret_string(line)),
+            Value::null(),
+        ),
+        ("readByte", "()I") => read_stdin(
+            n,
+            "stdin.readByte",
+            |n| {
+                let b = n.state.stdin.pop_front()?;
+                Some(NativeOutcome::Return(Some(Value::Int(i32::from(b)))))
+            },
+            Value::Int(-1),
+        ),
         _ => throw(
             "java/lang/UnsatisfiedLinkError",
             format!("Console.{name}{desc}"),
         ),
+    }
+}
+
+/// A blocking read over asynchronous keyboard input — the exact
+/// scenario of §3.2's C++ example. `take` reads from the buffered
+/// bytes; at end of input the read returns `eof`. Until one of them
+/// completes it, the thread waits as a stdin waiter, labeled `label`.
+fn read_stdin(
+    n: &mut NativeCtx<'_, '_, '_>,
+    label: &str,
+    take: fn(&mut NativeCtx<'_, '_, '_>) -> Option<NativeOutcome>,
+    eof: Value,
+) -> NativeOutcome {
+    let poll = move |n: &mut NativeCtx<'_, '_, '_>| {
+        let out = take(n).or_else(|| {
+            n.state
+                .stdin_closed
+                .then_some(NativeOutcome::Return(Some(eof)))
+        });
+        if out.is_none() {
+            enlist_stdin_waiter(n);
+        }
+        out
+    };
+    match poll(n) {
+        Some(out) => out,
+        None => block_labeled(n, label.to_string(), Box::new(poll)),
     }
 }
 
@@ -1606,12 +1593,6 @@ fn socket_native(
                 Err(e) => return throw("java/io/IOException", e.to_string()),
             };
             // Wake the thread whenever the socket changes state.
-            let cell = n.ctx.block_on(|_, resolver| {
-                // resolved immediately; the waker below does the real
-                // signalling — block_on just parks the thread.
-                resolver.resolve(());
-            });
-            let _ = cell.take();
             let fd = n.state.sockets.len() as i32;
             let tid = n.tid;
             let runtime = n.ctx.runtime().clone();
@@ -1664,12 +1645,15 @@ fn socket_native(
                 .unwrap_or(0);
             NativeOutcome::Return(Some(Value::Int(avail as i32)))
         }
-        // Blocking read of up to `len` bytes; -1 at end of stream.
+        // Blocking read of up to `len` bytes; null at end of stream, and
+        // an `IOException` for a descriptor that is not open.
         ("read", "(II)[B") => {
             let fd = args[0].as_int() as usize;
             let len = args[1].as_int().max(0) as usize;
             let read_now = move |n2: &mut NativeCtx<'_, '_, '_>| -> Option<NativeOutcome> {
-                let sock = n2.state.sockets.get(fd).and_then(Option::as_ref)?;
+                let Some(sock) = n2.state.sockets.get(fd).and_then(Option::as_ref) else {
+                    return Some(throw("java/io/IOException", "bad socket"));
+                };
                 if sock.available() > 0 {
                     let data: Vec<i8> = sock.recv(len).into_iter().map(|b| b as i8).collect();
                     let arr = n2.state.heap.alloc(HeapObj::ArrayByte(data));
@@ -1686,7 +1670,7 @@ fn socket_native(
             block_labeled(
                 n,
                 doppio_sockets::wait_label("read", fd),
-                Box::new(move |n2| read_now(n2)),
+                Box::new(read_now),
             )
         }
         ("close", "(I)V") => {

@@ -71,8 +71,6 @@ pub struct CallSite {
 pub struct CodeBlob {
     /// Declaring class.
     pub class: ClassId,
-    /// Index into the class's method list.
-    pub method_index: usize,
     /// Method name (for traces).
     pub name: String,
     /// Whether this is a class initializer (`<clinit>`): popping its
@@ -84,10 +82,6 @@ pub struct CodeBlob {
     pub exceptions: Vec<doppio_classfile::ExceptionEntry>,
     /// Local slots.
     pub max_locals: u16,
-    /// Whether the method is `synchronized`.
-    pub synchronized: bool,
-    /// Whether the method is `static`.
-    pub is_static: bool,
     /// Line-number table.
     pub line_numbers: Vec<(u16, u16)>,
     /// The pre-decoded op stream the interpreter runs, or why the
@@ -305,15 +299,11 @@ impl JvmState {
         let code = m.code.as_ref()?;
         let blob = Rc::new(CodeBlob {
             class,
-            method_index,
             name: m.name.clone(),
             is_clinit: m.name == "<clinit>",
             descriptor: m.descriptor.clone(),
             exceptions: code.exception_table.clone(),
             max_locals: code.max_locals,
-            synchronized: m.access_flags & doppio_classfile::access::ACC_SYNCHRONIZED != 0
-                && m.name != "<clinit>",
-            is_static: m.is_static(),
             line_numbers: code.line_numbers.clone(),
             code: decode(&code.bytecode, &code.exception_table),
         });

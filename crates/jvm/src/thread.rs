@@ -5,35 +5,32 @@
 //! at fixed context switch points" — monitor operations and the §6.1
 //! suspend checks at method call boundaries — so multithreading is
 //! cooperative in JavaScript but preemptive in JVM semantics.
+//!
+//! A thread that waits for a class download or for a native's
+//! asynchronous browser API (§4.2) holds one [`Continuation`], which it
+//! polls each time it is woken until the wait is over. A thread queued
+//! on a monitor holds none: it retries its instruction when woken.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use doppio_core::{AsyncCell, GuestThread, Resource, ThreadContext, ThreadStep};
+use doppio_core::{GuestThread, Resource, ThreadContext, ThreadStep};
 use doppio_trace::{cat, ArgValue};
 
 use crate::frame::Frame;
-use crate::interp::{self, StepResult};
-use crate::loader::{self, AfterFetch};
-use crate::natives::{self, NativeCtx, NativeOutcome, PendingNative};
+use crate::interp::{self, Continuation, StepResult};
+use crate::loader;
+use crate::natives::{self, NativeCtx, NativeOutcome};
 use crate::object::HeapObj;
 use crate::state::JvmState;
 use crate::value::{ObjRef, Value};
-
-enum Pending {
-    Native(PendingNative),
-    ClassLoad {
-        want: String,
-        fetching: String,
-        cell: AsyncCell<Result<Vec<u8>, String>>,
-    },
-}
 
 /// One JVM thread hosted on the Doppio runtime.
 pub struct JvmThread {
     state: Rc<RefCell<JvmState>>,
     frames: Vec<Frame>,
-    pending: Option<Pending>,
+    /// What the thread is blocked on, polled when it is woken.
+    pending: Option<Continuation>,
     name: String,
     /// Uncaught exception, readable after the thread finishes.
     pub uncaught: Rc<RefCell<Option<ObjRef>>>,
@@ -69,98 +66,26 @@ impl GuestThread for JvmThread {
         let state_rc = self.state.clone();
         let mut state = state_rc.borrow_mut();
 
-        // Resume whatever we were blocked on.
-        if let Some(pending) = self.pending.take() {
-            match pending {
-                Pending::Native(mut poll) => {
-                    let outcome = poll(&mut NativeCtx {
-                        state: &mut state,
-                        frames: &mut self.frames,
-                        ctx,
-                        tid,
-                    });
-                    match outcome {
-                        None => {
-                            self.pending = Some(Pending::Native(poll));
-                            return ThreadStep::Blocked;
-                        }
-                        Some(o) => {
-                            let sr =
-                                natives::apply_outcome(&mut state, &mut self.frames, ctx, tid, o);
-                            match self.after_step(sr, &mut state, ctx) {
-                                ControlFlow::Go => {}
-                                ControlFlow::Out(step) => return step,
-                            }
-                        }
-                    }
+        // A blocked thread goes on from its continuation once that
+        // stops waiting. The interpreter makes calls and returns, and
+        // their suspend checks, itself: it comes back when the slice
+        // must end or the thread must block, load a class, finish or
+        // exit.
+        let mut sr = match self.pending.take() {
+            Some(mut wait) => match wait(&mut state, &mut self.frames, ctx) {
+                Some(sr) => sr,
+                None => {
+                    self.pending = Some(wait);
+                    return ThreadStep::Blocked;
                 }
-                Pending::ClassLoad {
-                    want,
-                    fetching,
-                    cell,
-                } => match cell.take() {
-                    None => {
-                        ctx.note_block(
-                            Resource::Async(format!("classload({fetching})")),
-                            interp::current_site(&state, &self.frames),
-                        );
-                        self.pending = Some(Pending::ClassLoad {
-                            want,
-                            fetching,
-                            cell,
-                        });
-                        return ThreadStep::Blocked;
-                    }
-                    Some(result) => match loader::after_fetch(&mut state, &fetching, result) {
-                        AfterFetch::Fail(e) => {
-                            let sr = interp::throw_vm(
-                                &mut state,
-                                &mut self.frames,
-                                ctx,
-                                tid,
-                                "java/lang/NoClassDefFoundError",
-                                &e,
-                            );
-                            match self.after_step(sr, &mut state, ctx) {
-                                ControlFlow::Go => {}
-                                ControlFlow::Out(step) => return step,
-                            }
-                        }
-                        AfterFetch::Fetch(dep) => {
-                            let cell = loader::start_fetch(&mut state, ctx, &dep);
-                            self.pending = Some(Pending::ClassLoad {
-                                want,
-                                fetching: dep,
-                                cell,
-                            });
-                            return ThreadStep::Blocked;
-                        }
-                        AfterFetch::Ready => {
-                            if state.registry.lookup(&want).is_none() {
-                                let cell = loader::start_fetch(&mut state, ctx, &want);
-                                self.pending = Some(Pending::ClassLoad {
-                                    fetching: want.clone(),
-                                    want,
-                                    cell,
-                                });
-                                return ThreadStep::Blocked;
-                            }
-                            // Defined: the instruction retries below.
-                        }
-                    },
-                },
-            }
-        }
-
-        // The interpreter makes calls and returns, and their suspend
-        // checks, itself: it comes back when the slice must end, or
-        // for a class whose load already failed, which throws here.
+            },
+            None => interp::run(&mut state, &mut self.frames, ctx, tid),
+        };
         loop {
-            let sr = interp::run(&mut state, &mut self.frames, ctx, tid);
-            match self.after_step(sr, &mut state, ctx) {
-                ControlFlow::Go => {}
-                ControlFlow::Out(step) => return step,
+            if let Some(step) = self.after_step(sr, &mut state, ctx) {
+                return step;
             }
+            sr = interp::run(&mut state, &mut self.frames, ctx, tid);
         }
     }
 }
@@ -224,30 +149,24 @@ fn trace_method_sample(state: &JvmState, frames: &[Frame], ctx: &ThreadContext<'
     }
 }
 
-enum ControlFlow {
-    /// Keep interpreting.
-    Go,
-    /// Leave the slice with this step.
-    Out(ThreadStep),
-}
-
 impl JvmThread {
     /// The §6.1 suspend check fired: sample the stack and end the slice.
-    fn suspend(&self, state: &JvmState, ctx: &ThreadContext<'_>) -> ControlFlow {
+    fn suspend(&self, state: &JvmState, ctx: &ThreadContext<'_>) -> Option<ThreadStep> {
         profiler_sample(state, &self.frames, &self.name);
         trace_method_sample(state, &self.frames, ctx);
-        ControlFlow::Out(ThreadStep::Yielded)
+        Some(ThreadStep::Yielded)
     }
 
+    /// Act on a step result: `None` to keep interpreting, or the step
+    /// that ends the slice.
     fn after_step(
         &mut self,
         sr: StepResult,
         state: &mut JvmState,
         ctx: &mut ThreadContext<'_>,
-    ) -> ControlFlow {
-        let tid = ctx.thread_id();
+    ) -> Option<ThreadStep> {
         match sr {
-            StepResult::Continue => ControlFlow::Go,
+            StepResult::Continue => None,
             StepResult::CallBoundary => {
                 // A native that blocked has returned: the §6.1 check
                 // `interp::run` makes at every other call boundary.
@@ -255,49 +174,29 @@ impl JvmThread {
                 if hosted && ctx.should_suspend() {
                     self.suspend(state, ctx)
                 } else {
-                    ControlFlow::Go
+                    None
                 }
             }
             StepResult::Suspend => self.suspend(state, ctx),
             StepResult::NeedClass(name) => {
-                if let Some(reason) = state.loader.failed.get(&name).cloned() {
-                    let sr2 = interp::throw_vm(
-                        state,
-                        &mut self.frames,
-                        ctx,
-                        tid,
-                        "java/lang/NoClassDefFoundError",
-                        &reason,
-                    );
-                    return self.after_step(sr2, state, ctx);
-                }
-                let cell = loader::start_fetch(state, ctx, &name);
-                ctx.note_block(
-                    Resource::Async(format!("classload({name})")),
-                    interp::current_site(state, &self.frames),
-                );
-                self.pending = Some(Pending::ClassLoad {
-                    want: name.clone(),
-                    fetching: name,
-                    cell,
-                });
-                ControlFlow::Out(ThreadStep::Blocked)
+                let sr = loader::load_class(state, &mut self.frames, ctx, name);
+                self.after_step(sr, state, ctx)
             }
-            StepResult::NativeBlocked(p) => {
-                self.pending = Some(Pending::Native(p));
-                ControlFlow::Out(ThreadStep::Blocked)
+            StepResult::Blocked(wait) => {
+                self.pending = Some(wait);
+                Some(ThreadStep::Blocked)
             }
             StepResult::MonitorBlocked(obj) => {
                 ctx.note_block(
                     Resource::Monitor(obj as u64),
                     interp::current_site(state, &self.frames),
                 );
-                ControlFlow::Out(ThreadStep::Blocked)
+                Some(ThreadStep::Blocked)
             }
-            StepResult::VoluntaryYield => ControlFlow::Out(ThreadStep::Yielded),
+            StepResult::VoluntaryYield => Some(ThreadStep::Yielded),
             StepResult::Finished => {
                 self.finish(state, ctx);
-                ControlFlow::Out(ThreadStep::Finished)
+                Some(ThreadStep::Finished)
             }
             StepResult::Uncaught(ex) => {
                 *self.uncaught.borrow_mut() = Some(ex);
@@ -312,12 +211,12 @@ impl JvmThread {
                 text.push('\n');
                 state.stderr.extend_from_slice(text.as_bytes());
                 self.finish(state, ctx);
-                ControlFlow::Out(ThreadStep::Finished)
+                Some(ThreadStep::Finished)
             }
             StepResult::Exit(code) => {
                 state.exit_code = Some(code);
                 self.finish(state, ctx);
-                ControlFlow::Out(ThreadStep::Finished)
+                Some(ThreadStep::Finished)
             }
         }
     }
@@ -331,45 +230,24 @@ impl JvmThread {
 /// `run()` method.
 pub fn spawn_java_thread(n: &mut NativeCtx<'_, '_, '_>, thread_obj: ObjRef) -> NativeOutcome {
     let Some(weak) = n.state.self_rc.clone() else {
-        return NativeOutcome::Throw {
-            class: "java/lang/InternalError".into(),
-            message: "no state handle for Thread.start".into(),
-        };
+        return natives::throw(
+            "java/lang/InternalError",
+            "no state handle for Thread.start",
+        );
     };
     let Some(state_rc) = weak.upgrade() else {
-        return NativeOutcome::Throw {
-            class: "java/lang/InternalError".into(),
-            message: "state dropped".into(),
-        };
+        return natives::throw("java/lang/InternalError", "state dropped");
     };
-    let cid = match interp::runtime_class_of(n.state, thread_obj) {
-        Ok(c) => c,
-        Err(_) => {
-            return NativeOutcome::Throw {
-                class: "java/lang/InternalError".into(),
-                message: "bad thread object".into(),
-            }
-        }
+    let Ok(cid) = interp::runtime_class_of(n.state, thread_obj) else {
+        return natives::throw("java/lang/InternalError", "bad thread object");
     };
     let Some(target) = n.state.registry.select_virtual(cid, "run", "()V") else {
-        return NativeOutcome::Throw {
-            class: "java/lang/NoSuchMethodError".into(),
-            message: "run()V".into(),
-        };
+        return natives::throw("java/lang/NoSuchMethodError", "run()V");
     };
-    let Some(blob) = n.state.code_blob(target.class, target.index) else {
-        return NativeOutcome::Throw {
-            class: "java/lang/AbstractMethodError".into(),
-            message: "run()V".into(),
-        };
+    let mut frame = match interp::callee_frame(n.state, target, 1) {
+        Ok(frame) => frame,
+        Err((class, message)) => return natives::throw(class, message),
     };
-    if let Some(message) = interp::locals_overflow(n.state, &blob, 1) {
-        return NativeOutcome::Throw {
-            class: "java/lang/InternalError".into(),
-            message,
-        };
-    }
-    let mut frame = Frame::new(blob);
     frame.locals[0] = Value::Ref(Some(thread_obj));
     let name = format!("Thread-{}", n.state.thread_objs.len());
     let thread = JvmThread::new(state_rc, name.clone(), frame);
