@@ -55,11 +55,9 @@ pub fn check_golden_seeds(
 
 /// An artifact too large to commit, in golden form: its byte length
 /// and SHA-1.
-pub fn digest(doc: &str) -> String {
-    let hex: String = sha1(doc.as_bytes())
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect();
+pub fn digest(doc: &(impl AsRef<[u8]> + ?Sized)) -> String {
+    let doc = doc.as_ref();
+    let hex: String = sha1(doc).iter().map(|b| format!("{b:02x}")).collect();
     format!("{} bytes, sha1 {hex}", doc.len())
 }
 

@@ -6,7 +6,10 @@
 //! against a committed file under `tests/golden/jvm/`, as are the pick
 //! logs of a seeded schedule exploration. Any change to the interpreter
 //! that moves a charge, a counter, or a scheduling point shows up here
-//! as a diff. `tests/golden/kernel/` holds the same for JVM pipelines
+//! as a diff. `tests/golden/jvm/runtime_library.txt` pins the bundled
+//! runtime library's class files, method by method, so a change to how
+//! the library is assembled cannot move a byte of it.
+//! `tests/golden/kernel/` holds the same for JVM pipelines
 //! on a [`Kernel`] (built onto a configured engine, or lazily on a
 //! stock one) and for a sharded [`run_tenants`] report, which must
 //! match one golden at every shard thread count. `tests/golden/pipeline/`
@@ -113,6 +116,24 @@ fn deltablue_matches_its_golden() {
 #[test]
 fn pidigits_matches_its_golden() {
     paper_program("pidigits");
+}
+
+/// Every class file of the bundled runtime library, in definition
+/// order: its name and digest, then each method's access flags, name
+/// and descriptor.
+#[test]
+fn runtime_library_matches_its_golden() {
+    check_golden("jvm/runtime_library", || {
+        let mut out = String::new();
+        for cf in doppio::jvm::rtlib::runtime_classes() {
+            let name = cf.name().expect("runtime class name");
+            out += &format!("{name}: {}\n", digest(&cf.to_bytes()));
+            for m in &cf.methods {
+                out += &format!("  {:#06x} {}{}\n", m.access_flags, m.name, m.descriptor);
+            }
+        }
+        out
+    });
 }
 
 /// Run `Main` of `src` on a fresh Chrome engine; return the run result
