@@ -21,6 +21,9 @@ pub enum ClinitState {
     InProgress(usize),
     /// Done.
     Initialized,
+    /// `<clinit>` ended by an exception or could not run: every later
+    /// initialization throws `NoClassDefFoundError` (JVMS §5.5).
+    Erroneous,
 }
 
 /// A quickened constant-pool entry: the result of resolving a CP index

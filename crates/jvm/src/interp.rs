@@ -213,7 +213,7 @@ fn run_frames(
                 tally.flush(state);
                 let class = &state.registry.get(blob.class).name;
                 let msg = format!("{class}.{}{}: {e}", blob.name, blob.descriptor);
-                pop_frame(state, frames, ctx, tid);
+                pop_frame(state, frames, ctx, tid, false);
                 leave!(throw_vm(
                     state,
                     frames,
@@ -1521,9 +1521,9 @@ fn note_ic_miss(state: &JvmState, ctx: &ThreadContext<'_>, method: &Rc<str>) {
 /// Ensure a class and its superclasses are initialized: `Ok` once none
 /// is left to start, else the step to leave with. That is a call
 /// boundary after the outermost pending `<clinit>`'s frame was pushed
-/// (the instruction that wants the class retries when it returns), or
-/// the throw of a `<clinit>` that cannot run; its class stays
-/// uninitialized.
+/// (the instruction that wants the class retries when it returns), or a
+/// throw: `NoClassDefFoundError` for an erroneous class, or the error of
+/// a `<clinit>` that cannot run, which makes its class erroneous.
 fn ensure_initialized(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
@@ -1539,10 +1539,17 @@ fn ensure_initialized(
         cur = state.registry.get(id).super_id;
     }
     for &id in chain.iter().rev() {
-        // An initialization in progress, on this thread or (a
-        // simplification: no cross-thread wait) another, is left alone.
-        if state.registry.get(id).clinit != ClinitState::NotStarted {
-            continue;
+        match state.registry.get(id).clinit {
+            ClinitState::NotStarted => {}
+            ClinitState::Erroneous => {
+                let msg = format!("Could not initialize class {}", state.registry.get(id).name);
+                let class = "java/lang/NoClassDefFoundError";
+                return Err(throw_vm(state, frames, ctx, tid, class, &msg));
+            }
+            // An initialization in progress, on this thread or (a
+            // simplification: no cross-thread wait) another, is left
+            // alone.
+            ClinitState::InProgress(_) | ClinitState::Initialized => continue,
         }
         let clinit = state.registry.get(id).cf.as_ref().and_then(|cf| {
             cf.methods
@@ -1555,7 +1562,10 @@ fn ensure_initialized(
         };
         let frame = match callee_frame(state, MethodRef { class: id, index }, 0) {
             Ok(frame) => frame,
-            Err((class, msg)) => return Err(throw_vm(state, frames, ctx, tid, class, &msg)),
+            Err((class, msg)) => {
+                state.registry.get_mut(id).clinit = ClinitState::Erroneous;
+                return Err(throw_vm(state, frames, ctx, tid, class, &msg));
+            }
         };
         state.registry.get_mut(id).clinit = ClinitState::InProgress(tid.0);
         frames.push(frame);
@@ -1760,15 +1770,17 @@ pub fn make_exception(state: &mut JvmState, class_name: &str, message: &str) -> 
 /// Walk the virtual stack for a handler — "DoppioJVM emulates JVM
 /// exception handling semantics by iterating through its virtual stack
 /// representation until it finds a stack frame with an applicable
-/// exception handler, or until it empties the stack".
+/// exception handler, or until it empties the stack". An exception that
+/// unwinds a `<clinit>` goes on as JVMS §5.5 says: an `Error` as itself,
+/// any other exception wrapped in an `ExceptionInInitializerError`.
 pub fn dispatch_exception(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
     ctx: &mut ThreadContext<'_>,
     tid: ThreadId,
-    ex: ObjRef,
+    mut ex: ObjRef,
 ) -> StepResult {
-    let ex_class = runtime_class_of(state, ex).ok();
+    let mut ex_class = runtime_class_of(state, ex).ok();
     while let Some(frame) = frames.last_mut() {
         let pc = frame.pc as u16;
         let code = frame.code.clone();
@@ -1806,27 +1818,49 @@ pub fn dispatch_exception(
             frame.pc = handler_pc as usize;
             return StepResult::Continue;
         }
-        pop_frame(state, frames, ctx, tid);
+        pop_frame(state, frames, ctx, tid, false);
+        if code.is_clinit {
+            ex = initializer_error(state, ex);
+            ex_class = runtime_class_of(state, ex).ok();
+        }
     }
     StepResult::Uncaught(ex)
+}
+
+/// What an exception that ends a `<clinit>` becomes at the instruction
+/// that asked for the class (JVMS §5.5): an `Error` stays itself, any
+/// other exception is wrapped in an `ExceptionInInitializerError` whose
+/// message is its class and message.
+fn initializer_error(state: &mut JvmState, ex: ObjRef) -> ObjRef {
+    let class = runtime_class_of(state, ex).ok();
+    if class.is_some_and(|c| state.registry.is_assignable(c, "java/lang/Error")) {
+        return ex;
+    }
+    let message = natives::describe_summary(state, ex);
+    make_exception(state, "java/lang/ExceptionInInitializerError", &message)
 }
 
 // ----------------------------------------------------------------
 // Calls and returns
 // ----------------------------------------------------------------
 
-/// Pop the top frame: a finished `<clinit>` marks its class
-/// initialized, a synchronized method's monitor is released, and the
-/// frame's vectors go to the spare list.
+/// Pop the top frame: a `<clinit>` marks its class initialized if it
+/// `returned`, else erroneous; a synchronized method's monitor is
+/// released, and the frame's vectors go to the spare list.
 fn pop_frame(
     state: &mut JvmState,
     frames: &mut Vec<Frame>,
     ctx: &mut ThreadContext<'_>,
     tid: ThreadId,
+    returned: bool,
 ) {
     let popped = frames.pop().expect("frame");
     if popped.code.is_clinit {
-        state.registry.get_mut(popped.code.class).clinit = ClinitState::Initialized;
+        state.registry.get_mut(popped.code.class).clinit = if returned {
+            ClinitState::Initialized
+        } else {
+            ClinitState::Erroneous
+        };
     }
     if let Some(mon) = popped.held_monitor {
         let _ = exit_monitor(state, ctx, mon, tid);
@@ -1902,7 +1936,7 @@ pub fn do_return(
     value: Option<Value>,
 ) -> StepResult {
     let clinit = frames.last().is_some_and(|f| f.code.is_clinit);
-    pop_frame(state, frames, ctx, tid);
+    pop_frame(state, frames, ctx, tid, true);
     match frames.last_mut() {
         None => StepResult::Finished,
         Some(caller) => {
@@ -2125,16 +2159,14 @@ fn invoke_with_site(
             .drain(base..)
             .filter(|v| !matches!(v, Value::Padding))
             .collect();
-        let outcome = natives::call_native(
+        let outcome = natives::call(
             &mut NativeCtx {
                 state,
                 frames,
                 ctx,
                 tid,
             },
-            target.class,
-            &site.name,
-            &site.desc,
+            target,
             args,
         );
         return natives::apply_outcome(state, frames, ctx, monitor, outcome);

@@ -128,7 +128,8 @@ impl Jvm {
 
     /// Register a native method (the §6.3 JNI path: "these native
     /// methods will need to be reimplemented ... and registered with
-    /// DoppioJVM").
+    /// DoppioJVM"). It takes precedence over a built-in native of the
+    /// same class, name and descriptor, from the method's next call on.
     pub fn register_native(
         &self,
         class: &str,
@@ -136,10 +137,9 @@ impl Jvm {
         desc: &str,
         f: impl Fn(&mut NativeCtx<'_, '_, '_>, Vec<Value>) -> NativeOutcome + 'static,
     ) {
-        self.state.borrow_mut().user_natives.insert(
-            (class.to_string(), name.to_string(), desc.to_string()),
-            Rc::new(f),
-        );
+        self.state
+            .borrow_mut()
+            .register_native(class, name, desc, Rc::new(f));
     }
 
     /// Queue bytes on standard input, waking blocked readers.
@@ -280,14 +280,7 @@ impl Jvm {
             .borrow()
             .as_ref()
             .and_then(|u| *u.borrow())
-            .map(|ex| {
-                let (cls, msg, _) = crate::natives::describe_throwable(&state, ex);
-                if msg.is_empty() {
-                    cls
-                } else {
-                    format!("{cls}: {msg}")
-                }
-            });
+            .map(|ex| crate::natives::describe_summary(&state, ex));
         JvmRunResult {
             exit_code: state.exit_code,
             stdout: state.stdout_text(),

@@ -1487,6 +1487,45 @@ mod malformed_code_tests {
             Some("java.lang.AbstractMethodError: Bad.<clinit>()V")
         );
     }
+
+    #[test]
+    fn native_arguments_that_do_not_fit_the_descriptor_throw_internal_error() {
+        let call = |push: fn(&mut MethodBuilder), class, name, desc| {
+            run_bad(bad_class(|m| {
+                push(m);
+                m.invokestatic(class, name, desc);
+                m.pop();
+                m.return_void();
+            }))
+        };
+        // A float where an int belongs.
+        assert_eq!(
+            call(|m| m.simple(op::FCONST_1), "java/lang/Math", "abs", "(I)I").as_deref(),
+            Some(
+                "java.lang.InternalError: java/lang/Math.abs(I)I: argument 0 is Float(1.0), \
+                 not an int"
+            )
+        );
+        // No receiver for an instance native.
+        assert_eq!(
+            call(|_| {}, "java/lang/Thread", "isAlive", "()Z").as_deref(),
+            Some("java.lang.InternalError: java/lang/Thread.isAlive()Z: 0 arguments where it takes 1")
+        );
+        // An int receiver: `invokespecial` only null-checks it.
+        let int_receiver = bad_class(|m| {
+            m.ldc_int(7);
+            m.invokespecial("java/lang/Thread", "isAlive", "()Z");
+            m.pop();
+            m.return_void();
+        });
+        assert_eq!(
+            run_bad(int_receiver).as_deref(),
+            Some(
+                "java.lang.InternalError: java/lang/Thread.isAlive()Z: argument 0 is Int(7), \
+                 not a reference"
+            )
+        );
+    }
 }
 
 /// However a call ends, the caller sees it at the invoke: an exception
@@ -1533,21 +1572,30 @@ mod call_exit_tests {
         m.invokevirtual("java/io/PrintStream", "println", "(Ljava/lang/String;)V");
     }
 
-    /// Class `Main`, whose `main` runs `call` (ending in an invoke that
-    /// leaves `result_slots` on the stack) in a `try` range that ends
-    /// right after the invoke, as javac emits `try { f(); } catch (E e)
-    /// { .. }`. The handler for `catch` prints the exception's message.
-    fn catch_around(
+    /// Class `Main`, whose `main` (two local slots) is `body`.
+    fn main_class(body: impl FnOnce(&mut MethodBuilder)) -> ClassBuilder {
+        let mut b = ClassBuilder::new("Main", "java/lang/Object");
+        let mut m = MethodBuilder::new(PUB_STATIC, "main", MAIN_DESC, 2);
+        body(&mut m);
+        m.return_void();
+        b.add_method(m);
+        b
+    }
+
+    /// Run `call` (ending in an invoke that leaves `result_slots` on the
+    /// stack) in a `try` range that ends right after the invoke, as javac
+    /// emits `try { f(); } catch (E e) { .. }`. The handler for `catch`
+    /// prints the exception's message.
+    fn try_catch(
+        m: &mut MethodBuilder,
         call: impl FnOnce(&mut MethodBuilder),
         result_slots: usize,
         catch: &str,
-    ) -> ClassFile {
-        let mut b = ClassBuilder::new("Main", "java/lang/Object");
-        let mut m = MethodBuilder::new(PUB_STATIC, "main", MAIN_DESC, 2);
+    ) {
         let (start, end, handler, out) =
             (m.new_label(), m.new_label(), m.new_label(), m.new_label());
         m.bind(start);
-        call(&mut m);
+        call(m);
         m.bind(end);
         for _ in 0..result_slots {
             m.pop();
@@ -1555,12 +1603,18 @@ mod call_exit_tests {
         m.goto_(out);
         m.bind(handler);
         m.astore(1);
-        println_caught(&mut m, |m| m.aload(1));
+        println_caught(m, |m| m.aload(1));
         m.bind(out);
-        m.return_void();
         m.add_exception_handler(start, end, handler, Some(catch));
-        b.add_method(m);
-        b.finish()
+    }
+
+    /// Class `Main`, whose `main` is [`try_catch`] of `call`.
+    fn catch_around(
+        call: impl FnOnce(&mut MethodBuilder),
+        result_slots: usize,
+        catch: &str,
+    ) -> ClassFile {
+        main_class(|m| try_catch(m, call, result_slots, catch)).finish()
     }
 
     fn caught(r: &JvmRunResult, message: &str) {
@@ -1639,6 +1693,101 @@ mod call_exit_tests {
         m.return_void();
         b.add_method(m);
         caught(&run(vec![b.finish()], |_| {}), "invoking f");
+    }
+
+    /// `Lazy.x` read twice by `Main`, the first time in a `try` range that
+    /// catches any `Error`, where `Lazy` has `static int x` and `clinit`.
+    fn read_lazy_twice(clinit: MethodBuilder) -> JvmRunResult {
+        let mut lazy = ClassBuilder::new("Lazy", "java/lang/Object");
+        lazy.add_field(PUB_STATIC, "x", "I");
+        lazy.add_method(clinit);
+        let main = main_class(|m| {
+            let read = |m: &mut MethodBuilder| m.getstatic("Lazy", "x", "I");
+            try_catch(m, read, 1, "java/lang/Error");
+            read(m);
+            m.pop();
+        });
+        run(vec![lazy.finish(), main.finish()], |_| {})
+    }
+
+    #[test]
+    fn a_clinit_that_throws_leaves_its_class_erroneous() {
+        // static int x = 1 / 0;
+        let mut clinit = MethodBuilder::new(ACC_STATIC, "<clinit>", "()V", 0);
+        clinit.ldc_int(1);
+        clinit.ldc_int(0);
+        clinit.simple(op::IDIV);
+        clinit.putstatic("Lazy", "x", "I");
+        clinit.return_void();
+        let r = read_lazy_twice(clinit);
+        // The first read sees an `ExceptionInInitializerError`, the second
+        // a class that is not initialized.
+        assert_eq!(
+            r.stdout,
+            "caught: java.lang.ArithmeticException: / by zero\n"
+        );
+        let no_class = "java.lang.NoClassDefFoundError: Could not initialize class Lazy";
+        assert_eq!(r.uncaught.as_deref(), Some(no_class));
+        // A `<clinit>` that cannot run: its error reaches the first read
+        // unwrapped.
+        let r = read_lazy_twice(MethodBuilder::new(
+            ACC_STATIC | ACC_NATIVE,
+            "<clinit>",
+            "()V",
+            0,
+        ));
+        assert_eq!(r.stdout, "caught: Lazy.<clinit>()V\n");
+        assert_eq!(r.uncaught.as_deref(), Some(no_class));
+    }
+
+    /// `System.out.println(Math.random())`, then `f()` in a `try` range
+    /// that catches `UnsatisfiedLinkError`, in a class `Main` that
+    /// declares `static native int f()`.
+    fn random_then_native_f() -> ClassFile {
+        let mut main = main_class(|m| {
+            m.getstatic("java/lang/System", "out", "Ljava/io/PrintStream;");
+            m.invokestatic("java/lang/Math", "random", "()D");
+            m.invokevirtual("java/io/PrintStream", "println", "(D)V");
+            let f = |m: &mut MethodBuilder| m.invokestatic("Main", "f", "()I");
+            try_catch(m, f, 1, "java/lang/UnsatisfiedLinkError");
+        });
+        main.add_method(MethodBuilder::new(PUB_STATIC | ACC_NATIVE, "f", "()I", 0));
+        main.finish()
+    }
+
+    /// The first `Math.random()` of a JVM.
+    const FIRST_RANDOM: &str = "0.45848655094905766";
+
+    #[test]
+    fn a_native_nothing_implements_throws_unsatisfied_link_error_at_its_invoke() {
+        let r = run(vec![random_then_native_f()], |_| {});
+        assert_eq!(r.uncaught, None, "{}", r.stderr);
+        assert_eq!(r.stdout, format!("{FIRST_RANDOM}\ncaught: Main.f()I\n"));
+    }
+
+    #[test]
+    fn a_native_registered_between_launches_runs_from_its_next_call() {
+        let engine = Engine::new(Browser::Chrome);
+        let fs = FileSystem::new(&engine, backends::in_memory(&engine));
+        fsutil::mount_classes(&engine, &fs, "/classes", &[random_then_native_f()]);
+        let jvm = Jvm::new(&engine, fs);
+        jvm.launch("Main", &[]);
+        jvm.run_to_completion().unwrap();
+        // `f` failed to bind and `Math.random` is bound to its built-in.
+        jvm.register_native("Main", "f", "()I", |n, _| {
+            n.state.write_stdout("f\n");
+            NativeOutcome::Return(Some(Value::Int(5)))
+        });
+        jvm.register_native("java/lang/Math", "random", "()D", |_, _| {
+            NativeOutcome::Return(Some(Value::Double(0.25)))
+        });
+        jvm.launch("Main", &[]);
+        let r = jvm.run_to_completion().unwrap();
+        assert_eq!(r.uncaught, None, "{}", r.stderr);
+        assert_eq!(
+            r.stdout,
+            format!("{FIRST_RANDOM}\ncaught: Main.f()I\n0.25\nf\n")
+        );
     }
 
     /// Class `Sync` with `static synchronized void other()`, which prints

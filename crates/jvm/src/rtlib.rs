@@ -5,10 +5,11 @@
 //! methods in JavaScript (§6.3–6.4). The OpenJDK JCL is not available
 //! here, so this module synthesizes the minimal library the paper's
 //! workload categories require — real class files, assembled with the
-//! classfile builder, whose `native` methods land in
-//! [`crate::natives`]. Everything else (user code, the benchmark
-//! programs) still loads through the Doppio file system exactly as
-//! §6.4 describes.
+//! classfile builder. It declares no native by name: each class
+//! declares the natives [`crate::natives`]' table lists for it, in the
+//! table's order, between its bytecode methods. Everything else (user
+//! code, the benchmark programs) still loads through the Doppio file
+//! system exactly as §6.4 describes.
 //!
 //! The library is built once per thread ([`shared_runtime_classes`]).
 //! Every JVM still defines each class itself, so its class ids,
@@ -18,17 +19,18 @@
 
 use std::rc::Rc;
 
-use doppio_classfile::access::{
-    ACC_ABSTRACT, ACC_INTERFACE, ACC_NATIVE, ACC_PUBLIC, ACC_STATIC, ACC_SUPER,
-};
+use doppio_classfile::access::{ACC_ABSTRACT, ACC_INTERFACE, ACC_PUBLIC, ACC_STATIC, ACC_SUPER};
 use doppio_classfile::builder::{ClassBuilder, MethodBuilder};
 use doppio_classfile::ClassFile;
 
-const NATIVE: u16 = ACC_PUBLIC | ACC_NATIVE;
-const NATIVE_STATIC: u16 = ACC_PUBLIC | ACC_NATIVE | ACC_STATIC;
+use crate::natives;
 
-fn native(b: &mut ClassBuilder, flags: u16, name: &str, desc: &str) {
-    b.add_method(MethodBuilder::new(flags, name, desc, 0));
+/// Declare the natives [`natives`]' table lists for `class`, in its
+/// order.
+fn declare_natives(b: &mut ClassBuilder, class: &str) {
+    for &(flags, name, desc, _) in natives::declared(class) {
+        b.add_method(MethodBuilder::new(flags, name, desc, 0));
+    }
 }
 
 fn default_ctor(b: &mut ClassBuilder, super_name: &str) {
@@ -45,12 +47,7 @@ fn object() -> ClassFile {
     let mut init = MethodBuilder::new(ACC_PUBLIC, "<init>", "()V", 1);
     init.return_void();
     b.add_method(init);
-    native(&mut b, NATIVE, "hashCode", "()I");
-    native(&mut b, NATIVE, "getClass", "()Ljava/lang/Class;");
-    native(&mut b, NATIVE, "toString", "()Ljava/lang/String;");
-    native(&mut b, NATIVE, "wait", "()V");
-    native(&mut b, NATIVE, "notify", "()V");
-    native(&mut b, NATIVE, "notifyAll", "()V");
+    declare_natives(&mut b, "java/lang/Object");
     // equals: reference identity, in bytecode.
     let mut eq = MethodBuilder::new(ACC_PUBLIC, "equals", "(Ljava/lang/Object;)Z", 2);
     let ne = eq.new_label();
@@ -71,42 +68,13 @@ fn object() -> ClassFile {
 fn class_class() -> ClassFile {
     let mut b = ClassBuilder::new("java/lang/Class", "java/lang/Object");
     b.add_field(ACC_PUBLIC, "name", "Ljava/lang/String;");
-    native(&mut b, NATIVE, "getName", "()Ljava/lang/String;");
+    declare_natives(&mut b, "java/lang/Class");
     b.finish()
 }
 
 fn string() -> ClassFile {
     let mut b = ClassBuilder::new("java/lang/String", "java/lang/Object");
-    for (name, desc) in [
-        ("<init>", "()V"),
-        ("<init>", "([B)V"),
-        ("<init>", "([C)V"),
-        ("length", "()I"),
-        ("charAt", "(I)C"),
-        ("equals", "(Ljava/lang/Object;)Z"),
-        ("hashCode", "()I"),
-        ("compareTo", "(Ljava/lang/String;)I"),
-        ("concat", "(Ljava/lang/String;)Ljava/lang/String;"),
-        ("substring", "(II)Ljava/lang/String;"),
-        ("substring", "(I)Ljava/lang/String;"),
-        ("indexOf", "(I)I"),
-        ("indexOf", "(Ljava/lang/String;)I"),
-        ("startsWith", "(Ljava/lang/String;)Z"),
-        ("toCharArray", "()[C"),
-        ("getBytes", "()[B"),
-        ("intern", "()Ljava/lang/String;"),
-    ] {
-        native(&mut b, NATIVE, name, desc);
-    }
-    for desc in [
-        "(I)Ljava/lang/String;",
-        "(J)Ljava/lang/String;",
-        "(D)Ljava/lang/String;",
-        "(C)Ljava/lang/String;",
-        "(Z)Ljava/lang/String;",
-    ] {
-        native(&mut b, NATIVE_STATIC, "valueOf", desc);
-    }
+    declare_natives(&mut b, "java/lang/String");
     // toString is the identity.
     let mut ts = MethodBuilder::new(ACC_PUBLIC, "toString", "()Ljava/lang/String;", 1);
     ts.aload(0);
@@ -117,19 +85,7 @@ fn string() -> ClassFile {
 
 fn string_builder() -> ClassFile {
     let mut b = ClassBuilder::new("java/lang/StringBuilder", "java/lang/Object");
-    for (name, desc) in [
-        ("<init>", "()V"),
-        ("append", "(Ljava/lang/String;)Ljava/lang/StringBuilder;"),
-        ("append", "(I)Ljava/lang/StringBuilder;"),
-        ("append", "(J)Ljava/lang/StringBuilder;"),
-        ("append", "(C)Ljava/lang/StringBuilder;"),
-        ("append", "(Z)Ljava/lang/StringBuilder;"),
-        ("append", "(D)Ljava/lang/StringBuilder;"),
-        ("toString", "()Ljava/lang/String;"),
-        ("length", "()I"),
-    ] {
-        native(&mut b, NATIVE, name, desc);
-    }
+    declare_natives(&mut b, "java/lang/StringBuilder");
     // append(Object) goes through toString, with a null check.
     let mut m = MethodBuilder::new(
         ACC_PUBLIC,
@@ -193,14 +149,7 @@ fn throwable() -> ClassFile {
     init1.pop();
     init1.return_void();
     b.add_method(init1);
-    native(&mut b, NATIVE, "getMessage", "()Ljava/lang/String;");
-    native(
-        &mut b,
-        NATIVE,
-        "fillInStackTrace",
-        "()Ljava/lang/Throwable;",
-    );
-    native(&mut b, NATIVE, "printStackTrace", "()V");
+    declare_natives(&mut b, "java/lang/Throwable");
     b.finish()
 }
 
@@ -228,20 +177,7 @@ fn print_stream() -> ClassFile {
     init.putfield("java/io/PrintStream", "fd", "I");
     init.return_void();
     b.add_method(init);
-    for base in ["print", "println"] {
-        for desc in [
-            "(Ljava/lang/String;)V",
-            "(I)V",
-            "(J)V",
-            "(C)V",
-            "(Z)V",
-            "(D)V",
-            "(F)V",
-        ] {
-            native(&mut b, NATIVE, base, desc);
-        }
-    }
-    native(&mut b, NATIVE, "println", "()V");
+    declare_natives(&mut b, "java/io/PrintStream");
     // print(Object)/println(Object) via toString.
     for (name, newline) in [("print", false), ("println", true)] {
         let mut m = MethodBuilder::new(ACC_PUBLIC, name, "(Ljava/lang/Object;)V", 2);
@@ -285,76 +221,15 @@ fn system() -> ClassFile {
     }
     clinit.return_void();
     b.add_method(clinit);
-    native(&mut b, NATIVE_STATIC, "currentTimeMillis", "()J");
-    native(&mut b, NATIVE_STATIC, "nanoTime", "()J");
-    native(&mut b, NATIVE_STATIC, "exit", "(I)V");
-    native(
-        &mut b,
-        NATIVE_STATIC,
-        "identityHashCode",
-        "(Ljava/lang/Object;)I",
-    );
-    native(
-        &mut b,
-        NATIVE_STATIC,
-        "arraycopy",
-        "(Ljava/lang/Object;ILjava/lang/Object;II)V",
-    );
+    declare_natives(&mut b, "java/lang/System");
     b.finish()
 }
 
-fn math() -> ClassFile {
-    let mut b = ClassBuilder::new("java/lang/Math", "java/lang/Object");
-    for (name, desc) in [
-        ("sqrt", "(D)D"),
-        ("floor", "(D)D"),
-        ("ceil", "(D)D"),
-        ("pow", "(DD)D"),
-        ("log", "(D)D"),
-        ("sin", "(D)D"),
-        ("cos", "(D)D"),
-        ("abs", "(D)D"),
-        ("abs", "(I)I"),
-        ("abs", "(J)J"),
-        ("max", "(II)I"),
-        ("min", "(II)I"),
-        ("max", "(JJ)J"),
-        ("min", "(JJ)J"),
-        ("max", "(DD)D"),
-        ("min", "(DD)D"),
-        ("random", "()D"),
-    ] {
-        native(&mut b, NATIVE_STATIC, name, desc);
-    }
+/// A class whose methods are all natives.
+fn native_class(name: &str) -> ClassFile {
+    let mut b = ClassBuilder::new(name, "java/lang/Object");
+    declare_natives(&mut b, name);
     b.finish()
-}
-
-fn boxed_helpers() -> Vec<ClassFile> {
-    let mut out = Vec::new();
-    let mut b = ClassBuilder::new("java/lang/Integer", "java/lang/Object");
-    native(&mut b, NATIVE_STATIC, "parseInt", "(Ljava/lang/String;)I");
-    native(&mut b, NATIVE_STATIC, "toString", "(I)Ljava/lang/String;");
-    native(
-        &mut b,
-        NATIVE_STATIC,
-        "toHexString",
-        "(I)Ljava/lang/String;",
-    );
-    out.push(b.finish());
-    let mut b = ClassBuilder::new("java/lang/Long", "java/lang/Object");
-    native(&mut b, NATIVE_STATIC, "parseLong", "(Ljava/lang/String;)J");
-    native(&mut b, NATIVE_STATIC, "toString", "(J)Ljava/lang/String;");
-    out.push(b.finish());
-    let mut b = ClassBuilder::new("java/lang/Double", "java/lang/Object");
-    native(
-        &mut b,
-        NATIVE_STATIC,
-        "parseDouble",
-        "(Ljava/lang/String;)D",
-    );
-    native(&mut b, NATIVE_STATIC, "toString", "(D)Ljava/lang/String;");
-    out.push(b.finish());
-    out
 }
 
 fn runnable() -> ClassFile {
@@ -377,87 +252,15 @@ fn thread_class() -> ClassFile {
     let mut run = MethodBuilder::new(ACC_PUBLIC, "run", "()V", 1);
     run.return_void();
     b.add_method(run);
-    native(&mut b, NATIVE, "start", "()V");
-    native(&mut b, NATIVE, "join", "()V");
-    native(&mut b, NATIVE, "isAlive", "()Z");
-    native(&mut b, NATIVE_STATIC, "yield", "()V");
-    native(&mut b, NATIVE_STATIC, "sleep", "(J)V");
-    native(
-        &mut b,
-        NATIVE_STATIC,
-        "currentThread",
-        "()Ljava/lang/Thread;",
-    );
+    declare_natives(&mut b, "java/lang/Thread");
     b.finish()
 }
 
 fn unsafe_class() -> ClassFile {
     let mut b = ClassBuilder::new("sun/misc/Unsafe", "java/lang/Object");
     default_ctor(&mut b, "java/lang/Object");
-    native(&mut b, NATIVE_STATIC, "getUnsafe", "()Lsun/misc/Unsafe;");
-    for (name, desc) in [
-        ("allocateMemory", "(J)J"),
-        ("freeMemory", "(J)V"),
-        ("reallocateMemory", "(JJ)J"),
-        ("putInt", "(JI)V"),
-        ("getInt", "(J)I"),
-        ("putLong", "(JJ)V"),
-        ("getLong", "(J)J"),
-        ("putByte", "(JB)V"),
-        ("getByte", "(J)B"),
-        ("putDouble", "(JD)V"),
-        ("getDouble", "(J)D"),
-        ("addressSize", "()I"),
-        ("pageSize", "()I"),
-        ("isLittleEndian", "()Z"),
-    ] {
-        native(&mut b, NATIVE, name, desc);
-    }
+    declare_natives(&mut b, "sun/misc/Unsafe");
     b.finish()
-}
-
-fn doppio_runtime_classes() -> Vec<ClassFile> {
-    let mut out = Vec::new();
-    let mut b = ClassBuilder::new("doppio/runtime/FileSystem", "java/lang/Object");
-    for (name, desc) in [
-        ("readFileBytes", "(Ljava/lang/String;)[B"),
-        ("writeFileBytes", "(Ljava/lang/String;[B)V"),
-        ("listDir", "(Ljava/lang/String;)[Ljava/lang/String;"),
-        ("exists", "(Ljava/lang/String;)Z"),
-        ("fileSize", "(Ljava/lang/String;)I"),
-        ("mkdir", "(Ljava/lang/String;)V"),
-        ("unlink", "(Ljava/lang/String;)V"),
-    ] {
-        native(&mut b, NATIVE_STATIC, name, desc);
-    }
-    out.push(b.finish());
-
-    let mut b = ClassBuilder::new("doppio/runtime/Console", "java/lang/Object");
-    native(&mut b, NATIVE_STATIC, "readLine", "()Ljava/lang/String;");
-    native(&mut b, NATIVE_STATIC, "readByte", "()I");
-    out.push(b.finish());
-
-    let mut b = ClassBuilder::new("doppio/runtime/JS", "java/lang/Object");
-    native(
-        &mut b,
-        NATIVE_STATIC,
-        "eval",
-        "(Ljava/lang/String;)Ljava/lang/String;",
-    );
-    out.push(b.finish());
-
-    let mut b = ClassBuilder::new("doppio/net/Socket", "java/lang/Object");
-    for (name, desc) in [
-        ("connect", "(Ljava/lang/String;I)I"),
-        ("write", "(I[B)V"),
-        ("available", "(I)I"),
-        ("read", "(II)[B"),
-        ("close", "(I)V"),
-    ] {
-        native(&mut b, NATIVE_STATIC, name, desc);
-    }
-    out.push(b.finish());
-    out
 }
 
 /// The full runtime library, in definition (dependency) order.
@@ -525,12 +328,27 @@ pub fn runtime_classes() -> Vec<ClassFile> {
     // Services.
     out.push(print_stream());
     out.push(system());
-    out.push(math());
-    out.extend(boxed_helpers());
+    out.extend(
+        [
+            "java/lang/Math",
+            "java/lang/Integer",
+            "java/lang/Long",
+            "java/lang/Double",
+        ]
+        .map(native_class),
+    );
     out.push(runnable());
     out.push(thread_class());
     out.push(unsafe_class());
-    out.extend(doppio_runtime_classes());
+    out.extend(
+        [
+            "doppio/runtime/FileSystem",
+            "doppio/runtime/Console",
+            "doppio/runtime/JS",
+            "doppio/net/Socket",
+        ]
+        .map(native_class),
+    );
     out
 }
 
@@ -546,12 +364,16 @@ pub fn shared_runtime_classes() -> Vec<Rc<ClassFile>> {
 }
 
 /// A runtime class defined on its first throw instead of at boot: the
-/// linking error that only malformed code raises. A run that never
-/// raises it defines only the boot classes, so its class ids and its
-/// boot-time `class_defined` trace events do not depend on this class.
+/// linking error that only malformed code raises, and the error a
+/// `<clinit>` that throws raises. A run that never raises them defines
+/// only the boot classes, so its class ids and its boot-time
+/// `class_defined` trace events do not depend on these classes.
 pub fn on_demand_class(name: &str) -> Option<ClassFile> {
-    (name == "java/lang/IncompatibleClassChangeError")
-        .then(|| throwable_subclass(name, "java/lang/Error"))
+    matches!(
+        name,
+        "java/lang/IncompatibleClassChangeError" | "java/lang/ExceptionInInitializerError"
+    )
+    .then(|| throwable_subclass(name, "java/lang/Error"))
 }
 
 /// Runtime library as `(binary name, class file bytes)` pairs, for

@@ -15,7 +15,9 @@ use doppio_trace::Counter;
 use crate::class::{ClassId, ClassRegistry, MethodRef};
 use crate::decode::{decode, DecodeError, Decoded};
 use crate::frame::Frame;
+use crate::jvm::UserNative;
 use crate::loader::LoaderState;
+use crate::natives::Binding;
 use crate::object::{Heap, HeapObj};
 use crate::value::{ObjRef, Value};
 
@@ -90,6 +92,14 @@ pub struct CodeBlob {
     pub(crate) code: Result<Decoded, DecodeError>,
 }
 
+/// What a JVM has built for one method, each part on its first use: a
+/// bytecode method's code, a native method's binding.
+#[derive(Clone, Default)]
+struct Built {
+    code: Option<Rc<CodeBlob>>,
+    native: Option<Rc<Binding>>,
+}
+
 /// Counter handles for the resolution caches, resolved once from the
 /// shared [`MetricsRegistry`](doppio_trace::MetricsRegistry) so the
 /// interpreter bumps an `Rc<Cell<u64>>` instead of doing name lookups.
@@ -155,8 +165,9 @@ pub struct JvmState {
     pub loader: LoaderState,
     /// Classpath entries (directories on `fs`).
     pub classpath: Vec<String>,
-    /// Built method code, indexed by class and then method index.
-    code_cache: Vec<Vec<Option<Rc<CodeBlob>>>>,
+    /// Built method code and native bindings, indexed by class and then
+    /// method index.
+    code_cache: Vec<Vec<Built>>,
     /// The locals and operand-stack vectors of popped frames, kept for
     /// the next frames to be pushed (at most [`SPARE_FRAMES`]).
     spare_frames: Vec<(Vec<Value>, Vec<Value>)>,
@@ -180,8 +191,9 @@ pub struct JvmState {
     pub rng_state: u64,
     /// Threads blocked waiting for stdin bytes.
     pub stdin_waiters: Vec<ThreadId>,
-    /// User-registered native methods (the §6.3 JNI path).
-    pub user_natives: HashMap<(String, String, String), crate::jvm::UserNative>,
+    /// User-registered native methods (the §6.3 JNI path), by
+    /// `Class.name` and descriptor.
+    pub(crate) user_natives: HashMap<String, UserNative>,
     /// `java/lang/Thread` objects per runtime thread id.
     pub thread_objs: HashMap<usize, ObjRef>,
     /// Inverse: runtime thread id per Thread object.
@@ -290,7 +302,7 @@ impl JvmState {
     /// use.
     pub fn code_blob(&mut self, class: ClassId, method_index: usize) -> Option<Rc<CodeBlob>> {
         let built = self.code_cache.get(class).and_then(|t| t.get(method_index));
-        if let Some(Some(b)) = built {
+        if let Some(Built { code: Some(b), .. }) = built {
             return Some(b.clone());
         }
         let rc = self.registry.get(class);
@@ -307,15 +319,47 @@ impl JvmState {
             line_numbers: code.line_numbers.clone(),
             code: decode(&code.bytecode, &code.exception_table),
         });
-        if self.code_cache.len() <= class {
-            self.code_cache.resize_with(class + 1, Vec::new);
-        }
-        let table = &mut self.code_cache[class];
-        if table.len() <= method_index {
-            table.resize(cf.methods.len(), None);
-        }
-        table[method_index] = Some(blob.clone());
+        let method = MethodRef {
+            class,
+            index: method_index,
+        };
+        self.built(method).code = Some(blob.clone());
         Some(blob)
+    }
+
+    /// The binding of native method `m`, once bound (see
+    /// [`crate::natives`]).
+    pub(crate) fn native_binding(&mut self, m: MethodRef) -> &mut Option<Rc<Binding>> {
+        &mut self.built(m).native
+    }
+
+    /// Register `f` as the native `name` + `desc` of class `class`. Every
+    /// binding is dropped, so each native binds again at its next call and
+    /// one that `f` supersedes runs `f`; built code stays.
+    pub(crate) fn register_native(&mut self, class: &str, name: &str, desc: &str, f: UserNative) {
+        self.user_natives.insert(format!("{class}.{name}{desc}"), f);
+        for built in self.code_cache.iter_mut().flatten() {
+            built.native = None;
+        }
+    }
+
+    /// What this JVM has built for method `m`, with room made for it in
+    /// its class's table.
+    fn built(&mut self, m: MethodRef) -> &mut Built {
+        if self.code_cache.len() <= m.class {
+            self.code_cache.resize_with(m.class + 1, Vec::new);
+        }
+        let table = &mut self.code_cache[m.class];
+        if table.len() <= m.index {
+            let methods = self
+                .registry
+                .get(m.class)
+                .cf
+                .as_ref()
+                .map_or(0, |cf| cf.methods.len());
+            table.resize(methods.max(m.index + 1), Built::default());
+        }
+        &mut table[m.index]
     }
 
     /// A frame for `code`, over a popped frame's vectors when the spare
