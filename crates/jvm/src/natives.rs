@@ -501,7 +501,10 @@ fn signature(state: &JvmState, method: MethodRef) -> String {
 }
 
 /// One value of the kind of each parameter method descriptor `desc`
-/// declares, as [`Value::default_for`] reads a field descriptor.
+/// declares, as [`Value::default_for`] reads a field descriptor. It
+/// reads `desc` in place: every short-lived JVM binds its natives anew,
+/// and the allocations of `parse_method_descriptor` doubled the cost of
+/// a binding.
 fn param_kinds(desc: &str) -> impl Iterator<Item = Value> + '_ {
     let mut rest = desc.strip_prefix('(').unwrap_or_default();
     std::iter::from_fn(move || {
@@ -783,8 +786,8 @@ fn arraycopy(n: &mut NativeCtx<'_, '_, '_>, args: Vec<Value>) -> NativeOutcome {
     NativeOutcome::Return(None)
 }
 
-/// How a `String`, an `int`, a `long` or a floating-point value is
-/// written by `String.valueOf` and the natives that print or append.
+/// How a native that prints, appends or converts a value writes it as
+/// text: [`text`], [`char_text`] or [`bool_text`].
 type Render = fn(&Heap, Value) -> String;
 
 /// A value as `String.valueOf` writes the kind it holds: a number, or a
