@@ -9,7 +9,10 @@
 //! as a diff. `tests/golden/jvm/runtime_library.txt` pins the bundled
 //! runtime library's class files, method by method, so a change to how
 //! the library is assembled cannot move a byte of it.
-//! `tests/golden/kernel/` holds the same for JVM pipelines
+//! `tests/golden/minijava/` pins what the MiniJava compiler emits: the
+//! digest of every class the seven workloads compile to, and the
+//! disassembly of a probe that calls every runtime-library member
+//! MiniJava accepts. `tests/golden/kernel/` holds the same for JVM pipelines
 //! on a [`Kernel`] (built onto a configured engine, or lazily on a
 //! stock one) and for a sharded [`run_tenants`] report, which must
 //! match one golden at every shard thread count. `tests/golden/pipeline/`
@@ -131,6 +134,200 @@ fn runtime_library_matches_its_golden() {
             for m in &cf.methods {
                 out += &format!("  {:#06x} {}{}\n", m.access_flags, m.name, m.descriptor);
             }
+        }
+        out
+    });
+}
+
+#[test]
+fn minijava_workloads_match_their_golden() {
+    check_golden("minijava/workloads", || {
+        let mut out = String::new();
+        for w in doppio::workloads::all_workloads() {
+            out += &format!("{}\n", w.id);
+            for (name, bytes) in compile_to_bytes(w.source).expect(w.id) {
+                out += &format!("  {name}: {}\n", digest(&bytes));
+            }
+        }
+        out
+    });
+}
+
+/// The probe's locals holding one value of each type it passes: `int`,
+/// `char`, `byte`, `boolean`, `long`, `double`, `String`, a user object
+/// and an array.
+const PROBE_VALUES: [&str; 9] = ["i", "c", "b", "z", "l", "d", "s", "u", "a"];
+/// The probe's locals that widen to `double`.
+const PROBE_NUMBERS: [&str; 5] = ["i", "c", "b", "l", "d"];
+/// The probe's locals that widen to `int`.
+const PROBE_INTS: [&str; 3] = ["i", "c", "b"];
+
+/// A MiniJava program that calls every runtime-library member MiniJava
+/// accepts, with every argument type that picks an overload or that
+/// the member accepts. It passes no `null` literal to an overloaded
+/// method.
+fn library_probe() -> String {
+    let mut calls: Vec<String> = Vec::new();
+    for stream in ["out", "err"] {
+        for m in ["print", "println"] {
+            calls.extend(PROBE_VALUES.map(|v| format!("System.{stream}.{m}({v})")));
+        }
+        calls.push(format!("System.{stream}.println()"));
+    }
+    // String concatenation and the StringBuilder it is made of.
+    for v in PROBE_VALUES {
+        calls.extend([
+            format!("s + {v}"),
+            format!("{v} + s"),
+            format!("sb.append({v})"),
+        ]);
+    }
+    calls.extend(
+        [
+            "i + c + s",
+            "sb.append(i).append(s)",
+            "sb.toString()",
+            "sb.length()",
+        ]
+        .map(String::from),
+    );
+    // String.
+    for m in [
+        "length",
+        "hashCode",
+        "toString",
+        "intern",
+        "toCharArray",
+        "getBytes",
+    ] {
+        calls.push(format!("s.{m}()"));
+    }
+    for v in PROBE_INTS {
+        for m in ["charAt", "substring", "indexOf"] {
+            calls.push(format!("s.{m}({v})"));
+        }
+        calls.push(format!("s.substring({v}, {v})"));
+    }
+    for m in ["indexOf", "compareTo", "concat", "startsWith"] {
+        calls.push(format!("s.{m}(s)"));
+    }
+    for v in ["i", "c", "b", "z", "l", "d"] {
+        calls.push(format!("s = String.valueOf({v})"));
+    }
+    // Object, on a user object, a String, an Object and a StringBuilder.
+    for r in ["u", "s", "o", "sb"] {
+        for v in ["u", "s", "a", "o", "null"] {
+            calls.push(format!("{r}.equals({v})"));
+        }
+        calls.extend([format!("{r}.hashCode()"), format!("{r}.toString()")]);
+    }
+    for r in ["u", "o"] {
+        for m in ["wait", "notify", "notifyAll"] {
+            calls.push(format!("{r}.{m}()"));
+        }
+    }
+    // Math and the boxed types' statics.
+    for v in PROBE_NUMBERS {
+        for m in ["sqrt", "floor", "ceil", "log", "sin", "cos", "abs"] {
+            calls.push(format!("Math.{m}({v})"));
+        }
+        for w in PROBE_NUMBERS {
+            for m in ["pow", "max", "min"] {
+                calls.push(format!("Math.{m}({v}, {w})"));
+            }
+        }
+        calls.push(format!("Double.toString({v})"));
+    }
+    calls.push("Math.random()".into());
+    for v in PROBE_INTS {
+        for m in [
+            "Integer.toString",
+            "Integer.toHexString",
+            "Long.toString",
+            "Thread.sleep",
+        ] {
+            calls.push(format!("{m}({v})"));
+        }
+        calls.push(format!("System.exit({v})"));
+        calls.extend(["available", "close"].map(|m| format!("Socket.{m}({v})")));
+        calls.extend([
+            format!("Socket.connect(s, {v})"),
+            format!("Socket.write({v}, bytes)"),
+            format!("Socket.read({v}, {v})"),
+        ]);
+    }
+    calls.extend(["Long.toString(l)", "Thread.sleep(l)"].map(String::from));
+    for m in [
+        "Integer.parseInt",
+        "Long.parseLong",
+        "Double.parseDouble",
+        "JS.eval",
+    ] {
+        calls.push(format!("{m}(s)"));
+    }
+    // System, Thread and the doppio services.
+    for x in ["a", "bytes", "chars", "strs", "u", "s", "o"] {
+        calls.push(format!("System.arraycopy({x}, i, {x}, c, b)"));
+    }
+    for m in [
+        "System.currentTimeMillis",
+        "System.nanoTime",
+        "Thread.yield",
+    ] {
+        calls.push(format!("{m}()"));
+    }
+    calls.extend(
+        [
+            "Thread.currentThread().isAlive()",
+            "Console.readLine()",
+            "Console.readByte()",
+        ]
+        .map(String::from),
+    );
+    for m in [
+        "readFileBytes",
+        "listDir",
+        "exists",
+        "fileSize",
+        "mkdir",
+        "unlink",
+    ] {
+        calls.push(format!("FileSystem.{m}(s)"));
+    }
+    calls.push("FileSystem.writeFileBytes(s, bytes)".into());
+    for r in ["w", "idle", "t"] {
+        for m in ["start", "join", "isAlive", "run"] {
+            calls.push(format!("{r}.{m}()"));
+        }
+    }
+    calls.extend(["new String(bytes)", "new String(chars)"].map(String::from));
+    let body: String = calls.iter().map(|c| format!("        {c};\n")).collect();
+    format!(
+        "class User {{ int f; }}
+class Worker extends Thread {{ void run() {{ System.out.println(1); }} }}
+class Idle extends Thread {{ }}
+class Main {{
+    static void main(String[] args) {{
+        int i = 1; char c = 'c'; byte b = (byte) 2; boolean z = true;
+        long l = 3L; double d = 4.5; String s = \"s\"; User u = new User();
+        int[] a = new int[2]; byte[] bytes = new byte[2]; char[] chars = new char[2];
+        String[] strs = new String[2]; Object o = new Object();
+        StringBuilder sb = new StringBuilder(); Thread t = new Thread();
+        Worker w = new Worker(); Idle idle = new Idle();
+{body}    }}
+}}
+"
+    )
+}
+
+#[test]
+fn minijava_library_calls_match_their_golden() {
+    check_golden("minijava/library_calls", || {
+        let classes = doppio::minijava::compile(&library_probe()).expect("probe compiles");
+        let mut out = String::new();
+        for cf in classes {
+            out += &doppio::classfile::disasm::disassemble_class(&cf);
+            out += &format!("{}\n\n", digest(&cf.to_bytes()));
         }
         out
     });
