@@ -5,6 +5,10 @@
 //! field/method references, resolved against an interned constant pool
 //! at [`ClassBuilder::add_method`] time. The assembler tracks operand
 //! stack depth to compute `max_stack`, and patches branch offsets.
+//! Since nothing is resolved before then, a compiler may cut the code
+//! it just emitted out of a body as a [`Fragment`] and splice it back
+//! later ([`MethodBuilder::take_since`], [`MethodBuilder::splice`]):
+//! the class file is the same as if it had emitted the code there.
 
 use std::collections::HashMap;
 
@@ -64,6 +68,16 @@ enum Ins {
     Bind(Label),
 }
 
+/// Instructions cut out of a method body by
+/// [`MethodBuilder::take_since`], to be put back with
+/// [`MethodBuilder::splice`]. Labels bound among them travel with them.
+#[derive(Debug)]
+pub struct Fragment(Vec<Ins>);
+
+/// A position in a method body; see [`MethodBuilder::mark`].
+#[derive(Debug, Clone, Copy)]
+pub struct Mark(usize);
+
 #[derive(Debug, Clone)]
 struct Handler {
     start: Label,
@@ -117,6 +131,28 @@ impl MethodBuilder {
     /// Place a label at the current position.
     pub fn bind(&mut self, l: Label) {
         self.ins.push(Ins::Bind(l));
+    }
+
+    /// The current end of the body, to cut a fragment from.
+    pub fn mark(&self) -> Mark {
+        Mark(self.ins.len())
+    }
+
+    /// Cut out the instructions emitted since `mark`. A compiler that
+    /// must know an operand's type before it emits the code that goes
+    /// before the operand emits the operand once, cuts it out, and
+    /// splices it back after that code. Splicing every fragment back in
+    /// order leaves the body as if it had been emitted in that order.
+    /// Line numbers and exception handlers stay with the body: record
+    /// none between the mark and the cut.
+    pub fn take_since(&mut self, mark: Mark) -> Fragment {
+        debug_assert!(self.line_numbers.last().is_none_or(|&(at, _)| at <= mark.0));
+        Fragment(self.ins.split_off(mark.0))
+    }
+
+    /// Append a fragment's instructions to the body.
+    pub fn splice(&mut self, fragment: Fragment) {
+        self.ins.extend(fragment.0);
     }
 
     /// Record that the next instruction comes from source `line`.

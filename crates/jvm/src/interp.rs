@@ -1475,6 +1475,37 @@ fn new_instance(
 }
 
 /// The access flags of a resolved method.
+/// An invoke of the other kind than its method, `invokestatic` of an
+/// instance method or an instance invoke of a static one, throws
+/// `IncompatibleClassChangeError` (JVMS §6.5) before its site binds, so
+/// bound sites only ever hold methods of their own kind.
+fn check_invoke_kind(
+    state: &mut JvmState,
+    frames: &mut Vec<Frame>,
+    ctx: &mut ThreadContext<'_>,
+    tid: ThreadId,
+    site: &CallSite,
+    flags: u16,
+    is_static: bool,
+) -> Result<(), StepResult> {
+    if (flags & access::ACC_STATIC != 0) == is_static {
+        return Ok(());
+    }
+    let kind = if is_static { "static" } else { "non-static" };
+    let msg = format!(
+        "Expected {kind} method {}.{}{}",
+        site.cname, site.name, site.desc
+    );
+    Err(throw_vm(
+        state,
+        frames,
+        ctx,
+        tid,
+        "java/lang/IncompatibleClassChangeError",
+        &msg,
+    ))
+}
+
 fn method_flags_of(state: &JvmState, target: MethodRef) -> u16 {
     state
         .registry
@@ -2064,6 +2095,9 @@ fn invoke_with_site(
                     return throw_vm(state, frames, ctx, tid, "java/lang/NoSuchMethodError", &msg);
                 };
                 let flags = method_flags_of(state, t);
+                if let Err(r) = check_invoke_kind(state, frames, ctx, tid, site, flags, false) {
+                    return r;
+                }
                 site.mono.set(Some((runtime_class, t, flags)));
                 (t, flags)
             }
@@ -2118,6 +2152,10 @@ fn invoke_with_site(
                     return throw_vm(state, frames, ctx, tid, "java/lang/NoSuchMethodError", &msg);
                 };
                 let flags = method_flags_of(state, t);
+                let is_static = opcode == op::INVOKESTATIC;
+                if let Err(r) = check_invoke_kind(state, frames, ctx, tid, site, flags, is_static) {
+                    return r;
+                }
                 // invokespecial binds statically; invokestatic binds
                 // once its class finished `<clinit>` (so the hit path
                 // may skip the initialization protocol).

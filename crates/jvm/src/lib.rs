@@ -1383,6 +1383,65 @@ mod malformed_code_tests {
     }
 
     #[test]
+    fn invokestatic_of_an_instance_method_throws_incompatible_class_change() {
+        // `Bad.get()I` reads a field of its receiver, which `invokestatic`
+        // does not pass.
+        let mut b = ClassBuilder::new("Bad", "java/lang/Object");
+        b.add_field(ACC_PUBLIC, "f", "I");
+        let mut main = MethodBuilder::new(PUB_STATIC, "main", MAIN_DESC, 1);
+        main.invokestatic("Bad", "get", "()I");
+        main.pop();
+        main.return_void();
+        b.add_method(main);
+        let mut get = MethodBuilder::new(ACC_PUBLIC, "get", "()I", 1);
+        get.aload(0);
+        get.getfield("Bad", "f", "I");
+        get.ireturn();
+        b.add_method(get);
+        assert_eq!(
+            run_bad(b.finish()),
+            incompatible("Expected static method Bad.get()I")
+        );
+        // An instance native, which would miss its receiver.
+        let native = bad_class(|m| {
+            m.invokestatic("java/lang/Thread", "isAlive", "()Z");
+            m.pop();
+            m.return_void();
+        });
+        assert_eq!(
+            run_bad(native),
+            incompatible("Expected static method java/lang/Thread.isAlive()Z")
+        );
+    }
+
+    #[test]
+    fn instance_invokes_of_a_static_method_throw_incompatible_class_change() {
+        const VALUE_OF: &str = "(I)Ljava/lang/String;";
+        let virtual_call = bad_class(|m| {
+            m.ldc_string("receiver");
+            m.ldc_int(7);
+            m.invokevirtual("java/lang/String", "valueOf", VALUE_OF);
+            m.pop();
+            m.return_void();
+        });
+        let special_call = bad_class(|m| {
+            m.ldc_string("receiver");
+            m.ldc_int(7);
+            m.invokespecial("java/lang/String", "valueOf", VALUE_OF);
+            m.pop();
+            m.return_void();
+        });
+        for cf in [virtual_call, special_call] {
+            assert_eq!(
+                run_bad(cf),
+                incompatible(
+                    "Expected non-static method java/lang/String.valueOf(I)Ljava/lang/String;"
+                )
+            );
+        }
+    }
+
+    #[test]
     fn field_ops_on_arrays_and_strings_read_the_default_and_drop_the_write() {
         let cf = bad_class(|m| {
             m.ldc_string("no fields");
@@ -1505,11 +1564,6 @@ mod malformed_code_tests {
                 "java.lang.InternalError: java/lang/Math.abs(I)I: argument 0 is Float(1.0), \
                  not an int"
             )
-        );
-        // No receiver for an instance native.
-        assert_eq!(
-            call(|_| {}, "java/lang/Thread", "isAlive", "()Z").as_deref(),
-            Some("java.lang.InternalError: java/lang/Thread.isAlive()Z: 0 arguments where it takes 1")
         );
         // An int receiver: `invokespecial` only null-checks it.
         let int_receiver = bad_class(|m| {

@@ -1,19 +1,25 @@
 //! Code generation: MiniJava AST → JVM class files.
 //!
-//! One pass per method: expressions are type-checked as they are
-//! emitted (an internal `infer` helper resolves types without
-//! emitting where generation order demands it, e.g. string
-//! concatenation). Locals are allocated on the fly; `max_locals` is the
-//! final watermark.
+//! One pass per method. `Gen::expr` is the one place an expression is
+//! typed: it emits the expression's code and returns its type. Where the
+//! code around an operand depends on the operand's type (the
+//! `StringBuilder` of a string `+`, the conversion an overload's
+//! parameter needs, the receiver a call pushes first), `expr` emits the
+//! operand once into a fragment cut from the method body and splices it
+//! back once that code is known ([`MethodBuilder::take_since`]). Every
+//! field, constructor and method resolves in the [`ClassTable`], which
+//! serves the runtime library's classes next to the program's. Locals
+//! are allocated on the fly; `max_locals` is the final watermark.
 
 use doppio_classfile::access::{ACC_PUBLIC, ACC_STATIC, ACC_SUPER, ACC_SYNCHRONIZED};
-use doppio_classfile::builder::{ClassBuilder, Label, MethodBuilder};
+use doppio_classfile::builder::{ClassBuilder, Fragment, Label, MethodBuilder};
 use doppio_classfile::opcodes as op;
 use doppio_classfile::ClassFile;
 
 use crate::ast::*;
 use crate::error::CompileError;
-use crate::table::{binary_name, descriptor, method_descriptor, ClassTable};
+use crate::library::{CONCAT, ROOT};
+use crate::table::{class_name, class_type, descriptor, method_descriptor, ClassTable};
 
 /// Compile a parsed program to class files.
 pub fn compile_program(prog: &Program) -> Result<Vec<ClassFile>, CompileError> {
@@ -21,16 +27,9 @@ pub fn compile_program(prog: &Program) -> Result<Vec<ClassFile>, CompileError> {
     prog.classes.iter().map(|c| gen_class(&table, c)).collect()
 }
 
-fn super_binary(table: &ClassTable, c: &ClassDecl) -> String {
-    match &c.super_name {
-        None => "java/lang/Object".to_string(),
-        Some(s) => binary_name(table, s),
-    }
-}
-
 fn gen_class(table: &ClassTable, c: &ClassDecl) -> Result<ClassFile, CompileError> {
-    let super_bin = super_binary(table, c);
-    let mut b = ClassBuilder::new(&c.name, &super_bin);
+    let super_name = c.super_name.as_deref().unwrap_or(ROOT);
+    let mut b = ClassBuilder::new(&c.name, table.binary_name(super_name));
     b.set_access(ACC_PUBLIC | ACC_SUPER);
 
     for f in &c.fields {
@@ -71,16 +70,20 @@ fn gen_class(table: &ClassTable, c: &ClassDecl) -> Result<ClassFile, CompileErro
         g.finish(&mut b);
     }
 
-    // Constructors (implicit default when none declared).
-    if c.ctors.is_empty() {
-        let mut m = MethodBuilder::new(ACC_PUBLIC, "<init>", "()V", 1);
-        m.aload(0);
-        m.invokespecial(&super_bin, "<init>", "()V");
-        m.return_void();
-        b.add_method(m);
-    }
-    for k in &c.ctors {
-        gen_ctor(table, c, k, &super_bin, &mut b)?;
+    // Constructors (an implicit default one when none is declared).
+    let implicit = [CtorDecl {
+        params: Vec::new(),
+        super_args: None,
+        body: Vec::new(),
+        line: c.line,
+    }];
+    let ctors = if c.ctors.is_empty() {
+        &implicit[..]
+    } else {
+        &c.ctors
+    };
+    for k in ctors {
+        gen_ctor(table, c, k, super_name, &mut b)?;
     }
 
     for m in &c.methods {
@@ -93,7 +96,7 @@ fn gen_ctor(
     table: &ClassTable,
     c: &ClassDecl,
     k: &CtorDecl,
-    super_bin: &str,
+    super_name: &str,
     b: &mut ClassBuilder,
 ) -> Result<(), CompileError> {
     let params: Vec<Type> = k.params.iter().map(|(t, _)| t.clone()).collect();
@@ -109,37 +112,8 @@ fn gen_ctor(
 
     // super(...) call.
     g.m.aload(0);
-    let super_arg_types: Vec<Type> = match &k.super_args {
-        None => Vec::new(),
-        Some(args) => {
-            let mut ts = Vec::new();
-            for a in args {
-                ts.push(g.expr(a)?);
-            }
-            ts
-        }
-    };
-    // Resolve the super constructor.
-    let super_desc = match &c.super_name {
-        Some(s) if table.class(s).is_some() => {
-            let ctor = table.find_ctor(s, &super_arg_types).ok_or_else(|| {
-                CompileError::check(k.line, format!("no matching super constructor in {s}"))
-            })?;
-            // Coercions for super args would need re-ordering; require
-            // exact slots by re-checking assignability only.
-            method_descriptor(table, &ctor, &Type::Void)
-        }
-        _ => {
-            if !super_arg_types.is_empty() {
-                return Err(CompileError::check(
-                    k.line,
-                    "super(...) with arguments requires a user-defined superclass".into(),
-                ));
-            }
-            "()V".to_string()
-        }
-    };
-    g.m.invokespecial(super_bin, "<init>", &super_desc);
+    let args = g.operands(k.super_args.as_deref().unwrap_or_default())?;
+    g.init(super_name, args, k.line)?;
 
     for s in &k.body {
         g.stmt(s)?;
@@ -579,11 +553,11 @@ impl<'a> Gen<'a> {
                     .table
                     .find_field(&self.class.name, name)
                     .ok_or_else(|| self.err(line, format!("unknown variable {name}")))?;
-                let desc = descriptor(self.table, &ty);
+                let desc = descriptor(self.table, ty);
                 if is_static {
                     let t = self.expr(value)?;
-                    self.coerce(&t, &ty, line)?;
-                    self.m.putstatic(&decl, name, &desc);
+                    self.coerce(&t, ty, line)?;
+                    self.m.putstatic(&decl.binary, name, &desc);
                 } else {
                     if self.is_static {
                         return Err(
@@ -592,8 +566,8 @@ impl<'a> Gen<'a> {
                     }
                     self.m.aload(0);
                     let t = self.expr(value)?;
-                    self.coerce(&t, &ty, line)?;
-                    self.m.putfield(&decl, name, &desc);
+                    self.coerce(&t, ty, line)?;
+                    self.m.putfield(&decl.binary, name, &desc);
                 }
                 Ok(())
             }
@@ -603,21 +577,19 @@ impl<'a> Gen<'a> {
                 line: fline,
             } => {
                 // Static field via class name?
-                if let Expr::Var(cls, _) = ftarget.as_ref() {
-                    if self.lookup_local(cls).is_none() && self.table.class(cls).is_some() {
-                        let (decl, ty, is_static) =
-                            self.table.find_field(cls, name).ok_or_else(|| {
-                                self.err(*fline, format!("unknown field {cls}.{name}"))
-                            })?;
-                        if !is_static {
-                            return Err(self.err(*fline, format!("{cls}.{name} is not static")));
-                        }
-                        let t = self.expr(value)?;
-                        self.coerce(&t, &ty, line)?;
-                        let desc = descriptor(self.table, &ty);
-                        self.m.putstatic(&decl, name, &desc);
-                        return Ok(());
+                if let Some(cls) = self.class_named(ftarget) {
+                    let (decl, ty, is_static) = self
+                        .table
+                        .find_field(cls, name)
+                        .ok_or_else(|| self.err(*fline, format!("unknown field {cls}.{name}")))?;
+                    if !is_static {
+                        return Err(self.err(*fline, format!("{cls}.{name} is not static")));
                     }
+                    let t = self.expr(value)?;
+                    self.coerce(&t, ty, line)?;
+                    let desc = descriptor(self.table, ty);
+                    self.m.putstatic(&decl.binary, name, &desc);
+                    return Ok(());
                 }
                 let tt = self.expr(ftarget)?;
                 let Type::Class(cname) = &tt else {
@@ -631,9 +603,9 @@ impl<'a> Gen<'a> {
                     return Err(self.err(*fline, "static field via instance".to_string()));
                 }
                 let t = self.expr(value)?;
-                self.coerce(&t, &ty, line)?;
-                let desc = descriptor(self.table, &ty);
-                self.m.putfield(&decl, name, &desc);
+                self.coerce(&t, ty, line)?;
+                let desc = descriptor(self.table, ty);
+                self.m.putfield(&decl.binary, name, &desc);
                 Ok(())
             }
             Expr::Index {
@@ -678,112 +650,6 @@ impl<'a> Gen<'a> {
         }
     }
 
-    // ---- type inference (no emission) ----
-
-    /// The type an expression will have, without generating code.
-    fn infer(&self, e: &Expr) -> Result<Type, CompileError> {
-        Ok(match e {
-            Expr::IntLit(..) => Type::Int,
-            Expr::LongLit(..) => Type::Long,
-            Expr::DoubleLit(..) => Type::Double,
-            Expr::CharLit(..) => Type::Char,
-            Expr::StrLit(..) => Type::Str,
-            Expr::BoolLit(..) => Type::Boolean,
-            Expr::Null(_) => Type::Null,
-            Expr::This(line) => {
-                if self.is_static {
-                    return Err(self.err(*line, "this in a static context"));
-                }
-                Type::Class(self.class.name.clone())
-            }
-            Expr::Var(name, line) => {
-                if let Some((_, t)) = self.lookup_local(name) {
-                    t
-                } else if let Some((_, t, _)) = self.table.find_field(&self.class.name, name) {
-                    t
-                } else {
-                    return Err(self.err(*line, format!("unknown variable {name}")));
-                }
-            }
-            Expr::Field { target, name, line } => {
-                if name == "length" {
-                    if let Ok(Type::Array(_)) = self.infer(target) {
-                        return Ok(Type::Int);
-                    }
-                }
-                if let Expr::Var(cls, _) = target.as_ref() {
-                    if self.lookup_local(cls).is_none() && self.table.class(cls).is_some() {
-                        if let Some((_, t, true)) = self.table.find_field(cls, name) {
-                            return Ok(t);
-                        }
-                    }
-                }
-                let tt = self.infer(target)?;
-                match &tt {
-                    Type::Class(c) => self
-                        .table
-                        .find_field(c, name)
-                        .map(|(_, t, _)| t)
-                        .ok_or_else(|| self.err(*line, format!("unknown field {c}.{name}")))?,
-                    other => return Err(self.err(*line, format!("no field {name} on {other:?}"))),
-                }
-            }
-            Expr::Index { array, line, .. } => match self.infer(array)? {
-                Type::Array(t) => *t,
-                other => return Err(self.err(*line, format!("indexing non-array {other:?}"))),
-            },
-            Expr::Call { .. } => self.infer_call(e)?,
-            Expr::New { class, line, .. } => {
-                if class == "String" {
-                    return Ok(Type::Str);
-                }
-                if self.table.class(class).is_none()
-                    && class != "StringBuilder"
-                    && class != "Object"
-                    && class != "Thread"
-                {
-                    return Err(self.err(*line, format!("unknown class {class}")));
-                }
-                Type::Class(class.clone())
-            }
-            Expr::NewArray { ty, .. } => Type::Array(Box::new(ty.clone())),
-            Expr::Unary { op: UnOp::Not, .. } => Type::Boolean,
-            Expr::Unary {
-                op: UnOp::Neg, e, ..
-            } => self.infer(e)?,
-            Expr::Binary { op, l, r, line } => match op {
-                BinOp::Lt
-                | BinOp::Le
-                | BinOp::Gt
-                | BinOp::Ge
-                | BinOp::Eq
-                | BinOp::Ne
-                | BinOp::LAnd
-                | BinOp::LOr => Type::Boolean,
-                BinOp::Add => {
-                    let lt = self.infer(l)?;
-                    let rt = self.infer(r)?;
-                    if lt == Type::Str || rt == Type::Str {
-                        Type::Str
-                    } else {
-                        self.promoted(&lt, &rt, *line)?
-                    }
-                }
-                _ => {
-                    let lt = self.infer(l)?;
-                    let rt = self.infer(r)?;
-                    if matches!(op, BinOp::Shl | BinOp::Shr | BinOp::Ushr) {
-                        self.promote_shift(&lt)
-                    } else {
-                        self.promoted(&lt, &rt, *line)?
-                    }
-                }
-            },
-            Expr::Assign { .. } | Expr::IncDec { .. } => Type::Void,
-            Expr::Cast { ty, .. } => ty.clone(),
-        })
-    }
-
     fn promote_shift(&self, lt: &Type) -> Type {
         if *lt == Type::Long {
             Type::Long
@@ -805,6 +671,8 @@ impl<'a> Gen<'a> {
 
     // ---- expressions ----
 
+    /// Emit `e` and return its type: the one place an expression is
+    /// typed.
     fn expr(&mut self, e: &Expr) -> Result<Type, CompileError> {
         match e {
             Expr::IntLit(v, _) => {
@@ -851,9 +719,9 @@ impl<'a> Gen<'a> {
                     .table
                     .find_field(&self.class.name, name)
                     .ok_or_else(|| self.err(*line, format!("unknown variable {name}")))?;
-                let desc = descriptor(self.table, &ty);
+                let desc = descriptor(self.table, ty);
                 if is_static {
-                    self.m.getstatic(&decl, name, &desc);
+                    self.m.getstatic(&decl.binary, name, &desc);
                 } else {
                     if self.is_static {
                         return Err(
@@ -861,37 +729,32 @@ impl<'a> Gen<'a> {
                         );
                     }
                     self.m.aload(0);
-                    self.m.getfield(&decl, name, &desc);
+                    self.m.getfield(&decl.binary, name, &desc);
                 }
-                Ok(ty)
+                Ok(ty.clone())
             }
             Expr::Field { target, name, line } => {
-                // array.length
-                if name == "length" {
-                    if let Ok(Type::Array(_)) = self.infer(target) {
-                        self.expr(target)?;
+                // Static field via class name.
+                if let Some(cls) = self.class_named(target) {
+                    let (decl, ty, is_static) = self
+                        .table
+                        .find_field(cls, name)
+                        .ok_or_else(|| self.err(*line, format!("unknown field {cls}.{name}")))?;
+                    if !is_static {
+                        return Err(self.err(*line, format!("{cls}.{name} is not static")));
+                    }
+                    let desc = descriptor(self.table, ty);
+                    self.m.getstatic(&decl.binary, name, &desc);
+                    return Ok(ty.clone());
+                }
+                let tt = self.expr(target)?;
+                let cname = match &tt {
+                    Type::Array(_) if name == "length" => {
                         self.m.arraylength();
                         return Ok(Type::Int);
                     }
-                }
-                // Static field via class name.
-                if let Expr::Var(cls, _) = target.as_ref() {
-                    if self.lookup_local(cls).is_none() && self.table.class(cls).is_some() {
-                        let (decl, ty, is_static) =
-                            self.table.find_field(cls, name).ok_or_else(|| {
-                                self.err(*line, format!("unknown field {cls}.{name}"))
-                            })?;
-                        if !is_static {
-                            return Err(self.err(*line, format!("{cls}.{name} is not static")));
-                        }
-                        let desc = descriptor(self.table, &ty);
-                        self.m.getstatic(&decl, name, &desc);
-                        return Ok(ty);
-                    }
-                }
-                let tt = self.expr(target)?;
-                let Type::Class(cname) = &tt else {
-                    return Err(self.err(*line, format!("no field {name} on {tt:?}")));
+                    Type::Class(c) => c,
+                    _ => return Err(self.err(*line, format!("no field {name} on {tt:?}"))),
                 };
                 let (decl, ty, is_static) = self
                     .table
@@ -900,9 +763,9 @@ impl<'a> Gen<'a> {
                 if is_static {
                     return Err(self.err(*line, "static field via instance".to_string()));
                 }
-                let desc = descriptor(self.table, &ty);
-                self.m.getfield(&decl, name, &desc);
-                Ok(ty)
+                let desc = descriptor(self.table, ty);
+                self.m.getfield(&decl.binary, name, &desc);
+                Ok(ty.clone())
             }
             Expr::Index { array, index, line } => {
                 let at = self.expr(array)?;
@@ -915,52 +778,11 @@ impl<'a> Gen<'a> {
                 Ok(*elem)
             }
             Expr::New { class, args, line } => {
-                let bin = binary_name(self.table, class);
-                self.m.new_object(&bin);
+                let args = self.operands(args)?;
+                self.m.new_object(self.table.binary_name(class));
                 self.m.dup();
-                if let Some(info) = self.table.class(class) {
-                    let arg_types = self.infer_args(args)?;
-                    let ctor = self.table.find_ctor(class, &arg_types).ok_or_else(|| {
-                        self.err(*line, format!("no matching constructor for {class}"))
-                    })?;
-                    for (a, want) in args.iter().zip(&ctor) {
-                        let t = self.expr(a)?;
-                        self.coerce(&t, want, *line)?;
-                    }
-                    let desc = method_descriptor(self.table, &ctor, &Type::Void);
-                    self.m.invokespecial(&info.name, "<init>", &desc);
-                } else {
-                    // Builtin constructible classes.
-                    match (class.as_str(), args.len()) {
-                        ("StringBuilder", 0) | ("Object", 0) | ("Thread", 0) => {
-                            self.m.invokespecial(&bin, "<init>", "()V");
-                        }
-                        ("String", 1) => {
-                            let t = self.expr(&args[0])?;
-                            let desc = match &t {
-                                Type::Array(e) if **e == Type::Byte => "([B)V",
-                                Type::Array(e) if **e == Type::Char => "([C)V",
-                                other => {
-                                    return Err(self.err(
-                                        *line,
-                                        format!(
-                                            "new String(...) takes byte[] or char[], got {other:?}"
-                                        ),
-                                    ))
-                                }
-                            };
-                            self.m.invokespecial(&bin, "<init>", desc);
-                            return Ok(Type::Str);
-                        }
-                        _ => {
-                            return Err(self.err(
-                                *line,
-                                format!("cannot construct {class} with {} args", args.len()),
-                            ))
-                        }
-                    }
-                }
-                Ok(Type::Class(class.clone()))
+                self.init(class, args, *line)?;
+                Ok(class_type(class))
             }
             Expr::NewArray { ty, len, line } => {
                 let lt = self.expr(len)?;
@@ -972,11 +794,8 @@ impl<'a> Gen<'a> {
                     Type::Char => self.m.newarray(5),
                     Type::Byte => self.m.newarray(8),
                     Type::Boolean => self.m.newarray(4),
-                    Type::Str => self.m.anewarray("java/lang/String"),
-                    Type::Class(c) => {
-                        let bin = binary_name(self.table, c);
-                        self.m.anewarray(&bin);
-                    }
+                    Type::Str => self.m.anewarray(self.table.binary_name("String")),
+                    Type::Class(c) => self.m.anewarray(self.table.binary_name(c)),
                     other => {
                         return Err(self.err(*line, format!("cannot allocate array of {other:?}")))
                     }
@@ -1012,8 +831,36 @@ impl<'a> Gen<'a> {
                     Ok(Type::Boolean)
                 }
             },
-            Expr::Binary { op, l, r, line } => self.binary(*op, l, r, *line),
-            Expr::Call { .. } => self.call(e),
+            Expr::Binary { op, l, r, line } => {
+                let l = self.operand(l)?;
+                let r = self.operand(r)?;
+                self.binary(*op, l, r, *line)
+            }
+            Expr::Call {
+                target,
+                name,
+                args,
+                line,
+            } => {
+                // A class name before the dot makes a static call; any
+                // other target is the receiver; no target calls a method
+                // of this class.
+                let (class, recv) = match target.as_deref() {
+                    None => (self.class.name.clone(), Recv::Implicit),
+                    Some(t) => match self.class_named(t) {
+                        Some(cls) => (cls.to_string(), Recv::Class),
+                        None => {
+                            let tt = self.expr(t)?;
+                            let cls = class_name(&tt).ok_or_else(|| {
+                                self.err(*line, format!("no method {name} on {tt:?}"))
+                            })?;
+                            (cls.to_string(), Recv::Value)
+                        }
+                    },
+                };
+                let args = self.operands(args)?;
+                self.invoke(&class, recv, name, args, *line)
+            }
             Expr::Cast { ty, e, line } => {
                 let from = self.expr(e)?;
                 self.primitive_cast(&from, ty, *line)?;
@@ -1023,6 +870,31 @@ impl<'a> Gen<'a> {
                 *line,
                 "assignment is a statement in MiniJava, not an expression",
             )),
+        }
+    }
+
+    /// Emit `e` into a fragment cut from the method body, for the caller
+    /// to splice back once it has emitted the code that goes before it.
+    fn operand(&mut self, e: &Expr) -> Result<Operand, CompileError> {
+        let mark = self.m.mark();
+        let t = self.expr(e)?;
+        Ok((t, self.m.take_since(mark)))
+    }
+
+    fn operands(&mut self, es: &[Expr]) -> Result<Vec<Operand>, CompileError> {
+        es.iter().map(|e| self.operand(e)).collect()
+    }
+
+    /// The class `e` names, when it is a class name rather than a
+    /// variable: the target of a static member.
+    fn class_named<'e>(&self, e: &'e Expr) -> Option<&'e str> {
+        match e {
+            Expr::Var(name, _)
+                if self.lookup_local(name).is_none() && self.table.class(name).is_some() =>
+            {
+                Some(name)
+            }
+            _ => None,
         }
     }
 
@@ -1058,45 +930,41 @@ impl<'a> Gen<'a> {
         Ok(())
     }
 
-    fn binary(&mut self, bop: BinOp, l: &Expr, r: &Expr, line: u32) -> Result<Type, CompileError> {
+    /// Apply `bop` to two operands, splicing their code back in.
+    fn binary(
+        &mut self,
+        bop: BinOp,
+        (lt, lf): Operand,
+        (rt, rf): Operand,
+        line: u32,
+    ) -> Result<Type, CompileError> {
         use BinOp::*;
         match bop {
             LAnd | LOr => {
+                if lt != Type::Boolean || rt != Type::Boolean {
+                    return Err(self.err(line, format!("&&/|| on {lt:?} and {rt:?}")));
+                }
                 // Short circuit, producing a boolean value.
                 let short = self.m.new_label();
                 let end = self.m.new_label();
-                let lt = self.expr(l)?;
-                if lt != Type::Boolean {
-                    return Err(self.err(line, format!("&&/|| on {lt:?}")));
-                }
+                self.m.splice(lf);
                 let branch_op = if bop == LAnd { op::IFEQ } else { op::IFNE };
                 self.m.branch(branch_op, short);
-                let rt = self.expr(r)?;
-                if rt != Type::Boolean {
-                    return Err(self.err(line, format!("&&/|| on {rt:?}")));
-                }
+                self.m.splice(rf);
                 self.m.goto_(end);
                 self.m.bind(short);
                 self.m.ldc_int(i32::from(bop == LOr));
                 self.m.bind(end);
                 Ok(Type::Boolean)
             }
-            Add => {
-                let lt = self.infer(l)?;
-                let rt = self.infer(r)?;
-                if lt == Type::Str || rt == Type::Str {
-                    return self.concat(l, r);
-                }
-                self.arith(bop, l, r, line)
-            }
-            Sub | Mul | Div | Rem | And | Or | Xor => self.arith(bop, l, r, line),
+            Add if lt == Type::Str || rt == Type::Str => self.concat([(lt, lf), (rt, rf)], line),
             Shl | Shr | Ushr => {
-                let lt = self.expr(l)?;
                 let result = self.promote_shift(&lt);
+                self.m.splice(lf);
                 if lt != result {
                     self.coerce(&lt, &result, line)?;
                 }
-                let rt = self.expr(r)?;
+                self.m.splice(rf);
                 // Shift distance is always int.
                 if rt == Type::Long {
                     self.m.simple(op::L2I);
@@ -1115,124 +983,95 @@ impl<'a> Gen<'a> {
                 self.m.simple(code);
                 Ok(result)
             }
-            Lt | Le | Gt | Ge | Eq | Ne => self.comparison(bop, l, r, line),
+            Lt | Le | Gt | Ge | Eq | Ne => self.comparison(bop, (lt, lf), (rt, rf), line),
+            Add | Sub | Mul | Div | Rem | And | Or | Xor => {
+                let result = self.promoted(&lt, &rt, line)?;
+                self.m.splice(lf);
+                self.coerce(&lt, &result, line)?;
+                self.m.splice(rf);
+                self.coerce(&rt, &result, line)?;
+                let code = match (&result, bop) {
+                    (Type::Int | Type::Boolean, Add) => op::IADD,
+                    (Type::Int | Type::Boolean, Sub) => op::ISUB,
+                    (Type::Int | Type::Boolean, Mul) => op::IMUL,
+                    (Type::Int | Type::Boolean, Div) => op::IDIV,
+                    (Type::Int | Type::Boolean, Rem) => op::IREM,
+                    (Type::Int | Type::Boolean, And) => op::IAND,
+                    (Type::Int | Type::Boolean, Or) => op::IOR,
+                    (Type::Int | Type::Boolean, Xor) => op::IXOR,
+                    (Type::Long, Add) => op::LADD,
+                    (Type::Long, Sub) => op::LSUB,
+                    (Type::Long, Mul) => op::LMUL,
+                    (Type::Long, Div) => op::LDIV,
+                    (Type::Long, Rem) => op::LREM,
+                    (Type::Long, And) => op::LAND,
+                    (Type::Long, Or) => op::LOR,
+                    (Type::Long, Xor) => op::LXOR,
+                    (Type::Double, Add) => op::DADD,
+                    (Type::Double, Sub) => op::DSUB,
+                    (Type::Double, Mul) => op::DMUL,
+                    (Type::Double, Div) => op::DDIV,
+                    (Type::Double, Rem) => op::DREM,
+                    _ => {
+                        return Err(self.err(
+                            line,
+                            format!("operator {bop:?} not applicable to {result:?}"),
+                        ))
+                    }
+                };
+                self.m.simple(code);
+                Ok(result)
+            }
         }
-    }
-
-    fn arith(&mut self, bop: BinOp, l: &Expr, r: &Expr, line: u32) -> Result<Type, CompileError> {
-        use BinOp::*;
-        let lt0 = self.infer(l)?;
-        let rt0 = self.infer(r)?;
-        let result = self.promoted(&lt0, &rt0, line)?;
-        let lt = self.expr(l)?;
-        self.coerce(&lt, &result, line).or_else(|_| {
-            if lt == result {
-                Ok(())
-            } else {
-                Err(self.err(line, format!("operand {lt:?} vs {result:?}")))
-            }
-        })?;
-        let rt = self.expr(r)?;
-        self.coerce(&rt, &result, line).or_else(|_| {
-            if rt == result {
-                Ok(())
-            } else {
-                Err(self.err(line, format!("operand {rt:?} vs {result:?}")))
-            }
-        })?;
-        let code = match (&result, bop) {
-            (Type::Int | Type::Boolean, Add) => op::IADD,
-            (Type::Int | Type::Boolean, Sub) => op::ISUB,
-            (Type::Int | Type::Boolean, Mul) => op::IMUL,
-            (Type::Int | Type::Boolean, Div) => op::IDIV,
-            (Type::Int | Type::Boolean, Rem) => op::IREM,
-            (Type::Int | Type::Boolean, And) => op::IAND,
-            (Type::Int | Type::Boolean, Or) => op::IOR,
-            (Type::Int | Type::Boolean, Xor) => op::IXOR,
-            (Type::Long, Add) => op::LADD,
-            (Type::Long, Sub) => op::LSUB,
-            (Type::Long, Mul) => op::LMUL,
-            (Type::Long, Div) => op::LDIV,
-            (Type::Long, Rem) => op::LREM,
-            (Type::Long, And) => op::LAND,
-            (Type::Long, Or) => op::LOR,
-            (Type::Long, Xor) => op::LXOR,
-            (Type::Double, Add) => op::DADD,
-            (Type::Double, Sub) => op::DSUB,
-            (Type::Double, Mul) => op::DMUL,
-            (Type::Double, Div) => op::DDIV,
-            (Type::Double, Rem) => op::DREM,
-            _ => {
-                return Err(self.err(
-                    line,
-                    format!("operator {bop:?} not applicable to {result:?}"),
-                ))
-            }
-        };
-        self.m.simple(code);
-        Ok(if result == Type::Boolean {
-            Type::Boolean
-        } else {
-            result
-        })
     }
 
     fn comparison(
         &mut self,
         bop: BinOp,
-        l: &Expr,
-        r: &Expr,
+        (lt, lf): Operand,
+        (rt, rf): Operand,
         line: u32,
     ) -> Result<Type, CompileError> {
         use BinOp::*;
-        let lt0 = self.infer(l)?;
-        let rt0 = self.infer(r)?;
         let truel = self.m.new_label();
         let end = self.m.new_label();
-        if lt0.is_reference() || rt0.is_reference() || lt0 == Type::Null || rt0 == Type::Null {
+        let branch = if lt.is_reference() || rt.is_reference() {
             if !matches!(bop, Eq | Ne) {
                 return Err(self.err(line, "ordering comparison on references".to_string()));
             }
-            self.expr(l)?;
-            self.expr(r)?;
-            let code = if bop == Eq {
+            self.m.splice(lf);
+            self.m.splice(rf);
+            if bop == Eq {
                 op::IF_ACMPEQ
             } else {
                 op::IF_ACMPNE
-            };
-            self.m.branch(code, truel);
-        } else if lt0 == Type::Boolean && rt0 == Type::Boolean {
+            }
+        } else if lt == Type::Boolean && rt == Type::Boolean {
             if !matches!(bop, Eq | Ne) {
                 return Err(self.err(line, "ordering comparison on booleans".to_string()));
             }
-            self.expr(l)?;
-            self.expr(r)?;
-            let code = if bop == Eq {
-                op::IF_ICMPEQ
-            } else {
-                op::IF_ICMPNE
-            };
-            self.m.branch(code, truel);
+            self.m.splice(lf);
+            self.m.splice(rf);
+            icmp_branch(bop)
         } else {
-            let prom = self.promoted(&lt0, &rt0, line)?;
-            let lt = self.expr(l)?;
-            self.coerce(&lt, &prom, line).ok();
-            let rt = self.expr(r)?;
-            self.coerce(&rt, &prom, line).ok();
+            let prom = self.promoted(&lt, &rt, line)?;
+            self.m.splice(lf);
+            self.coerce(&lt, &prom, line)?;
+            self.m.splice(rf);
+            self.coerce(&rt, &prom, line)?;
             match prom {
                 Type::Long => {
                     self.m.simple(op::LCMP);
-                    self.m.branch(zero_branch(bop), truel);
+                    zero_branch(bop)
                 }
                 Type::Double => {
                     self.m.simple(op::DCMPL);
-                    self.m.branch(zero_branch(bop), truel);
+                    zero_branch(bop)
                 }
-                _ => {
-                    self.m.branch(icmp_branch(bop), truel);
-                }
+                _ => icmp_branch(bop),
             }
-        }
+        };
+        self.m.branch(branch, truel);
         self.m.ldc_int(0);
         self.m.goto_(end);
         self.m.bind(truel);
@@ -1241,257 +1080,103 @@ impl<'a> Gen<'a> {
         Ok(Type::Boolean)
     }
 
-    fn concat(&mut self, l: &Expr, r: &Expr) -> Result<Type, CompileError> {
-        const SB: &str = "java/lang/StringBuilder";
-        self.m.new_object(SB);
+    /// String `+`: a `StringBuilder` that appends both sides, each
+    /// through the `append` overload its type resolves to.
+    fn concat(&mut self, sides: [Operand; 2], line: u32) -> Result<Type, CompileError> {
+        let [builder, append, to_string] = CONCAT;
+        self.m.new_object(self.table.binary_name(builder));
         self.m.dup();
-        self.m.invokespecial(SB, "<init>", "()V");
-        for side in [l, r] {
-            let t = self.expr(side)?;
-            let desc = match t {
-                Type::Str => "(Ljava/lang/String;)Ljava/lang/StringBuilder;",
-                Type::Int | Type::Byte => "(I)Ljava/lang/StringBuilder;",
-                Type::Char => "(C)Ljava/lang/StringBuilder;",
-                Type::Boolean => "(Z)Ljava/lang/StringBuilder;",
-                Type::Long => "(J)Ljava/lang/StringBuilder;",
-                Type::Double => "(D)Ljava/lang/StringBuilder;",
-                _ => "(Ljava/lang/Object;)Ljava/lang/StringBuilder;",
-            };
-            self.m.invokevirtual(SB, "append", desc);
+        self.init(builder, Vec::new(), line)?;
+        for side in sides {
+            self.invoke(builder, Recv::Value, append, vec![side], line)?;
         }
-        self.m.invokevirtual(SB, "toString", "()Ljava/lang/String;");
-        Ok(Type::Str)
+        self.invoke(builder, Recv::Value, to_string, Vec::new(), line)
     }
 
-    fn infer_args(&self, args: &[Expr]) -> Result<Vec<Type>, CompileError> {
-        args.iter().map(|a| self.infer(a)).collect()
+    /// Call the constructor of `class` that `args` resolve to, on the new
+    /// object under them.
+    fn init(&mut self, class: &str, args: Vec<Operand>, line: u32) -> Result<(), CompileError> {
+        let table = self.table;
+        let types: Vec<Type> = args.iter().map(|(t, _)| t.clone()).collect();
+        let (info, params) = table.find_ctor(class, &types).ok_or_else(|| {
+            self.err(
+                line,
+                format!("no constructor {class} applicable to {types:?}"),
+            )
+        })?;
+        self.splice_args(args, params, line)?;
+        let desc = method_descriptor(table, params, &Type::Void);
+        self.m.invokespecial(&info.binary, "<init>", &desc);
+        Ok(())
     }
 
-    fn infer_call(&self, e: &Expr) -> Result<Type, CompileError> {
-        let Expr::Call {
-            target,
-            name,
-            args,
-            line,
-        } = e
-        else {
-            unreachable!()
-        };
-        let arg_types = self.infer_args(args)?;
-        // System.out.println / print
-        if let Some(t) = target {
-            if is_system_out(t) {
-                return Ok(Type::Void);
-            }
-            if let Expr::Var(cls, _) = t.as_ref() {
-                if self.lookup_local(cls).is_none() && self.table.is_class_name(cls) {
-                    if let Some((_, sig)) = self.table.find_method(cls, name, &arg_types) {
-                        return Ok(sig.ret);
-                    }
-                    if let Some((_, _, _, ret)) = builtin_static(cls, name, &arg_types) {
-                        return Ok(ret);
-                    }
-                    return Err(self.err(*line, format!("unknown method {cls}.{name}")));
-                }
-            }
-            let tt = self.infer(t)?;
-            return self.infer_instance_call(&tt, name, &arg_types, *line);
-        }
-        if let Some((_, sig)) = self.table.find_method(&self.class.name, name, &arg_types) {
-            return Ok(sig.ret);
-        }
-        Err(self.err(*line, format!("unknown method {name}")))
-    }
-
-    fn infer_instance_call(
-        &self,
-        recv: &Type,
+    /// Call the method `name` of `class` that `args` resolve to, after
+    /// the receiver `recv` describes, and return its result type.
+    fn invoke(
+        &mut self,
+        class: &str,
+        recv: Recv,
         name: &str,
-        args: &[Type],
+        args: Vec<Operand>,
         line: u32,
     ) -> Result<Type, CompileError> {
-        match recv {
-            Type::Str => builtin_string_method(name, args)
-                .map(|(_, _, ret)| ret)
-                .ok_or_else(|| self.err(line, format!("unknown String method {name}"))),
-            Type::Class(c) => {
-                if let Some((_, sig)) = self.table.find_method(c, name, args) {
-                    return Ok(sig.ret);
-                }
-                if let Some((_, _, ret)) = builtin_instance(self.table, c, name, args) {
-                    return Ok(ret);
-                }
-                Err(self.err(line, format!("unknown method {c}.{name}")))
+        let table = self.table;
+        let types: Vec<Type> = args.iter().map(|(t, _)| t.clone()).collect();
+        let (decl, sig) = table.find_method(class, name, &types).ok_or_else(|| {
+            self.err(
+                line,
+                format!("no method {class}.{name} applicable to {types:?}"),
+            )
+        })?;
+        match (recv, sig.is_static) {
+            (Recv::Class, false) => {
+                return Err(self.err(line, format!("{class}.{name} is not static")))
             }
-            other => Err(self.err(line, format!("no method {name} on {other:?}"))),
+            (Recv::Value, true) => {
+                return Err(self.err(line, format!("static method {name} via instance")))
+            }
+            (Recv::Implicit, false) if self.is_static => {
+                return Err(self.err(line, format!("instance method {name} in static context")))
+            }
+            (Recv::Implicit, false) => self.m.aload(0),
+            _ => {}
         }
-    }
-
-    fn call(&mut self, e: &Expr) -> Result<Type, CompileError> {
-        let Expr::Call {
-            target,
-            name,
-            args,
-            line,
-        } = e
-        else {
-            unreachable!()
-        };
-        let line = *line;
-        let arg_types = self.infer_args(args)?;
-
-        if let Some(t) = target {
-            // System.out.println(x) and friends.
-            if is_system_out(t) {
-                return self.system_out_call(t, name, args, line);
-            }
-            // Static call via class name.
-            if let Expr::Var(cls, _) = t.as_ref() {
-                if self.lookup_local(cls).is_none() && self.table.is_class_name(cls) {
-                    // User static method.
-                    if let Some((decl, sig)) = self.table.find_method(cls, name, &arg_types) {
-                        if !sig.is_static {
-                            return Err(self.err(line, format!("{cls}.{name} is not static")));
-                        }
-                        self.emit_args(args, &sig.params, line)?;
-                        let desc = method_descriptor(self.table, &sig.params, &sig.ret);
-                        self.m.invokestatic(&decl, name, &desc);
-                        return Ok(sig.ret);
-                    }
-                    // Builtin static.
-                    if let Some((bin, desc, params, ret)) = builtin_static(cls, name, &arg_types) {
-                        self.emit_args(args, &params, line)?;
-                        self.m.invokestatic(&bin, name, &desc);
-                        return Ok(ret);
-                    }
-                    return Err(self.err(line, format!("unknown method {cls}.{name}")));
-                }
-            }
-            // Instance call.
-            let tt = self.expr(t)?;
-            return self.instance_call(&tt, name, args, &arg_types, line);
-        }
-
-        // Unqualified call: method of the current class.
-        let (decl, sig) = self
-            .table
-            .find_method(&self.class.name, name, &arg_types)
-            .ok_or_else(|| self.err(line, format!("unknown method {name}")))?;
+        self.splice_args(args, &sig.params, line)?;
+        let desc = method_descriptor(table, &sig.params, &sig.ret);
         if sig.is_static {
-            self.emit_args(args, &sig.params, line)?;
-            let desc = method_descriptor(self.table, &sig.params, &sig.ret);
-            self.m.invokestatic(&decl, name, &desc);
+            self.m.invokestatic(&decl.binary, name, &desc);
         } else {
-            if self.is_static {
-                return Err(self.err(line, format!("instance method {name} in static context")));
-            }
-            self.m.aload(0);
-            self.emit_args(args, &sig.params, line)?;
-            let desc = method_descriptor(self.table, &sig.params, &sig.ret);
-            self.m.invokevirtual(&decl, name, &desc);
+            self.m.invokevirtual(&decl.binary, name, &desc);
         }
-        Ok(sig.ret)
+        Ok(sig.ret.clone())
     }
 
-    fn emit_args(&mut self, args: &[Expr], params: &[Type], line: u32) -> Result<(), CompileError> {
-        if args.len() != params.len() {
-            return Err(self.err(line, "argument count mismatch".to_string()));
-        }
-        for (a, p) in args.iter().zip(params) {
-            let t = self.expr(a)?;
+    /// Splice each argument back in, converted to its parameter's type.
+    fn splice_args(
+        &mut self,
+        args: Vec<Operand>,
+        params: &[Type],
+        line: u32,
+    ) -> Result<(), CompileError> {
+        for ((t, code), p) in args.into_iter().zip(params) {
+            self.m.splice(code);
             self.coerce(&t, p, line)?;
         }
         Ok(())
     }
-
-    fn system_out_call(
-        &mut self,
-        target: &Expr,
-        name: &str,
-        args: &[Expr],
-        line: u32,
-    ) -> Result<Type, CompileError> {
-        let Expr::Field { name: stream, .. } = target else {
-            unreachable!()
-        };
-        if name != "println" && name != "print" {
-            return Err(self.err(line, format!("unknown PrintStream method {name}")));
-        }
-        self.m
-            .getstatic("java/lang/System", stream, "Ljava/io/PrintStream;");
-        let desc = match args.len() {
-            0 => {
-                if name != "println" {
-                    return Err(self.err(line, "print() needs an argument".to_string()));
-                }
-                "()V".to_string()
-            }
-            1 => {
-                let t = self.expr(&args[0])?;
-                match t {
-                    Type::Str => "(Ljava/lang/String;)V",
-                    Type::Int | Type::Byte => "(I)V",
-                    Type::Char => "(C)V",
-                    Type::Boolean => "(Z)V",
-                    Type::Long => "(J)V",
-                    Type::Double => "(D)V",
-                    _ => "(Ljava/lang/Object;)V",
-                }
-                .to_string()
-            }
-            _ => return Err(self.err(line, "too many arguments".to_string())),
-        };
-        self.m.invokevirtual("java/io/PrintStream", name, &desc);
-        Ok(Type::Void)
-    }
-
-    fn instance_call(
-        &mut self,
-        recv: &Type,
-        name: &str,
-        args: &[Expr],
-        arg_types: &[Type],
-        line: u32,
-    ) -> Result<Type, CompileError> {
-        match recv {
-            Type::Str => {
-                let (desc, params, ret) = builtin_string_method(name, arg_types)
-                    .ok_or_else(|| self.err(line, format!("unknown String method {name}")))?;
-                self.emit_args(args, &params, line)?;
-                self.m.invokevirtual("java/lang/String", name, &desc);
-                Ok(ret)
-            }
-            Type::Class(c) => {
-                // User method (walking the chain).
-                if let Some((decl, sig)) = self.table.find_method(c, name, arg_types) {
-                    if sig.is_static {
-                        return Err(self.err(line, format!("static method {name} via instance")));
-                    }
-                    self.emit_args(args, &sig.params, line)?;
-                    let desc = method_descriptor(self.table, &sig.params, &sig.ret);
-                    self.m.invokevirtual(&decl, name, &desc);
-                    return Ok(sig.ret);
-                }
-                // Builtin instance methods (Object/Thread/StringBuilder).
-                if let Some((bin_and_desc, params, ret)) =
-                    builtin_instance(self.table, c, name, arg_types)
-                {
-                    self.emit_args(args, &params, line)?;
-                    let (bin, desc) = bin_and_desc;
-                    self.m.invokevirtual(&bin, name, &desc);
-                    return Ok(ret);
-                }
-                Err(self.err(line, format!("unknown method {c}.{name}")))
-            }
-            other => Err(self.err(line, format!("no method {name} on {other:?}"))),
-        }
-    }
 }
 
-fn is_system_out(e: &Expr) -> bool {
-    matches!(e, Expr::Field { target, name, .. }
-        if matches!(target.as_ref(), Expr::Var(v, _) if v == "System")
-            && (name == "out" || name == "err"))
+/// An expression emitted into a fragment, with its type.
+type Operand = (Type, Fragment);
+
+/// What a call's receiver is.
+enum Recv {
+    /// A class name: the method must be static.
+    Class,
+    /// A value already emitted: the method must not be static.
+    Value,
+    /// None written: `this` for an instance method.
+    Implicit,
 }
 
 fn icmp_branch(bop: BinOp) -> u8 {
@@ -1513,294 +1198,5 @@ fn zero_branch(bop: BinOp) -> u8 {
         BinOp::Ge => op::IFGE,
         BinOp::Eq => op::IFEQ,
         _ => op::IFNE,
-    }
-}
-
-/// Built-in static methods: `(binary class, descriptor, params, ret)`.
-fn builtin_static(
-    cls: &str,
-    name: &str,
-    args: &[Type],
-) -> Option<(String, String, Vec<Type>, Type)> {
-    use Type::*;
-    let numeric = |t: &Type| -> Type {
-        match t {
-            Double => Double,
-            Long => Long,
-            _ => Int,
-        }
-    };
-    let r = |bin: &str, desc: &str, params: Vec<Type>, ret: Type| {
-        Some((bin.to_string(), desc.to_string(), params, ret))
-    };
-    match (cls, name) {
-        ("Math", "sqrt") => r("java/lang/Math", "(D)D", vec![Double], Double),
-        ("Math", "floor") => r("java/lang/Math", "(D)D", vec![Double], Double),
-        ("Math", "ceil") => r("java/lang/Math", "(D)D", vec![Double], Double),
-        ("Math", "log") => r("java/lang/Math", "(D)D", vec![Double], Double),
-        ("Math", "sin") => r("java/lang/Math", "(D)D", vec![Double], Double),
-        ("Math", "cos") => r("java/lang/Math", "(D)D", vec![Double], Double),
-        ("Math", "pow") => r("java/lang/Math", "(DD)D", vec![Double, Double], Double),
-        ("Math", "random") => r("java/lang/Math", "()D", vec![], Double),
-        ("Math", "abs") => {
-            let t = numeric(args.first()?);
-            let d = match t {
-                Double => "(D)D",
-                Long => "(J)J",
-                _ => "(I)I",
-            };
-            r("java/lang/Math", d, vec![t.clone()], t)
-        }
-        ("Math", "max") | ("Math", "min") => {
-            let t = match (numeric(args.first()?), numeric(args.get(1)?)) {
-                (Double, _) | (_, Double) => Double,
-                (Long, _) | (_, Long) => Long,
-                _ => Int,
-            };
-            let d = match t {
-                Double => "(DD)D",
-                Long => "(JJ)J",
-                _ => "(II)I",
-            };
-            r("java/lang/Math", d, vec![t.clone(), t.clone()], t)
-        }
-        ("Integer", "parseInt") => r("java/lang/Integer", "(Ljava/lang/String;)I", vec![Str], Int),
-        ("Integer", "toString") => r("java/lang/Integer", "(I)Ljava/lang/String;", vec![Int], Str),
-        ("Integer", "toHexString") => {
-            r("java/lang/Integer", "(I)Ljava/lang/String;", vec![Int], Str)
-        }
-        ("Long", "parseLong") => r("java/lang/Long", "(Ljava/lang/String;)J", vec![Str], Long),
-        ("Long", "toString") => r("java/lang/Long", "(J)Ljava/lang/String;", vec![Long], Str),
-        ("Double", "parseDouble") => r(
-            "java/lang/Double",
-            "(Ljava/lang/String;)D",
-            vec![Str],
-            Double,
-        ),
-        ("Double", "toString") => r(
-            "java/lang/Double",
-            "(D)Ljava/lang/String;",
-            vec![Double],
-            Str,
-        ),
-        ("String", "valueOf") => {
-            let t = args.first()?;
-            let (d, p) = match t {
-                Int | Byte => ("(I)Ljava/lang/String;", Int),
-                Char => ("(C)Ljava/lang/String;", Char),
-                Boolean => ("(Z)Ljava/lang/String;", Boolean),
-                Long => ("(J)Ljava/lang/String;", Long),
-                Double => ("(D)Ljava/lang/String;", Double),
-                _ => return None,
-            };
-            r("java/lang/String", d, vec![p], Str)
-        }
-        ("System", "currentTimeMillis") => r("java/lang/System", "()J", vec![], Long),
-        ("System", "nanoTime") => r("java/lang/System", "()J", vec![], Long),
-        ("System", "exit") => r("java/lang/System", "(I)V", vec![Int], Void),
-        ("System", "arraycopy") => {
-            let arr = args.first()?.clone();
-            r(
-                "java/lang/System",
-                "(Ljava/lang/Object;ILjava/lang/Object;II)V",
-                vec![arr.clone(), Int, arr, Int, Int],
-                Void,
-            )
-        }
-        ("Thread", "sleep") => r("java/lang/Thread", "(J)V", vec![Long], Void),
-        ("Thread", "yield") => r("java/lang/Thread", "()V", vec![], Void),
-        ("Thread", "currentThread") => r(
-            "java/lang/Thread",
-            "()Ljava/lang/Thread;",
-            vec![],
-            Class("Thread".into()),
-        ),
-        ("Console", "readLine") => r(
-            "doppio/runtime/Console",
-            "()Ljava/lang/String;",
-            vec![],
-            Str,
-        ),
-        ("Console", "readByte") => r("doppio/runtime/Console", "()I", vec![], Int),
-        ("FileSystem", "readFileBytes") => r(
-            "doppio/runtime/FileSystem",
-            "(Ljava/lang/String;)[B",
-            vec![Str],
-            Array(Box::new(Byte)),
-        ),
-        ("FileSystem", "writeFileBytes") => r(
-            "doppio/runtime/FileSystem",
-            "(Ljava/lang/String;[B)V",
-            vec![Str, Array(Box::new(Byte))],
-            Void,
-        ),
-        ("FileSystem", "listDir") => r(
-            "doppio/runtime/FileSystem",
-            "(Ljava/lang/String;)[Ljava/lang/String;",
-            vec![Str],
-            Array(Box::new(Str)),
-        ),
-        ("FileSystem", "exists") => r(
-            "doppio/runtime/FileSystem",
-            "(Ljava/lang/String;)Z",
-            vec![Str],
-            Boolean,
-        ),
-        ("FileSystem", "fileSize") => r(
-            "doppio/runtime/FileSystem",
-            "(Ljava/lang/String;)I",
-            vec![Str],
-            Int,
-        ),
-        ("FileSystem", "mkdir") => r(
-            "doppio/runtime/FileSystem",
-            "(Ljava/lang/String;)V",
-            vec![Str],
-            Void,
-        ),
-        ("FileSystem", "unlink") => r(
-            "doppio/runtime/FileSystem",
-            "(Ljava/lang/String;)V",
-            vec![Str],
-            Void,
-        ),
-        ("JS", "eval") => r(
-            "doppio/runtime/JS",
-            "(Ljava/lang/String;)Ljava/lang/String;",
-            vec![Str],
-            Str,
-        ),
-        ("Socket", "connect") => r(
-            "doppio/net/Socket",
-            "(Ljava/lang/String;I)I",
-            vec![Str, Int],
-            Int,
-        ),
-        ("Socket", "write") => r(
-            "doppio/net/Socket",
-            "(I[B)V",
-            vec![Int, Array(Box::new(Byte))],
-            Void,
-        ),
-        ("Socket", "available") => r("doppio/net/Socket", "(I)I", vec![Int], Int),
-        ("Socket", "read") => r(
-            "doppio/net/Socket",
-            "(II)[B",
-            vec![Int, Int],
-            Array(Box::new(Byte)),
-        ),
-        ("Socket", "close") => r("doppio/net/Socket", "(I)V", vec![Int], Void),
-        _ => None,
-    }
-}
-
-/// Built-in `String` instance methods: `(descriptor, params, ret)`.
-fn builtin_string_method(name: &str, args: &[Type]) -> Option<(String, Vec<Type>, Type)> {
-    use Type::*;
-    let r = |d: &str, p: Vec<Type>, ret: Type| Some((d.to_string(), p, ret));
-    match (name, args.len()) {
-        ("length", 0) => r("()I", vec![], Int),
-        ("hashCode", 0) => r("()I", vec![], Int),
-        ("charAt", 1) => r("(I)C", vec![Int], Char),
-        ("equals", 1) => r("(Ljava/lang/Object;)Z", vec![args[0].clone()], Boolean),
-        ("compareTo", 1) => r("(Ljava/lang/String;)I", vec![Str], Int),
-        ("concat", 1) => r("(Ljava/lang/String;)Ljava/lang/String;", vec![Str], Str),
-        ("substring", 1) => r("(I)Ljava/lang/String;", vec![Int], Str),
-        ("substring", 2) => r("(II)Ljava/lang/String;", vec![Int, Int], Str),
-        ("startsWith", 1) => r("(Ljava/lang/String;)Z", vec![Str], Boolean),
-        ("indexOf", 1) => match args[0] {
-            Str => r("(Ljava/lang/String;)I", vec![Str], Int),
-            _ => r("(I)I", vec![Int], Int),
-        },
-        ("toCharArray", 0) => r("()[C", vec![], Array(Box::new(Char))),
-        ("getBytes", 0) => r("()[B", vec![], Array(Box::new(Byte))),
-        ("intern", 0) => r("()Ljava/lang/String;", vec![], Str),
-        ("toString", 0) => r("()Ljava/lang/String;", vec![], Str),
-        _ => None,
-    }
-}
-
-/// Built-in instance methods on class types: `((binary class,
-/// descriptor), params, ret)`.
-fn builtin_instance(
-    table: &ClassTable,
-    cls: &str,
-    name: &str,
-    args: &[Type],
-) -> Option<((String, String), Vec<Type>, Type)> {
-    use Type::*;
-    let r = |bin: &str, d: &str, p: Vec<Type>, ret: Type| {
-        Some(((bin.to_string(), d.to_string()), p, ret))
-    };
-    // Thread methods, available on Thread and its user subclasses.
-    let is_threadish = cls == "Thread"
-        || table.is_subclass(cls, "Thread")
-        || table
-            .class(cls)
-            .map(|_| {
-                // user class whose chain ends in "Thread"
-                let mut cur = Some(cls.to_string());
-                while let Some(c) = cur {
-                    match table.class(&c) {
-                        Some(i) => cur = i.super_name.clone(),
-                        None => return c == "Thread",
-                    }
-                }
-                false
-            })
-            .unwrap_or(false);
-    if is_threadish {
-        match (name, args.len()) {
-            ("start", 0) => return r("java/lang/Thread", "()V", vec![], Void),
-            ("join", 0) => return r("java/lang/Thread", "()V", vec![], Void),
-            ("isAlive", 0) => return r("java/lang/Thread", "()Z", vec![], Boolean),
-            ("run", 0) => return r("java/lang/Thread", "()V", vec![], Void),
-            _ => {}
-        }
-    }
-    if cls == "StringBuilder" {
-        match (name, args.first()) {
-            ("toString", None) => {
-                return r(
-                    "java/lang/StringBuilder",
-                    "()Ljava/lang/String;",
-                    vec![],
-                    Str,
-                )
-            }
-            ("length", None) => return r("java/lang/StringBuilder", "()I", vec![], Int),
-            ("append", Some(t)) => {
-                let sb = Class("StringBuilder".into());
-                let (d, p) = match t {
-                    Str => ("(Ljava/lang/String;)Ljava/lang/StringBuilder;", Str),
-                    Int | Byte => ("(I)Ljava/lang/StringBuilder;", Int),
-                    Char => ("(C)Ljava/lang/StringBuilder;", Char),
-                    Boolean => ("(Z)Ljava/lang/StringBuilder;", Boolean),
-                    Long => ("(J)Ljava/lang/StringBuilder;", Long),
-                    Double => ("(D)Ljava/lang/StringBuilder;", Double),
-                    other => (
-                        "(Ljava/lang/Object;)Ljava/lang/StringBuilder;",
-                        other.clone(),
-                    ),
-                };
-                return r("java/lang/StringBuilder", d, vec![p], sb);
-            }
-            _ => {}
-        }
-    }
-    // Object methods, on any class type.
-    match (name, args.len()) {
-        ("hashCode", 0) => r("java/lang/Object", "()I", vec![], Int),
-        ("toString", 0) => r("java/lang/Object", "()Ljava/lang/String;", vec![], Str),
-        ("equals", 1) => r(
-            "java/lang/Object",
-            "(Ljava/lang/Object;)Z",
-            vec![args[0].clone()],
-            Boolean,
-        ),
-        ("wait", 0) => r("java/lang/Object", "()V", vec![], Void),
-        ("notify", 0) => r("java/lang/Object", "()V", vec![], Void),
-        ("notifyAll", 0) => r("java/lang/Object", "()V", vec![], Void),
-        _ => None,
     }
 }

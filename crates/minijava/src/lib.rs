@@ -11,6 +11,16 @@
 //! `.class` files that DoppioJVM downloads and interprets exactly as
 //! §6.4 describes.
 //!
+//! Programs compile against DoppioJVM's runtime library as javac
+//! compiles against the Java class library. What they may use of it is
+//! one table, [`library`]: `Object`, `String`, `StringBuilder`,
+//! `System` (with `System.out` and `System.err`, each a `PrintStream`),
+//! `Math`, `Integer`, `Long`, `Double` and `Thread` from `java.lang`,
+//! and Doppio's `Console`, `FileSystem`, `JS` and `Socket`. The
+//! [`table::ClassTable`] resolves every field, constructor and method,
+//! the program's and the library's alike, and `codegen` types each
+//! expression once, as it emits it.
+//!
 //! # Example
 //!
 //! ```
@@ -33,6 +43,7 @@ pub mod ast;
 pub mod codegen;
 pub mod error;
 pub mod lexer;
+pub mod library;
 pub mod parser;
 pub mod table;
 pub mod token;

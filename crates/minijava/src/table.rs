@@ -1,10 +1,16 @@
-//! The class symbol table: declared classes, their members, and the
-//! built-in runtime classes MiniJava programs may reference.
+//! The class symbol table: the program's classes next to the runtime
+//! library's, which [`crate::library`] lists.
+//!
+//! Every field, constructor and method a program names resolves here,
+//! by one rule for both kinds of class: the first applicable member in
+//! declaration order, walking the superclass chain nearest class first
+//! — from a user class on into `Thread` and `Object`.
 
 use std::collections::HashMap;
 
 use crate::ast::{ClassDecl, Program, Type};
 use crate::error::CompileError;
+use crate::library::{self, ROOT};
 
 /// A method signature.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,22 +25,27 @@ pub struct MethodSig {
     pub ret: Type,
 }
 
-/// Information about one user class.
+/// One class: declared by the program, or listed by the library table.
 #[derive(Debug, Clone)]
 pub struct ClassInfo {
     /// Source name.
     pub name: String,
-    /// Superclass source name (`None` = Object).
+    /// Binary (JVM) name; a user class's is its source name.
+    pub binary: String,
+    /// Superclass source name (`None` only for `Object`).
     pub super_name: Option<String>,
+    /// Whether no class may extend it.
+    pub is_final: bool,
     /// Fields: (is_static, type, name).
     pub fields: Vec<(bool, Type, String)>,
-    /// Methods.
+    /// Methods, in declaration order.
     pub methods: Vec<MethodSig>,
     /// Constructor parameter lists.
     pub ctors: Vec<Vec<Type>>,
 }
 
-/// The symbol table of a compilation unit.
+/// The symbol table of a compilation unit: the program's classes, with
+/// the library's behind them.
 #[derive(Debug, Default)]
 pub struct ClassTable {
     classes: HashMap<String, ClassInfo>,
@@ -45,7 +56,7 @@ impl ClassTable {
     pub fn build(prog: &Program) -> Result<ClassTable, CompileError> {
         let mut t = ClassTable::default();
         for c in &prog.classes {
-            if t.classes.contains_key(&c.name) {
+            if t.class(&c.name).is_some() {
                 return Err(CompileError::check(
                     c.line,
                     format!("duplicate class {}", c.name),
@@ -53,16 +64,19 @@ impl ClassTable {
             }
             t.classes.insert(c.name.clone(), Self::info_of(c));
         }
-        // Validate superclasses exist (or are the builtin Thread/Object).
+        let classes = t.classes.len() + library::classes().len();
         for c in &prog.classes {
-            if let Some(s) = &c.super_name {
-                if !t.classes.contains_key(s) && !matches!(s.as_str(), "Thread" | "Object") {
-                    return Err(CompileError::check(
-                        c.line,
-                        format!("unknown superclass {s}"),
-                    ));
+            let sup = c.super_name.as_deref().unwrap_or(ROOT);
+            let msg = match t.class(sup) {
+                None => format!("unknown superclass {sup}"),
+                Some(s) if s.is_final => format!("cannot extend final class {sup}"),
+                // An acyclic chain is no longer than the classes there are.
+                _ if t.chain(&c.name).nth(classes).is_some() => {
+                    format!("cyclic inheritance involving {}", c.name)
                 }
-            }
+                _ => continue,
+            };
+            return Err(CompileError::check(c.line, msg));
         }
         Ok(t)
     }
@@ -78,7 +92,9 @@ impl ClassTable {
         }
         ClassInfo {
             name: c.name.clone(),
-            super_name: c.super_name.clone(),
+            binary: c.name.clone(),
+            super_name: Some(c.super_name.as_deref().unwrap_or(ROOT).to_string()),
+            is_final: false,
             fields: c
                 .fields
                 .iter()
@@ -98,74 +114,63 @@ impl ClassTable {
         }
     }
 
-    /// Look up a user class.
+    /// Look up a class, the program's or the library's.
     pub fn class(&self, name: &str) -> Option<&ClassInfo> {
-        self.classes.get(name)
+        self.classes
+            .get(name)
+            .or_else(|| library::classes().get(name))
     }
 
-    /// Whether `name` is a class the program can reference (user class
-    /// or builtin service class).
-    pub fn is_class_name(&self, name: &str) -> bool {
-        self.classes.contains_key(name) || is_builtin_class(name)
+    /// Binary (JVM) name of a source class name.
+    pub fn binary_name<'t>(&'t self, name: &'t str) -> &'t str {
+        self.class(name).map_or(name, |c| &c.binary)
     }
 
-    /// Find an instance field, walking the superclass chain. Returns
-    /// `(declaring source class, type, is_static)`.
-    pub fn find_field(&self, class: &str, field: &str) -> Option<(String, Type, bool)> {
-        let mut cur = Some(class.to_string());
-        while let Some(cname) = cur {
-            let info = self.classes.get(&cname)?;
-            if let Some((is_static, ty, _)) = info.fields.iter().find(|(_, _, n)| n == field) {
-                return Some((cname, ty.clone(), *is_static));
-            }
-            cur = info.super_name.clone();
-        }
-        None
+    /// `class` and its superclasses, nearest first.
+    fn chain<'t>(&'t self, class: &str) -> impl Iterator<Item = &'t ClassInfo> {
+        std::iter::successors(self.class(class), |c| self.class(c.super_name.as_deref()?))
+    }
+
+    /// Find a field, walking the superclass chain. Returns `(declaring
+    /// class, type, is_static)`.
+    pub fn find_field(&self, class: &str, field: &str) -> Option<(&ClassInfo, &Type, bool)> {
+        self.chain(class).find_map(|c| {
+            let (is_static, ty, _) = c.fields.iter().find(|(_, _, n)| n == field)?;
+            Some((c, ty, *is_static))
+        })
     }
 
     /// Find a method by name and applicable argument types, walking the
-    /// superclass chain. Returns `(declaring source class, signature)`.
+    /// superclass chain. Returns `(declaring class, signature)`.
     pub fn find_method(
         &self,
         class: &str,
         name: &str,
         args: &[Type],
-    ) -> Option<(String, MethodSig)> {
-        let mut cur = Some(class.to_string());
-        while let Some(cname) = cur {
-            let info = self.classes.get(&cname)?;
-            for m in &info.methods {
-                if m.name == name && params_applicable(self, &m.params, args) {
-                    return Some((cname, m.clone()));
-                }
-            }
-            cur = info.super_name.clone();
-        }
-        None
+    ) -> Option<(&ClassInfo, &MethodSig)> {
+        self.chain(class).find_map(|c| {
+            let m = c
+                .methods
+                .iter()
+                .find(|m| m.name == name && self.applicable(&m.params, args))?;
+            Some((c, m))
+        })
     }
 
-    /// Find an applicable constructor.
-    pub fn find_ctor(&self, class: &str, args: &[Type]) -> Option<Vec<Type>> {
-        let info = self.classes.get(class)?;
-        info.ctors
-            .iter()
-            .find(|p| params_applicable(self, p, args))
-            .cloned()
+    /// Find an applicable constructor of `class` itself.
+    pub fn find_ctor(&self, class: &str, args: &[Type]) -> Option<(&ClassInfo, &[Type])> {
+        let c = self.class(class)?;
+        let params = c.ctors.iter().find(|p| self.applicable(p, args))?;
+        Some((c, params))
+    }
+
+    fn applicable(&self, params: &[Type], args: &[Type]) -> bool {
+        params.len() == args.len() && params.iter().zip(args).all(|(p, a)| self.assignable(a, p))
     }
 
     /// Is `sub` (a source class name) a subclass of `sup`?
     pub fn is_subclass(&self, sub: &str, sup: &str) -> bool {
-        if sup == "Object" {
-            return true;
-        }
-        let mut cur = Some(sub.to_string());
-        while let Some(c) = cur {
-            if c == sup {
-                return true;
-            }
-            cur = self.classes.get(&c).and_then(|i| i.super_name.clone());
-        }
-        false
+        sub == sup || self.chain(sub).any(|c| c.name == sup)
     }
 
     /// Can a value of `from` be passed where `to` is expected
@@ -175,66 +180,35 @@ impl ClassTable {
             return true;
         }
         match (from, to) {
-            (Type::Null, t) if t.is_reference() => true,
+            (Type::Null, t) => t.is_reference(),
             // Widening primitive conversions.
-            (Type::Int | Type::Char | Type::Byte, Type::Int) => true,
-            (Type::Int | Type::Char | Type::Byte, Type::Long) => true,
-            (Type::Int | Type::Char | Type::Byte | Type::Long, Type::Double) => true,
-            (Type::Byte, Type::Char) | (Type::Char, Type::Byte) => false,
-            (Type::Class(a), Type::Class(b)) => self.is_subclass(a, b),
-            (Type::Str, Type::Class(b)) => b == "Object",
-            (Type::Array(_), Type::Class(b)) => b == "Object",
-            _ => false,
+            (Type::Int | Type::Char | Type::Byte, Type::Int | Type::Long | Type::Double) => true,
+            (Type::Long, Type::Double) => true,
+            (Type::Array(_), Type::Class(b)) => b == ROOT,
+            _ => match (class_name(from), class_name(to)) {
+                (Some(a), Some(b)) => self.is_subclass(a, b),
+                _ => false,
+            },
         }
     }
 }
 
-fn params_applicable(t: &ClassTable, params: &[Type], args: &[Type]) -> bool {
-    params.len() == args.len() && params.iter().zip(args).all(|(p, a)| t.assignable(a, p))
-}
-
-/// Built-in service classes MiniJava programs may name.
-pub fn is_builtin_class(name: &str) -> bool {
-    matches!(
-        name,
-        "System"
-            | "Math"
-            | "Integer"
-            | "Long"
-            | "Double"
-            | "String"
-            | "StringBuilder"
-            | "Thread"
-            | "Object"
-            | "Console"
-            | "FileSystem"
-            | "JS"
-            | "Socket"
-    )
-}
-
-/// Binary (JVM) name of a source class name.
-pub fn binary_name(table: &ClassTable, name: &str) -> String {
-    if table.class(name).is_some() {
-        return name.to_string();
+/// The class whose members a value of type `ty` has, if any: MiniJava
+/// types `String` apart from the other classes.
+pub fn class_name(ty: &Type) -> Option<&str> {
+    match ty {
+        Type::Str => Some("String"),
+        Type::Class(c) => Some(c),
+        _ => None,
     }
+}
+
+/// The type of a value of class `name`; the inverse of [`class_name`].
+pub fn class_type(name: &str) -> Type {
     match name {
-        "System" => "java/lang/System",
-        "Math" => "java/lang/Math",
-        "Integer" => "java/lang/Integer",
-        "Long" => "java/lang/Long",
-        "Double" => "java/lang/Double",
-        "String" => "java/lang/String",
-        "StringBuilder" => "java/lang/StringBuilder",
-        "Thread" => "java/lang/Thread",
-        "Object" => "java/lang/Object",
-        "Console" => "doppio/runtime/Console",
-        "FileSystem" => "doppio/runtime/FileSystem",
-        "JS" => "doppio/runtime/JS",
-        "Socket" => "doppio/net/Socket",
-        other => other,
+        "String" => Type::Str,
+        _ => Type::Class(name.to_string()),
     }
-    .to_string()
 }
 
 /// JVM descriptor of a MiniJava type.
@@ -247,10 +221,10 @@ pub fn descriptor(table: &ClassTable, ty: &Type) -> String {
         Type::Byte => "B".into(),
         Type::Double => "D".into(),
         Type::Void => "V".into(),
-        Type::Str => "Ljava/lang/String;".into(),
-        Type::Null => "Ljava/lang/Object;".into(),
-        Type::Class(c) => format!("L{};", binary_name(table, c)),
+        Type::Null => format!("L{};", table.binary_name(ROOT)),
         Type::Array(t) => format!("[{}", descriptor(table, t)),
+        Type::Str => format!("L{};", table.binary_name("String")),
+        Type::Class(c) => format!("L{};", table.binary_name(c)),
     }
 }
 

@@ -474,3 +474,54 @@ fn sleep_interleaves_threads_in_time_order() {
     "#);
     assert_eq!(out, "fast\nslow\njoined\n");
 }
+
+#[test]
+fn a_negated_char_picks_the_int_overload() {
+    // `-c` is an int, as javac types it, so `f(char)` does not apply.
+    let out = run(r#"
+        class Main {
+            static int f(char c) { return 1; }
+            static int f(int x) { return 2; }
+            static void main(String[] args) {
+                char c = 'a';
+                System.out.println(f(-c));
+                System.out.println(f(c));
+            }
+        }
+    "#);
+    assert_eq!(out, "2\n1\n");
+}
+
+#[test]
+fn equals_of_a_primitive_is_a_compile_error_naming_it() {
+    // `equals` takes an Object; MiniJava does not box.
+    for src in [
+        r#"class Main { static void main(String[] args) { boolean b = "a".equals(5); } }"#,
+        r#"class P { }
+           class Main { static void main(String[] args) { boolean b = new P().equals(5); } }"#,
+    ] {
+        let err = compile_to_bytes(src).expect_err("equals(int) must not compile");
+        let msg = err.to_string();
+        assert!(msg.contains("equals") && msg.contains("Int"), "{msg}");
+    }
+}
+
+#[test]
+fn bad_class_hierarchies_are_compile_errors() {
+    let main = "class Main { static void main(String[] args) { new A().hashCode(); } }";
+    for (classes, want) in [
+        ("class A extends Missing { }", "unknown superclass Missing"),
+        (
+            "class A extends StringBuilder { }",
+            "cannot extend final class",
+        ),
+        (
+            "class A extends B { } class B extends A { }",
+            "cyclic inheritance",
+        ),
+        ("class A { } class Math { }", "duplicate class Math"),
+    ] {
+        let err = compile_to_bytes(&format!("{classes} {main}")).expect_err(classes);
+        assert!(err.to_string().contains(want), "{classes}: {err}");
+    }
+}

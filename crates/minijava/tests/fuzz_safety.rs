@@ -39,3 +39,66 @@ fn almost_java_never_panics() {
         let _ = doppio_minijava::compile(&src);
     }
 }
+
+/// A random expression of depth at most `depth`: library and user
+/// calls with any number of arguments, negations, casts and `+` chains
+/// over literals and locals of every kind.
+fn random_expr(rng: &mut SplitMix64, depth: u32) -> String {
+    const ATOMS: [&str; 10] = [
+        "1", "'c'", "2.5", "7L", "c", "s", "\"t\"", "null", "new P()", "true",
+    ];
+    const CALLEES: [&str; 10] = [
+        "System.out.println",
+        "System.err.print",
+        "Math.abs",
+        "Math.max",
+        "s.equals",
+        "s.length",
+        "new P().equals",
+        "Integer.toString",
+        "f",
+        "new StringBuilder().append",
+    ];
+    let pick = |rng: &mut SplitMix64, from: &[&str]| from[rng.gen_range(0..from.len())].to_string();
+    if depth == 0 {
+        return pick(rng, &ATOMS);
+    }
+    match rng.gen_range(0..5) {
+        0 => pick(rng, &ATOMS),
+        1 => format!("- {}", random_expr(rng, depth - 1)),
+        2 => format!("(char) {}", random_expr(rng, depth - 1)),
+        3 => format!(
+            "{} + {}",
+            random_expr(rng, depth - 1),
+            random_expr(rng, depth - 1)
+        ),
+        _ => {
+            let callee = pick(rng, &CALLEES);
+            let args: Vec<String> = (0..rng.gen_range(0..3))
+                .map(|_| random_expr(rng, depth - 1))
+                .collect();
+            format!("{callee}({})", args.join(", "))
+        }
+    }
+}
+
+#[test]
+fn calls_casts_and_concatenations_never_panic() {
+    let mut rng = SplitMix64::new(0xca11);
+    for _ in 0..1024 {
+        let body = random_expr(&mut rng, 3);
+        let src = format!(
+            "class P {{ }}
+             class Main {{
+                 static int f(char c) {{ return 1; }}
+                 static int f(int x) {{ return 2; }}
+                 static void main(String[] args) {{
+                     char c = 'c';
+                     String s = \"s\";
+                     {body};
+                 }}
+             }}"
+        );
+        let _ = doppio_minijava::compile(&src);
+    }
+}
