@@ -1474,7 +1474,6 @@ fn new_instance(
     Ok(alloc_instance(state, class_id))
 }
 
-/// The access flags of a resolved method.
 /// An invoke of the other kind than its method, `invokestatic` of an
 /// instance method or an instance invoke of a static one, throws
 /// `IncompatibleClassChangeError` (JVMS §6.5) before its site binds, so
@@ -1506,6 +1505,7 @@ fn check_invoke_kind(
     ))
 }
 
+/// The access flags of a resolved method.
 fn method_flags_of(state: &JvmState, target: MethodRef) -> u16 {
     state
         .registry
