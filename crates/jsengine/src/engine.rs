@@ -295,8 +295,9 @@ impl Engine {
     }
 
     /// Charge a tally of operations: `counts[k]` operations of category
-    /// `Cost::ALL[k]` for each bit `k` set in `touched`. The charged
-    /// counts are left at zero; the others are not read.
+    /// `Cost::ALL[k]`, in ascending category order. Categories with a
+    /// zero count are skipped, so their counters stay untouched; every
+    /// count is left at zero.
     ///
     /// Each operation pays `apply_paging(unit)`, as one
     /// [`charge`](Engine::charge) does, so the clock and the
@@ -309,15 +310,15 @@ impl Engine {
     /// [`typed_array_alloc`](Engine::typed_array_alloc) and
     /// [`typed_array_free`](Engine::typed_array_free), and before
     /// anything reads the clock.
-    pub fn charge_tally(&self, counts: &mut [u64; COST_CATEGORIES], touched: u32) {
+    pub fn charge_tally(&self, counts: &mut [u64; COST_CATEGORIES]) {
         let inner = &*self.inner;
         let memory = inner.memory.borrow();
         let mut clock = inner.clock_ns.get();
-        let mut rest = touched;
-        while rest != 0 {
-            let k = rest.trailing_zeros() as usize;
-            rest &= rest - 1;
-            let n = std::mem::take(&mut counts[k]);
+        for (k, count) in counts.iter_mut().enumerate() {
+            let n = std::mem::take(count);
+            if n == 0 {
+                continue;
+            }
             let cost = n.saturating_mul(memory.apply_paging(inner.profile.cost(Cost::ALL[k])));
             clock += cost;
             inner.counters.ops[k].add(n);
@@ -856,18 +857,20 @@ mod tests {
         assert!(e.now_ns() - t0 > unit);
     }
 
+    /// A Safari engine whose memory model pages.
+    fn paging() -> Engine {
+        let e = Engine::new(Browser::Safari);
+        e.typed_array_alloc(e.profile().paging_threshold_bytes + 1_234_567);
+        assert!(e.is_paging());
+        e
+    }
+
     #[test]
     fn a_tally_charges_like_single_charges_while_paging() {
-        let paging = || {
-            let e = Engine::new(Browser::Safari);
-            e.typed_array_alloc(e.profile().paging_threshold_bytes + 1_234_567);
-            assert!(e.is_paging());
-            e
-        };
         let k = |kind: Cost| kind as u64 + 3;
         let tallied = paging();
         let mut counts: [u64; COST_CATEGORIES] = std::array::from_fn(|i| k(Cost::ALL[i]));
-        tallied.charge_tally(&mut counts, (1 << COST_CATEGORIES) - 1);
+        tallied.charge_tally(&mut counts);
         assert_eq!(counts, [0; COST_CATEGORIES]);
         let single = paging();
         for kind in Cost::ALL {
@@ -897,6 +900,50 @@ mod tests {
             bulk.now_ns() != single.now_ns()
         });
         assert!(bulk_differs);
+    }
+
+    #[test]
+    fn a_tally_skips_its_zero_categories_while_paging() {
+        // Every other category is tallied, Dispatch first; the rest are 0.
+        let k = |kind: Cost| {
+            if (kind as usize).is_multiple_of(2) {
+                kind as u64 + 2
+            } else {
+                0
+            }
+        };
+        let (tallied, single) = (paging(), paging());
+        // One single charge per category first, so that a counter the
+        // tally leaves alone reads non-zero.
+        for e in [&tallied, &single] {
+            for kind in Cost::ALL {
+                e.charge(kind);
+            }
+        }
+        let name = |counter: &str, kind: Cost| format!("engine.{counter}.{}", kind.name());
+        let before: Vec<u64> = Cost::ALL
+            .into_iter()
+            .flat_map(|kind| ["ops", "ns"].map(|c| tallied.metrics().get(&name(c, kind))))
+            .collect();
+        let mut counts: [u64; COST_CATEGORIES] = std::array::from_fn(|i| k(Cost::ALL[i]));
+        tallied.charge_tally(&mut counts);
+        assert_eq!(counts, [0; COST_CATEGORIES]);
+        for kind in Cost::ALL {
+            for _ in 0..k(kind) {
+                single.charge(kind);
+            }
+        }
+        assert_eq!(tallied.now_ns(), single.now_ns());
+        for (i, kind) in Cost::ALL.into_iter().enumerate() {
+            for (j, counter) in ["ops", "ns"].into_iter().enumerate() {
+                let name = name(counter, kind);
+                let got = tallied.metrics().get(&name);
+                assert_eq!(got, single.metrics().get(&name), "{name}");
+                if k(kind) == 0 {
+                    assert_eq!(got, before[2 * i + j], "{name} moved");
+                }
+            }
+        }
     }
 
     #[test]

@@ -79,34 +79,80 @@ impl Frame {
         }
     }
 
+    // The typed pops read the slot they expect in place and then shorten
+    // the stack: the tag and the payload are separate loads, each within
+    // one of the two stores that pushed the slot, so neither waits for
+    // the push to reach the cache. Anything else takes the cold path,
+    // which pops and converts exactly as `pop()` and `Value::as_int`
+    // and the like do.
+
     /// Pop an `int`.
     #[inline]
     pub fn pop_int(&mut self) -> i32 {
-        self.pop().as_int()
+        match self.stack.last() {
+            Some(&Value::Int(v)) => {
+                self.stack.pop();
+                v
+            }
+            _ => self.pop_other(Value::as_int),
+        }
     }
 
-    /// Pop a `long`.
+    /// Pop a `long` and its padding slot.
     #[inline]
     pub fn pop_long(&mut self) -> i64 {
-        self.pop().as_long()
+        match self.stack.as_slice() {
+            &[.., Value::Long(v), Value::Padding] => {
+                self.stack.truncate(self.stack.len() - 2);
+                v
+            }
+            _ => self.pop_other(Value::as_long),
+        }
     }
 
     /// Pop a `float`.
     #[inline]
     pub fn pop_float(&mut self) -> f32 {
-        self.pop().as_float()
+        match self.stack.last() {
+            Some(&Value::Float(v)) => {
+                self.stack.pop();
+                v
+            }
+            _ => self.pop_other(Value::as_float),
+        }
     }
 
-    /// Pop a `double`.
+    /// Pop a `double` and its padding slot.
     #[inline]
     pub fn pop_double(&mut self) -> f64 {
-        self.pop().as_double()
+        match self.stack.as_slice() {
+            &[.., Value::Double(v), Value::Padding] => {
+                self.stack.truncate(self.stack.len() - 2);
+                v
+            }
+            _ => self.pop_other(Value::as_double),
+        }
     }
 
     /// Pop a reference.
     #[inline]
     pub fn pop_ref(&mut self) -> Option<ObjRef> {
-        self.pop().as_ref()
+        match self.stack.last() {
+            Some(&Value::Ref(r)) => {
+                self.stack.pop();
+                r
+            }
+            _ => self.pop_other(Value::as_ref),
+        }
+    }
+
+    /// A typed pop whose slot does not hold what it expects: `pop()`
+    /// and `read` it, panicking as they do on a type-confused or empty
+    /// stack.
+    #[cold]
+    #[inline(never)]
+    fn pop_other<T>(&mut self, read: fn(&Value) -> T) -> T {
+        read(&self.pop())
     }
 
     /// Peek at the value `depth` slots from the top (0 = top slot).
@@ -166,6 +212,62 @@ mod tests {
         assert_eq!(f.local(3), Value::Padding);
         f.set_local(0, Value::Int(3));
         assert_eq!(f.local(0), Value::Int(3));
+    }
+
+    /// Each typed pop returns its payload and leaves the stack as short
+    /// as `pop()` leaves it: one slot for a narrow value, two for a wide
+    /// one with its padding.
+    #[test]
+    fn typed_pops_read_in_place_and_shorten_like_pop() {
+        let values = [
+            Value::Int(-7),
+            Value::Ref(None),
+            Value::Ref(Some(42)),
+            Value::Float(2.5),
+            Value::Long(i64::MIN),
+            Value::Double(-0.25),
+        ];
+        for v in values {
+            let (mut typed, mut generic) = (Frame::new(blob()), Frame::new(blob()));
+            for f in [&mut typed, &mut generic] {
+                f.push(Value::Int(1));
+                f.push(v);
+            }
+            assert_eq!(generic.pop(), v);
+            let popped = match v {
+                Value::Int(_) => Value::Int(typed.pop_int()),
+                Value::Ref(_) => Value::Ref(typed.pop_ref()),
+                Value::Float(_) => Value::Float(typed.pop_float()),
+                Value::Long(_) => Value::Long(typed.pop_long()),
+                Value::Double(_) => Value::Double(typed.pop_double()),
+                _ => unreachable!(),
+            };
+            assert_eq!(popped, v);
+            assert_eq!(typed.stack, generic.stack, "{v:?}");
+            assert_eq!(typed.stack, [Value::Int(1)]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "expected int, found Float(1.0)")]
+    fn a_pop_of_the_wrong_kind_panics() {
+        let mut f = Frame::new(blob());
+        f.push(Value::Float(1.0));
+        f.pop_int();
+    }
+
+    #[test]
+    #[should_panic(expected = "expected long, found Int(3)")]
+    fn a_wide_pop_of_a_narrow_value_panics() {
+        let mut f = Frame::new(blob());
+        f.push(Value::Int(3));
+        f.pop_long();
+    }
+
+    #[test]
+    #[should_panic(expected = "operand stack underflow")]
+    fn a_pop_from_an_empty_stack_panics() {
+        Frame::new(blob()).pop_ref();
     }
 
     #[test]

@@ -23,16 +23,20 @@
 //! one and steps the caller past its invoke, and the loop makes the §6.1
 //! suspend check itself and goes on at the new top frame. It leaves only
 //! when the check fires or the thread must block, finish or exit.
+//! Between two such boundaries the loop holds one borrow of the top
+//! frame, taken when it enters the frame, and every op works through
+//! it; its operand-stack reads are `Frame`'s typed pops, which read a
+//! slot in place (see `docs/performance.md`, "Operand-stack slots").
 //!
 //! Each instruction costs a `Cost::Dispatch` plus its own category on
-//! the engine's virtual clock. [`run`] counts these per category and
-//! charges the counts with one engine call wherever anything can
-//! observe the clock, the `engine.*` counters or typed-array residency,
-//! so every transcript reads as if each instruction had charged on its
-//! own (see `docs/performance.md`, "Charging"). A call or return on the
-//! fast path charges nothing: the suspend check reads the clock only
-//! when its counter reaches zero, and the tally is handed over just
-//! before that read.
+//! the engine's virtual clock. [`run`] counts these per category, one
+//! increment per charge, and charges the counts with one engine call
+//! wherever anything can observe the clock, the `engine.*` counters or
+//! typed-array residency, so every transcript reads as if each
+//! instruction had charged on its own (see `docs/performance.md`,
+//! "Charging"). A call or return on the fast path charges nothing: the
+//! suspend check reads the clock only when its counter reaches zero,
+//! and the tally is handed over just before that read.
 
 use std::cell::{Cell, OnceCell};
 use std::rc::Rc;
@@ -90,8 +94,8 @@ pub type Continuation =
     Box<dyn FnMut(&mut JvmState, &mut Vec<Frame>, &mut ThreadContext<'_>) -> Option<StepResult>>;
 
 /// The virtual-clock charges [`run`] has counted since it last handed
-/// them to the engine: a count per cost category, and a bitmask of the
-/// categories with a non-zero count.
+/// them to the engine: one count per cost category, and nothing else,
+/// so a charge is one increment.
 ///
 /// [`Engine::charge_tally`](doppio_jsengine::Engine::charge_tally)
 /// charges `n` tallied operations exactly as `n` single charges as long
@@ -103,28 +107,26 @@ pub type Continuation =
 #[derive(Default)]
 struct Tally {
     counts: [u64; COST_CATEGORIES],
-    touched: u32,
 }
-
-// `Tally::touched` holds one bit per cost category.
-const _: () = assert!(COST_CATEGORIES <= u32::BITS as usize);
 
 impl Tally {
     /// One operation of `kind`.
     #[inline(always)]
     fn charge(&mut self, kind: Cost) {
         self.counts[kind as usize] += 1;
-        self.touched |= 1 << kind as u32;
     }
 
     /// Charge the tallied operations to the engine and count their
-    /// dispatches as executed instructions.
+    /// dispatches as executed instructions. The engine skips the
+    /// categories with nothing tallied.
     fn flush(&mut self, state: &mut JvmState) {
-        if self.touched != 0 {
-            state.instructions += self.counts[Cost::Dispatch as usize];
-            state.engine.charge_tally(&mut self.counts, self.touched);
-            self.touched = 0;
-        }
+        state.instructions += self.counts[Cost::Dispatch as usize];
+        state.engine.charge_tally(&mut self.counts);
+    }
+
+    /// Whether nothing is tallied.
+    fn is_empty(&self) -> bool {
+        self.counts.iter().all(|&n| n == 0)
     }
 }
 
@@ -147,7 +149,7 @@ pub fn run(
 ) -> StepResult {
     let mut tally = Tally::default();
     let sr = run_frames(state, frames, ctx, tid, &mut tally);
-    debug_assert_eq!(tally.touched, 0, "run returned with charges tallied");
+    debug_assert!(tally.is_empty(), "run returned with charges tallied");
     debug_assert!(!matches!(
         sr,
         StepResult::Continue | StepResult::CallBoundary
@@ -200,11 +202,15 @@ fn run_frames(
                 }
             };
         }
-        let Some(frame) = frames.last() else {
+        // The top frame, borrowed once per entry: every op reaches it
+        // through `top!()`. Whatever else touches `frames` leaves the op
+        // loop, except a slow path that returns `Ok`, which borrows it
+        // again.
+        let Some(mut cur) = frames.last_mut() else {
             tally.flush(state);
             return StepResult::Finished;
         };
-        let blob = frame.code.clone();
+        let blob = cur.code.clone();
         let code = match &blob.code {
             Ok(code) => code,
             Err(e) => {
@@ -225,11 +231,11 @@ fn run_frames(
             }
         };
         let ops = code.ops();
-        let mut ip = code.ip(frame.pc).unwrap_or(ops.len());
+        let mut ip = code.ip(cur.pc).unwrap_or(ops.len());
 
         macro_rules! top {
             () => {
-                frames.last_mut().expect("frame")
+                &mut *cur
             };
         }
         // Write the current instruction's pc back to the frame.
@@ -260,7 +266,10 @@ fn run_frames(
                 sync!();
                 flush!();
                 match $r {
-                    Ok(v) => v,
+                    Ok(v) => {
+                        cur = frames.last_mut().expect("frame");
+                        v
+                    }
                     Err(sr) => leave!(sr),
                 }
             }};
@@ -703,7 +712,7 @@ fn run_frames(
                     top!().push(Value::RetAddr(ret));
                     jump!(*target, ip);
                 }
-                Op::Ret { local, wide } => match top!().local(usize::from(*local)) {
+                Op::Ret { local, wide } => match cur.local(usize::from(*local)) {
                     Value::RetAddr(a) => jump!(code.ip(a).unwrap_or(ops.len()), ip),
                     _ if *wide => throw!("java/lang/InternalError", "wide ret"),
                     other => throw!(
@@ -905,7 +914,7 @@ fn run_frames(
                     let cc = class_const!(class, *idx);
                     tally.charge(Cost::MapOp);
                     let checkcast = matches!(op, Op::CheckCast { .. });
-                    let r = top!().peek(0).as_ref();
+                    let r = cur.peek(0).as_ref();
                     let matches = match r {
                         // null passes checkcast and fails instanceof.
                         None => checkcast,
@@ -1132,7 +1141,7 @@ fn fp_cmp(a: f64, b: f64, greater_on_nan: bool) -> i32 {
 pub fn runtime_class_of(state: &mut JvmState, obj: ObjRef) -> Result<ClassId, StepResult> {
     let (known, name) = match state.heap.get(obj) {
         HeapObj::Instance { class, .. } => return Ok(*class),
-        HeapObj::JavaString(_) => (0, "java/lang/String"),
+        HeapObj::JavaString { .. } => (0, "java/lang/String"),
         HeapObj::StringBuilder(_) => (1, "java/lang/StringBuilder"),
         other => {
             let name = other.array_class_name().expect("array");

@@ -88,7 +88,7 @@ pub struct NativeCtx<'a, 'b, 'rt> {
 fn heap_str<'h>(heap: &'h Heap, v: &Value) -> Result<&'h str, NativeOutcome> {
     match v {
         Value::Ref(Some(r)) => match heap.get(*r) {
-            HeapObj::JavaString(s) => Ok(s),
+            HeapObj::JavaString { text: s, .. } => Ok(s),
             _ => Err(throw("java/lang/InternalError", "expected a String")),
         },
         _ => Err(npe("null String")),
@@ -572,7 +572,7 @@ fn object_to_string(n: &mut NativeCtx<'_, '_, '_>, args: Vec<Value>) -> NativeOu
         return npe("toString");
     };
     let text = match n.state.heap.get(r) {
-        HeapObj::JavaString(s) => s.clone(),
+        HeapObj::JavaString { text: s, .. } => s.clone(),
         HeapObj::StringBuilder(s) => s.clone(),
         HeapObj::Instance { class, .. } => {
             format!("{}@{:x}", n.state.registry.get(*class).name, r)
@@ -799,7 +799,7 @@ fn text(heap: &Heap, v: Value) -> String {
         Value::Float(f) => format_double(f64::from(f)),
         Value::Double(d) => format_double(d),
         Value::Ref(Some(r)) => match heap.get(r) {
-            HeapObj::JavaString(s) => s.clone(),
+            HeapObj::JavaString { text: s, .. } => s.clone(),
             _ => "<object>".to_string(),
         },
         _ => "null".to_string(),
@@ -862,7 +862,7 @@ fn string_init(n: &mut NativeCtx<'_, '_, '_>, args: Vec<Value>) -> NativeOutcome
     let Some(r) = args[0].as_ref() else {
         return npe("<init>");
     };
-    *n.state.heap.get_mut(r) = HeapObj::JavaString(String::new());
+    *n.state.heap.get_mut(r) = HeapObj::string(String::new());
     NativeOutcome::Return(None)
 }
 
@@ -879,7 +879,7 @@ fn string_from_bytes(n: &mut NativeCtx<'_, '_, '_>, args: Vec<Value>) -> NativeO
     };
     n.state.engine.charge_n(Cost::StringOp, bytes.len() as u64);
     let s = String::from_utf8_lossy(&bytes).into_owned();
-    *n.state.heap.get_mut(r) = HeapObj::JavaString(s);
+    *n.state.heap.get_mut(r) = HeapObj::string(s);
     NativeOutcome::Return(None)
 }
 
@@ -898,27 +898,33 @@ fn string_from_chars(n: &mut NativeCtx<'_, '_, '_>, args: Vec<Value>) -> NativeO
     let s: String = char::decode_utf16(units)
         .map(|r| r.unwrap_or(char::REPLACEMENT_CHARACTER))
         .collect();
-    *n.state.heap.get_mut(r) = HeapObj::JavaString(s);
+    *n.state.heap.get_mut(r) = HeapObj::string(s);
     NativeOutcome::Return(None)
 }
 
-/// The receiver of a `java/lang/String` instance method, read in place.
-fn this_str<'h>(heap: &'h Heap, args: &[Value]) -> Result<&'h str, NativeOutcome> {
+/// The receiver of a `java/lang/String` instance method, read in place,
+/// and whether it is all ASCII.
+fn this_text<'h>(heap: &'h Heap, args: &[Value]) -> Result<(&'h str, bool), NativeOutcome> {
     match args.first() {
         Some(Value::Ref(Some(r))) => match heap.get(*r) {
-            HeapObj::JavaString(s) => Ok(s),
+            HeapObj::JavaString { text, ascii } => Ok((text, *ascii)),
             _ => Err(throw("java/lang/InternalError", "not a String")),
         },
         _ => Err(npe("String method")),
     }
 }
 
+/// The receiver of a `java/lang/String` instance method, read in place.
+fn this_str<'h>(heap: &'h Heap, args: &[Value]) -> Result<&'h str, NativeOutcome> {
+    this_text(heap, args).map(|(text, _)| text)
+}
+
 fn string_length(n: &mut NativeCtx<'_, '_, '_>, args: Vec<Value>) -> NativeOutcome {
-    let s = match this_str(&n.state.heap, &args) {
-        Ok(s) => s,
+    let (s, ascii) = match this_text(&n.state.heap, &args) {
+        Ok(t) => t,
         Err(e) => return e,
     };
-    let len = if s.is_ascii() {
+    let len = if ascii {
         s.len()
     } else {
         s.encode_utf16().count()
@@ -927,15 +933,15 @@ fn string_length(n: &mut NativeCtx<'_, '_, '_>, args: Vec<Value>) -> NativeOutco
 }
 
 fn char_at(n: &mut NativeCtx<'_, '_, '_>, args: Vec<Value>) -> NativeOutcome {
-    let s = match this_str(&n.state.heap, &args) {
-        Ok(s) => s,
+    let (s, ascii) = match this_text(&n.state.heap, &args) {
+        Ok(t) => t,
         Err(e) => return e,
     };
     let i = args[1].as_int();
     n.state.engine.charge(Cost::StringOp);
     // An ASCII string's UTF-16 units are its bytes.
     let unit = match usize::try_from(i) {
-        Ok(i) if s.is_ascii() => s.as_bytes().get(i).map(|&b| u16::from(b)),
+        Ok(i) if ascii => s.as_bytes().get(i).map(|&b| u16::from(b)),
         Ok(i) => s.encode_utf16().nth(i),
         Err(_) => None,
     };
@@ -952,7 +958,7 @@ fn string_equals(n: &mut NativeCtx<'_, '_, '_>, args: Vec<Value>) -> NativeOutco
     };
     let eq = match args[1] {
         Value::Ref(Some(r)) => {
-            matches!(n.state.heap.get(r), HeapObj::JavaString(t) if t == s)
+            matches!(n.state.heap.get(r), HeapObj::JavaString { text: t, .. } if t == s)
         }
         _ => false,
     };
@@ -1362,7 +1368,9 @@ pub fn describe_throwable(state: &JvmState, r: ObjRef) -> (String, String, Strin
                 text("java/lang/Throwable.stackTrace"),
             )
         }
-        HeapObj::JavaString(s) => ("java.lang.Throwable".into(), s.clone(), String::new()),
+        HeapObj::JavaString { text: s, .. } => {
+            ("java.lang.Throwable".into(), s.clone(), String::new())
+        }
         _ => ("java.lang.Throwable".into(), String::new(), String::new()),
     }
 }

@@ -28,8 +28,17 @@ pub enum HeapObj {
         fields: Box<[Value]>,
     },
     /// `java/lang/String`: the character data lives Rust-side, as the
-    /// original keeps it in a JavaScript string.
-    JavaString(String),
+    /// original keeps it in a JavaScript string. [`HeapObj::string`]
+    /// makes one and finds its ASCII-ness once: strings are immutable,
+    /// and a constructor replaces the whole object, so the flag cannot
+    /// go stale.
+    JavaString {
+        /// The characters.
+        text: String,
+        /// Whether every character is ASCII, so that each UTF-16 unit
+        /// is one byte of `text`.
+        ascii: bool,
+    },
     /// `java/lang/StringBuilder` backing store.
     StringBuilder(String),
     /// `int[]`.
@@ -57,6 +66,15 @@ pub enum HeapObj {
 }
 
 impl HeapObj {
+    /// A `java/lang/String` of `text`.
+    pub fn string(text: impl Into<String>) -> HeapObj {
+        let text = text.into();
+        HeapObj::JavaString {
+            ascii: text.is_ascii(),
+            text,
+        }
+    }
+
     /// Array length, if this is an array.
     pub fn array_len(&self) -> Option<usize> {
         Some(match self {
@@ -152,14 +170,14 @@ impl Heap {
     /// Read the Rust string out of a `JavaString`.
     pub fn java_string(&self, r: ObjRef) -> Option<&str> {
         match self.get(r) {
-            HeapObj::JavaString(s) => Some(s),
+            HeapObj::JavaString { text, .. } => Some(text),
             _ => None,
         }
     }
 
     /// Allocate a `java/lang/String`.
     pub fn alloc_string(&mut self, s: impl Into<String>) -> ObjRef {
-        self.alloc(HeapObj::JavaString(s.into()))
+        self.alloc(HeapObj::string(s))
     }
 }
 

@@ -21,7 +21,6 @@ use crate::frame::Frame;
 use crate::interp::{self, Continuation, StepResult};
 use crate::loader;
 use crate::natives::{self, NativeCtx, NativeOutcome};
-use crate::object::HeapObj;
 use crate::state::JvmState;
 use crate::value::{ObjRef, Value};
 
@@ -268,7 +267,7 @@ pub fn current_thread_object(n: &mut NativeCtx<'_, '_, '_>) -> ObjRef {
     }
     let r = match n.state.registry.lookup("java/lang/Thread") {
         Some(cid) => interp::alloc_instance(n.state, cid),
-        None => n.state.heap.alloc(HeapObj::JavaString("main".into())),
+        None => n.state.heap.alloc_string("main"),
     };
     n.state.thread_objs.insert(id, r);
     n.state.thread_of_obj.insert(r, id);

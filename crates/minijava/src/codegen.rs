@@ -473,9 +473,7 @@ impl<'a> Gen<'a> {
             return Err(self.err(line, format!("cannot assign {from:?} to {to:?}")));
         }
         match (from, to) {
-            (Type::Int | Type::Char | Type::Byte | Type::Boolean, Type::Long) => {
-                self.m.simple(op::I2L)
-            }
+            (Type::Int | Type::Char | Type::Byte, Type::Long) => self.m.simple(op::I2L),
             (Type::Int | Type::Char | Type::Byte, Type::Double) => self.m.simple(op::I2D),
             (Type::Long, Type::Double) => self.m.simple(op::L2D),
             _ => return Err(self.err(line, format!("cannot convert {from:?} to {to:?}"))),
@@ -487,10 +485,9 @@ impl<'a> Gen<'a> {
         matches!(
             (from, to),
             (
-                Type::Int | Type::Char | Type::Byte | Type::Boolean,
-                Type::Long
-            ) | (Type::Int | Type::Char | Type::Byte, Type::Double)
-                | (Type::Long, Type::Double)
+                Type::Int | Type::Char | Type::Byte,
+                Type::Long | Type::Double
+            ) | (Type::Long, Type::Double)
         )
     }
 
@@ -904,7 +901,7 @@ impl<'a> Gen<'a> {
         // Normalize the source to int/long/double category first.
         match (from, to) {
             (a, b) if a == b => {}
-            (Int | Char | Byte | Boolean, Int) => {}
+            (Int | Char | Byte, Int) => {}
             (Int | Char | Byte, Long) => self.m.simple(op::I2L),
             (Int | Char | Byte, Double) => self.m.simple(op::I2D),
             (Int | Byte, Char) => self.m.simple(op::I2C),
@@ -991,11 +988,12 @@ impl<'a> Gen<'a> {
                 self.m.splice(rf);
                 self.coerce(&rt, &result, line)?;
                 let code = match (&result, bop) {
-                    (Type::Int | Type::Boolean, Add) => op::IADD,
-                    (Type::Int | Type::Boolean, Sub) => op::ISUB,
-                    (Type::Int | Type::Boolean, Mul) => op::IMUL,
-                    (Type::Int | Type::Boolean, Div) => op::IDIV,
-                    (Type::Int | Type::Boolean, Rem) => op::IREM,
+                    (Type::Int, Add) => op::IADD,
+                    (Type::Int, Sub) => op::ISUB,
+                    (Type::Int, Mul) => op::IMUL,
+                    (Type::Int, Div) => op::IDIV,
+                    (Type::Int, Rem) => op::IREM,
+                    // Booleans take only `&`, `|` and `^`.
                     (Type::Int | Type::Boolean, And) => op::IAND,
                     (Type::Int | Type::Boolean, Or) => op::IOR,
                     (Type::Int | Type::Boolean, Xor) => op::IXOR,

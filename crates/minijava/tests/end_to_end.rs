@@ -525,3 +525,98 @@ fn bad_class_hierarchies_are_compile_errors() {
         assert!(err.to_string().contains(want), "{classes}: {err}");
     }
 }
+
+#[test]
+fn booleans_are_not_numbers() {
+    // Arithmetic on booleans, compound or not, widening one and casting
+    // one to a number are compile errors at the statement's line.
+    for stmt in [
+        "boolean z = true + true;",
+        "boolean z = true - false;",
+        "boolean z = false * true;",
+        "boolean z = true / true;",
+        "boolean z = true % true;",
+        "boolean z = false; z += true;",
+        "boolean z = true; z -= false;",
+        "boolean z = true; z *= true;",
+        "long x = true;",
+        "double x = false;",
+        "long x = 1L + true;",
+        "f(true);",
+        "int x = (int) true;",
+        "long x = (long) true;",
+        "char x = (char) false;",
+    ] {
+        let src = format!(
+            "class Main {{\n  static void f(long x) {{ }}\n  static void main(String[] args) {{\n    {stmt}\n  }}\n}}"
+        );
+        let err = compile_to_bytes(&src).expect_err(stmt);
+        assert_eq!(err.line, 4, "{stmt}: {err}");
+        assert!(err.to_string().contains("line 4"), "{stmt}: {err}");
+    }
+    // `&`, `|`, `^`, `==` and `!=` still take two booleans.
+    let out = run(r#"
+        class Main {
+            static void main(String[] args) {
+                boolean t = true;
+                boolean f = false;
+                boolean z = t & f;
+                z = z | t;
+                z = z ^ t;
+                System.out.println(t & f);
+                System.out.println(t | f);
+                System.out.println(t ^ t);
+                System.out.println(t == f);
+                System.out.println(t != f);
+                System.out.println(z);
+            }
+        }
+    "#);
+    assert_eq!(out, "false\ntrue\nfalse\nfalse\ntrue\nfalse\n");
+}
+
+#[test]
+fn constructed_strings_index_by_utf16_unit() {
+    // `new String(char[])` over an `é` (one UTF-16 unit, two UTF-8
+    // bytes) and over a surrogate pair (two units, four bytes): `length`
+    // and `charAt` count units before, at and after them.
+    let (out, _, uncaught) = run_full(
+        r#"
+        class Main {
+            static void show(String s) {
+                System.out.println(s.length());
+                for (int i = 0; i < s.length(); i++) {
+                    System.out.println((int) s.charAt(i));
+                }
+            }
+            static void main(String[] args) {
+                char[] e = new char[3];
+                e[0] = 'a';
+                e[1] = (char) 233;
+                e[2] = 'b';
+                show(new String(e));
+                char[] p = new char[4];
+                p[0] = 'a';
+                p[1] = (char) 55357;
+                p[2] = (char) 56832;
+                p[3] = 'b';
+                String s = new String(p);
+                show(s);
+                char[] a = new char[2];
+                a[0] = 'o';
+                a[1] = 'k';
+                show(new String(a));
+                System.out.println(s.charAt(4));
+            }
+        }
+    "#,
+    );
+    assert_eq!(
+        out,
+        "3\n97\n233\n98\n4\n97\n55357\n56832\n98\n2\n111\n107\n"
+    );
+    assert_eq!(
+        uncaught.as_deref(),
+        Some("java.lang.StringIndexOutOfBoundsException: 4")
+    );
+}
